@@ -25,15 +25,14 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     TrialResult,
-    accuracy,
     emit_report,
     load_report,
-    recall,
     run_cluster_protocol,
     run_fraction_sweep,
     run_protocol,
     write_report_files,
 )
+from .metrics import accuracy, recall
 from .pca import PcaModel, fit_pca, transform
 from .quantum import (
     QuantumModelParams,

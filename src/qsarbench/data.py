@@ -1,9 +1,9 @@
 """Dataset loading, class balancing and seeded train/test splitting.
 
 Loaders accept MoleculeNet-style CSVs (header row, UTF-8).  Rows whose
-SMILES cannot be parsed are skipped with a logged count that is carried on
-the dataset and surfaced in every experiment report, so the effective
-dataset size is always visible.
+SMILES cannot be parsed are skipped with a logged count; their ids are
+carried on the dataset and their count is surfaced in every experiment
+report, so the effective dataset size is always visible.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class Dataset:
     smiles: list[str] | None
     labels: np.ndarray
     features: np.ndarray | None = None
-    skipped_rows: int = 0
+    skipped_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -90,6 +90,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
+    @property
+    def skipped_rows(self) -> int:
+        return len(self.skipped_ids)
+
     def take(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
@@ -97,7 +101,7 @@ class Dataset:
             smiles=None if self.smiles is None else [self.smiles[i] for i in idx],
             labels=self.labels[idx],
             features=None if self.features is None else self.features[idx],
-            skipped_rows=self.skipped_rows,
+            skipped_ids=self.skipped_ids,
         )
 
     def with_features(self, features: np.ndarray) -> "Dataset":
@@ -150,7 +154,7 @@ def load_dataset(path: str, schema: DatasetSchema) -> Dataset:
     ids: list[str] = []
     smiles: list[str] = []
     labels: list[int] = []
-    skipped = 0
+    skipped: list[str] = []
     with handle:
         try:
             reader = csv.DictReader(handle)
@@ -163,27 +167,29 @@ def load_dataset(path: str, schema: DatasetSchema) -> Dataset:
             for row_number, row in enumerate(reader):
                 text = (row[schema.smiles_col] or "").strip()
                 label = _coerce_label(row[schema.label_col], row_number)
+                row_id = row[schema.id_col] if schema.id_col else str(row_number)
                 try:
                     parse_smiles(text)
                 except SmilesParseError:
-                    skipped += 1
+                    skipped.append(row_id)
                     continue
-                ids.append(row[schema.id_col] if schema.id_col else str(row_number))
+                ids.append(row_id)
                 smiles.append(text)
                 labels.append(label)
         except UnicodeDecodeError as exc:
             raise UnreadableFile(f"{path} is not valid UTF-8: {exc}") from exc
 
     if skipped:
-        logger.info("skipped %d unparseable SMILES rows in %s", skipped, path)
-    return Dataset(ids=ids, smiles=smiles, labels=np.array(labels), skipped_rows=skipped)
+        logger.info("skipped %d unparseable SMILES rows in %s", len(skipped), path)
+    return Dataset(ids=ids, smiles=smiles, labels=np.array(labels), skipped_ids=tuple(skipped))
 
 
-def load_embeddings(path: str, ids: list[str]) -> np.ndarray:
+def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()) -> np.ndarray:
     """Read an `id,e0,...,e511` CSV and align rows to the given id order.
 
-    The id sets must match exactly; anything missing or extra raises
-    UnknownId rather than silently reordering or dropping rows.
+    Every id must have a row.  Rows of `skipped_ids` (rows the dataset loader
+    could not parse) are ignored; any other extra id raises UnknownId rather
+    than silently reordering or dropping rows.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -213,7 +219,7 @@ def load_embeddings(path: str, ids: list[str]) -> np.ndarray:
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
 
-    extra = set(rows) - set(ids)
+    extra = set(rows) - set(ids) - set(skipped_ids)
     if extra:
         raise UnknownId(f"{path}: ids not present in dataset: {sorted(extra)[:5]}")
     out = np.empty((len(ids), EMBEDDING_DIM), dtype=np.float64)

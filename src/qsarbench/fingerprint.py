@@ -50,22 +50,17 @@ class Fingerprint:
         return [i for i in range(self.nbits) if (self.bits >> i) & 1]
 
     def as_bit_array(self) -> np.ndarray:
-        out = np.zeros(self.nbits, dtype=np.uint8)
-        for i in self.on_bits():
-            out[i] = 1
-        return out
+        raw = np.frombuffer(self.bits.to_bytes(-(-self.nbits // 8), "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.nbits, bitorder="little")
 
     @classmethod
     def from_bit_array(cls, arr: np.ndarray) -> "Fingerprint":
-        bits = 0
-        for i, v in enumerate(np.asarray(arr).ravel()):
-            if v:
-                bits |= 1 << i
-        return cls(bits, len(arr))
+        flags = np.asarray(arr).ravel() != 0
+        return cls(int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"), flags.size)
 
     def to_words(self) -> np.ndarray:
         """Pack into little-endian uint64 words for vectorized popcounts."""
-        n_words = self.nbits // 64
+        n_words = -(-self.nbits // 64)
         raw = self.bits.to_bytes(n_words * 8, "little")
         return np.frombuffer(raw, dtype="<u8").copy()
 

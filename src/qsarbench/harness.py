@@ -1,4 +1,12 @@
-"""Experiment orchestration: the full protocols, aggregation and reports.
+"""Experiment orchestration: the three protocols, aggregation and reports.
+
+The feature, training-fraction and cluster sweeps share one driver.  It
+loads the dataset with its features once, and for each resplit balances the
+classes (where the dataset calls for it) and derives the split seed.  The
+protocol then supplies its training plans for that resplit, each tagged
+with its sweep value x.  Every plan gets one PCA fit at the widest n, which
+each n in n_list truncates; a cell is one (resplit, plan, n) and trains all
+reps.  The driver maps the cells over the workers and builds the report.
 
 A protocol run is a pure function of its configuration and input files.
 Seeds derive hierarchically (master -> per-resplit -> per-rep -> stream),
@@ -14,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -23,6 +32,7 @@ from ._version import __version__
 from .classical import train_mlp
 from .clustering import LARGE_CLUSTER_MIN_SIZE, butina_cluster, cluster_training_plan
 from .data import (
+    EMBEDDING_DIM,
     SCHEMA_PRESETS,
     UNDERSAMPLE_BY_DATASET,
     Dataset,
@@ -35,7 +45,6 @@ from .data import (
 )
 from .errors import ConfigError, InvariantViolation, QsarBenchError
 from .fingerprint import Fingerprint, morgan_fingerprint
-from .metrics import accuracy, recall  # noqa: F401  (re-exported metric ops)
 from .pca import fit_pca, transform
 from .quantum import train_quantum
 from .rng import derive_seed
@@ -47,8 +56,6 @@ __all__ = [
     "TrialResult",
     "CellSummary",
     "ExperimentReport",
-    "accuracy",
-    "recall",
     "run_protocol",
     "run_fraction_sweep",
     "run_cluster_protocol",
@@ -138,6 +145,12 @@ class ExperimentConfig:
             raise ConfigError(f"fingerprint_bits must be a power of two, got {bits}")
         if self.fingerprint_radius < 0:
             raise ConfigError("fingerprint_radius must be >= 0")
+        width = bits if self.embedding == "mgfp" else EMBEDDING_DIM
+        if 1 << max(self.n_list) > width:
+            raise ConfigError(
+                f"n={max(self.n_list)} needs {1 << max(self.n_list)} features; "
+                f"the {self.embedding} embedding has {width}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -262,17 +275,19 @@ def _trial_sort_key(trial: TrialResult) -> tuple:
 
 # --- data preparation ---------------------------------------------------------
 
-def _load_with_features(config: ExperimentConfig) -> tuple[Dataset, list[Fingerprint] | None]:
+def _load_with_features(config: ExperimentConfig) -> Dataset:
+    """The dataset with its feature matrix: fingerprint bits or embeddings."""
     data = load_dataset(config.dataset_path, SCHEMA_PRESETS[config.dataset])
     if config.embedding == "mgfp":
-        fps = [
-            morgan_fingerprint(parse_smiles(s), config.fingerprint_radius, config.fingerprint_bits)
+        features = np.array([
+            morgan_fingerprint(
+                parse_smiles(s), config.fingerprint_radius, config.fingerprint_bits,
+            ).as_bit_array()
             for s in data.smiles
-        ]
-        features = np.array([fp.as_bit_array() for fp in fps], dtype=np.float64)
-        return data.with_features(features), fps
-    features = load_embeddings(config.embedding_path, data.ids)
-    return data.with_features(features), None
+        ], dtype=np.float64)
+    else:
+        features = load_embeddings(config.embedding_path, data.ids, data.skipped_ids)
+    return data.with_features(features)
 
 
 def _signed_labels(labels: np.ndarray) -> np.ndarray:
@@ -341,39 +356,41 @@ def _map_cells(tasks: list[_CellTask], workers: int) -> list[TrialResult]:
     return sorted(trials, key=_trial_sort_key)
 
 
-def _make_cell(
+def _make_cells(
     config: ExperimentConfig,
     subset: Dataset,
     plan: SplitPlan,
-    n: int,
     x: float | None,
     split_index: int,
     split_seed: int,
-) -> _CellTask:
-    pca = fit_pca(subset.features[plan.train_indices], 1 << n)
+) -> list[_CellTask]:
+    """One cell per n on one training plan, all from a single PCA fit.
+
+    x=None marks the feature sweep, whose sweep value is n itself.
+    """
+    train = subset.features[plan.train_indices]
+    test = subset.features[plan.test_indices]
+    widest = fit_pca(train, 1 << max(config.n_list))
     signed = _signed_labels(subset.labels)
-    return _CellTask(
-        n=n,
-        x=x,
-        split_index=split_index,
-        split_seed=split_seed,
-        rep_seeds=tuple(
-            derive_seed(config.master_seed, _NS_REP, split_index, rep)
-            for rep in range(config.reps)
-        ),
-        train_x=transform(pca, subset.features[plan.train_indices]),
-        train_y=signed[plan.train_indices],
-        test_x=transform(pca, subset.features[plan.test_indices]),
-        test_y=signed[plan.test_indices],
-        optimizer=config.optimizer_config(),
+    rep_seeds = tuple(
+        derive_seed(config.master_seed, _NS_REP, split_index, rep) for rep in range(config.reps)
     )
-
-
-def _resplit_subset(config: ExperimentConfig, data: Dataset, split_index: int) -> tuple[Dataset, int]:
-    subset = data
-    if config.should_undersample:
-        subset = undersample(data, derive_seed(config.master_seed, _NS_UNDERSAMPLE, split_index))
-    return subset, derive_seed(config.master_seed, _NS_SPLIT, split_index)
+    cells = []
+    for n in config.n_list:
+        pca = widest.truncate(1 << n)
+        cells.append(_CellTask(
+            n=n,
+            x=float(n) if x is None else x,
+            split_index=split_index,
+            split_seed=split_seed,
+            rep_seeds=rep_seeds,
+            train_x=transform(pca, train),
+            train_y=signed[plan.train_indices],
+            test_x=transform(pca, test),
+            test_y=signed[plan.test_indices],
+            optimizer=config.optimizer_config(),
+        ))
+    return cells
 
 
 def _abort_context(config: ExperimentConfig, exc: Exception) -> None:
@@ -445,47 +462,51 @@ def _build_report(config: ExperimentConfig, protocol: str, skipped: int,
 
 # --- protocols -------------------------------------------------------------------
 
-def run_protocol(config: ExperimentConfig) -> ExperimentReport:
-    """Feature sweep: the 5x20 resplit/rep protocol for each n in n_list."""
+# A protocol's plans for one resplit: (subset, split_index, split_seed) ->
+# (x, training plan) pairs, with x=None when the sweep value is n itself.
+_Plans = Callable[[Dataset, int, int], Iterator[tuple[float | None, SplitPlan]]]
+
+
+def _run(config: ExperimentConfig, protocol: str, plans: _Plans) -> ExperimentReport:
     try:
-        data, _ = _load_with_features(config)
+        data = _load_with_features(config)
         tasks = []
         for split_index in range(config.resplits):
-            subset, split_seed = _resplit_subset(config, data, split_index)
-            plan = make_split(subset, split_seed)
-            for n in config.n_list:
-                tasks.append(_make_cell(config, subset, plan, n, float(n), split_index, split_seed))
-        logger.info("feature sweep: %d cells on %d workers", len(tasks), config.resolved_workers())
-        trials = _map_cells(tasks, config.resolved_workers())
-        return _build_report(config, PROTOCOL_FEATURES, data.skipped_rows, trials)
+            subset = data
+            if config.should_undersample:
+                subset = undersample(data, derive_seed(config.master_seed, _NS_UNDERSAMPLE, split_index))
+            split_seed = derive_seed(config.master_seed, _NS_SPLIT, split_index)
+            for x, plan in plans(subset, split_index, split_seed):
+                tasks += _make_cells(config, subset, plan, x, split_index, split_seed)
+        workers = config.resolved_workers()
+        logger.info("%s: %d cells on %d workers", protocol, len(tasks), workers)
+        trials = _map_cells(tasks, workers)
+        return _build_report(config, protocol, data.skipped_rows, trials)
     except QsarBenchError as exc:
         _abort_context(config, exc)
         raise
+
+
+def run_protocol(config: ExperimentConfig) -> ExperimentReport:
+    """Feature sweep: the 5x20 resplit/rep protocol for each n in n_list."""
+    def plans(subset, split_index, split_seed):
+        yield None, make_split(subset, split_seed)
+
+    return _run(config, PROTOCOL_FEATURES, plans)
 
 
 def run_fraction_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Training-fraction sweep; PCA is refit on each subsampled training set."""
     if not config.fractions:
         raise ConfigError("fraction sweep needs a non-empty fractions list")
-    try:
-        data, _ = _load_with_features(config)
-        tasks = []
-        for split_index in range(config.resplits):
-            subset, split_seed = _resplit_subset(config, data, split_index)
-            plan = make_split(subset, split_seed)
-            for fraction_index, fraction in enumerate(config.fractions):
-                sub_plan = subsample_fraction(
-                    plan, fraction,
-                    derive_seed(config.master_seed, _NS_FRACTION, split_index, fraction_index),
-                )
-                for n in config.n_list:
-                    tasks.append(_make_cell(config, subset, sub_plan, n, fraction, split_index, split_seed))
-        logger.info("fraction sweep: %d cells on %d workers", len(tasks), config.resolved_workers())
-        trials = _map_cells(tasks, config.resolved_workers())
-        return _build_report(config, PROTOCOL_FRACTIONS, data.skipped_rows, trials)
-    except QsarBenchError as exc:
-        _abort_context(config, exc)
-        raise
+
+    def plans(subset, split_index, split_seed):
+        plan = make_split(subset, split_seed)
+        for fraction_index, fraction in enumerate(config.fractions):
+            seed = derive_seed(config.master_seed, _NS_FRACTION, split_index, fraction_index)
+            yield fraction, subsample_fraction(plan, fraction, seed)
+
+    return _run(config, PROTOCOL_FRACTIONS, plans)
 
 
 def run_cluster_protocol(config: ExperimentConfig) -> ExperimentReport:
@@ -494,68 +515,22 @@ def run_cluster_protocol(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("cluster protocol needs a non-empty cluster_k list")
     if config.embedding != "mgfp":
         raise ConfigError("cluster protocol requires the mgfp embedding")
-    try:
-        data, fps = _load_with_features(config)
+    clustering = None
 
-        shared_clustering = None
-        if not config.should_undersample:
-            shared_clustering = butina_cluster(fps, config.cluster_cutoff)
+    def plans(subset, split_index, split_seed):
+        nonlocal clustering
+        # without undersampling every resplit holds the same rows: cluster once
+        if clustering is None or config.should_undersample:
+            fps = [Fingerprint.from_bit_array(row) for row in subset.features]
+            clustering = butina_cluster(fps, config.cluster_cutoff)
+        for k_index, k in enumerate(config.cluster_k):
+            seed = derive_seed(config.master_seed, _NS_CLUSTER, split_index, k_index)
+            yield float(k), cluster_training_plan(clustering, LARGE_CLUSTER_MIN_SIZE, k, seed)
 
-        tasks = []
-        for split_index in range(config.resplits):
-            subset, split_seed = _resplit_subset(config, data, split_index)
-            if shared_clustering is None:
-                subset_fps = [Fingerprint.from_bit_array(row) for row in subset.features]
-                clustering = butina_cluster(subset_fps, config.cluster_cutoff)
-            else:
-                clustering = shared_clustering
-            for k_index, k in enumerate(config.cluster_k):
-                plan = cluster_training_plan(
-                    clustering,
-                    LARGE_CLUSTER_MIN_SIZE,
-                    k,
-                    derive_seed(config.master_seed, _NS_CLUSTER, split_index, k_index),
-                )
-                for n in config.n_list:
-                    tasks.append(_make_cell(config, subset, plan, n, float(k), split_index, split_seed))
-        logger.info("cluster sweep: %d cells on %d workers", len(tasks), config.resolved_workers())
-        trials = _map_cells(tasks, config.resolved_workers())
-        return _build_report(config, PROTOCOL_CLUSTERS, data.skipped_rows, trials)
-    except QsarBenchError as exc:
-        _abort_context(config, exc)
-        raise
+    return _run(config, PROTOCOL_CLUSTERS, plans)
 
 
 # --- serialization ----------------------------------------------------------------
-
-def _trial_to_dict(trial: TrialResult) -> dict:
-    return {
-        "model": trial.model,
-        "n": trial.n,
-        "x": trial.x,
-        "split_index": trial.split_index,
-        "rep_index": trial.rep_index,
-        "split_seed": trial.split_seed,
-        "rep_seed": trial.rep_seed,
-        "best_test_accuracy": trial.best_test_accuracy,
-        "best_epoch": trial.best_epoch,
-        "final_train_loss": trial.final_train_loss,
-        "test_recall_at_best": trial.test_recall_at_best,
-        "schedule_digest": trial.schedule_digest,
-    }
-
-
-def _summary_to_dict(cell: CellSummary) -> dict:
-    return {
-        "model": cell.model,
-        "n": cell.n,
-        "x": cell.x,
-        "mean_accuracy": cell.mean_accuracy,
-        "spread": cell.spread,
-        "per_split_means": list(cell.per_split_means),
-        "mean_recall": cell.mean_recall,
-    }
-
 
 def emit_report(report: ExperimentReport, fmt: str, path: str) -> str:
     """Write one report file; `fmt` is 'json' (full) or 'csv' (plot table)."""
@@ -567,8 +542,8 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> str:
             "protocol": report.protocol,
             "config": report.config,
             "skipped_rows": report.skipped_rows,
-            "summaries": [_summary_to_dict(c) for c in report.summaries],
-            "trials": [_trial_to_dict(t) for t in sorted(report.trials, key=_trial_sort_key)],
+            "summaries": [asdict(c) for c in report.summaries],
+            "trials": [asdict(t) for t in sorted(report.trials, key=_trial_sort_key)],
         }
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -603,24 +578,14 @@ def load_report(path: str) -> ExperimentReport:
     """Reconstruct a report from its JSON file."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    trials = [TrialResult(**t) for t in payload["trials"]]
-    summaries = [
-        CellSummary(
-            model=c["model"],
-            n=c["n"],
-            x=c["x"],
-            mean_accuracy=c["mean_accuracy"],
-            spread=c["spread"],
-            per_split_means=tuple(c["per_split_means"]),
-            mean_recall=c["mean_recall"],
-        )
-        for c in payload["summaries"]
-    ]
     return ExperimentReport(
         protocol=payload["protocol"],
         config=payload["config"],
         version=payload["version"],
         skipped_rows=payload["skipped_rows"],
-        trials=trials,
-        summaries=summaries,
+        trials=[TrialResult(**t) for t in payload["trials"]],
+        summaries=[
+            CellSummary(**{**c, "per_split_means": tuple(c["per_split_means"])})
+            for c in payload["summaries"]
+        ],
     )

@@ -127,6 +127,10 @@ def test_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv")}))
     assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+    # n too wide for the fingerprint is a config error, raised before any ingest
+    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
+                               "n_list": [2, 10]}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     # unknown column -> data exit code
     d = tmp_path / "d.csv"
     d.write_text("a,b\nC,1\n")

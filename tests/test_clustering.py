@@ -56,13 +56,16 @@ def test_clusters_ordered_by_size_descending(rng):
 
 
 def test_members_similar_to_centroid(rng):
-    fps = random_fps(rng, 40, n_on=12)
-    cutoff = 0.25
-    clustering = butina_cluster(fps, cutoff)
-    for cluster in clustering.clusters:
-        centroid = cluster[0]
-        for member in cluster:
-            assert tanimoto(fps[centroid], fps[member]) >= cutoff
+    # widths under one 64-bit word included: they pack into a single word
+    for nbits, n_on in ((512, 12), (32, 8), (8, 3)):
+        fps = random_fps(rng, 40, n_on=n_on, nbits=nbits)
+        cutoff = 0.25
+        clustering = butina_cluster(fps, cutoff)
+        assert sorted(i for c in clustering.clusters for i in c) == list(range(40))
+        for cluster in clustering.clusters:
+            centroid = cluster[0]
+            for member in cluster:
+                assert tanimoto(fps[centroid], fps[member]) >= cutoff
 
 
 def test_tie_breaks_to_lowest_index():
@@ -83,12 +86,13 @@ def test_cutoff_monotonicity(rng):
 
 
 def test_neighbor_matrix_matches_bruteforce(rng):
-    fps = random_fps(rng, 15, n_on=20)
-    cutoff = 0.3
-    matrix = neighbor_matrix(fps, cutoff)
-    for i in range(15):
-        for j in range(15):
-            assert matrix[i, j] == (tanimoto(fps[i], fps[j]) >= cutoff)
+    for nbits, n_on in ((512, 20), (32, 8), (8, 2)):
+        fps = random_fps(rng, 15, n_on=n_on, nbits=nbits)
+        cutoff = 0.3
+        matrix = neighbor_matrix(fps, cutoff)
+        for i in range(15):
+            for j in range(15):
+                assert matrix[i, j] == (tanimoto(fps[i], fps[j]) >= cutoff)
 
 
 def test_empty_input_rejected():

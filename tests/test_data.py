@@ -50,6 +50,7 @@ def test_load_dataset_skips_unparseable_smiles(tmp_path):
     data = load_dataset(str(path), SCHEMA_PRESETS["bace"])
     assert len(data) == 2
     assert data.skipped_rows == 2
+    assert data.skipped_ids == ("1", "2")
     assert data.smiles == ["CCO", "CC"]
 
 
@@ -108,6 +109,12 @@ def test_load_embeddings_unknown_and_missing_ids(tmp_path, rng):
     path2 = write_embeddings_csv(tmp_path / "e2.csv", ["a"], matrix[:1])
     with pytest.raises(UnknownId):
         load_embeddings(str(path2), ["a", "b"])
+    # the row of a skipped id is ignored, but every other extra or missing id still raises
+    np.testing.assert_array_equal(load_embeddings(str(path), ["a"], skipped_ids=("zz",)), matrix[:1])
+    with pytest.raises(UnknownId):
+        load_embeddings(str(path), ["a"], skipped_ids=("yy",))
+    with pytest.raises(UnknownId):
+        load_embeddings(str(path), ["a", "b"], skipped_ids=("zz",))
 
 
 def test_undersample_forced_reduction():

@@ -152,10 +152,14 @@ def test_hex_round_trip(rng):
 
 
 def test_bit_array_round_trip(rng):
-    fp = fp_from_bits(rng.choice(512, size=33, replace=False))
-    arr = fp.as_bit_array()
-    assert arr.sum() == 33
-    assert Fingerprint.from_bit_array(arr) == fp
+    for nbits in (8, 32, 64, 512):
+        on = rng.choice(nbits, size=nbits // 4 + 1, replace=False)
+        fp = fp_from_bits(on, nbits)
+        arr = fp.as_bit_array()
+        assert arr.shape == (nbits,)
+        assert np.flatnonzero(arr).tolist() == sorted(int(i) for i in on)
+        assert Fingerprint.from_bit_array(arr) == fp
+        assert Fingerprint.from_bit_array(arr.astype(np.float64)) == fp
 
 
 def test_words_popcount_agrees():

@@ -13,15 +13,14 @@ from qsarbench.errors import (
 from qsarbench.harness import (
     ExperimentConfig,
     ExperimentReport,
-    accuracy,
     emit_report,
     load_report,
-    recall,
     run_cluster_protocol,
     run_fraction_sweep,
     run_protocol,
     write_report_files,
 )
+from qsarbench.metrics import accuracy, recall
 
 from conftest import synthetic_molecules, write_dataset_csv, write_embeddings_csv
 
@@ -65,6 +64,13 @@ def test_config_validation():
         ExperimentConfig(dataset="bace", dataset_path="x.csv", fractions=[0.0])
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="bace", dataset_path="x.csv", cluster_k=[8])
+    with pytest.raises(ConfigError):  # 2**10 features from 512 fingerprint bits
+        ExperimentConfig(dataset="bace", dataset_path="x.csv", n_list=[2, 10])
+    with pytest.raises(ConfigError):  # 2**4 features from 8 fingerprint bits
+        ExperimentConfig(dataset="bace", dataset_path="x.csv", n_list=[4], fingerprint_bits=8)
+    with pytest.raises(ConfigError):  # 2**10 features from 512-d embeddings
+        ExperimentConfig(dataset="bace", dataset_path="x.csv", embedding="imgmol",
+                         embedding_path="e.csv", n_list=[10], fingerprint_bits=2048)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", "bogus": 1})
     with pytest.raises(ConfigError):
@@ -207,7 +213,7 @@ def test_fraction_sweep_structure(synthetic_csv):
         run_fraction_sweep(tiny_config(synthetic_csv))
 
 
-def clustered_csv(tmp_path, rows_per_group=30):
+def clustered_csv(tmp_path, rows_per_group=30, **columns):
     # two large groups of identical molecules plus a handful of strays, so
     # Butina finds clusters above the size threshold
     smiles = (
@@ -221,8 +227,8 @@ def clustered_csv(tmp_path, rows_per_group=30):
     for i in range(0, rows_per_group, 7):
         labels[i] = 0
         labels[rows_per_group + i] = 1
-    path = tmp_path / "clustered.csv"
-    return str(write_dataset_csv(path, smiles, labels))
+    path = tmp_path / f"clustered-{len(columns)}.csv"
+    return str(write_dataset_csv(path, smiles, labels, **columns))
 
 
 def test_cluster_protocol(synthetic_csv, tmp_path):
@@ -239,6 +245,37 @@ def test_cluster_protocol(synthetic_csv, tmp_path):
     with pytest.raises(ConfigError):
         run_cluster_protocol(tiny_config(path, cluster_k=(1,), embedding="imgmol",
                                          embedding_path="none.csv"))
+
+
+def test_cluster_protocol_clusters_once_per_distinct_subset(tmp_path, monkeypatch):
+    import qsarbench.harness as harness
+
+    calls = []
+    original = harness.butina_cluster
+
+    def counting(fps, cutoff):
+        calls.append(len(fps))
+        return original(fps, cutoff)
+
+    monkeypatch.setattr(harness, "butina_cluster", counting)
+    run_cluster_protocol(tiny_config(clustered_csv(tmp_path), cluster_k=(1, 3), epochs=1))
+    assert len(calls) == 1  # bace: no undersampling, every resplit holds the same rows
+
+    calls.clear()
+    path = clustered_csv(tmp_path, smiles_col="smiles", label_col="p_np")
+    run_cluster_protocol(tiny_config(path, dataset="bbbp", cluster_k=(1,), epochs=1))
+    assert len(calls) == 2  # bbbp: undersampled afresh for each resplit
+
+
+def test_imgmol_run_ignores_embeddings_of_skipped_rows(tmp_path, rng):
+    smiles = ["CCO", "c1ccccc1", "C1CC", "CCN", "CC(=O)O", "C1CCCCC1"]
+    path = write_dataset_csv(tmp_path / "six.csv", smiles, [1, 0, 1, 0, 1, 0])
+    ids = [str(i) for i in range(6)]  # the bace schema keys rows by position
+    emb_path = write_embeddings_csv(tmp_path / "emb.csv", ids, rng.normal(size=(6, 512)))
+    config = tiny_config(str(path), embedding="imgmol", embedding_path=str(emb_path), epochs=1)
+    report = run_protocol(config)
+    assert report.skipped_rows == 1
+    assert len(report.trials) == 2 * 2 * 2
 
 
 def test_imgmol_protocol_and_unknown_id(synthetic_csv, tmp_path, rng):

@@ -149,3 +149,14 @@ def test_truncate():
     np.testing.assert_array_equal(small.components, model.components[:2])
     with pytest.raises(KTooLarge):
         model.truncate(7)
+    # truncating one wide fit must be exactly a narrower fit; 9 rows give a
+    # rank-8 covariance, so k=16 and k=32 reach into its zero-variance
+    # subspace, as the cluster sweep's small training sets do
+    for rows in (40, 9):
+        x = np.random.default_rng(rows).integers(0, 2, size=(rows, 64)).astype(np.float64)
+        widest = fit_pca(x, 32)
+        for k in (1, 4, 8, 16, 32):
+            direct, cut = fit_pca(x, k), widest.truncate(k)
+            assert np.array_equal(cut.components, direct.components)
+            assert np.array_equal(cut.eigenvalues, direct.eigenvalues)
+            assert np.array_equal(transform(cut, x), transform(direct, x))
