@@ -72,17 +72,17 @@ def butina_cluster(fps: list[Fingerprint], cutoff: float) -> Clustering:
     if not 0.0 < cutoff <= 1.0:
         raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
 
-    neighbors = neighbor_matrix(fps, cutoff).astype(np.float64)
-    unassigned = np.ones(len(fps), dtype=np.float64)
+    neighbors = neighbor_matrix(fps, cutoff)
+    counts = neighbors.sum(axis=1)  # unassigned neighbors per item
+    unassigned = np.ones(len(fps), dtype=bool)
     clusters: list[tuple[int, ...]] = []
     remaining = len(fps)
     while remaining:
-        counts = neighbors @ unassigned
-        counts[unassigned == 0.0] = -1.0
-        centroid = int(np.argmax(counts))
-        members = np.flatnonzero((neighbors[centroid] > 0.0) & (unassigned > 0.0))
+        centroid = int(np.argmax(np.where(unassigned, counts, -1)))
+        members = np.flatnonzero(neighbors[centroid] & unassigned)
         cluster = (centroid, *[int(m) for m in members if m != centroid])
-        unassigned[members] = 0.0
+        unassigned[members] = False
+        counts -= neighbors[members].sum(axis=0)
         remaining -= len(cluster)
         clusters.append(cluster)
     return Clustering(clusters=tuple(clusters), cutoff=cutoff)

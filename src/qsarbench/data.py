@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     UnreadableFile,
 )
 from .rng import generator
-from .smiles import parse_smiles
+from .smiles import MolecularGraph, parse_smiles
 
 __all__ = [
     "Dataset",
@@ -69,7 +70,7 @@ class Dataset:
     ids: list[str]
     smiles: list[str] | None
     labels: np.ndarray
-    features: np.ndarray | None = None
+    features: np.ndarray | None = None  # uint8 0/1 bits for mgfp, float64 embeddings for imgmol
     skipped_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -103,12 +104,6 @@ class Dataset:
             features=None if self.features is None else self.features[idx],
             skipped_ids=self.skipped_ids,
         )
-
-    def with_features(self, features: np.ndarray) -> "Dataset":
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != len(self):
-            raise DataError("feature matrix row count does not match dataset")
-        return replace(self, features=features)
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,13 @@ def _coerce_label(text: str, row: int) -> int:
     raise NonBinaryLabel(f"row {row}: label {text!r} is not 0 or 1")
 
 
-def load_dataset(path: str, schema: DatasetSchema) -> Dataset:
-    """Read a CSV of molecules; unparseable SMILES rows are skipped and counted."""
+def load_dataset(path: str, schema: DatasetSchema,
+                 featurize: Callable[[MolecularGraph], np.ndarray] | None = None) -> Dataset:
+    """Read a CSV of molecules, parsing each SMILES once; unparseable rows are skipped.
+
+    With `featurize`, each parsed graph becomes one feature row and is then
+    dropped; the stacked matrix keeps the featurizer's dtype (uint8 for mgfp).
+    """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -154,6 +154,7 @@ def load_dataset(path: str, schema: DatasetSchema) -> Dataset:
     ids: list[str] = []
     smiles: list[str] = []
     labels: list[int] = []
+    rows: list[np.ndarray] = []
     skipped: list[str] = []
     with handle:
         try:
@@ -169,10 +170,12 @@ def load_dataset(path: str, schema: DatasetSchema) -> Dataset:
                 label = _coerce_label(row[schema.label_col], row_number)
                 row_id = row[schema.id_col] if schema.id_col else str(row_number)
                 try:
-                    parse_smiles(text)
+                    graph = parse_smiles(text)
                 except SmilesParseError:
                     skipped.append(row_id)
                     continue
+                if featurize is not None:
+                    rows.append(featurize(graph))
                 ids.append(row_id)
                 smiles.append(text)
                 labels.append(label)
@@ -181,7 +184,8 @@ def load_dataset(path: str, schema: DatasetSchema) -> Dataset:
 
     if skipped:
         logger.info("skipped %d unparseable SMILES rows in %s", len(skipped), path)
-    return Dataset(ids=ids, smiles=smiles, labels=np.array(labels), skipped_ids=tuple(skipped))
+    return Dataset(ids=ids, smiles=smiles, labels=np.array(labels), skipped_ids=tuple(skipped),
+                   features=None if featurize is None else np.array(rows))
 
 
 def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()) -> np.ndarray:
@@ -218,6 +222,8 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
                 rows[key] = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
+            if not np.isfinite(rows[key]).all():
+                raise DataError(f"{path}: non-finite embedding value for id {key!r}")
 
     extra = set(rows) - set(ids) - set(skipped_ids)
     if extra:

@@ -24,7 +24,7 @@ import logging
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .fingerprint import Fingerprint, morgan_fingerprint
 from .pca import fit_pca, transform
 from .quantum import train_quantum
 from .rng import derive_seed
-from .smiles import parse_smiles
 from .training import OptimizerConfig, SupervisedSplit, batch_schedule
 
 __all__ = [
@@ -276,18 +275,15 @@ def _trial_sort_key(trial: TrialResult) -> tuple:
 # --- data preparation ---------------------------------------------------------
 
 def _load_with_features(config: ExperimentConfig) -> Dataset:
-    """The dataset with its feature matrix: fingerprint bits or embeddings."""
-    data = load_dataset(config.dataset_path, SCHEMA_PRESETS[config.dataset])
+    """The dataset with its feature matrix: uint8 fingerprint bits or float64 embeddings."""
+    schema = SCHEMA_PRESETS[config.dataset]
     if config.embedding == "mgfp":
-        features = np.array([
-            morgan_fingerprint(
-                parse_smiles(s), config.fingerprint_radius, config.fingerprint_bits,
-            ).as_bit_array()
-            for s in data.smiles
-        ], dtype=np.float64)
-    else:
-        features = load_embeddings(config.embedding_path, data.ids, data.skipped_ids)
-    return data.with_features(features)
+        radius, bits = config.fingerprint_radius, config.fingerprint_bits
+        return load_dataset(config.dataset_path, schema,
+                            lambda graph: morgan_fingerprint(graph, radius, bits).as_bit_array())
+    data = load_dataset(config.dataset_path, schema)
+    embeddings = load_embeddings(config.embedding_path, data.ids, data.skipped_ids)
+    return replace(data, features=embeddings)
 
 
 def _signed_labels(labels: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 
 def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     """Fit the top-k principal axes of the rows of x."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)  # uint8 bits stay uint8: mean and x - mean promote to float64
     if x.ndim != 2:
         raise DimensionMismatch("expected a 2-D sample matrix")
     n_rows, n_cols = x.shape
@@ -97,7 +97,7 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
 
 def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project rows onto the principal axes: (x - mean) @ components.T."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] != model.n_features:

@@ -234,7 +234,8 @@ def run_ansatz_array(amps: np.ndarray, n_qubits: int, angles: np.ndarray) -> np.
 _Z_SIGNS: dict[int, np.ndarray] = {}
 
 
-def _z_signs(n_qubits: int) -> np.ndarray:
+def z_sign_matrix(n_qubits: int) -> np.ndarray:
+    """(2^n, n) matrix of +/-1: the Z eigenvalue of each basis state per qubit."""
     signs = _Z_SIGNS.get(n_qubits)
     if signs is None:
         basis = np.arange(1 << n_qubits)
@@ -246,14 +247,9 @@ def _z_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def z_sign_matrix(n_qubits: int) -> np.ndarray:
-    """(2^n, n) matrix of +/-1: the Z eigenvalue of each basis state per qubit."""
-    return _z_signs(n_qubits)
-
-
 def z_expectations_array(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     probs = amps.real ** 2 + amps.imag ** 2
-    return probs @ _z_signs(n_qubits)
+    return probs @ z_sign_matrix(n_qubits)
 
 
 # --- StateVector-level operations --------------------------------------------

@@ -369,16 +369,13 @@ def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], from_bracket: list
     return counts
 
 
-def _find_cycle_edges(n_atoms: int, bonds: list[Bond]) -> list[bool]:
+def _find_cycle_edges(graph: MolecularGraph) -> list[bool]:
     """Mark each bond that lies on some simple cycle (i.e. is not a bridge)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
-    for bi, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-
+    adj = graph.adjacency()
+    n_atoms = len(graph.atoms)
     disc = [-1] * n_atoms
     low = [0] * n_atoms
-    is_bridge = [False] * len(bonds)
+    is_bridge = [False] * len(graph.bonds)
     timer = 0
 
     for root in range(n_atoms):
@@ -413,7 +410,7 @@ def _find_cycle_edges(n_atoms: int, bonds: list[Bond]) -> list[bool]:
 
 def perceive_rings(graph: MolecularGraph) -> MolecularGraph:
     """Return a copy with in-ring flags recomputed from cycle membership."""
-    bond_in_ring = _find_cycle_edges(len(graph.atoms), graph.bonds)
+    bond_in_ring = _find_cycle_edges(graph)
     atom_in_ring = [False] * len(graph.atoms)
     for bi, bond in enumerate(graph.bonds):
         if bond_in_ring[bi]:

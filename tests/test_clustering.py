@@ -77,6 +77,27 @@ def test_tie_breaks_to_lowest_index():
     assert clustering.clusters[1][0] == 2
 
 
+def greedy_butina(fps, cutoff):
+    """Plain greedy reference: recount unassigned neighbors from scratch each step."""
+    near = [[tanimoto(a, b) >= cutoff for b in fps] for a in fps]
+    left = set(range(len(fps)))
+    clusters = []
+    while left:
+        centroid = max(sorted(left), key=lambda i: sum(near[i][j] for j in left))
+        members = sorted(j for j in left if near[centroid][j])
+        clusters.append((centroid, *[j for j in members if j != centroid]))
+        left -= set(members)
+    return tuple(clusters)
+
+
+def test_matches_plain_greedy_reference(rng):
+    for nbits in (8, 64, 512):
+        for _ in range(8):
+            fps = random_fps(rng, 30, n_on=int(rng.integers(2, max(3, nbits // 4))), nbits=nbits)
+            for cutoff in (0.2, 0.4, 0.7):
+                assert butina_cluster(fps, cutoff).clusters == greedy_butina(fps, cutoff)
+
+
 def test_cutoff_monotonicity(rng):
     for _ in range(30):
         fps = random_fps(rng, 25, n_on=int(rng.integers(6, 40)))

@@ -12,6 +12,7 @@ from qsarbench.data import (
     undersample,
 )
 from qsarbench.errors import (
+    DataError,
     DimensionMismatch,
     EmptyTrainSet,
     MissingColumn,
@@ -21,19 +22,20 @@ from qsarbench.errors import (
     UnreadableFile,
 )
 
+from qsarbench.fingerprint import morgan_fingerprint
+from qsarbench.smiles import parse_smiles
+
 from conftest import write_dataset_csv, write_embeddings_csv
 
 
 def small_dataset(labels=(1, 1, 1, 0), with_features=False):
     n = len(labels)
-    data = Dataset(
+    return Dataset(
         ids=[f"m{i}" for i in range(n)],
         smiles=["C"] * n,
         labels=np.array(labels),
+        features=np.arange(n * 4, dtype=float).reshape(n, 4) if with_features else None,
     )
-    if with_features:
-        data = data.with_features(np.arange(n * 4, dtype=float).reshape(n, 4))
-    return data
 
 
 def test_load_dataset_counts_and_schema(tmp_path):
@@ -52,6 +54,19 @@ def test_load_dataset_skips_unparseable_smiles(tmp_path):
     assert data.skipped_rows == 2
     assert data.skipped_ids == ("1", "2")
     assert data.smiles == ["CCO", "CC"]
+
+
+def test_load_dataset_featurize_gives_one_row_per_kept_smiles(tmp_path):
+    kept = ["CCO", "c1ccccc1", "CC(=O)O"]
+    path = write_dataset_csv(tmp_path / "d.csv", ["CCO", "C1CC", "c1ccccc1", "CC(=O)O"], [1, 0, 1, 0])
+    data = load_dataset(str(path), SCHEMA_PRESETS["bace"],
+                        lambda graph: morgan_fingerprint(graph, 2, 64).as_bit_array())
+    assert data.skipped_ids == ("1",)
+    assert data.smiles == kept
+    assert data.features.dtype == np.uint8
+    expected = np.array([morgan_fingerprint(parse_smiles(s), 2, 64).as_bit_array() for s in kept])
+    np.testing.assert_array_equal(data.features, expected)
+    assert load_dataset(str(path), SCHEMA_PRESETS["bace"]).features is None
 
 
 def test_load_dataset_missing_column(tmp_path):
@@ -115,6 +130,15 @@ def test_load_embeddings_unknown_and_missing_ids(tmp_path, rng):
         load_embeddings(str(path), ["a"], skipped_ids=("yy",))
     with pytest.raises(UnknownId):
         load_embeddings(str(path), ["a", "b"], skipped_ids=("zz",))
+
+
+def test_load_embeddings_non_finite_rejected(tmp_path, rng):
+    for bad in (np.nan, np.inf):
+        matrix = rng.normal(size=(2, 512))
+        matrix[1, 7] = bad
+        path = write_embeddings_csv(tmp_path / f"e-{bad}.csv", ["a", "b"], matrix)
+        with pytest.raises(DataError, match="'b'"):
+            load_embeddings(str(path), ["a", "b"])
 
 
 def test_undersample_forced_reduction():

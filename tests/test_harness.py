@@ -267,6 +267,25 @@ def test_cluster_protocol_clusters_once_per_distinct_subset(tmp_path, monkeypatc
     assert len(calls) == 2  # bbbp: undersampled afresh for each resplit
 
 
+def test_run_parses_each_smiles_once(synthetic_csv, monkeypatch):
+    import csv
+
+    import qsarbench.smiles as smiles
+
+    calls = []
+    original = smiles._Parser.parse
+
+    def counting(self):
+        calls.append(self.text)
+        return original(self)
+
+    monkeypatch.setattr(smiles._Parser, "parse", counting)
+    run_protocol(tiny_config(synthetic_csv, epochs=1))
+    with open(synthetic_csv, newline="", encoding="utf-8") as handle:
+        rows = sum(1 for _ in csv.DictReader(handle))
+    assert len(calls) == rows
+
+
 def test_imgmol_run_ignores_embeddings_of_skipped_rows(tmp_path, rng):
     smiles = ["CCO", "c1ccccc1", "C1CC", "CCN", "CC(=O)O", "C1CCCCC1"]
     path = write_dataset_csv(tmp_path / "six.csv", smiles, [1, 0, 1, 0, 1, 0])

@@ -160,3 +160,11 @@ def test_truncate():
             assert np.array_equal(cut.components, direct.components)
             assert np.array_equal(cut.eigenvalues, direct.eigenvalues)
             assert np.array_equal(transform(cut, x), transform(direct, x))
+    # uint8 0/1 bits, as the fingerprint matrix is held, fit and project
+    # exactly as their float64 copy
+    bits = np.random.default_rng(5).integers(0, 2, size=(30, 64), dtype=np.uint8)
+    model, reference = fit_pca(bits, 16), fit_pca(bits.astype(np.float64), 16)
+    assert np.array_equal(model.mean, reference.mean)
+    assert np.array_equal(model.components, reference.components)
+    assert np.array_equal(model.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(transform(model, bits), transform(reference, bits.astype(np.float64)))
