@@ -34,6 +34,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors through the config exit code
@@ -43,6 +45,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="qsarbench",
                              description="QSAR classical-vs-quantum classifier benchmark")
+    parser.add_argument("--log-level", default="INFO", type=str.upper, choices=LOG_LEVELS,
+                        help="logging threshold (default INFO)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, helptext in (
@@ -200,10 +204,13 @@ def _cmd_ingest(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        # set apart from basicConfig, which changes nothing when the root
+        # logger already has a handler
+        logging.getLogger().setLevel(args.log_level)
         if args.command == "run":
             return _cmd_protocol(args, run_protocol, "features")
         if args.command == "fractions":

@@ -119,6 +119,10 @@ class EmptyBatch(QsarBenchError):
     pass
 
 
+class NonFiniteTraining(InvariantViolation):
+    """An epoch ended with a non-finite mean loss or parameter vector."""
+
+
 # --- quantum simulator --------------------------------------------------------
 
 class NotPowerOfTwo(QsarBenchError):

@@ -43,7 +43,7 @@ from .data import (
     subsample_fraction,
     undersample,
 )
-from .errors import ConfigError, InvariantViolation, QsarBenchError
+from .errors import ConfigError, InvariantViolation, NonFiniteTraining, QsarBenchError
 from .fingerprint import Fingerprint, morgan_fingerprint
 from .pca import fit_pca, transform
 from .quantum import train_quantum
@@ -320,11 +320,19 @@ def _run_cell(task: _CellTask) -> list[TrialResult]:
             task.train_x.shape[0], task.optimizer.epochs, task.optimizer.batch_size,
             derive_seed(rep_seed, _STREAM_SCHEDULE),
         )
-        classical = train_mlp(data, task.optimizer, derive_seed(rep_seed, _STREAM_MLP_INIT), schedule)
-        quantum = train_quantum(data, task.optimizer, derive_seed(rep_seed, _STREAM_QUANTUM_INIT), schedule)
-        if classical.schedule_digest != quantum.schedule_digest:
+        outcomes = {}
+        for model, train, stream in (("classical", train_mlp, _STREAM_MLP_INIT),
+                                     ("quantum", train_quantum, _STREAM_QUANTUM_INIT)):
+            try:
+                outcomes[model] = train(data, task.optimizer, derive_seed(rep_seed, stream), schedule)
+            except NonFiniteTraining as exc:
+                raise InvariantViolation(
+                    f"split_index={task.split_index} n={task.n} x={task.x} "
+                    f"rep_seed={rep_seed} model={model}: {exc}"
+                ) from exc
+        if outcomes["classical"].schedule_digest != outcomes["quantum"].schedule_digest:
             raise InvariantViolation("paired trainers consumed different batch schedules")
-        for model, outcome in (("classical", classical), ("quantum", quantum)):
+        for model, outcome in outcomes.items():
             results.append(TrialResult(
                 model=model,
                 n=task.n,
@@ -346,8 +354,11 @@ def _map_cells(tasks: list[_CellTask], workers: int) -> list[TrialResult]:
     if workers <= 1 or len(tasks) <= 1:
         nested = [_run_cell(task) for task in tasks]
     else:
+        # widest circuits and largest training sets first, so the longest
+        # cells start at once instead of queueing behind short ones
+        longest_first = sorted(tasks, key=lambda t: (t.n, t.train_x.shape[0]), reverse=True)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            nested = list(pool.map(_run_cell, tasks))
+            nested = list(pool.map(_run_cell, longest_first))
     trials = [trial for cell in nested for trial in cell]
     return sorted(trials, key=_trial_sort_key)
 

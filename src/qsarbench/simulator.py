@@ -10,10 +10,12 @@ Conventions, asserted by the test suite:
   with target offset (layer mod max(n-1, 1)) + 1; single qubits skip the
   entanglers.
 
-Measurements are exact expectations; there is no shot sampling.  Gate
-application works on the amplitude array with stride arithmetic, and every
-kernel accepts arbitrary leading batch axes so whole batches of circuit
-evaluations run in single numpy calls.
+Measurements are exact expectations; there is no shot sampling.  Rotations
+work on the amplitude array with stride arithmetic.  A layer's CNOT ring
+is one cached index permutation of the basis states (`ring_permutation`),
+applied as a single gather; `apply_cnot_array` builds it and stays the
+per-gate kernel.  Every kernel accepts arbitrary leading batch axes so
+whole batches of circuit evaluations run in single numpy calls.
 """
 
 from __future__ import annotations
@@ -138,23 +140,28 @@ def rot_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     )
 
 
-def rot_matrix_derivatives(alpha: float, beta: float, gamma: float
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """The rotation unitary and its three angle derivatives, shape (3, 2, 2)."""
-    rza = rz_matrix(alpha)
-    ryb = ry_matrix(beta)
-    rzg = rz_matrix(gamma)
-    d_rza = np.array(
-        [[-0.5j * rza[0, 0], 0.0], [0.0, 0.5j * rza[1, 1]]], dtype=np.complex128
+def rot_matrix_derivatives(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation unitary and its three angle derivatives, for angles of any
+    common shape S: the unitaries have shape S + (2, 2), the derivatives
+    S + (3, 2, 2), ordered (alpha, beta, gamma).
+    """
+    alpha, beta, gamma = np.broadcast_arrays(
+        *(np.asarray(t, dtype=np.float64) for t in (alpha, beta, gamma))
     )
-    d_rzg = np.array(
-        [[-0.5j * rzg[0, 0], 0.0], [0.0, 0.5j * rzg[1, 1]]], dtype=np.complex128
-    )
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    d_ryb = 0.5 * np.array([[-s, -c], [c, -s]], dtype=np.complex128)
-    u = rzg @ ryb @ rza
-    derivatives = np.stack([rzg @ ryb @ d_rza, rzg @ d_ryb @ rza, d_rzg @ ryb @ rza])
+    matrix = alpha.shape + (2, 2)
+    c = np.cos(beta / 2.0)
+    s = np.sin(beta / 2.0)
+    diagonal = np.exp(-0.5j * (alpha + gamma))   # phase of u[0, 0]; u[1, 1] has its conjugate
+    off = np.exp(0.5j * (alpha - gamma))         # phase of u[0, 1]; u[1, 0] has its conjugate
+    u = np.stack([c * diagonal, -s * off, s * off.conj(), c * diagonal.conj()], axis=-1)
+    u = u.reshape(matrix)
+    d_beta = 0.5 * np.stack(
+        [-s * diagonal, -c * off, c * off.conj(), -s * diagonal.conj()], axis=-1
+    ).reshape(matrix)
+    half = np.array([-0.5j, 0.5j])
+    # RZ(alpha) acts first, so its derivative scales the columns of u; RZ(gamma)
+    # acts last and scales the rows
+    derivatives = np.stack([u * half, d_beta, u * half[:, None]], axis=-3)
     return u, derivatives
 
 
@@ -209,18 +216,27 @@ def entangler_offset(layer: int, n_qubits: int) -> int:
     return (layer % max(n_qubits - 1, 1)) + 1
 
 
-def _apply_layer_tail(amps: np.ndarray, n_qubits: int, angles: np.ndarray,
-                      layer: int, start_qubit: int) -> np.ndarray:
-    """Finish layer `layer` from `start_qubit`, then run all later layers."""
-    for current in range(layer, angles.shape[0]):
-        first = start_qubit if current == layer else 0
-        for q in range(first, n_qubits):
-            amps = apply_single_array(amps, n_qubits, q, rot_matrix(*angles[current, q]))
-        if n_qubits > 1:
-            offset = entangler_offset(current, n_qubits)
-            for q in range(n_qubits):
-                amps = apply_cnot_array(amps, n_qubits, q, (q + offset) % n_qubits)
-    return amps
+_RINGS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def ring_permutation(layer: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of a layer's CNOT ring and of its inverse.
+
+    `amps[..., forward]` applies the ring and `amps[..., inverse]` undoes it.
+    Built once per (offset, n) by running the ring's CNOTs on the basis
+    indices themselves, then cached read-only.
+    """
+    offset = entangler_offset(layer, n_qubits)
+    ring = _RINGS.get((offset, n_qubits))
+    if ring is None:
+        forward = np.arange(1 << n_qubits)
+        for q in range(n_qubits):
+            forward = apply_cnot_array(forward, n_qubits, q, (q + offset) % n_qubits)
+        inverse = np.argsort(forward)
+        forward.setflags(write=False)
+        inverse.setflags(write=False)
+        ring = _RINGS[offset, n_qubits] = (forward, inverse)
+    return ring
 
 
 def run_ansatz_array(amps: np.ndarray, n_qubits: int, angles: np.ndarray) -> np.ndarray:
@@ -228,7 +244,12 @@ def run_ansatz_array(amps: np.ndarray, n_qubits: int, angles: np.ndarray) -> np.
         raise DimensionMismatch(
             f"ansatz is for {angles.shape[1]} qubits, state has {n_qubits}"
         )
-    return _apply_layer_tail(amps, n_qubits, angles, 0, 0) if angles.shape[0] else amps
+    for layer in range(angles.shape[0]):
+        for q in range(n_qubits):
+            amps = apply_single_array(amps, n_qubits, q, rot_matrix(*angles[layer, q]))
+        if n_qubits > 1:
+            amps = amps[..., ring_permutation(layer, n_qubits)[0]]
+    return amps
 
 
 _Z_SIGNS: dict[int, np.ndarray] = {}

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyBatch, NoPositives
+from .errors import EmptyBatch, NonFiniteTraining, NoPositives
 from .metrics import accuracy, recall
 from .rng import generator
 
@@ -129,7 +129,11 @@ def run_training(
     config: OptimizerConfig,
     schedule: list[list[np.ndarray]],
 ) -> TrainingResult:
-    """Adam-train a model given its loss/gradient and prediction callables."""
+    """Adam-train a model given its loss/gradient and prediction callables.
+
+    Raises NonFiniteTraining at the end of the first epoch whose mean loss
+    or parameter vector is not finite.
+    """
     if len(schedule) != config.epochs:
         raise ValueError("schedule length must equal the epoch count")
 
@@ -145,7 +149,12 @@ def run_training(
             loss, grad = loss_and_grad(params, data.train_x[batch], data.train_y[batch])
             epoch_losses.append(loss)
             params = adam_step(adam, params, grad, config)
-        losses[epoch] = float(np.mean(epoch_losses))
+        losses[epoch] = mean_loss = float(np.mean(epoch_losses))
+        if not (np.isfinite(mean_loss) and np.isfinite(params).all()):
+            raise NonFiniteTraining(
+                f"epoch {epoch}: mean train loss {mean_loss}, "
+                f"{np.count_nonzero(~np.isfinite(params))} of {params.size} parameters non-finite"
+            )
 
         pred = predict(params, data.test_x)
         accuracies[epoch] = accuracy(pred, data.test_y)

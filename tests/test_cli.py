@@ -1,10 +1,12 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from qsarbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+import qsarbench.quantum
+from qsarbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from qsarbench.fingerprint import Fingerprint, morgan_fingerprint
 from qsarbench.smiles import parse_smiles
 
@@ -114,6 +116,40 @@ def test_run_command(dataset_csv, tmp_path, capsys):
     payload = json.load(open(out_dir / "features_bace_mgfp.json"))
     assert payload["protocol"] == "feature_sweep"
     assert len(payload["trials"]) == 2
+
+
+def run_config(dataset_csv, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": "bace", "dataset_path": dataset_csv, "n_list": [2], "reps": 1,
+        "resplits": 1, "epochs": 2, "batch_size": 8, "master_seed": 5, "workers": 1,
+    }))
+    return ["run", "--config", str(cfg_path), "--output", str(tmp_path / "results")]
+
+
+def test_log_level(dataset_csv, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG)  # restores the root logger's level afterwards
+    assert main(["--log-level", "WARNING"] + run_config(dataset_csv, tmp_path)) == EXIT_OK
+    assert "cells on" not in caplog.text
+    assert main(["--log-level", "info"] + run_config(dataset_csv, tmp_path)) == EXIT_OK
+    assert "feature_sweep: 1 cells on 1 workers" in caplog.text
+    assert main(["--log-level", "LOUD"] + run_config(dataset_csv, tmp_path)) == EXIT_CONFIG
+
+
+def test_non_finite_training_exits_with_cell_context(dataset_csv, tmp_path, capsys, monkeypatch):
+    exact = qsarbench.quantum._loss_and_gradient
+    calls = []
+
+    def nan_in_one_step(params, x, y):
+        calls.append(None)
+        loss, grad = exact(params, x, y)
+        return (float("nan") if len(calls) == 2 else loss), grad
+
+    monkeypatch.setattr(qsarbench.quantum, "_loss_and_gradient", nan_in_one_step)
+    assert main(run_config(dataset_csv, tmp_path)) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "split_index=0 n=2 x=2.0 rep_seed=" in err
+    assert "model=quantum: epoch 0: mean train loss nan" in err
 
 
 def test_exit_codes(tmp_path):

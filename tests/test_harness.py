@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qsarbench.harness
 from qsarbench.errors import (
     ConfigError,
     EmptySequence,
@@ -186,10 +188,40 @@ def test_run_protocol_deterministic_files(synthetic_csv, tmp_path):
 
 
 def test_parallel_workers_match_serial(synthetic_csv, tmp_path):
-    serial = run_protocol(tiny_config(synthetic_csv, workers=1))
-    parallel = run_protocol(tiny_config(synthetic_csv, workers=2))
+    serial = run_protocol(tiny_config(synthetic_csv, n_list=(2, 3), workers=1))
+    parallel = run_protocol(tiny_config(synthetic_csv, n_list=(2, 3), workers=2))
     a = write_report_files(serial, str(tmp_path / "s"), "r")
     b = write_report_files(parallel, str(tmp_path / "p"), "r")
+    assert open(a["json"], "rb").read() == open(b["json"], "rb").read()
+
+
+def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, monkeypatch):
+    submitted = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            submitted.extend((task.n, task.train_x.shape[0]) for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(qsarbench.harness, "ProcessPoolExecutor", SerialPool)
+    config = tiny_config(synthetic_csv, n_list=(2, 3), fractions=(0.5, 1.0), reps=1)
+    pooled = run_fraction_sweep(replace(config, workers=2))
+    assert len(submitted) == 2 * 2 * 2  # resplits * fractions * n
+    assert submitted == sorted(submitted, reverse=True)
+    assert submitted[0] == (3, max(rows for _, rows in submitted))
+    serial = run_fraction_sweep(config)
+    a = write_report_files(serial, str(tmp_path / "s"), "r")
+    b = write_report_files(pooled, str(tmp_path / "p"), "r")
     assert open(a["json"], "rb").read() == open(b["json"], "rb").read()
 
 

@@ -108,8 +108,9 @@ def test_gradient_equals_per_sample_parameter_shift(rng):
     composition stated by the contract: upstream = 2(score - y) w / batch."""
     from qsarbench.simulator import embed_array, run_ansatz_array, z_expectations_array
 
-    for n in (1, 2, 3):
-        params = init_quantum_params(n, seed=n)
+    # the widths the trainer runs; layers = n differentiates every ring offset
+    for n, layers in [(n, 2) for n in (1, 2, 3, 4, 8)] + [(n, n) for n in (3, 4, 8)]:
+        params = init_quantum_params(n, seed=n, layers=layers)
         batch = 5
         x = rng.normal(size=(batch, 1 << n))
         y = rng.choice([-1.0, 1.0], size=batch)

@@ -14,6 +14,7 @@ from qsarbench.simulator import (
     apply_single_array,
     entangler_offset,
     parameter_shift_gradient,
+    ring_permutation,
     rot_matrix,
     rot_matrix_derivatives,
     run_ansatz,
@@ -206,6 +207,24 @@ def test_entangler_offsets():
     assert [entangler_offset(layer, 2) for layer in (0, 1)] == [1, 1]
     assert [entangler_offset(layer, 3) for layer in (0, 1)] == [1, 2]
     assert [entangler_offset(layer, 4) for layer in (0, 1)] == [1, 2]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ring_permutation_matches_dense_cnot_product(n, rng):
+    dim = 1 << n
+    for offset in range(1, n):
+        layer = offset - 1
+        assert entangler_offset(layer, n) == offset
+        dense = np.eye(dim)
+        for q in range(n):
+            dense = dense_cnot(n, q, (q + offset) % n) @ dense
+        forward, inverse = ring_permutation(layer, n)
+        # amps[forward] == dense @ amps, so gathering the identity's rows gives dense
+        np.testing.assert_array_equal(np.eye(dim)[forward], dense)
+        np.testing.assert_array_equal(np.eye(dim)[inverse], dense.T)
+        states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        np.testing.assert_array_equal(states[:, forward][:, inverse], states)
+        np.testing.assert_array_equal(states[:, inverse][:, forward], states)
 
 
 def test_zero_angle_ansatz_is_cnot_ring(rng):
