@@ -97,19 +97,29 @@ def mlp_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((scores - y) ** 2))
 
 
-def mlp_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact gradient of mean((score - y)^2), flattened like to_vector()."""
+def _loss_and_gradient(params: MlpParams, x: np.ndarray,
+                       y: np.ndarray) -> tuple[float, np.ndarray]:
+    """MSE loss and its exact gradient from one forward pass, flattened like
+    to_vector()."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyBatch("gradient needs a non-empty batch of rows")
+    if x.shape[1] != params.n_features:
+        raise DimensionMismatch(f"expected {params.n_features} features, got {x.shape[1]}")
     hidden = np.tanh(x @ params.w_hidden.T)            # (B, 2)
     scores = hidden @ params.w_out                     # (B,)
+    loss = float(np.mean((scores - y) ** 2))
     d_score = 2.0 * (scores - y) / x.shape[0]          # (B,)
     g_out = hidden.T @ d_score                         # (2,)
     d_hidden = np.outer(d_score, params.w_out) * (1.0 - hidden ** 2)
     g_hidden = d_hidden.T @ x                          # (2, N)
-    return np.concatenate([g_hidden.ravel(), g_out])
+    return loss, np.concatenate([g_hidden.ravel(), g_out])
+
+
+def mlp_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact gradient of mean((score - y)^2), flattened like to_vector()."""
+    return _loss_and_gradient(params, x, y)[1]
 
 
 def train_mlp(
@@ -125,8 +135,7 @@ def train_mlp(
         schedule = batch_schedule(data.train_x.shape[0], config.epochs, config.batch_size, seed)
 
     def loss_and_grad(vec, xb, yb):
-        p = MlpParams.from_vector(n_features, vec)
-        return mlp_loss(p, xb, yb), mlp_gradient(p, xb, yb)
+        return _loss_and_gradient(MlpParams.from_vector(n_features, vec), xb, yb)
 
     def predict(vec, xs):
         return mlp_predict(MlpParams.from_vector(n_features, vec), xs)

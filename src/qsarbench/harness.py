@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -85,6 +86,17 @@ PROTOCOL_FEATURES = "feature_sweep"
 PROTOCOL_FRACTIONS = "fraction_sweep"
 PROTOCOL_CLUSTERS = "cluster_sweep"
 
+_INTEGER_FIELDS = ("reps", "resplits", "epochs", "batch_size", "fingerprint_radius",
+                   "fingerprint_bits", "master_seed")
+
+
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; numpy integers pass, floats and strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -113,11 +125,16 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "dataset", str(self.dataset).lower())
         object.__setattr__(self, "embedding", str(self.embedding).lower())
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        for name in _INTEGER_FIELDS:
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.workers is not None:
+            object.__setattr__(self, "workers", _integer("workers", self.workers))
+        object.__setattr__(self, "n_list", tuple(_integer("n_list", n) for n in self.n_list))
         if self.fractions is not None:
             object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
         if self.cluster_k is not None:
-            object.__setattr__(self, "cluster_k", tuple(int(k) for k in self.cluster_k))
+            object.__setattr__(self, "cluster_k",
+                               tuple(_integer("cluster_k", k) for k in self.cluster_k))
         self._validate()
 
     def _validate(self) -> None:
@@ -144,6 +161,8 @@ class ExperimentConfig:
             raise ConfigError(f"fingerprint_bits must be a power of two, got {bits}")
         if self.fingerprint_radius < 0:
             raise ConfigError("fingerprint_radius must be >= 0")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         width = bits if self.embedding == "mgfp" else EMBEDDING_DIM
         if 1 << max(self.n_list) > width:
             raise ConfigError(
@@ -219,7 +238,7 @@ class ExperimentConfig:
 class TrialResult:
     model: str
     n: int
-    x: float | None
+    x: float
     split_index: int
     rep_index: int
     split_seed: int
@@ -241,7 +260,7 @@ class TrialResult:
 class CellSummary:
     model: str
     n: int
-    x: float | None
+    x: float
     mean_accuracy: float
     spread: float
     per_split_means: tuple[float, ...]
@@ -257,19 +276,15 @@ class ExperimentReport:
     trials: list[TrialResult]
     summaries: list[CellSummary] = field(default_factory=list)
 
-    def summary_for(self, model: str, n: int, x: float | None = None) -> CellSummary:
+    def summary_for(self, model: str, n: int, x: float) -> CellSummary:
         for cell in self.summaries:
-            if cell.model == model and cell.n == n and _x_key(cell.x) == _x_key(x):
+            if cell.model == model and cell.n == n and cell.x == x:
                 return cell
         raise KeyError(f"no summary for model={model} n={n} x={x}")
 
 
-def _x_key(x: float | None) -> float:
-    return -1.0 if x is None else float(x)
-
-
 def _trial_sort_key(trial: TrialResult) -> tuple:
-    return (trial.n, _x_key(trial.x), trial.split_index, trial.rep_index, trial.model)
+    return (trial.n, trial.x, trial.split_index, trial.rep_index, trial.model)
 
 
 # --- data preparation ---------------------------------------------------------
@@ -297,7 +312,7 @@ class _CellTask:
     """Everything one worker needs to train all reps of a (split, n, x) cell."""
 
     n: int
-    x: float | None
+    x: float
     split_index: int
     split_seed: int
     rep_seeds: tuple[int, ...]
@@ -412,11 +427,11 @@ def _abort_context(config: ExperimentConfig, exc: Exception) -> None:
 def _aggregate(trials: list[TrialResult], resplits: int) -> list[CellSummary]:
     cells: dict[tuple, dict[int, list[TrialResult]]] = {}
     for trial in trials:
-        per_split = cells.setdefault((trial.model, trial.n, _x_key(trial.x), trial.x), {})
+        per_split = cells.setdefault((trial.model, trial.n, trial.x), {})
         per_split.setdefault(trial.split_index, []).append(trial)
 
     summaries = []
-    for (model, n, _, x), per_split in sorted(cells.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0])):
+    for (model, n, x), per_split in sorted(cells.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0])):
         if sorted(per_split) != list(range(resplits)):
             raise InvariantViolation(f"cell {model} n={n} x={x} is missing resplits")
         split_means = [
@@ -442,11 +457,11 @@ def _aggregate(trials: list[TrialResult], resplits: int) -> list[CellSummary]:
 
 
 def _verify_aggregates(report: ExperimentReport, resplits: int) -> None:
-    recomputed = {(c.model, c.n, _x_key(c.x)): c for c in _aggregate(report.trials, resplits)}
+    recomputed = {(c.model, c.n, c.x): c for c in _aggregate(report.trials, resplits)}
     if len(recomputed) != len(report.summaries):
         raise InvariantViolation("summary cells do not match trial cells")
     for cell in report.summaries:
-        other = recomputed[(cell.model, cell.n, _x_key(cell.x))]
+        other = recomputed[(cell.model, cell.n, cell.x)]
         if abs(cell.mean_accuracy - other.mean_accuracy) > 1e-12:
             raise InvariantViolation(
                 f"aggregation identity violated for {cell.model} n={cell.n} x={cell.x}"
@@ -560,9 +575,8 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> str:
         embedding = report.config.get("embedding", "")
         lines = ["dataset,embedding,n,model,x,mean,spread"]
         for cell in report.summaries:
-            x = "" if cell.x is None else repr(float(cell.x))
             lines.append(
-                f"{dataset},{embedding},{cell.n},{cell.model},{x},"
+                f"{dataset},{embedding},{cell.n},{cell.model},{cell.x!r},"
                 f"{cell.mean_accuracy!r},{cell.spread!r}"
             )
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -4,13 +4,12 @@ readout over per-qubit Z expectations, zero-threshold decision.
 With the default two layers the model has exactly 7n trainable scalars:
 6n rotation angles plus an n-vector of readout weights and no bias.  The
 public angle-gradient path is the parameter-shift rule; the batched
-trainer computes the same derivatives with an adjoint sweep (one gate
-pass forward, one backward) because a shift evaluation per angle is two
-orders of magnitude more circuit work.  In the backward pass each
-rotation's three angle derivatives come from one 2x2 overlap of the
-adjoint and forward states on its qubit, so no derivative gate is ever
-applied to a state.  The equality of the two paths is part of the test
-suite.
+trainer computes the same derivatives with the simulator's adjoint sweep
+(`simulator.adjoint_gradient`: one gate pass forward, one backward)
+because a shift evaluation per angle is two orders of magnitude more
+circuit work.  This module holds only the readout and the MSE chain rule;
+the circuit's structure lives in `simulator`.  The equality of the two
+paths is part of the test suite.
 """
 
 from __future__ import annotations
@@ -26,13 +25,10 @@ from .rng import generator
 from .simulator import (
     DEFAULT_LAYERS,
     AnsatzParams,
-    apply_single_array,
+    adjoint_gradient,
     embed_array,
-    ring_permutation,
-    rot_matrix_derivatives,
     run_ansatz_array,
     z_expectations_array,
-    z_sign_matrix,
 )
 from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_schedule, run_training
 
@@ -121,32 +117,15 @@ def q_loss(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((scores - y) ** 2))
 
 
-def _qubit_overlap(b: np.ndarray, a: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    """The 2x2 overlap M of `_loss_and_gradient` on `qubit`: its axis is moved
-    first, then M is one (2, K) x (K, 2) product."""
-    pre = a.shape[0] << qubit
-    post = 1 << (n_qubits - 1 - qubit)
-    a_t = a.reshape(pre, 2, post).transpose(1, 0, 2).reshape(2, -1)
-    b_t = b.reshape(pre, 2, post).transpose(1, 0, 2).reshape(2, -1)
-    return b_t.conj() @ a_t.T
-
-
 def _loss_and_gradient(params: QuantumModelParams, x: np.ndarray,
                        y: np.ndarray) -> tuple[float, np.ndarray]:
     """MSE loss and its gradient via one forward and one adjoint sweep.
 
-    For a fixed residual, the loss is a weighted sum of Z expectations, so
-    the angle gradient is the derivative of <psi|O|psi> with a diagonal
-    per-sample observable.  The backward sweep un-applies each layer's
-    CNOT ring (one inverse gather) and each rotation U (all gates are
-    unitary), keeping `a`, the state just before U, and `b`, the adjoint
-    state just after it.  An angle's gradient is 2*Re(<b|dU|a>), and since
-    dU acts on one qubit, <b|dU|a> = sum_ij dU[i, j] * M[i, j] with the 2x2
-    overlap M[i, j] = sum of conj(b) * a over the amplitudes whose qubit
-    is i in b and j in a, summed over the batch and the other qubits.  One
-    M per rotation thus serves its three angles.  The values coincide with
-    the parameter-shift rule, which stays available as the reference path
-    in `parameter_shift_gradient`.
+    For a fixed residual, the loss is a weighted sum of Z expectations with
+    upstream weights 2*residual*readout/batch, so the angle gradient is
+    `simulator.adjoint_gradient` of the circuit's output states.  Its
+    values coincide with the parameter-shift rule, which stays available as
+    the reference path in `parameter_shift_gradient`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -158,29 +137,13 @@ def _loss_and_gradient(params: QuantumModelParams, x: np.ndarray,
     batch = x.shape[0]
 
     amps0, _ = embed_array(x)
-    a = run_ansatz_array(amps0, n, angles)
-    z = z_expectations_array(a, n)                     # (B, n)
+    final = run_ansatz_array(amps0, n, angles)
+    z = z_expectations_array(final, n)                 # (B, n)
     residual = z @ params.readout - y                  # (B,)
     loss = float(np.mean(residual ** 2))
     g_readout = 2.0 / batch * (z.T @ residual)
     upstream = 2.0 / batch * np.outer(residual, params.readout)  # (B, n)
-
-    # b starts as O|a> with O diagonal: O_ii = sum_q upstream_q * sign(q, i).
-    diag = upstream @ z_sign_matrix(n).T               # (B, 2^n)
-    b = diag * a
-    u, derivatives = rot_matrix_derivatives(*np.moveaxis(angles, -1, 0))
-    u_dag = u.conj().swapaxes(-1, -2)
-    overlaps = np.empty(angles.shape[:2] + (2, 2), dtype=np.complex128)
-    for layer in reversed(range(params.ansatz.layers)):
-        if n > 1:
-            inverse = ring_permutation(layer, n)[1]
-            a = a[:, inverse]
-            b = b[:, inverse]
-        for q in reversed(range(n)):
-            a = apply_single_array(a, n, q, u_dag[layer, q])   # state before this gate
-            overlaps[layer, q] = _qubit_overlap(b, a, n, q)
-            b = apply_single_array(b, n, q, u_dag[layer, q])
-    g_angles = 2.0 * np.einsum("lncij,lnij->lnc", derivatives, overlaps).real
+    g_angles = adjoint_gradient(final, n, angles, upstream)
     return loss, np.concatenate([g_angles.ravel(), g_readout])
 
 

@@ -11,11 +11,15 @@ Conventions, asserted by the test suite:
   entanglers.
 
 Measurements are exact expectations; there is no shot sampling.  Rotations
-work on the amplitude array with stride arithmetic.  A layer's CNOT ring
-is one cached index permutation of the basis states (`ring_permutation`),
-applied as a single gather; `apply_cnot_array` builds it and stays the
-per-gate kernel.  Every kernel accepts arbitrary leading batch axes so
-whole batches of circuit evaluations run in single numpy calls.
+work on the amplitude array with stride arithmetic, and `rot_matrix` is the
+one builder of their unitaries.  A CNOT is an index gather of the basis
+states; a layer's CNOT ring is one cached gather (`ring_permutation`),
+composed from the per-gate `apply_cnot_array`.  Every kernel accepts
+arbitrary leading batch axes so whole batches of circuit evaluations run
+in single numpy calls.  The circuit's order is written here only: the
+forward sweep `run_ansatz_array`, the adjoint sweep `adjoint_gradient`
+that walks it backwards for the trainer's angle gradients, and the
+parameter-shift reference `parameter_shift_gradient`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "run_ansatz",
     "z_expectations",
     "parameter_shift_gradient",
+    "adjoint_gradient",
     "entangler_offset",
 ]
 
@@ -127,17 +132,18 @@ def ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def rot_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """2x2 unitary for RZ(gamma) . RY(beta) . RZ(alpha)."""
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    return np.array(
-        [
-            [c * np.exp(-0.5j * (alpha + gamma)), -s * np.exp(0.5j * (alpha - gamma))],
-            [s * np.exp(-0.5j * (alpha - gamma)), c * np.exp(0.5j * (alpha + gamma))],
-        ],
-        dtype=np.complex128,
-    )
+def rot_matrix(alpha, beta, gamma) -> np.ndarray:
+    """Unitary of RZ(gamma) . RY(beta) . RZ(alpha), for angles of any common
+    shape S: the result has shape S + (2, 2)."""
+    alpha, beta, gamma = (np.asarray(t, dtype=np.float64) for t in (alpha, beta, gamma))
+    diagonal = np.cos(beta / 2.0) * np.exp(-0.5j * (alpha + gamma))   # u[0, 0]
+    off = np.sin(beta / 2.0) * np.exp(0.5j * (alpha - gamma))         # -u[0, 1]
+    u = np.empty(diagonal.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = diagonal
+    u[..., 0, 1] = -off
+    np.conjugate(off, out=u[..., 1, 0])
+    np.conjugate(diagonal, out=u[..., 1, 1])
+    return u
 
 
 def rot_matrix_derivatives(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -145,19 +151,9 @@ def rot_matrix_derivatives(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
     common shape S: the unitaries have shape S + (2, 2), the derivatives
     S + (3, 2, 2), ordered (alpha, beta, gamma).
     """
-    alpha, beta, gamma = np.broadcast_arrays(
-        *(np.asarray(t, dtype=np.float64) for t in (alpha, beta, gamma))
-    )
-    matrix = alpha.shape + (2, 2)
-    c = np.cos(beta / 2.0)
-    s = np.sin(beta / 2.0)
-    diagonal = np.exp(-0.5j * (alpha + gamma))   # phase of u[0, 0]; u[1, 1] has its conjugate
-    off = np.exp(0.5j * (alpha - gamma))         # phase of u[0, 1]; u[1, 0] has its conjugate
-    u = np.stack([c * diagonal, -s * off, s * off.conj(), c * diagonal.conj()], axis=-1)
-    u = u.reshape(matrix)
-    d_beta = 0.5 * np.stack(
-        [-s * diagonal, -c * off, c * off.conj(), -s * diagonal.conj()], axis=-1
-    ).reshape(matrix)
+    u = rot_matrix(alpha, beta, gamma)
+    # dRY(beta)/dbeta = RY(beta + pi) / 2, between the same two RZ gates
+    d_beta = 0.5 * rot_matrix(alpha, np.add(beta, math.pi), gamma)
     half = np.array([-0.5j, 0.5j])
     # RZ(alpha) acts first, so its derivative scales the columns of u; RZ(gamma)
     # acts last and scales the rows
@@ -193,22 +189,12 @@ def apply_cnot_array(amps: np.ndarray, n_qubits: int, control: int, target: int)
     _check_qubit(target, n_qubits)
     if control == target:
         raise SameQubit("control and target must differ")
-    first, second = min(control, target), max(control, target)
-    pre = 1 << first
-    mid = 1 << (second - first - 1)
-    post = 1 << (n_qubits - 1 - second)
-    shape = amps.shape
-    s = amps.reshape(shape[:-1] + (pre, 2, mid, 2, post))
-    out = np.empty_like(s)
-    if control < target:
-        out[..., 0, :, :, :] = s[..., 0, :, :, :]
-        out[..., 1, :, 0, :] = s[..., 1, :, 1, :]
-        out[..., 1, :, 1, :] = s[..., 1, :, 0, :]
-    else:
-        out[..., :, :, 0, :] = s[..., :, :, 0, :]
-        out[..., 0, :, 1, :] = s[..., 1, :, 1, :]
-        out[..., 1, :, 1, :] = s[..., 0, :, 1, :]
-    return out.reshape(shape)
+    if amps.shape[-1] != 1 << n_qubits:   # a gather would silently drop the rest
+        raise DimensionMismatch(f"{amps.shape[-1]} amplitudes for {n_qubits} qubits")
+    basis = np.arange(1 << n_qubits)
+    # the basis state with the target bit flipped wherever the control bit is set
+    flip = ((basis >> (n_qubits - 1 - control)) & 1) << (n_qubits - 1 - target)
+    return amps[..., basis ^ flip]
 
 
 def entangler_offset(layer: int, n_qubits: int) -> int:
@@ -244,9 +230,10 @@ def run_ansatz_array(amps: np.ndarray, n_qubits: int, angles: np.ndarray) -> np.
         raise DimensionMismatch(
             f"ansatz is for {angles.shape[1]} qubits, state has {n_qubits}"
         )
+    u = rot_matrix(*angles.transpose(2, 0, 1))
     for layer in range(angles.shape[0]):
         for q in range(n_qubits):
-            amps = apply_single_array(amps, n_qubits, q, rot_matrix(*angles[layer, q]))
+            amps = apply_single_array(amps, n_qubits, q, u[layer, q])
         if n_qubits > 1:
             amps = amps[..., ring_permutation(layer, n_qubits)[0]]
     return amps
@@ -271,6 +258,53 @@ def z_sign_matrix(n_qubits: int) -> np.ndarray:
 def z_expectations_array(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     probs = amps.real ** 2 + amps.imag ** 2
     return probs @ z_sign_matrix(n_qubits)
+
+
+def _qubit_overlap(b: np.ndarray, a: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
+    """The 2x2 overlap M of `adjoint_gradient` on `qubit`: its axis is moved
+    first, then M is one (2, K) x (K, 2) product."""
+    pre = a.shape[0] << qubit
+    post = 1 << (n_qubits - 1 - qubit)
+    a_t = a.reshape(pre, 2, post).transpose(1, 0, 2).reshape(2, -1)
+    b_t = b.reshape(pre, 2, post).transpose(1, 0, 2).reshape(2, -1)
+    return b_t.conj() @ a_t.T
+
+
+def adjoint_gradient(final: np.ndarray, n_qubits: int, angles: np.ndarray,
+                     upstream: np.ndarray) -> np.ndarray:
+    """Gradient of sum_rows sum_q upstream[row, q] * <Z_q> w.r.t. every angle.
+
+    `final` holds the circuit's (B, 2^n) output states, `upstream` the
+    (B, n) weights; the result has the shape of `angles`.  This is the
+    contract of `parameter_shift_gradient` summed over rows, computed with
+    one backward sweep (Jones & Gacon, arXiv:2009.02823).  The weighted sum
+    is <psi|O|psi> with a diagonal per-row observable O, so the adjoint
+    state `b` starts as O|final>.  The sweep un-applies each layer's CNOT
+    ring (one inverse gather) and each rotation U (all gates are unitary),
+    keeping `a`, the state just before U, and `b`, the adjoint state just
+    after it.  An angle's gradient is 2*Re(<b|dU|a>), and since dU acts on
+    one qubit, <b|dU|a> = sum_ij dU[i, j] * M[i, j] with the 2x2 overlap
+    M[i, j] = sum of conj(b) * a over the amplitudes whose qubit is i in b
+    and j in a, summed over the batch and the other qubits.  One M per
+    rotation thus serves its three angles.
+    """
+    if upstream.shape != (final.shape[0], n_qubits):
+        raise DimensionMismatch(f"upstream must be (rows, {n_qubits}), got {upstream.shape}")
+    a = final
+    b = (upstream @ z_sign_matrix(n_qubits).T) * a
+    u, derivatives = rot_matrix_derivatives(*angles.transpose(2, 0, 1))
+    u_dag = u.conj().swapaxes(-1, -2)
+    overlaps = np.empty(angles.shape[:2] + (2, 2), dtype=np.complex128)
+    for layer in reversed(range(angles.shape[0])):
+        if n_qubits > 1:
+            inverse = ring_permutation(layer, n_qubits)[1]
+            a = a[:, inverse]
+            b = b[:, inverse]
+        for q in reversed(range(n_qubits)):
+            a = apply_single_array(a, n_qubits, q, u_dag[layer, q])   # state before this gate
+            overlaps[layer, q] = _qubit_overlap(b, a, n_qubits, q)
+            b = apply_single_array(b, n_qubits, q, u_dag[layer, q])
+    return 2.0 * np.einsum("lncij,lnij->lnc", derivatives, overlaps).real
 
 
 # --- StateVector-level operations --------------------------------------------

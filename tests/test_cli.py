@@ -167,6 +167,11 @@ def test_exit_codes(tmp_path):
     cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
                                "n_list": [2, 10]}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    # non-integer counts, a fractional n and a negative seed are config errors before ingest
+    for bad_value in ({"reps": 1.5}, {"n_list": [2.9]}, {"master_seed": -1}):
+        cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
+                                   **bad_value}))
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     # unknown column -> data exit code
     d = tmp_path / "d.csv"
     d.write_text("a,b\nC,1\n")

@@ -73,6 +73,20 @@ def test_config_validation():
     with pytest.raises(ConfigError):  # 2**10 features from 512-d embeddings
         ExperimentConfig(dataset="bace", dataset_path="x.csv", embedding="imgmol",
                          embedding_path="e.csv", n_list=[10], fingerprint_bits=2048)
+    # integer fields take integers only: a float is not rounded, and a string is no number
+    for field, value in (("reps", 1.5), ("resplits", 2.0), ("epochs", "3"), ("batch_size", 8.5),
+                         ("fingerprint_bits", 512.0), ("fingerprint_radius", 1.5),
+                         ("master_seed", 0.5), ("workers", 2.5), ("n_list", [2.9]),
+                         ("n_list", [2, 3.0]), ("cluster_k", [1.5]), ("master_seed", -1)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(dataset="bace", dataset_path="x.csv", **{field: value})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", field: value})
+    numpy_ints = ExperimentConfig(dataset="bace", dataset_path="x.csv", reps=np.int64(3),
+                                  n_list=[np.int32(2)], cluster_k=[np.int64(1)],
+                                  master_seed=np.uint8(7), workers=None)
+    assert (numpy_ints.reps, numpy_ints.n_list, numpy_ints.cluster_k) == (3, (2,), (1,))
+    assert type(numpy_ints.reps) is int and type(numpy_ints.master_seed) is int
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", "bogus": 1})
     with pytest.raises(ConfigError):

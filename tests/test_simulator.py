@@ -7,17 +7,20 @@ from qsarbench.errors import DimensionMismatch, NotPowerOfTwo, QubitOutOfRange, 
 from qsarbench.simulator import (
     AnsatzParams,
     StateVector,
+    adjoint_gradient,
     amplitude_embed,
     apply_cnot,
     apply_cnot_array,
     apply_rot,
     apply_single_array,
+    embed_array,
     entangler_offset,
     parameter_shift_gradient,
     ring_permutation,
     rot_matrix,
     rot_matrix_derivatives,
     run_ansatz,
+    run_ansatz_array,
     ry_matrix,
     rz_matrix,
     z_expectations,
@@ -159,6 +162,16 @@ def test_rot_derivatives_match_finite_differences(rng):
             step[comp] = h
             fd = (rot_matrix(*(angles + step)) - rot_matrix(*(angles - step))) / (2 * h)
             np.testing.assert_allclose(derivatives[comp], fd, atol=1e-7)
+    # a batch of angles, as the circuit sweeps build them: each slice is the scalar call
+    angles = rng.uniform(-math.pi, math.pi, size=(2, 4, 3))
+    u, derivatives = rot_matrix_derivatives(*np.moveaxis(angles, -1, 0))
+    assert u.shape == (2, 4, 2, 2) and derivatives.shape == (2, 4, 3, 2, 2)
+    np.testing.assert_array_equal(rot_matrix(*np.moveaxis(angles, -1, 0)), u)
+    for i, j in np.ndindex(2, 4):
+        scalar_u, scalar_derivatives = rot_matrix_derivatives(*angles[i, j])
+        np.testing.assert_array_equal(u[i, j], scalar_u)
+        np.testing.assert_array_equal(derivatives[i, j], scalar_derivatives)
+        np.testing.assert_array_equal(rot_matrix(*angles[i, j]), scalar_u)
 
 
 # --- CNOT ----------------------------------------------------------------------------
@@ -199,6 +212,9 @@ def test_cnot_errors(rng):
         apply_cnot(state, 0, 2)
     with pytest.raises(QubitOutOfRange):
         apply_rot(state, 5, 0.1, 0.2, 0.3)
+    for width in (2, 8):  # amplitude arrays that are not 2**n wide
+        with pytest.raises(DimensionMismatch):
+            apply_cnot_array(np.zeros((3, width)), 2, 0, 1)
 
 
 # --- ansatz ---------------------------------------------------------------------------
@@ -350,6 +366,28 @@ def test_parameter_shift_matches_finite_differences(rng):
             fd[j] = (objective(flat + step) - objective(flat - step)) / (2 * h)
         scale = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad.ravel() - fd) / scale < 1e-6
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
+def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
+    """The batched adjoint sweep meets the parameter-shift contract summed
+    over rows, for any per-row upstream weights, not only MSE-shaped ones."""
+    for layers in (2, n):
+        params = AnsatzParams(rng.uniform(0.0, 2 * math.pi, size=(layers, n, 3)))
+        x = rng.normal(size=(4, 1 << n))
+        upstream = rng.normal(size=(4, n))
+        upstream[1] = 0.0                        # a row that contributes nothing
+        upstream[2] = np.abs(upstream[2])
+        upstream[3] = -np.abs(upstream[3])
+        amps, _ = embed_array(x)
+        final = run_ansatz_array(amps, n, params.angles)
+        grad = adjoint_gradient(final, n, params.angles, upstream)
+        reference = sum(parameter_shift_gradient(row, params, weights)
+                        for row, weights in zip(x, upstream))
+        assert grad.shape == params.angles.shape
+        np.testing.assert_allclose(grad, reference, atol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        adjoint_gradient(final, n, params.angles, upstream[:, :-1])
 
 
 def test_state_vector_validation():
