@@ -3,19 +3,21 @@
 The hidden layer uses tanh, the output is linear, and there are no bias
 terms anywhere, giving exactly 2(N+1) trainable parameters.  Labels are
 encoded +/-1 and trained under mean squared error so the loss scale is
-directly comparable with the quantum classifier.
+directly comparable with the quantum classifier; that loss and its chain
+rule live in `training`, and the forward is written once, over the flat
+parameter vector, in `_scores_and_backward`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch
+from .errors import DimensionMismatch
 from .rng import generator
-from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_schedule, run_training
+from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, mse_loss_and_gradient,
+                       run_training)
 
 __all__ = ["MlpParams", "init_mlp_params", "mlp_forward", "mlp_predict",
            "mlp_loss", "mlp_gradient", "train_mlp"]
@@ -59,10 +61,6 @@ class MlpParams:
             w_out=vec[split:split + HIDDEN_UNITS].copy(),
         )
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerow([repr(float(v)) for v in self.to_vector()])
-
 
 def init_mlp_params(n_features: int, seed: int) -> MlpParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization."""
@@ -75,15 +73,37 @@ def init_mlp_params(n_features: int, seed: int) -> MlpParams:
     )
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> float | np.ndarray:
-    """Score w_out . tanh(w_hidden . x); accepts one vector or a batch of rows."""
+def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
+    """Scores w_out . tanh(w_hidden . x) for the flat to_vector() parameters,
+    and the map from d(loss)/d(scores) to the flat gradient."""
+    n_features = x.shape[-1]
+    split = HIDDEN_UNITS * n_features
+    w_hidden = vec[:split].reshape(HIDDEN_UNITS, n_features)
+    w_out = vec[split:]
+    hidden = np.tanh(x @ w_hidden.T)                   # (B, 2)
+    scores = hidden @ w_out                            # (B,)
+
+    def backward(d_scores: np.ndarray) -> np.ndarray:
+        g_out = hidden.T @ d_scores                    # (2,)
+        d_hidden = np.outer(d_scores, w_out) * (1.0 - hidden ** 2)
+        g_hidden = d_hidden.T @ x                      # (2, N)
+        return np.concatenate([g_hidden.ravel(), g_out])
+
+    return scores, backward
+
+
+def _check_features(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
     if x.shape[-1] != params.n_features:
         raise DimensionMismatch(f"expected {params.n_features} features, got {x.shape[-1]}")
-    hidden = np.tanh(x @ params.w_hidden.T)
-    scores = hidden @ params.w_out
-    return float(scores) if single else scores
+    return x
+
+
+def mlp_forward(params: MlpParams, x: np.ndarray) -> float | np.ndarray:
+    """Score w_out . tanh(w_hidden . x); accepts one vector or a batch of rows."""
+    x = _check_features(params, x)
+    scores = _scores_and_backward(params.to_vector(), x)[0]
+    return float(scores) if x.ndim == 1 else scores
 
 
 def mlp_predict(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -97,47 +117,23 @@ def mlp_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((scores - y) ** 2))
 
 
-def _loss_and_gradient(params: MlpParams, x: np.ndarray,
-                       y: np.ndarray) -> tuple[float, np.ndarray]:
-    """MSE loss and its exact gradient from one forward pass, flattened like
-    to_vector()."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyBatch("gradient needs a non-empty batch of rows")
-    if x.shape[1] != params.n_features:
-        raise DimensionMismatch(f"expected {params.n_features} features, got {x.shape[1]}")
-    hidden = np.tanh(x @ params.w_hidden.T)            # (B, 2)
-    scores = hidden @ params.w_out                     # (B,)
-    loss = float(np.mean((scores - y) ** 2))
-    d_score = 2.0 * (scores - y) / x.shape[0]          # (B,)
-    g_out = hidden.T @ d_score                         # (2,)
-    d_hidden = np.outer(d_score, params.w_out) * (1.0 - hidden ** 2)
-    g_hidden = d_hidden.T @ x                          # (2, N)
-    return loss, np.concatenate([g_hidden.ravel(), g_out])
-
-
 def mlp_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact gradient of mean((score - y)^2), flattened like to_vector()."""
-    return _loss_and_gradient(params, x, y)[1]
+    x = _check_features(params, x)
+    return mse_loss_and_gradient(_scores_and_backward, params.to_vector(), x, y)[1]
 
 
 def train_mlp(
     data: SupervisedSplit,
     config: OptimizerConfig,
     seed: int,
-    schedule: list[list[np.ndarray]] | None = None,
+    schedule: list[list[np.ndarray]],
 ) -> TrainingResult:
     """Adam-train the perceptron; `seed` fixes the init, the schedule the batches."""
     n_features = data.train_x.shape[1]
     params = init_mlp_params(n_features, seed)
-    if schedule is None:
-        schedule = batch_schedule(data.train_x.shape[0], config.epochs, config.batch_size, seed)
-
-    def loss_and_grad(vec, xb, yb):
-        return _loss_and_gradient(MlpParams.from_vector(n_features, vec), xb, yb)
 
     def predict(vec, xs):
         return mlp_predict(MlpParams.from_vector(n_features, vec), xs)
 
-    return run_training(loss_and_grad, predict, params.to_vector(), data, config, schedule)
+    return run_training(_scores_and_backward, predict, params.to_vector(), data, config, schedule)

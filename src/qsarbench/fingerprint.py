@@ -78,11 +78,14 @@ def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
     The hashed tuple is (atomic number, heavy-atom degree, total hydrogen
     count, formal charge, in-ring flag, isotope).
     """
+    return _atom_invariant(graph, atom_index, graph.adjacency()[atom_index])
+
+
+def _atom_invariant(graph: MolecularGraph, atom_index: int,
+                    neighbors: list[tuple[int, int]]) -> int:
+    """atom_invariant given the atom's (neighbor index, bond index) list."""
     atom = graph.atoms[atom_index]
-    heavy_degree = 0
-    for other, _ in graph.neighbors(atom_index):
-        if graph.atoms[other].atomic_number > 1:
-            heavy_degree += 1
+    heavy_degree = sum(graph.atoms[other].atomic_number > 1 for other, _ in neighbors)
     total_h = graph.implicit_h[atom_index] + atom.explicit_h
     payload = struct.pack(
         ">cHHHhBH",
@@ -125,7 +128,8 @@ def morgan_fingerprint(
         raise ValueError("nbits must be a power of two")
 
     adjacency = graph.adjacency()
-    ids = [atom_invariant(graph, i) for i in range(len(graph.atoms))]
+    ids = [_atom_invariant(graph, i, neighbors) for i, neighbors in enumerate(adjacency)]
+    bond_codes = [bond.order.value for bond in graph.bonds]
     covers: list[frozenset[int]] = [frozenset() for _ in graph.atoms]
 
     bits = 0
@@ -140,7 +144,7 @@ def morgan_fingerprint(
             neighborhood = []
             cover = set(covers[idx])
             for other, bond_idx in adjacency[idx]:
-                neighborhood.append((graph.bonds[bond_idx].order.value, ids[other]))
+                neighborhood.append((bond_codes[bond_idx], ids[other]))
                 cover.add(bond_idx)
                 cover.update(covers[other])
             new_ids.append(_environment_hash(r, ids[idx], neighborhood))

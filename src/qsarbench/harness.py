@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 import operator
 import os
 from collections.abc import Callable, Iterator
@@ -88,14 +90,24 @@ PROTOCOL_CLUSTERS = "cluster_sweep"
 
 _INTEGER_FIELDS = ("reps", "resplits", "epochs", "batch_size", "fingerprint_radius",
                    "fingerprint_bits", "master_seed")
+_REAL_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon", "cluster_cutoff")
 
 
 def _integer(name: str, value) -> int:
-    """`value` as a Python int; numpy integers pass, floats and strings do not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as a Python int; numpy integers pass, bools, floats and strings do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value):
+    """`value` unchanged if it is a finite real number; bools and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -130,8 +142,13 @@ class ExperimentConfig:
         if self.workers is not None:
             object.__setattr__(self, "workers", _integer("workers", self.workers))
         object.__setattr__(self, "n_list", tuple(_integer("n_list", n) for n in self.n_list))
+        for name in _REAL_FIELDS:
+            _real(name, getattr(self, name))
         if self.fractions is not None:
-            object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
+            object.__setattr__(self, "fractions",
+                               tuple(float(_real("fractions", f)) for f in self.fractions))
+        if self.undersample is not None and not isinstance(self.undersample, bool):
+            raise ConfigError(f"undersample must be true, false or null, got {self.undersample!r}")
         if self.cluster_k is not None:
             object.__setattr__(self, "cluster_k",
                                tuple(_integer("cluster_k", k) for k in self.cluster_k))
@@ -156,6 +173,10 @@ class ExperimentConfig:
             raise ConfigError(f"cluster_cutoff must lie in (0, 1], got {self.cluster_cutoff}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.learning_rate <= 0 or self.epsilon <= 0:
+            raise ConfigError("learning_rate and epsilon must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         bits = self.fingerprint_bits
         if bits <= 0 or bits & (bits - 1):
             raise ConfigError(f"fingerprint_bits must be a power of two, got {bits}")

@@ -7,20 +7,19 @@ public angle-gradient path is the parameter-shift rule; the batched
 trainer computes the same derivatives with the simulator's adjoint sweep
 (`simulator.adjoint_gradient`: one gate pass forward, one backward)
 because a shift evaluation per angle is two orders of magnitude more
-circuit work.  This module holds only the readout and the MSE chain rule;
-the circuit's structure lives in `simulator`.  The equality of the two
-paths is part of the test suite.
+circuit work.  This module holds only the readout; the circuit's structure
+lives in `simulator`, the MSE loss and its chain rule in `training`.  The
+equality of the two gradient paths is part of the test suite.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch
+from .errors import DimensionMismatch
 from .rng import generator
 from .simulator import (
     DEFAULT_LAYERS,
@@ -30,7 +29,8 @@ from .simulator import (
     run_ansatz_array,
     z_expectations_array,
 )
-from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_schedule, run_training
+from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, mse_loss_and_gradient,
+                       run_training)
 
 __all__ = ["QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
            "q_loss", "q_gradient", "train_quantum"]
@@ -65,19 +65,18 @@ class QuantumModelParams:
         return np.concatenate([self.ansatz.angles.ravel(), self.readout])
 
     @classmethod
-    def from_vector(cls, n_qubits: int, vec: np.ndarray,
-                    layers: int = DEFAULT_LAYERS) -> "QuantumModelParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        n_angles = layers * n_qubits * 3
-        return cls(
-            ansatz=AnsatzParams(vec[:n_angles].reshape(layers, n_qubits, 3).copy()),
-            readout=vec[n_angles:n_angles + n_qubits].copy(),
-        )
+    def from_vector(cls, n_qubits: int, vec: np.ndarray) -> "QuantumModelParams":
+        """Inverse of to_vector(); the layer count follows from the length."""
+        angles, readout = _split_vector(np.asarray(vec, dtype=np.float64), n_qubits)
+        return cls(AnsatzParams(angles.copy()), readout.copy())
 
-    def to_csv(self, path: str) -> None:
-        """Angles (layer-major) followed by readout weights, one flat row."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerow([repr(float(v)) for v in self.to_vector()])
+
+def _split_vector(vec: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the (layers, n, 3) angles and the (n,) readout in a flat vector."""
+    n_angles = vec.size - n_qubits
+    if n_angles < 0 or n_angles % (3 * n_qubits):
+        raise DimensionMismatch(f"{vec.size} parameters are not whole layers on {n_qubits} qubits")
+    return vec[:n_angles].reshape(-1, n_qubits, 3), vec[n_angles:]
 
 
 def init_quantum_params(n_qubits: int, seed: int, layers: int = DEFAULT_LAYERS) -> QuantumModelParams:
@@ -89,22 +88,42 @@ def init_quantum_params(n_qubits: int, seed: int, layers: int = DEFAULT_LAYERS) 
     return QuantumModelParams(AnsatzParams(angles), readout)
 
 
-def _check_features(params: QuantumModelParams, size: int) -> None:
-    if size != 1 << params.n_qubits:
+def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
+    """Readout scores for flat to_vector() parameters, and the map from
+    d(loss)/d(scores) to the flat gradient.
+
+    Weighting the scores by d_scores weights each <Z_q> by d_scores * readout,
+    so the angle gradient is `simulator.adjoint_gradient` of the output
+    states; it equals the parameter-shift rule (`parameter_shift_gradient`).
+    """
+    n = x.shape[-1].bit_length() - 1
+    angles, readout = _split_vector(vec, n)
+    final = run_ansatz_array(embed_array(x)[0], n, angles)
+    z = z_expectations_array(final, n)                 # (B, n)
+    scores = z @ readout                               # (B,)
+
+    def backward(d_scores: np.ndarray) -> np.ndarray:
+        g_angles = adjoint_gradient(final, n, angles, np.outer(d_scores, readout))
+        return np.concatenate([g_angles.ravel(), z.T @ d_scores])
+
+    return scores, backward
+
+
+def _check_features(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != 1 << params.n_qubits:
         raise DimensionMismatch(
-            f"expected {1 << params.n_qubits} features for {params.n_qubits} qubits, got {size}"
+            f"expected {1 << params.n_qubits} features for {params.n_qubits} qubits, "
+            f"got {x.shape[-1]}"
         )
+    return x
 
 
 def q_forward(params: QuantumModelParams, x: np.ndarray) -> float | np.ndarray:
     """Readout score; accepts a single vector or a batch of rows."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    _check_features(params, x.shape[-1])
-    amps, _ = embed_array(x)
-    amps = run_ansatz_array(amps, params.n_qubits, params.ansatz.angles)
-    scores = z_expectations_array(amps, params.n_qubits) @ params.readout
-    return float(scores) if single else scores
+    x = _check_features(params, x)
+    scores = _scores_and_backward(params.to_vector(), x)[0]
+    return float(scores) if x.ndim == 1 else scores
 
 
 def q_predict(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
@@ -117,36 +136,6 @@ def q_loss(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((scores - y) ** 2))
 
 
-def _loss_and_gradient(params: QuantumModelParams, x: np.ndarray,
-                       y: np.ndarray) -> tuple[float, np.ndarray]:
-    """MSE loss and its gradient via one forward and one adjoint sweep.
-
-    For a fixed residual, the loss is a weighted sum of Z expectations with
-    upstream weights 2*residual*readout/batch, so the angle gradient is
-    `simulator.adjoint_gradient` of the circuit's output states.  Its
-    values coincide with the parameter-shift rule, which stays available as
-    the reference path in `parameter_shift_gradient`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyBatch("gradient needs a non-empty batch of rows")
-    _check_features(params, x.shape[1])
-    n = params.n_qubits
-    angles = params.ansatz.angles
-    batch = x.shape[0]
-
-    amps0, _ = embed_array(x)
-    final = run_ansatz_array(amps0, n, angles)
-    z = z_expectations_array(final, n)                 # (B, n)
-    residual = z @ params.readout - y                  # (B,)
-    loss = float(np.mean(residual ** 2))
-    g_readout = 2.0 / batch * (z.T @ residual)
-    upstream = 2.0 / batch * np.outer(residual, params.readout)  # (B, n)
-    g_angles = adjoint_gradient(final, n, angles, upstream)
-    return loss, np.concatenate([g_angles.ravel(), g_readout])
-
-
 def q_gradient(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of mean((score - y)^2) over all 7n parameters, flat vector.
 
@@ -154,30 +143,24 @@ def q_gradient(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> np.n
     parameter-shift gradient over the batch with upstream weights
     2*(score - y)*readout / batch.
     """
-    return _loss_and_gradient(params, x, y)[1]
+    x = _check_features(params, x)
+    return mse_loss_and_gradient(_scores_and_backward, params.to_vector(), x, y)[1]
 
 
 def train_quantum(
     data: SupervisedSplit,
     config: OptimizerConfig,
     seed: int,
-    schedule: list[list[np.ndarray]] | None = None,
-    layers: int = DEFAULT_LAYERS,
+    schedule: list[list[np.ndarray]],
 ) -> TrainingResult:
     """Adam-train the hybrid classifier; contract mirrors train_mlp."""
     n_features = data.train_x.shape[1]
     if n_features < 2 or n_features & (n_features - 1):
         raise DimensionMismatch(f"feature count {n_features} is not a power of two")
     n_qubits = int(math.log2(n_features))
-    params = init_quantum_params(n_qubits, seed, layers)
-    if schedule is None:
-        schedule = batch_schedule(data.train_x.shape[0], config.epochs, config.batch_size, seed)
-
-    def loss_and_grad(vec, xb, yb):
-        p = QuantumModelParams.from_vector(n_qubits, vec, layers)
-        return _loss_and_gradient(p, xb, yb)
+    params = init_quantum_params(n_qubits, seed)
 
     def predict(vec, xs):
-        return q_predict(QuantumModelParams.from_vector(n_qubits, vec, layers), xs)
+        return q_predict(QuantumModelParams.from_vector(n_qubits, vec), xs)
 
-    return run_training(loss_and_grad, predict, params.to_vector(), data, config, schedule)
+    return run_training(_scores_and_backward, predict, params.to_vector(), data, config, schedule)

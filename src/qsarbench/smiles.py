@@ -65,9 +65,6 @@ class Bond:
     b: int
     order: BondOrder
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
 
 @dataclass
 class MolecularGraph:
@@ -82,13 +79,6 @@ class MolecularGraph:
     implicit_h: list[int] = field(default_factory=list)
     atom_in_ring: list[bool] = field(default_factory=list)
     bond_in_ring: list[bool] = field(default_factory=list)
-
-    def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
-        out = []
-        for bond in self.bonds:
-            if bond.a == idx or bond.b == idx:
-                out.append((bond.other(idx), bond))
-        return out
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-atom list of (neighbor index, bond index)."""

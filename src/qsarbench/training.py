@@ -1,10 +1,12 @@
-"""Shared training loop: Adam, seeded batch schedules, epoch bookkeeping.
+"""Shared training loop: MSE loss, Adam, seeded batch schedules, epoch bookkeeping.
 
-Both classifiers train through `run_training` so they consume identical
-batch schedules, track the same per-epoch trace, and report the best test
-accuracy over the run.  A schedule is a pure function of its seed, and its
-digest is recorded so the harness can assert that paired trainers really
-saw the same batches.
+Both classifiers train through `run_training` so they share one loss and its
+chain rule, consume identical batch schedules, track the same per-epoch
+trace, and report the best test accuracy over the run.  A model supplies
+`scores_and_backward(vec, x) -> (scores, backward)` over its flat parameter
+vector, where `backward` maps d(loss)/d(scores) to the flat gradient.  A
+schedule is a pure function of its seed, and its digest is recorded so the
+harness can assert that paired trainers really saw the same batches.
 """
 
 from __future__ import annotations
@@ -27,8 +29,12 @@ __all__ = [
     "adam_step",
     "batch_schedule",
     "schedule_digest",
+    "mse_loss_and_gradient",
     "run_training",
 ]
+
+ScoresAndBackward = Callable[[np.ndarray, np.ndarray],
+                             tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,18 @@ def schedule_digest(schedule: list[list[np.ndarray]]) -> str:
     return h.hexdigest()
 
 
+def mse_loss_and_gradient(scores_and_backward: ScoresAndBackward, vec: np.ndarray,
+                          x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """mean((score - y)^2) over the batch rows, and its gradient in `vec`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise EmptyBatch("gradient needs a non-empty batch of rows")
+    scores, backward = scores_and_backward(vec, x)
+    residual = scores - y
+    loss = float(np.mean(residual ** 2))
+    return loss, backward(2.0 * residual / x.shape[0])
+
+
 @dataclass
 class TrainingResult:
     params: np.ndarray
@@ -122,14 +140,14 @@ class TrainingResult:
 
 
 def run_training(
-    loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, np.ndarray]],
+    scores_and_backward: ScoresAndBackward,
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray],
     params0: np.ndarray,
     data: SupervisedSplit,
     config: OptimizerConfig,
     schedule: list[list[np.ndarray]],
 ) -> TrainingResult:
-    """Adam-train a model given its loss/gradient and prediction callables.
+    """Adam-train a model on the MSE of its scores, given its score function and predict.
 
     Raises NonFiniteTraining at the end of the first epoch whose mean loss
     or parameter vector is not finite.
@@ -146,7 +164,8 @@ def run_training(
     for epoch, batches in enumerate(schedule):
         epoch_losses = []
         for batch in batches:
-            loss, grad = loss_and_grad(params, data.train_x[batch], data.train_y[batch])
+            loss, grad = mse_loss_and_gradient(scores_and_backward, params,
+                                               data.train_x[batch], data.train_y[batch])
             epoch_losses.append(loss)
             params = adam_step(adam, params, grad, config)
         losses[epoch] = mean_loss = float(np.mean(epoch_losses))

@@ -139,7 +139,8 @@ def separable_toy_data():
 
 
 def test_training_converges_on_separable_points():
-    result = train_mlp(separable_toy_data(), OptimizerConfig(epochs=100, batch_size=2), seed=4)
+    result = train_mlp(separable_toy_data(), OptimizerConfig(epochs=100, batch_size=2), seed=4,
+                       schedule=batch_schedule(2, 100, 2, seed=4))
     assert result.train_loss[-1] < 0.01
     assert np.all(np.diff(result.train_loss)[:10] < 0)  # early descent
     assert result.best_test_accuracy == 1.0
@@ -148,8 +149,9 @@ def test_training_converges_on_separable_points():
 def test_training_is_deterministic():
     data = separable_toy_data()
     config = OptimizerConfig(epochs=20, batch_size=2)
-    a = train_mlp(data, config, seed=11)
-    b = train_mlp(data, config, seed=11)
+    schedule = batch_schedule(2, 20, 2, seed=11)
+    a = train_mlp(data, config, seed=11, schedule=schedule)
+    b = train_mlp(data, config, seed=11, schedule=schedule)
     np.testing.assert_array_equal(a.train_loss, b.train_loss)
     np.testing.assert_array_equal(a.test_accuracy, b.test_accuracy)
     np.testing.assert_array_equal(a.params, b.params)
@@ -170,9 +172,16 @@ def test_explicit_schedule_is_used():
     assert result.schedule_digest == schedule_digest(schedule)
 
 
-def test_params_csv(tmp_path):
-    params = init_mlp_params(3, seed=1)
-    path = tmp_path / "mlp.csv"
-    params.to_csv(str(path))
-    values = [float(v) for v in path.read_text().strip().split(",")]
-    np.testing.assert_allclose(values, params.to_vector())
+def test_training_rebuilds_params_once_per_epoch(monkeypatch):
+    # steps work on the flat vector; only the per-epoch prediction builds MlpParams
+    calls = []
+    from_vector = MlpParams.from_vector.__func__
+
+    def counted(cls, n_features, vec):
+        calls.append(None)
+        return from_vector(cls, n_features, vec)
+
+    monkeypatch.setattr(MlpParams, "from_vector", classmethod(counted))
+    config = OptimizerConfig(epochs=5, batch_size=1)
+    train_mlp(separable_toy_data(), config, seed=1, schedule=batch_schedule(2, 5, 1, seed=1))
+    assert len(calls) == config.epochs

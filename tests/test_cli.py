@@ -137,15 +137,15 @@ def test_log_level(dataset_csv, tmp_path, caplog):
 
 
 def test_non_finite_training_exits_with_cell_context(dataset_csv, tmp_path, capsys, monkeypatch):
-    exact = qsarbench.quantum._loss_and_gradient
+    exact = qsarbench.quantum._scores_and_backward
     calls = []
 
-    def nan_in_one_step(params, x, y):
+    def nan_in_one_step(vec, x):
         calls.append(None)
-        loss, grad = exact(params, x, y)
-        return (float("nan") if len(calls) == 2 else loss), grad
+        scores, backward = exact(vec, x)
+        return (np.full_like(scores, np.nan) if len(calls) == 2 else scores), backward
 
-    monkeypatch.setattr(qsarbench.quantum, "_loss_and_gradient", nan_in_one_step)
+    monkeypatch.setattr(qsarbench.quantum, "_scores_and_backward", nan_in_one_step)
     assert main(run_config(dataset_csv, tmp_path)) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "split_index=0 n=2 x=2.0 rep_seed=" in err
@@ -168,7 +168,11 @@ def test_exit_codes(tmp_path):
                                "n_list": [2, 10]}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     # non-integer counts, a fractional n and a negative seed are config errors before ingest
-    for bad_value in ({"reps": 1.5}, {"n_list": [2.9]}, {"master_seed": -1}):
+    # as are bools for counts or numbers, strings for numbers, and Adam settings out of range
+    for bad_value in ({"reps": 1.5}, {"n_list": [2.9]}, {"master_seed": -1},
+                      {"reps": True}, {"n_list": [True, 2]}, {"master_seed": False},
+                      {"undersample": "false"}, {"learning_rate": "0.01"}, {"beta1": 1.0},
+                      {"fractions": [True]}, {"cluster_cutoff": True}):
         cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
                                    **bad_value}))
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG

@@ -77,7 +77,17 @@ def test_config_validation():
     for field, value in (("reps", 1.5), ("resplits", 2.0), ("epochs", "3"), ("batch_size", 8.5),
                          ("fingerprint_bits", 512.0), ("fingerprint_radius", 1.5),
                          ("master_seed", 0.5), ("workers", 2.5), ("n_list", [2.9]),
-                         ("n_list", [2, 3.0]), ("cluster_k", [1.5]), ("master_seed", -1)):
+                         ("n_list", [2, 3.0]), ("cluster_k", [1.5]), ("master_seed", -1),
+                         # a bool is no count, and a string or a bool is no real number
+                         ("reps", True), ("n_list", [True, 2]), ("master_seed", False),
+                         ("workers", True), ("cluster_k", [True]), ("undersample", "false"),
+                         ("undersample", 0), ("learning_rate", "0.01"), ("fractions", [True]),
+                         ("cluster_cutoff", True), ("epsilon", "1e-8"), ("beta2", None),
+                         ("learning_rate", float("nan")), ("cluster_cutoff", float("inf")),
+                         ("fractions", [float("nan")]),
+                         # Adam's settings out of range
+                         ("learning_rate", 0.0), ("learning_rate", -0.01), ("beta1", 1.0),
+                         ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0)):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="bace", dataset_path="x.csv", **{field: value})
         with pytest.raises(ConfigError):
@@ -87,6 +97,12 @@ def test_config_validation():
                                   master_seed=np.uint8(7), workers=None)
     assert (numpy_ints.reps, numpy_ints.n_list, numpy_ints.cluster_k) == (3, (2,), (1,))
     assert type(numpy_ints.reps) is int and type(numpy_ints.master_seed) is int
+    # accepted numbers keep the type they are given, so config echoes do not change
+    reals = ExperimentConfig(dataset="bace", dataset_path="x.csv", learning_rate=1, beta1=0,
+                             cluster_cutoff=np.float64(0.5), fractions=[1], undersample=False)
+    assert reals.to_dict()["learning_rate"] == 1 and type(reals.learning_rate) is int
+    assert type(reals.beta1) is int and type(reals.cluster_cutoff) is np.float64
+    assert reals.fractions == (1.0,) and reals.should_undersample is False
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", "bogus": 1})
     with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from qsarbench.quantum import (
     train_quantum,
 )
 from qsarbench.simulator import AnsatzParams, parameter_shift_gradient
-from qsarbench.training import OptimizerConfig, SupervisedSplit
+from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule
 
 from test_simulator import dense_ansatz
 
@@ -26,6 +26,12 @@ def test_parameter_count_is_7n(n):
     roundtrip = QuantumModelParams.from_vector(n, params.to_vector())
     np.testing.assert_array_equal(roundtrip.ansatz.angles, params.ansatz.angles)
     np.testing.assert_array_equal(roundtrip.readout, params.readout)
+    for layers in (3, n):  # the layer count follows from the vector length
+        deep = init_quantum_params(n, seed=0, layers=layers)
+        roundtrip = QuantumModelParams.from_vector(n, deep.to_vector())
+        assert roundtrip.ansatz.layers == layers
+        np.testing.assert_array_equal(roundtrip.ansatz.angles, deep.ansatz.angles)
+        np.testing.assert_array_equal(roundtrip.readout, deep.readout)
 
 
 def test_wrong_readout_size_rejected():
@@ -168,15 +174,17 @@ def one_hot_toy_split():
 
 
 def test_training_solves_one_hot_task():
-    result = train_quantum(one_hot_toy_split(), OptimizerConfig(epochs=100, batch_size=4), seed=8)
+    result = train_quantum(one_hot_toy_split(), OptimizerConfig(epochs=100, batch_size=4), seed=8,
+                           schedule=batch_schedule(4, 100, 4, seed=8))
     assert result.best_test_accuracy == 1.0
 
 
 def test_training_deterministic():
     data = one_hot_toy_split()
     config = OptimizerConfig(epochs=15, batch_size=2)
-    a = train_quantum(data, config, seed=21)
-    b = train_quantum(data, config, seed=21)
+    schedule = batch_schedule(4, 15, 2, seed=21)
+    a = train_quantum(data, config, seed=21, schedule=schedule)
+    b = train_quantum(data, config, seed=21, schedule=schedule)
     np.testing.assert_array_equal(a.train_loss, b.train_loss)
     np.testing.assert_array_equal(a.test_accuracy, b.test_accuracy)
     np.testing.assert_array_equal(a.params, b.params)
@@ -187,7 +195,8 @@ def test_non_power_of_two_features_rejected():
     y = np.array([1, -1, 1, -1])
     data = SupervisedSplit(x, y, x.copy(), y.copy())
     with pytest.raises(DimensionMismatch):
-        train_quantum(data, OptimizerConfig(epochs=1), seed=0)
+        train_quantum(data, OptimizerConfig(epochs=1), seed=0,
+                      schedule=batch_schedule(4, 1, 32, seed=0))
 
 
 def test_zero_epochs_rejected():
@@ -195,9 +204,16 @@ def test_zero_epochs_rejected():
         OptimizerConfig(epochs=0)
 
 
-def test_params_csv(tmp_path):
-    params = init_quantum_params(2, seed=4)
-    path = tmp_path / "qp.csv"
-    params.to_csv(str(path))
-    values = [float(v) for v in path.read_text().strip().split(",")]
-    np.testing.assert_allclose(values, params.to_vector())
+def test_training_rebuilds_params_once_per_epoch(monkeypatch):
+    # steps work on the flat vector; only the per-epoch prediction builds the params
+    calls = []
+    from_vector = QuantumModelParams.from_vector.__func__
+
+    def counted(cls, n_qubits, vec):
+        calls.append(None)
+        return from_vector(cls, n_qubits, vec)
+
+    monkeypatch.setattr(QuantumModelParams, "from_vector", classmethod(counted))
+    config = OptimizerConfig(epochs=5, batch_size=2)
+    train_quantum(one_hot_toy_split(), config, seed=3, schedule=batch_schedule(4, 5, 2, seed=3))
+    assert len(calls) == config.epochs
