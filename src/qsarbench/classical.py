@@ -35,11 +35,6 @@ class MlpParams:
             raise DimensionMismatch(f"hidden weights must be (2, N), got {self.w_hidden.shape}")
         if self.w_out.shape != (HIDDEN_UNITS,):
             raise DimensionMismatch(f"output weights must be (2,), got {self.w_out.shape}")
-        expected = 2 * (self.n_features + 1)
-        if self.n_parameters != expected:
-            raise DimensionMismatch(
-                f"parameter count {self.n_parameters} != 2(N+1) = {expected}"
-            )
 
     @property
     def n_features(self) -> int:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
-invariant violation.
+invariant violation or any other library error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import butina_cluster
 from .data import SCHEMA_PRESETS, DatasetSchema, load_dataset, undersample
-from .errors import ConfigError, DataError, InvariantViolation, SmilesParseError
+from .errors import ConfigError, DataError, InvariantViolation, QsarBenchError, SmilesParseError
 from .fingerprint import Fingerprint, morgan_fingerprint
 from .harness import (
     ExperimentConfig,
@@ -235,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except QsarBenchError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ The greedy assignment is the classic scheme: repeatedly promote the
 unassigned item with the most unassigned neighbors to centroid, ties going
 to the lowest index.  Because neighbor counts only shrink as items are
 assigned, clusters emerge in non-increasing size order.
+
+The protocol's sampling constants are fixed here: training sets draw k <=
+`MAX_PER_CLUSTER` members from each cluster of at least
+`LARGE_CLUSTER_MIN_SIZE` members, and everything else is the test set.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = ["Clustering", "butina_cluster", "cluster_training_plan", "neighbor_ma
 
 LARGE_CLUSTER_MIN_SIZE = 21
 MAX_PER_CLUSTER = 7
+NEIGHBOR_CHUNK = 256  # rows per block of the neighbor matrix
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,6 @@ class Clustering:
     """Partition of input indices; each cluster leads with its centroid."""
 
     clusters: tuple[tuple[int, ...], ...]
-    cutoff: float
 
     @property
     def n_items(self) -> int:
@@ -47,7 +51,7 @@ class Clustering:
         return [len(c) for c in self.clusters]
 
 
-def neighbor_matrix(fps: list[Fingerprint], cutoff: float, chunk: int = 256) -> np.ndarray:
+def neighbor_matrix(fps: list[Fingerprint], cutoff: float) -> np.ndarray:
     """Boolean matrix of pairwise Tanimoto >= cutoff (diagonal True)."""
     widths = {fp.nbits for fp in fps}
     if len(widths) > 1:
@@ -56,8 +60,8 @@ def neighbor_matrix(fps: list[Fingerprint], cutoff: float, chunk: int = 256) -> 
     pop = np.bitwise_count(words).sum(axis=1).astype(np.int64)
     n = len(fps)
     out = np.empty((n, n), dtype=bool)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, NEIGHBOR_CHUNK):
+        stop = min(start + NEIGHBOR_CHUNK, n)
         inter = np.bitwise_count(words[start:stop, None, :] & words[None, :, :]).sum(axis=2)
         union = pop[start:stop, None] + pop[None, :] - inter
         sims = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
@@ -85,24 +89,19 @@ def butina_cluster(fps: list[Fingerprint], cutoff: float) -> Clustering:
         counts -= neighbors[members].sum(axis=0)
         remaining -= len(cluster)
         clusters.append(cluster)
-    return Clustering(clusters=tuple(clusters), cutoff=cutoff)
+    return Clustering(clusters=tuple(clusters))
 
 
-def cluster_training_plan(
-    clustering: Clustering,
-    min_size: int = LARGE_CLUSTER_MIN_SIZE,
-    k_per_cluster: int = 1,
-    seed: int = 0,
-) -> SplitPlan:
-    """Draw k members from every cluster of size >= min_size as training data.
+def cluster_training_plan(clustering: Clustering, k_per_cluster: int = 1, seed: int = 0) -> SplitPlan:
+    """Draw k members from every cluster of size >= LARGE_CLUSTER_MIN_SIZE as training data.
 
     Everything else, small-cluster members included, becomes the test set.
     """
     if not 1 <= k_per_cluster <= MAX_PER_CLUSTER:
         raise ValueError(f"k_per_cluster must be in 1..{MAX_PER_CLUSTER}, got {k_per_cluster}")
-    large = [c for c in clustering.clusters if len(c) >= min_size]
+    large = [c for c in clustering.clusters if len(c) >= LARGE_CLUSTER_MIN_SIZE]
     if not large:
-        raise NoLargeClusters(f"no cluster reaches size {min_size}")
+        raise NoLargeClusters(f"no cluster reaches size {LARGE_CLUSTER_MIN_SIZE}")
 
     rng = generator(seed)
     picks: list[np.ndarray] = []
@@ -111,10 +110,4 @@ def cluster_training_plan(
     train = np.sort(np.concatenate(picks))
     mask = np.ones(clustering.n_items, dtype=bool)
     mask[train] = False
-    test = np.flatnonzero(mask)
-    return SplitPlan(
-        train_indices=train,
-        test_indices=test,
-        seed=seed,
-        train_fraction=train.size / clustering.n_items,
-    )
+    return SplitPlan(train_indices=train, test_indices=np.flatnonzero(mask))

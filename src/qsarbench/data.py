@@ -4,6 +4,12 @@ Loaders accept MoleculeNet-style CSVs (header row, UTF-8).  Rows whose
 SMILES cannot be parsed are skipped with a logged count; their ids are
 carried on the dataset and their count is surfaced in every experiment
 report, so the effective dataset size is always visible.
+
+A split plan is just its two sorted index arrays.  Every plan builder
+(`make_split`, `subsample_fraction`, `clustering.cluster_training_plan`)
+returns one, and its checks reject overlapping, duplicated or empty sides
+before any PCA fit or training starts.  The random split always trains on
+`TRAIN_FRACTION` of the rows, the published 80/20 protocol.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 EMBEDDING_DIM = 512
+TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -68,22 +75,18 @@ UNDERSAMPLE_BY_DATASET: dict[str, bool] = {"bace": False, "bbbp": True, "hiv": T
 @dataclass
 class Dataset:
     ids: list[str]
-    smiles: list[str] | None
+    smiles: list[str]
     labels: np.ndarray
     features: np.ndarray | None = None  # uint8 0/1 bits for mgfp, float64 embeddings for imgmol
     skipped_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        lengths = {len(self.ids), len(self.labels)}
-        if self.smiles is not None:
-            lengths.add(len(self.smiles))
+        lengths = {len(self.ids), len(self.smiles), len(self.labels)}
         if self.features is not None:
             lengths.add(self.features.shape[0])
         if len(lengths) != 1:
             raise DataError("dataset columns have inconsistent lengths")
-        if self.smiles is None and self.features is None:
-            raise DataError("dataset needs SMILES or a feature matrix")
         bad = set(np.unique(self.labels)) - {0, 1}
         if bad:
             raise NonBinaryLabel(f"labels outside {{0,1}}: {sorted(bad)}")
@@ -99,7 +102,7 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             ids=[self.ids[i] for i in idx],
-            smiles=None if self.smiles is None else [self.smiles[i] for i in idx],
+            smiles=[self.smiles[i] for i in idx],
             labels=self.labels[idx],
             features=None if self.features is None else self.features[idx],
             skipped_ids=self.skipped_ids,
@@ -110,12 +113,15 @@ class Dataset:
 class SplitPlan:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
-    train_fraction: float = 0.8
 
     def __post_init__(self):
         object.__setattr__(self, "train_indices", np.asarray(self.train_indices, dtype=np.int64))
         object.__setattr__(self, "test_indices", np.asarray(self.test_indices, dtype=np.int64))
+        if not (self.train_indices.size and self.test_indices.size):
+            raise DataError(
+                f"split has {self.train_indices.size} train and {self.test_indices.size} "
+                "test rows; both sides need at least one"
+            )
         overlap = np.intersect1d(self.train_indices, self.test_indices)
         if overlap.size:
             raise DataError(f"train/test overlap at indices {overlap[:5]}")
@@ -249,17 +255,12 @@ def undersample(data: Dataset, seed: int) -> Dataset:
     return data.take(keep)
 
 
-def make_split(data: Dataset, seed: int, train_fraction: float = 0.8) -> SplitPlan:
-    """Seeded unstratified split; train gets round(train_fraction * rows)."""
+def make_split(data: Dataset, seed: int) -> SplitPlan:
+    """Seeded unstratified split; train gets round(TRAIN_FRACTION * rows)."""
     total = len(data)
-    n_train = _round_half_up(train_fraction * total)
+    n_train = _round_half_up(TRAIN_FRACTION * total)
     perm = generator(seed).permutation(total)
-    return SplitPlan(
-        train_indices=np.sort(perm[:n_train]),
-        test_indices=np.sort(perm[n_train:]),
-        seed=seed,
-        train_fraction=train_fraction,
-    )
+    return SplitPlan(train_indices=np.sort(perm[:n_train]), test_indices=np.sort(perm[n_train:]))
 
 
 def subsample_fraction(plan: SplitPlan, fraction: float, seed: int) -> SplitPlan:
@@ -271,9 +272,4 @@ def subsample_fraction(plan: SplitPlan, fraction: float, seed: int) -> SplitPlan
         raise EmptyTrainSet(f"fraction {fraction} of {plan.train_indices.size} rows rounds to zero")
     rng = generator(seed)
     chosen = rng.choice(plan.train_indices, size=keep, replace=False)
-    return SplitPlan(
-        train_indices=np.sort(chosen),
-        test_indices=plan.test_indices.copy(),
-        seed=seed,
-        train_fraction=plan.train_fraction,
-    )
+    return SplitPlan(train_indices=np.sort(chosen), test_indices=plan.test_indices.copy())

@@ -5,8 +5,10 @@ loads the dataset with its features once, and for each resplit balances the
 classes (where the dataset calls for it) and derives the split seed.  The
 protocol then supplies its training plans for that resplit, each tagged
 with its sweep value x.  Every plan gets one PCA fit at the widest n, which
-each n in n_list truncates; a cell is one (resplit, plan, n) and trains all
-reps.  The driver maps the cells over the workers and builds the report.
+each n in n_list truncates; a cell is one (resplit, plan, n) holding one
+validated `SupervisedSplit`, and trains all reps.  Cells are built in the
+parent process, so every data check runs before the first worker starts.
+The driver maps the cells over the workers and builds the report.
 
 A protocol run is a pure function of its configuration and input files.
 Seeds derive hierarchically (master -> per-resplit -> per-rep -> stream),
@@ -21,9 +23,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
-import operator
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +32,7 @@ import numpy as np
 
 from ._version import __version__
 from .classical import train_mlp
-from .clustering import LARGE_CLUSTER_MIN_SIZE, butina_cluster, cluster_training_plan
+from .clustering import MAX_PER_CLUSTER, butina_cluster, cluster_training_plan
 from .data import (
     EMBEDDING_DIM,
     SCHEMA_PRESETS,
@@ -51,7 +50,7 @@ from .fingerprint import Fingerprint, morgan_fingerprint
 from .pca import fit_pca, transform
 from .quantum import train_quantum
 from .rng import derive_seed
-from .training import OptimizerConfig, SupervisedSplit, batch_schedule
+from .training import OptimizerConfig, SupervisedSplit, _integer, _real, batch_schedule
 
 __all__ = [
     "ExperimentConfig",
@@ -88,26 +87,7 @@ PROTOCOL_FEATURES = "feature_sweep"
 PROTOCOL_FRACTIONS = "fraction_sweep"
 PROTOCOL_CLUSTERS = "cluster_sweep"
 
-_INTEGER_FIELDS = ("reps", "resplits", "epochs", "batch_size", "fingerprint_radius",
-                   "fingerprint_bits", "master_seed")
-_REAL_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon", "cluster_cutoff")
-
-
-def _integer(name: str, value) -> int:
-    """`value` as a Python int; numpy integers pass, bools, floats and strings do not."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _real(name: str, value):
-    """`value` unchanged if it is a finite real number; bools and strings are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return value
+_INTEGER_FIELDS = ("reps", "resplits", "fingerprint_radius", "fingerprint_bits", "master_seed")
 
 
 @dataclass(frozen=True)
@@ -142,8 +122,11 @@ class ExperimentConfig:
         if self.workers is not None:
             object.__setattr__(self, "workers", _integer("workers", self.workers))
         object.__setattr__(self, "n_list", tuple(_integer("n_list", n) for n in self.n_list))
-        for name in _REAL_FIELDS:
-            _real(name, getattr(self, name))
+        # the training settings obey OptimizerConfig's rules, written once there
+        optimizer = self.optimizer_config()
+        object.__setattr__(self, "epochs", optimizer.epochs)
+        object.__setattr__(self, "batch_size", optimizer.batch_size)
+        _real("cluster_cutoff", self.cluster_cutoff)
         if self.fractions is not None:
             object.__setattr__(self, "fractions",
                                tuple(float(_real("fractions", f)) for f in self.fractions))
@@ -163,20 +146,18 @@ class ExperimentConfig:
             raise ConfigError("imgmol embedding needs embedding_path")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n_list entries must be >= 1, got {self.n_list}")
-        if self.reps < 1 or self.resplits < 1 or self.epochs < 1:
-            raise ConfigError("reps, resplits and epochs must all be >= 1")
+        if self.reps < 1 or self.resplits < 1:
+            raise ConfigError("reps and resplits must both be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.fractions is not None and any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must lie in (0, 1], got {self.fractions}")
-        if self.cluster_k is not None and any(not 1 <= k <= 7 for k in self.cluster_k):
-            raise ConfigError(f"cluster_k values must lie in 1..7, got {self.cluster_k}")
+        if self.cluster_k is not None and any(not 1 <= k <= MAX_PER_CLUSTER for k in self.cluster_k):
+            raise ConfigError(
+                f"cluster_k values must lie in 1..{MAX_PER_CLUSTER}, got {self.cluster_k}"
+            )
         if not 0.0 < self.cluster_cutoff <= 1.0:
             raise ConfigError(f"cluster_cutoff must lie in (0, 1], got {self.cluster_cutoff}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ConfigError("learning_rate and epsilon must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         bits = self.fingerprint_bits
         if bits <= 0 or bits & (bits - 1):
             raise ConfigError(f"fingerprint_bits must be a power of two, got {bits}")
@@ -245,13 +226,16 @@ class ExperimentConfig:
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
-            return max(1, self.workers)
+            return self.workers
         env = os.environ.get(WORKERS_ENV_VAR)
         if env:
             try:
-                return max(1, int(env))
+                workers = int(env)
             except ValueError as exc:
                 raise ConfigError(f"{WORKERS_ENV_VAR}={env!r} is not an integer") from exc
+            if workers < 1:
+                raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
+            return workers
         return os.cpu_count() or 1
 
 
@@ -337,23 +321,20 @@ class _CellTask:
     split_index: int
     split_seed: int
     rep_seeds: tuple[int, ...]
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
+    data: SupervisedSplit
     optimizer: OptimizerConfig
 
 
 def _run_cell(task: _CellTask) -> list[TrialResult]:
-    if task.train_x.shape[1] != 1 << task.n:
+    data = task.data
+    if data.train_x.shape[1] != 1 << task.n:
         raise InvariantViolation(
-            f"cell n={task.n} received {task.train_x.shape[1]} features instead of {1 << task.n}"
+            f"cell n={task.n} received {data.train_x.shape[1]} features instead of {1 << task.n}"
         )
-    data = SupervisedSplit(task.train_x, task.train_y, task.test_x, task.test_y)
     results: list[TrialResult] = []
     for rep_index, rep_seed in enumerate(task.rep_seeds):
         schedule = batch_schedule(
-            task.train_x.shape[0], task.optimizer.epochs, task.optimizer.batch_size,
+            data.train_x.shape[0], task.optimizer.epochs, task.optimizer.batch_size,
             derive_seed(rep_seed, _STREAM_SCHEDULE),
         )
         outcomes = {}
@@ -392,7 +373,7 @@ def _map_cells(tasks: list[_CellTask], workers: int) -> list[TrialResult]:
     else:
         # widest circuits and largest training sets first, so the longest
         # cells start at once instead of queueing behind short ones
-        longest_first = sorted(tasks, key=lambda t: (t.n, t.train_x.shape[0]), reverse=True)
+        longest_first = sorted(tasks, key=lambda t: (t.n, t.data.train_x.shape[0]), reverse=True)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             nested = list(pool.map(_run_cell, longest_first))
     trials = [trial for cell in nested for trial in cell]
@@ -415,9 +396,11 @@ def _make_cells(
     test = subset.features[plan.test_indices]
     widest = fit_pca(train, 1 << max(config.n_list))
     signed = _signed_labels(subset.labels)
+    train_y, test_y = signed[plan.train_indices], signed[plan.test_indices]
     rep_seeds = tuple(
         derive_seed(config.master_seed, _NS_REP, split_index, rep) for rep in range(config.reps)
     )
+    optimizer = config.optimizer_config()
     cells = []
     for n in config.n_list:
         pca = widest.truncate(1 << n)
@@ -427,11 +410,8 @@ def _make_cells(
             split_index=split_index,
             split_seed=split_seed,
             rep_seeds=rep_seeds,
-            train_x=transform(pca, train),
-            train_y=signed[plan.train_indices],
-            test_x=transform(pca, test),
-            test_y=signed[plan.test_indices],
-            optimizer=config.optimizer_config(),
+            data=SupervisedSplit(transform(pca, train), train_y, transform(pca, test), test_y),
+            optimizer=optimizer,
         ))
     return cells
 
@@ -512,6 +492,7 @@ _Plans = Callable[[Dataset, int, int], Iterator[tuple[float | None, SplitPlan]]]
 
 def _run(config: ExperimentConfig, protocol: str, plans: _Plans) -> ExperimentReport:
     try:
+        workers = config.resolved_workers()
         data = _load_with_features(config)
         tasks = []
         for split_index in range(config.resplits):
@@ -521,7 +502,6 @@ def _run(config: ExperimentConfig, protocol: str, plans: _Plans) -> ExperimentRe
             split_seed = derive_seed(config.master_seed, _NS_SPLIT, split_index)
             for x, plan in plans(subset, split_index, split_seed):
                 tasks += _make_cells(config, subset, plan, x, split_index, split_seed)
-        workers = config.resolved_workers()
         logger.info("%s: %d cells on %d workers", protocol, len(tasks), workers)
         trials = _map_cells(tasks, workers)
         return _build_report(config, protocol, data.skipped_rows, trials)
@@ -568,7 +548,7 @@ def run_cluster_protocol(config: ExperimentConfig) -> ExperimentReport:
             clustering = butina_cluster(fps, config.cluster_cutoff)
         for k_index, k in enumerate(config.cluster_k):
             seed = derive_seed(config.master_seed, _NS_CLUSTER, split_index, k_index)
-            yield float(k), cluster_training_plan(clustering, LARGE_CLUSTER_MIN_SIZE, k, seed)
+            yield float(k), cluster_training_plan(clustering, k, seed)
 
     return _run(config, PROTOCOL_CLUSTERS, plans)
 

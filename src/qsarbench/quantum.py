@@ -48,10 +48,6 @@ class QuantumModelParams:
                 f"readout shape {readout.shape} does not match {self.ansatz.n_qubits} qubits"
             )
         object.__setattr__(self, "readout", readout)
-        if self.ansatz.layers == DEFAULT_LAYERS and self.n_parameters != 7 * self.n_qubits:
-            raise DimensionMismatch(
-                f"two-layer model must have 7n parameters, got {self.n_parameters}"
-            )
 
     @property
     def n_qubits(self) -> int:

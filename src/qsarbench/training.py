@@ -12,12 +12,15 @@ harness can assert that paired trainers really saw the same batches.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyBatch, NonFiniteTraining, NoPositives
+from .errors import ConfigError, EmptyBatch, NonFiniteTraining, NoPositives
 from .metrics import accuracy, recall
 from .rng import generator
 
@@ -37,8 +40,27 @@ ScoresAndBackward = Callable[[np.ndarray, np.ndarray],
                              tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; numpy integers pass, bools, floats and strings do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value):
+    """`value` unchanged if it is a finite real number; bools and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Adam and batching settings; every bad value raises ConfigError at construction."""
+
     learning_rate: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
@@ -47,10 +69,19 @@ class OptimizerConfig:
     epochs: int = 100
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = _integer(name, getattr(self, name))
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
+        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+            _real(name, getattr(self, name))
+        if self.learning_rate <= 0 or self.epsilon <= 0:
+            raise ConfigError(
+                f"learning_rate and epsilon must be > 0, got {self.learning_rate}, {self.epsilon}"
+            )
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
 
 
 @dataclass

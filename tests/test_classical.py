@@ -12,7 +12,7 @@ from qsarbench.classical import (
     mlp_predict,
     train_mlp,
 )
-from qsarbench.errors import DimensionMismatch, EmptyBatch
+from qsarbench.errors import ConfigError, DimensionMismatch, EmptyBatch
 from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule
 
 
@@ -159,7 +159,7 @@ def test_training_is_deterministic():
 
 
 def test_zero_epochs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         OptimizerConfig(epochs=0)
 
 

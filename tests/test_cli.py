@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import qsarbench.quantum
+import qsarbench.training
 from qsarbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
+from qsarbench.errors import EmptySequence
 from qsarbench.fingerprint import Fingerprint, morgan_fingerprint
 from qsarbench.smiles import parse_smiles
 
@@ -150,6 +152,42 @@ def test_non_finite_training_exits_with_cell_context(dataset_csv, tmp_path, caps
     err = capsys.readouterr().err
     assert "split_index=0 n=2 x=2.0 rep_seed=" in err
     assert "model=quantum: epoch 0: mean train loss nan" in err
+
+
+def test_split_without_test_rows_is_a_data_error(tmp_path, capsys):
+    def run(dataset, rows):
+        path = tmp_path / f"{dataset}.csv"
+        path.write_text(rows, encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": dataset, "dataset_path": str(path), "n_list": [2],
+                                   "reps": 1, "resplits": 1, "epochs": 1, "workers": 1}))
+        return main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
+
+    assert run("bace", "mol,Class\nCCO,1\nCCN,0\n") == EXIT_DATA
+    assert "split has 2 train and 0 test rows" in capsys.readouterr().err
+    # undersampling one row per class leaves two rows to split
+    assert run("bbbp", "smiles,p_np\nCCO,1\nCCN,0\nCCC,0\nCCCC,0\n") == EXIT_DATA
+    assert "split has 2 train and 0 test rows" in capsys.readouterr().err
+    assert run("bace", "mol,Class\nCCO,1\nCCN,0\nCCC,1\n") == EXIT_OK
+
+
+def test_workers_below_one_rejected_before_ingest(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    missing = str(tmp_path / "none.csv")
+    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": missing, "workers": 0}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": missing}))
+    monkeypatch.setenv("QSARBENCH_WORKERS", "0")
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_any_library_error_exits_without_traceback(dataset_csv, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise EmptySequence("no predictions")
+
+    monkeypatch.setattr(qsarbench.training, "accuracy", fail)
+    assert main(run_config(dataset_csv, tmp_path)) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "internal error: no predictions\n"
 
 
 def test_exit_codes(tmp_path):

@@ -5,6 +5,7 @@ from qsarbench.data import (
     SCHEMA_PRESETS,
     Dataset,
     DatasetSchema,
+    SplitPlan,
     load_dataset,
     load_embeddings,
     make_split,
@@ -177,6 +178,13 @@ def test_make_split_arithmetic():
     plan = make_split(data, seed=5)
     assert plan.train_indices.size == 8
     assert plan.test_indices.size == 2
+
+
+def test_split_with_an_empty_side_rejected():
+    with pytest.raises(DataError, match="2 train and 0 test rows"):
+        make_split(small_dataset((1, 0)), seed=0)
+    with pytest.raises(DataError, match="0 train and 3 test rows"):
+        SplitPlan(train_indices=np.array([], dtype=np.int64), test_indices=np.arange(3))
 
 
 def test_split_disjoint_and_covering_for_many_seeds():

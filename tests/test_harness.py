@@ -87,7 +87,9 @@ def test_config_validation():
                          ("fractions", [float("nan")]),
                          # Adam's settings out of range
                          ("learning_rate", 0.0), ("learning_rate", -0.01), ("beta1", 1.0),
-                         ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0)):
+                         ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0),
+                         # a worker count below one is no count of workers
+                         ("workers", 0), ("workers", -2)):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="bace", dataset_path="x.csv", **{field: value})
         with pytest.raises(ConfigError):
@@ -121,9 +123,10 @@ def test_config_workers_env_override(monkeypatch):
     config = ExperimentConfig(dataset="bace", dataset_path="x.csv")
     monkeypatch.setenv("QSARBENCH_WORKERS", "3")
     assert config.resolved_workers() == 3
-    monkeypatch.setenv("QSARBENCH_WORKERS", "zebra")
-    with pytest.raises(ConfigError):
-        config.resolved_workers()
+    for bad in ("zebra", "0", "-2"):
+        monkeypatch.setenv("QSARBENCH_WORKERS", bad)
+        with pytest.raises(ConfigError):
+            config.resolved_workers()
     monkeypatch.delenv("QSARBENCH_WORKERS")
     assert ExperimentConfig(dataset="bace", dataset_path="x.csv", workers=2).resolved_workers() == 2
 
@@ -240,7 +243,7 @@ def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, m
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            submitted.extend((task.n, task.train_x.shape[0]) for task in tasks)
+            submitted.extend((task.n, task.data.train_x.shape[0]) for task in tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(qsarbench.harness, "ProcessPoolExecutor", SerialPool)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsarbench.errors import DimensionMismatch, EmptyBatch
+from qsarbench.errors import ConfigError, DimensionMismatch, EmptyBatch
 from qsarbench.quantum import (
     QuantumModelParams,
     init_quantum_params,
@@ -200,7 +200,7 @@ def test_non_power_of_two_features_rejected():
 
 
 def test_zero_epochs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         OptimizerConfig(epochs=0)
 
 

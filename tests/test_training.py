@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsarbench.errors import InvariantViolation, NonFiniteTraining
+import qsarbench.classical
+from qsarbench.errors import ConfigError, InvariantViolation, NonFiniteTraining
 from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule, run_training
 
 
@@ -35,3 +36,26 @@ def test_non_finite_epoch_raises_at_its_end(bad_score, bad_grad):
                      OptimizerConfig(epochs=epochs, batch_size=2), schedule)
     assert len(steps) == 4          # checked once per epoch, not per step
     assert isinstance(caught.value, InvariantViolation)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", 0.0), ("learning_rate", -0.01), ("learning_rate", "0.01"),
+    ("learning_rate", float("nan")), ("learning_rate", True),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", None),
+    ("epsilon", 0.0), ("epsilon", "1e-8"), ("epsilon", float("inf")),
+    ("epochs", 0), ("epochs", True), ("epochs", 2.0), ("epochs", "3"),
+    ("batch_size", 0), ("batch_size", False), ("batch_size", 8.5),
+])
+def test_bad_optimizer_setting_rejected_before_training(name, value, monkeypatch):
+    entered = []
+    monkeypatch.setattr(qsarbench.classical, "run_training", lambda *args: entered.append(args))
+    with pytest.raises(ConfigError, match=name):
+        qsarbench.classical.train_mlp(toy_split(), OptimizerConfig(**{name: value}), 0,
+                                      batch_schedule(4, 1, 2, seed=0))
+    assert not entered
+
+
+def test_optimizer_counts_become_python_ints():
+    config = OptimizerConfig(epochs=np.int64(3), batch_size=np.int32(2), learning_rate=1)
+    assert type(config.epochs) is int and type(config.batch_size) is int
+    assert type(config.learning_rate) is int
