@@ -46,7 +46,7 @@ def main():
     data = SupervisedSplit(x[:192], y[:192], x[192:], y[192:])
 
     config = OptimizerConfig(epochs=60, batch_size=16)
-    schedule = batch_schedule(192, config.epochs, config.batch_size, seed=42)
+    schedule = batch_schedule(192, config.epochs, seed=42)
 
     classical = train_mlp(data, config, seed=1, schedule=schedule)
     quantum = train_quantum(data, config, seed=2, schedule=schedule)

@@ -122,7 +122,7 @@ def train_mlp(
     data: SupervisedSplit,
     config: OptimizerConfig,
     seed: int,
-    schedule: list[list[np.ndarray]],
+    schedule: np.ndarray,
 ) -> TrainingResult:
     """Adam-train the perceptron; `seed` fixes the init, the schedule the batches."""
     n_features = data.train_x.shape[1]

@@ -145,6 +145,10 @@ def _cmd_pca(args) -> int:
     matrix = _read_matrix(args.input)
     with open(args.fit_rows, encoding="utf-8") as handle:
         fit_rows = [int(line) for line in handle.read().split()]
+    for index in fit_rows:
+        if not 0 <= index < matrix.shape[0]:
+            raise DataError(f"--fit-rows index {index} is outside the {matrix.shape[0]} rows "
+                            f"of {args.input}")
     model = fit_pca(matrix[fit_rows], args.k)
     scores = transform(model, matrix)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:

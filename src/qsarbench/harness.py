@@ -99,12 +99,12 @@ class ExperimentConfig:
     n_list: tuple[int, ...] = (2, 3, 4, 8)
     reps: int = 20
     resplits: int = 5
-    epochs: int = 100
-    learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 32
+    epochs: int = OptimizerConfig.epochs
+    learning_rate: float = OptimizerConfig.learning_rate
+    beta1: float = OptimizerConfig.beta1
+    beta2: float = OptimizerConfig.beta2
+    epsilon: float = OptimizerConfig.epsilon
+    batch_size: int = OptimizerConfig.batch_size
     fractions: tuple[float, ...] | None = None
     cluster_k: tuple[int, ...] | None = None
     cluster_cutoff: float = 0.65
@@ -146,6 +146,11 @@ class ExperimentConfig:
             raise ConfigError("imgmol embedding needs embedding_path")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n_list entries must be >= 1, got {self.n_list}")
+        for name in ("n_list", "fractions", "cluster_k"):
+            values = getattr(self, name) or ()
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} repeats {repeated}; each value may appear once")
         if self.reps < 1 or self.resplits < 1:
             raise ConfigError("reps and resplits must both be >= 1")
         if self.workers is not None and self.workers < 1:
@@ -333,10 +338,8 @@ def _run_cell(task: _CellTask) -> list[TrialResult]:
         )
     results: list[TrialResult] = []
     for rep_index, rep_seed in enumerate(task.rep_seeds):
-        schedule = batch_schedule(
-            data.train_x.shape[0], task.optimizer.epochs, task.optimizer.batch_size,
-            derive_seed(rep_seed, _STREAM_SCHEDULE),
-        )
+        schedule = batch_schedule(data.train_x.shape[0], task.optimizer.epochs,
+                                  derive_seed(rep_seed, _STREAM_SCHEDULE))
         outcomes = {}
         for model, train, stream in (("classical", train_mlp, _STREAM_MLP_INIT),
                                      ("quantum", train_quantum, _STREAM_QUANTUM_INIT)):
@@ -457,13 +460,23 @@ def _aggregate(trials: list[TrialResult], resplits: int) -> list[CellSummary]:
     return summaries
 
 
-def _verify_aggregates(report: ExperimentReport, resplits: int) -> None:
-    recomputed = {(c.model, c.n, c.x): c for c in _aggregate(report.trials, resplits)}
-    if len(recomputed) != len(report.summaries):
+def _verify_aggregates(report: ExperimentReport, reps: int, resplits: int) -> None:
+    """Check the summaries against the trials, counted and averaged apart from `_aggregate`."""
+    cells: dict[tuple, list[TrialResult]] = {}
+    for trial in report.trials:
+        cells.setdefault((trial.model, trial.n, trial.x), []).append(trial)
+    keys = [(c.model, c.n, c.x) for c in report.summaries]
+    if len(set(keys)) != len(keys) or set(keys) != set(cells):
         raise InvariantViolation("summary cells do not match trial cells")
+    expected = [(split, rep) for split in range(resplits) for rep in range(reps)]
     for cell in report.summaries:
-        other = recomputed[(cell.model, cell.n, cell.x)]
-        if abs(cell.mean_accuracy - other.mean_accuracy) > 1e-12:
+        trials = cells[(cell.model, cell.n, cell.x)]
+        if sorted((t.split_index, t.rep_index) for t in trials) != expected:
+            raise InvariantViolation(
+                f"cell {cell.model} n={cell.n} x={cell.x} holds {len(trials)} trials, "
+                f"not reps 0..{reps - 1} once in each of {resplits} splits"
+            )
+        if abs(cell.mean_accuracy - np.mean([t.best_test_accuracy for t in trials])) > 1e-12:
             raise InvariantViolation(
                 f"aggregation identity violated for {cell.model} n={cell.n} x={cell.x}"
             )
@@ -479,7 +492,7 @@ def _build_report(config: ExperimentConfig, protocol: str, skipped: int,
         trials=trials,
         summaries=_aggregate(trials, config.resplits),
     )
-    _verify_aggregates(report, config.resplits)
+    _verify_aggregates(report, config.reps, config.resplits)
     return report
 
 

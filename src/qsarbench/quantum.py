@@ -147,7 +147,7 @@ def train_quantum(
     data: SupervisedSplit,
     config: OptimizerConfig,
     seed: int,
-    schedule: list[list[np.ndarray]],
+    schedule: np.ndarray,
 ) -> TrainingResult:
     """Adam-train the hybrid classifier; contract mirrors train_mlp."""
     n_features = data.train_x.shape[1]

@@ -251,6 +251,7 @@ def z_sign_matrix(n_qubits: int) -> np.ndarray:
         for q in range(n_qubits):
             bit = (basis >> (n_qubits - 1 - q)) & 1
             signs[:, q] = 1.0 - 2.0 * bit
+        signs.setflags(write=False)
         _Z_SIGNS[n_qubits] = signs
     return signs
 

@@ -5,8 +5,12 @@ chain rule, consume identical batch schedules, track the same per-epoch
 trace, and report the best test accuracy over the run.  A model supplies
 `scores_and_backward(vec, x) -> (scores, backward)` over its flat parameter
 vector, where `backward` maps d(loss)/d(scores) to the flat gradient.  A
-schedule is a pure function of its seed, and its digest is recorded so the
-harness can assert that paired trainers really saw the same batches.
+batch schedule is a read-only (epochs, train rows) array holding one
+shuffled row order per epoch, a pure function of its seed; `run_training`
+cuts each order into batches of `OptimizerConfig.batch_size` rows, the one
+place the batch size and the Adam settings are written.  The schedule's
+digest is recorded so the harness can assert that paired trainers really
+saw the same batches.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EmptyBatch, NonFiniteTraining, NoPositives
+from .errors import ConfigError, DimensionMismatch, EmptyBatch, NonFiniteTraining, NoPositives
 from .metrics import accuracy, recall
 from .rng import generator
 
@@ -125,23 +129,22 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
     return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
-def batch_schedule(n_rows: int, epochs: int, batch_size: int, seed: int) -> list[list[np.ndarray]]:
-    """Per-epoch shuffled batches of row indices; the last batch may be short."""
+def batch_schedule(n_rows: int, epochs: int, seed: int) -> np.ndarray:
+    """Each epoch's shuffled row order: a read-only int64 (epochs, n_rows) array."""
     if n_rows < 1:
         raise EmptyBatch("cannot schedule batches over zero rows")
     rng = generator(seed)
-    schedule = []
-    for _ in range(epochs):
-        perm = rng.permutation(n_rows)
-        schedule.append([perm[i:i + batch_size] for i in range(0, n_rows, batch_size)])
+    schedule = np.empty((epochs, n_rows), dtype=np.int64)
+    for order in schedule:
+        order[:] = rng.permutation(n_rows)
+    schedule.setflags(write=False)
     return schedule
 
 
-def schedule_digest(schedule: list[list[np.ndarray]]) -> str:
+def schedule_digest(schedule: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=16)
-    for epoch in schedule:
-        for batch in epoch:
-            h.update(np.asarray(batch, dtype=np.int64).tobytes())
+    for order in np.asarray(schedule, dtype=np.int64):
+        h.update(order.tobytes())
         h.update(b"|")
     return h.hexdigest()
 
@@ -176,15 +179,17 @@ def run_training(
     params0: np.ndarray,
     data: SupervisedSplit,
     config: OptimizerConfig,
-    schedule: list[list[np.ndarray]],
+    schedule: np.ndarray,
 ) -> TrainingResult:
     """Adam-train a model on the MSE of its scores, given its score function and predict.
 
-    Raises NonFiniteTraining at the end of the first epoch whose mean loss
-    or parameter vector is not finite.
+    Raises DimensionMismatch before the first step unless the schedule is
+    (epochs, train rows), and NonFiniteTraining at the end of the first
+    epoch whose mean loss or parameter vector is not finite.
     """
-    if len(schedule) != config.epochs:
-        raise ValueError("schedule length must equal the epoch count")
+    expected = (config.epochs, data.train_x.shape[0])
+    if schedule.shape != expected:
+        raise DimensionMismatch(f"schedule {schedule.shape} is not (epochs, train rows) {expected}")
 
     params = np.array(params0, dtype=np.float64)
     adam = AdamState.zeros(params.size)
@@ -192,9 +197,10 @@ def run_training(
     accuracies = np.empty(config.epochs)
     recalls: list[float | None] = []
 
-    for epoch, batches in enumerate(schedule):
+    for epoch, order in enumerate(schedule):
         epoch_losses = []
-        for batch in batches:
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start:start + config.batch_size]
             loss, grad = mse_loss_and_gradient(scores_and_backward, params,
                                                data.train_x[batch], data.train_y[batch])
             epoch_losses.append(loss)

@@ -140,7 +140,7 @@ def separable_toy_data():
 
 def test_training_converges_on_separable_points():
     result = train_mlp(separable_toy_data(), OptimizerConfig(epochs=100, batch_size=2), seed=4,
-                       schedule=batch_schedule(2, 100, 2, seed=4))
+                       schedule=batch_schedule(2, 100, seed=4))
     assert result.train_loss[-1] < 0.01
     assert np.all(np.diff(result.train_loss)[:10] < 0)  # early descent
     assert result.best_test_accuracy == 1.0
@@ -149,7 +149,7 @@ def test_training_converges_on_separable_points():
 def test_training_is_deterministic():
     data = separable_toy_data()
     config = OptimizerConfig(epochs=20, batch_size=2)
-    schedule = batch_schedule(2, 20, 2, seed=11)
+    schedule = batch_schedule(2, 20, seed=11)
     a = train_mlp(data, config, seed=11, schedule=schedule)
     b = train_mlp(data, config, seed=11, schedule=schedule)
     np.testing.assert_array_equal(a.train_loss, b.train_loss)
@@ -166,7 +166,7 @@ def test_zero_epochs_rejected():
 def test_explicit_schedule_is_used():
     data = separable_toy_data()
     config = OptimizerConfig(epochs=5, batch_size=1)
-    schedule = batch_schedule(2, 5, 1, seed=999)
+    schedule = batch_schedule(2, 5, seed=999)
     result = train_mlp(data, config, seed=1, schedule=schedule)
     from qsarbench.training import schedule_digest
     assert result.schedule_digest == schedule_digest(schedule)
@@ -183,5 +183,5 @@ def test_training_rebuilds_params_once_per_epoch(monkeypatch):
 
     monkeypatch.setattr(MlpParams, "from_vector", classmethod(counted))
     config = OptimizerConfig(epochs=5, batch_size=1)
-    train_mlp(separable_toy_data(), config, seed=1, schedule=batch_schedule(2, 5, 1, seed=1))
+    train_mlp(separable_toy_data(), config, seed=1, schedule=batch_schedule(2, 5, seed=1))
     assert len(calls) == config.epochs

@@ -75,6 +75,20 @@ def test_pca_command(tmp_path, rng):
     np.testing.assert_array_equal(loaded.components, model.components)
 
 
+@pytest.mark.parametrize("index", ["9", "-1", "4"])
+def test_pca_fit_row_outside_the_matrix_is_a_data_error(index, tmp_path, capsys):
+    inp = tmp_path / "m.csv"
+    inp.write_text("a,b\n1,2\n3,5\n4,4\n0,1\n")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text(f"0\n1\n{index}\n")
+    out = tmp_path / "scores.csv"
+    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                 "--output", str(out)])
+    assert code == EXIT_DATA
+    assert f"--fit-rows index {index} is outside the 4 rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_command(dataset_csv, tmp_path, capsys):
     out = tmp_path / "norm.csv"
     code = main(["ingest", "--dataset", dataset_csv, "--schema", "bace",
@@ -210,7 +224,9 @@ def test_exit_codes(tmp_path):
     for bad_value in ({"reps": 1.5}, {"n_list": [2.9]}, {"master_seed": -1},
                       {"reps": True}, {"n_list": [True, 2]}, {"master_seed": False},
                       {"undersample": "false"}, {"learning_rate": "0.01"}, {"beta1": 1.0},
-                      {"fractions": [True]}, {"cluster_cutoff": True}):
+                      {"fractions": [True]}, {"cluster_cutoff": True},
+                      # a sweep value given twice would train its cells twice
+                      {"n_list": [2, 2]}, {"fractions": [0.5, 0.5]}, {"cluster_k": [1, 1]}):
         cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
                                    **bad_value}))
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG

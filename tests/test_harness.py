@@ -89,7 +89,9 @@ def test_config_validation():
                          ("learning_rate", 0.0), ("learning_rate", -0.01), ("beta1", 1.0),
                          ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0),
                          # a worker count below one is no count of workers
-                         ("workers", 0), ("workers", -2)):
+                         ("workers", 0), ("workers", -2),
+                         # a sweep value given twice would train its cells twice
+                         ("n_list", [2, 3, 2]), ("fractions", [0.5, 0.5]), ("cluster_k", [1, 1])):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset="bace", dataset_path="x.csv", **{field: value})
         with pytest.raises(ConfigError):
@@ -105,6 +107,8 @@ def test_config_validation():
     assert reals.to_dict()["learning_rate"] == 1 and type(reals.learning_rate) is int
     assert type(reals.beta1) is int and type(reals.cluster_cutoff) is np.float64
     assert reals.fractions == (1.0,) and reals.should_undersample is False
+    with pytest.raises(ConfigError, match=r"fractions repeats \[0\.5\]"):
+        ExperimentConfig(dataset="bace", dataset_path="x.csv", fractions=[0.5, 0.25, 0.5])
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", "bogus": 1})
     with pytest.raises(ConfigError):
@@ -189,6 +193,16 @@ def test_run_protocol_shape_and_aggregates(synthetic_csv):
         ])
         assert abs(cell.mean_accuracy - manual) < 1e-12
         assert len(cell.per_split_means) == config.resplits
+
+
+def test_report_rejects_a_lost_or_doubled_trial(synthetic_csv):
+    config = tiny_config(synthetic_csv)
+    trials = run_protocol(config).trials
+    build = qsarbench.harness._build_report
+    assert len(build(config, "feature_sweep", 0, trials).trials) == 8
+    for broken in (trials[:3] + trials[4:], trials + [trials[5]]):
+        with pytest.raises(InvariantViolation, match="not reps 0..1 once in each of 2 splits"):
+            build(config, "feature_sweep", 0, broken)
 
 
 def test_paired_trainers_share_batch_schedules(synthetic_csv):

@@ -1,8 +1,10 @@
 """Source hygiene of the package, checked with the standard library's `ast`.
 
 Every module in `src/qsarbench` must use each name it imports (a name listed
-in the module's `__all__` counts as used: it is re-exported), and every name
-in an `__all__` must be defined at the top level of its module.
+in the module's `__all__` counts as used: it is re-exported), every name
+in an `__all__` must be defined at the top level of its module, and every
+private top-level name (one leading underscore) must be read by some module
+of the package.
 """
 
 import ast
@@ -63,6 +65,24 @@ def _undefined_exports(tree: ast.Module) -> set[str]:
     return set(_exported(tree)) - _top_level_definitions(tree)
 
 
+def _unread_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Module -> its private top-level names that no module in `trees` reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {}
+    for module, tree in trees.items():
+        private = {name for name in _top_level_definitions(tree) - set(_imported(tree))
+                   if name.startswith("_") and not name.startswith("__")}
+        if private - read:
+            unread[module] = private - read
+    return unread
+
+
 def test_package_modules_found():
     assert {"data.py", "harness.py", "__init__.py"} <= {path.name for path in MODULES}
 
@@ -79,6 +99,11 @@ def test_every_exported_name_is_defined(path):
     assert not missing, f"{path.name} lists undefined names in __all__: {sorted(missing)}"
 
 
+def test_every_private_name_is_read():
+    unread = _unread_private_names({path.name: _parse(path) for path in MODULES})
+    assert not unread, f"private top-level names that no module reads: {unread}"
+
+
 def test_checks_catch_an_unused_import_and_an_undefined_export():
     tree = ast.parse(
         "import os\nfrom json import dumps\nTABLE: dict = {}\n"
@@ -86,3 +111,12 @@ def test_checks_catch_an_unused_import_and_an_undefined_export():
     )
     assert list(_unused_imports(tree)) == ["os"]
     assert _undefined_exports(tree) == {"ghost"}
+
+
+def test_check_catches_an_unread_private_name():
+    trees = {
+        "a.py": ast.parse("_LIMIT = 3\n_OLD: int = 1\ndef _helper():\n    return _LIMIT\n"
+                          "class _Gone:\n    pass\n__all__ = []\n"),
+        "b.py": ast.parse("from a import _helper\n_helper()\ndef _unused(x):\n    return x\n"),
+    }
+    assert _unread_private_names(trees) == {"a.py": {"_OLD", "_Gone"}, "b.py": {"_unused"}}

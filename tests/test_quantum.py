@@ -175,14 +175,14 @@ def one_hot_toy_split():
 
 def test_training_solves_one_hot_task():
     result = train_quantum(one_hot_toy_split(), OptimizerConfig(epochs=100, batch_size=4), seed=8,
-                           schedule=batch_schedule(4, 100, 4, seed=8))
+                           schedule=batch_schedule(4, 100, seed=8))
     assert result.best_test_accuracy == 1.0
 
 
 def test_training_deterministic():
     data = one_hot_toy_split()
     config = OptimizerConfig(epochs=15, batch_size=2)
-    schedule = batch_schedule(4, 15, 2, seed=21)
+    schedule = batch_schedule(4, 15, seed=21)
     a = train_quantum(data, config, seed=21, schedule=schedule)
     b = train_quantum(data, config, seed=21, schedule=schedule)
     np.testing.assert_array_equal(a.train_loss, b.train_loss)
@@ -196,7 +196,7 @@ def test_non_power_of_two_features_rejected():
     data = SupervisedSplit(x, y, x.copy(), y.copy())
     with pytest.raises(DimensionMismatch):
         train_quantum(data, OptimizerConfig(epochs=1), seed=0,
-                      schedule=batch_schedule(4, 1, 32, seed=0))
+                      schedule=batch_schedule(4, 1, seed=0))
 
 
 def test_zero_epochs_rejected():
@@ -215,5 +215,5 @@ def test_training_rebuilds_params_once_per_epoch(monkeypatch):
 
     monkeypatch.setattr(QuantumModelParams, "from_vector", classmethod(counted))
     config = OptimizerConfig(epochs=5, batch_size=2)
-    train_quantum(one_hot_toy_split(), config, seed=3, schedule=batch_schedule(4, 5, 2, seed=3))
+    train_quantum(one_hot_toy_split(), config, seed=3, schedule=batch_schedule(4, 5, seed=3))
     assert len(calls) == config.epochs

@@ -24,6 +24,7 @@ from qsarbench.simulator import (
     ry_matrix,
     rz_matrix,
     z_expectations,
+    z_sign_matrix,
 )
 
 
@@ -308,6 +309,13 @@ def test_z_expectations_extremes():
     np.testing.assert_allclose(z_expectations(ground), [1.0, 1.0])
     top = amplitude_embed(np.array([0.0, 0.0, 0.0, 1.0]))
     np.testing.assert_allclose(z_expectations(top), [-1.0, -1.0])
+
+
+def test_cached_z_signs_are_read_only():
+    ground = amplitude_embed(np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        z_sign_matrix(2)[0, 0] = 5.0
+    np.testing.assert_array_equal(z_expectations(ground), [1.0, 1.0])
 
 
 def test_z_expectations_against_explicit_sum(rng):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import qsarbench.classical
-from qsarbench.errors import ConfigError, InvariantViolation, NonFiniteTraining
-from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule, run_training
+from qsarbench.errors import ConfigError, DimensionMismatch, InvariantViolation, NonFiniteTraining
+from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule, run_training,
+                                schedule_digest)
 
 
 def toy_split():
@@ -19,7 +20,7 @@ def toy_split():
 ])
 def test_non_finite_epoch_raises_at_its_end(bad_score, bad_grad):
     epochs = 3
-    schedule = batch_schedule(4, epochs, 2, seed=0)   # two steps per epoch
+    schedule = batch_schedule(4, epochs, seed=0)   # two steps per epoch
     steps = []
 
     def scores_and_backward(params, xb):
@@ -51,7 +52,7 @@ def test_bad_optimizer_setting_rejected_before_training(name, value, monkeypatch
     monkeypatch.setattr(qsarbench.classical, "run_training", lambda *args: entered.append(args))
     with pytest.raises(ConfigError, match=name):
         qsarbench.classical.train_mlp(toy_split(), OptimizerConfig(**{name: value}), 0,
-                                      batch_schedule(4, 1, 2, seed=0))
+                                      batch_schedule(4, 1, seed=0))
     assert not entered
 
 
@@ -59,3 +60,52 @@ def test_optimizer_counts_become_python_ints():
     config = OptimizerConfig(epochs=np.int64(3), batch_size=np.int32(2), learning_rate=1)
     assert type(config.epochs) is int and type(config.batch_size) is int
     assert type(config.learning_rate) is int
+
+
+def index_split(rows):
+    """Each row's only feature is its own index, so a batch names its rows."""
+    x = np.arange(rows, dtype=np.float64)[:, None]
+    y = np.where(np.arange(rows) % 2 == 0, 1, -1)
+    return SupervisedSplit(x, y, x.copy(), y.copy())
+
+
+def recording_model(batches):
+    def scores_and_backward(params, xb):
+        batches.append(xb[:, 0].astype(int))
+        return np.zeros(xb.shape[0]), lambda d_scores: np.zeros_like(params)
+
+    return scores_and_backward
+
+
+def predict(params, xs):
+    return np.ones(xs.shape[0], dtype=int)
+
+
+@pytest.mark.parametrize("rows, epochs", [(4, 2), (9, 2), (6, 3)])
+def test_schedule_of_another_shape_rejected_before_the_first_step(rows, epochs):
+    batches = []
+    with pytest.raises(DimensionMismatch, match=rf"\({epochs}, {rows}\).*\(2, 6\)"):
+        run_training(recording_model(batches), predict, np.zeros(1), index_split(6),
+                     OptimizerConfig(epochs=2), batch_schedule(rows, epochs, seed=0))
+    assert not batches
+
+
+def test_epoch_order_cut_into_batches_of_the_configured_size():
+    schedule = batch_schedule(5, 3, seed=4)
+    batches = []
+    run_training(recording_model(batches), predict, np.zeros(1), index_split(5),
+                 OptimizerConfig(epochs=3, batch_size=2), schedule)
+    assert [len(batch) for batch in batches] == [2, 2, 1] * 3
+    for epoch, order in enumerate(schedule):
+        np.testing.assert_array_equal(np.concatenate(batches[3 * epoch:3 * epoch + 3]), order)
+
+
+def test_schedule_is_read_only_epoch_orders_with_a_stable_digest():
+    schedule = batch_schedule(5, 3, seed=0)
+    assert schedule.dtype == np.int64 and schedule.shape == (3, 5)
+    for order in schedule:
+        assert sorted(order) == list(range(5))
+    with pytest.raises(ValueError):
+        schedule[0, 0] = 1
+    # the digest of the same orders cut into batches, as reports have recorded it
+    assert schedule_digest(schedule) == "4a9ba18d72950a1525e7ea9dadfc6751"
