@@ -25,7 +25,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     TrialResult,
-    emit_report,
     load_report,
     run_cluster_protocol,
     run_fraction_sweep,
@@ -71,5 +70,5 @@ __all__ = [
     "Clustering", "butina_cluster", "cluster_training_plan",
     "ExperimentConfig", "TrialResult", "CellSummary", "ExperimentReport",
     "accuracy", "recall", "run_protocol", "run_fraction_sweep", "run_cluster_protocol",
-    "emit_report", "write_report_files", "load_report",
+    "write_report_files", "load_report",
 ]

@@ -75,7 +75,6 @@ def _build_parser() -> _ArgumentParser:
     cl = sub.add_parser("cluster", help="Butina-cluster hex fingerprints")
     cl.add_argument("--fingerprints", required=True, help="CSV with a fingerprint_hex column")
     cl.add_argument("--cutoff", type=float, default=0.65)
-    cl.add_argument("--bits", type=int, default=512)
     cl.add_argument("--column", default="fingerprint_hex")
     cl.add_argument("--output", required=True)
 
@@ -168,8 +167,12 @@ def _cmd_cluster(args) -> int:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.column not in reader.fieldnames:
             raise DataError(f"{args.fingerprints} lacks column {args.column!r}")
-        for row in reader:
-            fps.append(Fingerprint.from_hex(row[args.column], args.bits))
+        for index, row in enumerate(reader):
+            text = row[args.column] or ""
+            if fps and 4 * len(text) != fps[0].nbits:
+                raise DataError(f"{args.fingerprints} row {index} holds a {4 * len(text)}-bit "
+                                f"fingerprint; row 0 holds {fps[0].nbits} bits")
+            fps.append(Fingerprint.from_hex(text))
     clustering = butina_cluster(fps, args.cutoff)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

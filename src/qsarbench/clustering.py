@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SplitPlan
-from .errors import EmptyInput, LengthMismatch, NoLargeClusters
+from .errors import ConfigError, EmptyInput, LengthMismatch, NoLargeClusters
 from .fingerprint import Fingerprint
 from .rng import generator
 
@@ -71,10 +71,10 @@ def neighbor_matrix(fps: list[Fingerprint], cutoff: float) -> np.ndarray:
 
 def butina_cluster(fps: list[Fingerprint], cutoff: float) -> Clustering:
     """Greedy neighbor-count clustering at the given similarity cutoff."""
+    if not 0.0 < cutoff <= 1.0:
+        raise ConfigError(f"cutoff must be in (0, 1], got {cutoff}")
     if not fps:
         raise EmptyInput("cannot cluster an empty fingerprint list")
-    if not 0.0 < cutoff <= 1.0:
-        raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
 
     neighbors = neighbor_matrix(fps, cutoff)
     counts = neighbors.sum(axis=1)  # unassigned neighbors per item

@@ -11,18 +11,20 @@ contract.
 from __future__ import annotations
 
 import hashlib
+import string
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMolecule, LengthMismatch
+from .errors import ConfigError, EmptyMolecule, LengthMismatch
 from .smiles import MolecularGraph
 
 __all__ = ["Fingerprint", "atom_invariant", "morgan_fingerprint", "tanimoto"]
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 512
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 
 def _hash64(payload: bytes) -> int:
@@ -68,8 +70,11 @@ class Fingerprint:
         return format(self.bits, f"0{self.nbits // 4}x")
 
     @classmethod
-    def from_hex(cls, text: str, nbits: int = DEFAULT_NBITS) -> "Fingerprint":
-        return cls(int(text, 16), nbits)
+    def from_hex(cls, text: str) -> "Fingerprint":
+        """Inverse of `to_hex`: the width is four bits per hex digit."""
+        if not set(text) <= _HEX_DIGITS:  # int() also takes "0x", "_", "+" and spaces
+            raise ValueError(f"{text!r} is not a string of hex digits")
+        return cls(int(text, 16), 4 * len(text))
 
 
 def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
@@ -120,12 +125,12 @@ def morgan_fingerprint(
     whose covered bond set duplicates one already emitted are dropped,
     keeping the smaller identifier within a round.
     """
+    if radius < 0:
+        raise ConfigError(f"radius must be non-negative, got {radius}")
+    if nbits <= 0 or nbits & (nbits - 1):
+        raise ConfigError(f"nbits must be a power of two, got {nbits}")
     if not graph.atoms:
         raise EmptyMolecule("cannot fingerprint an empty molecule")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    if nbits <= 0 or nbits & (nbits - 1):
-        raise ValueError("nbits must be a power of two")
 
     adjacency = graph.adjacency()
     ids = [_atom_invariant(graph, i, neighbors) for i, neighbors in enumerate(adjacency)]

@@ -60,7 +60,6 @@ __all__ = [
     "run_protocol",
     "run_fraction_sweep",
     "run_cluster_protocol",
-    "emit_report",
     "write_report_files",
     "load_report",
 ]
@@ -90,6 +89,14 @@ PROTOCOL_CLUSTERS = "cluster_sweep"
 _INTEGER_FIELDS = ("reps", "resplits", "fingerprint_radius", "fingerprint_bits", "master_seed")
 
 
+def _path(name: str, value) -> str:
+    """A non-empty str or os.PathLike, as str; anything else would open a descriptor or fail late."""
+    text = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+    if not isinstance(text, str) or not text:
+        raise ConfigError(f"{name} must be a non-empty path string, got {value!r}")
+    return text
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
@@ -117,6 +124,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "dataset", str(self.dataset).lower())
         object.__setattr__(self, "embedding", str(self.embedding).lower())
+        object.__setattr__(self, "dataset_path", _path("dataset_path", self.dataset_path))
+        if self.embedding_path is not None:
+            object.__setattr__(self, "embedding_path", _path("embedding_path", self.embedding_path))
         for name in _INTEGER_FIELDS:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.workers is not None:
@@ -293,10 +303,6 @@ class ExperimentReport:
         raise KeyError(f"no summary for model={model} n={n} x={x}")
 
 
-def _trial_sort_key(trial: TrialResult) -> tuple:
-    return (trial.n, trial.x, trial.split_index, trial.rep_index, trial.model)
-
-
 # --- data preparation ---------------------------------------------------------
 
 def _load_with_features(config: ExperimentConfig) -> Dataset:
@@ -380,7 +386,7 @@ def _map_cells(tasks: list[_CellTask], workers: int) -> list[TrialResult]:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             nested = list(pool.map(_run_cell, longest_first))
     trials = [trial for cell in nested for trial in cell]
-    return sorted(trials, key=_trial_sort_key)
+    return sorted(trials, key=lambda t: (t.n, t.x, t.split_index, t.rep_index, t.model))
 
 
 def _make_cells(
@@ -568,45 +574,27 @@ def run_cluster_protocol(config: ExperimentConfig) -> ExperimentReport:
 
 # --- serialization ----------------------------------------------------------------
 
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> str:
-    """Write one report file; `fmt` is 'json' (full) or 'csv' (plot table)."""
-    if not report.trials:
-        raise InvariantViolation("refusing to emit a report with no trials")
-    if fmt == "json":
-        payload = {
-            "version": report.version,
-            "protocol": report.protocol,
-            "config": report.config,
-            "skipped_rows": report.skipped_rows,
-            "summaries": [asdict(c) for c in report.summaries],
-            "trials": [asdict(t) for t in sorted(report.trials, key=_trial_sort_key)],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    elif fmt == "csv":
-        dataset = report.config.get("dataset", "")
-        embedding = report.config.get("embedding", "")
-        lines = ["dataset,embedding,n,model,x,mean,spread"]
-        for cell in report.summaries:
-            lines.append(
-                f"{dataset},{embedding},{cell.n},{cell.model},{cell.x!r},"
-                f"{cell.mean_accuracy!r},{cell.spread!r}"
-            )
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    return path
-
-
 def write_report_files(report: ExperimentReport, out_dir: str, stem: str) -> dict[str, str]:
-    """Emit both formats under out_dir; returns the written paths."""
+    """Write `<stem>.json` (the full report) and `<stem>.csv` (the plot table) under out_dir."""
+    if not report.trials:
+        raise InvariantViolation("refusing to write a report with no trials")
     os.makedirs(out_dir, exist_ok=True)
-    return {
-        "json": emit_report(report, "json", os.path.join(out_dir, f"{stem}.json")),
-        "csv": emit_report(report, "csv", os.path.join(out_dir, f"{stem}.csv")),
-    }
+    paths = {"json": os.path.join(out_dir, f"{stem}.json"),
+             "csv": os.path.join(out_dir, f"{stem}.csv")}
+    with open(paths["json"], "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(asdict(report), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    dataset = report.config.get("dataset", "")
+    embedding = report.config.get("embedding", "")
+    lines = ["dataset,embedding,n,model,x,mean,spread"]
+    for cell in report.summaries:
+        lines.append(
+            f"{dataset},{embedding},{cell.n},{cell.model},{cell.x!r},"
+            f"{cell.mean_accuracy!r},{cell.spread!r}"
+        )
+    with open(paths["csv"], "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return paths
 
 
 def load_report(path: str) -> ExperimentReport:

@@ -1,6 +1,8 @@
 """Principal component analysis fit on training rows only.
 
 The covariance uses the L-1 divisor and a symmetric eigendecomposition.
+The eigensolver runs with numpy's bundled OpenBLAS held at one thread,
+because a threaded `eigh` returns different bits for each thread count.
 Eigenvector sign is fixed by convention: the entry of largest absolute
 value in each component is made positive, so fits are deterministic.
 Requesting more components than the sample count supports is allowed (the
@@ -11,7 +13,13 @@ training protocol fits on very small sets.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import logging
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +77,41 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _openblas_threads() -> tuple | None:
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for pattern in ("numpy.libs/libscipy_openblas64_*", "numpy/.dylibs/libscipy_openblas64_*"):
+        for path in sorted(glob.glob(os.path.join(site, pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+                get_threads = lib.scipy_openblas_get_num_threads64_
+                set_threads = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
+    logger.warning("numpy's bundled OpenBLAS not found: PCA axes may depend on the BLAS thread count")
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block on one OpenBLAS thread, then restore the previous count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     """Fit the top-k principal axes of the rows of x."""
     x = np.asarray(x)  # uint8 bits stay uint8: mean and x - mean promote to float64
@@ -88,7 +131,8 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n_rows - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    with _one_blas_thread():
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1][:k]
     values = np.clip(eigenvalues[order], 0.0, None)
     components = _fix_signs(eigenvectors[:, order].T)

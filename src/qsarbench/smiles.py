@@ -420,11 +420,11 @@ def parse_smiles(text: str) -> MolecularGraph:
 
     The result has bonds, implicit hydrogen counts and ring flags resolved.
     Raises a SmilesParseError subclass identifying the byte offset on any
-    malformed input.
+    malformed input, and at offset 0 on a string that holds no atom.
     """
-    if not text:
-        raise UnexpectedCharacter("empty SMILES", text, 0)
     atoms, bonds, from_bracket = _Parser(text).parse()
+    if not atoms:  # "", "." and ".." parse cleanly but name no molecule
+        raise UnexpectedCharacter("SMILES holds no atom", text, 0)
     graph = MolecularGraph(
         atoms=atoms,
         bonds=bonds,

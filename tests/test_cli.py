@@ -239,4 +239,56 @@ def test_exit_codes(tmp_path):
 
 def test_fingerprint_hex_round_trip_through_cluster_input(tmp_path):
     fp = morgan_fingerprint(parse_smiles("CCO"), 2, 512)
-    assert Fingerprint.from_hex(fp.to_hex(), 512) == fp
+    assert Fingerprint.from_hex(fp.to_hex()) == fp
+
+
+def test_out_of_range_flags_are_config_errors(dataset_csv, tmp_path, capsys):
+    fps = tmp_path / "fps.csv"
+    assert main(["fingerprint", "--input", dataset_csv, "--smiles-col", "mol",
+                 "--output", str(fps)]) == EXIT_OK
+    for flags in (["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--bits", "100"],
+                  ["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--radius", "-1"],
+                  ["cluster", "--fingerprints", str(fps), "--cutoff", "1.5"]):
+        capsys.readouterr()
+        assert main(flags + ["--output", str(tmp_path / "o.csv")]) == EXIT_CONFIG, flags
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_fingerprint_skips_atomless_rows(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    d.write_text("mol,label\nCCO,1\n.,0\nc1ccccc1,0\n")
+    out = tmp_path / "fps.csv"
+    assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol",
+                 "--output", str(out)]) == EXIT_OK
+    assert [r["row"] for r in csv.DictReader(open(out))] == ["0", "2"]
+    assert "(1 rows skipped)" in capsys.readouterr().out
+
+
+def write_hex_column(path, fps):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["row", "fingerprint_hex"])
+        writer.writerows((i, fp.to_hex()) for i, fp in enumerate(fps))
+
+
+def test_cluster_takes_the_width_from_the_file(tmp_path, capsys):
+    graphs = [parse_smiles(s) for s in ("CCO", "CCCO", "c1ccccc1", "CCN")]
+    narrow = tmp_path / "narrow.csv"
+    write_hex_column(narrow, [morgan_fingerprint(g, 2, 256) for g in graphs])
+    out = tmp_path / "clusters.csv"
+    assert main(["cluster", "--fingerprints", str(narrow), "--output", str(out)]) == EXIT_OK
+    assert len(list(csv.DictReader(open(out)))) == len(graphs)
+    mixed = tmp_path / "mixed.csv"
+    write_hex_column(mixed, [morgan_fingerprint(graphs[0], 2, 256),
+                             morgan_fingerprint(graphs[1], 2, 256),
+                             morgan_fingerprint(graphs[2], 2, 512)])
+    capsys.readouterr()
+    assert main(["cluster", "--fingerprints", str(mixed), "--output", str(out)]) == EXIT_DATA
+    assert "row 2 holds a 512-bit fingerprint; row 0 holds 256 bits" in capsys.readouterr().err
+
+
+def test_config_path_that_is_no_path_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": 0}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "dataset_path must be a non-empty path string" in capsys.readouterr().err

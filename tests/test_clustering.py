@@ -1,7 +1,7 @@
 import pytest
 
 from qsarbench.clustering import butina_cluster, cluster_training_plan, neighbor_matrix
-from qsarbench.errors import EmptyInput, NoLargeClusters
+from qsarbench.errors import ConfigError, EmptyInput, NoLargeClusters
 from qsarbench.fingerprint import tanimoto
 
 from test_fingerprint import fp_from_bits
@@ -119,7 +119,7 @@ def test_neighbor_matrix_matches_bruteforce(rng):
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
         butina_cluster([], 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         butina_cluster([fp_from_bits([1])], 0.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsarbench.errors import EmptyMolecule, LengthMismatch
+from qsarbench.errors import ConfigError, EmptyMolecule, LengthMismatch
 from qsarbench.fingerprint import Fingerprint, atom_invariant, morgan_fingerprint, tanimoto
 from qsarbench.smiles import MolecularGraph, Bond, parse_smiles, perceive_rings
 
@@ -108,9 +108,9 @@ def test_empty_molecule_rejected():
 
 def test_bad_nbits_rejected():
     graph = parse_smiles("C")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         morgan_fingerprint(graph, 2, 500)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         morgan_fingerprint(graph, -1, 512)
 
 
@@ -148,7 +148,17 @@ def test_tanimoto_width_mismatch():
 def test_hex_round_trip(rng):
     for _ in range(20):
         fp = fp_from_bits(rng.choice(512, size=17, replace=False))
-        assert Fingerprint.from_hex(fp.to_hex(), 512) == fp
+        assert Fingerprint.from_hex(fp.to_hex()) == fp
+
+
+def test_hex_width_is_four_bits_per_digit():
+    fp = fp_from_bits([0, 255], 256)
+    assert fp.to_hex() == "8" + "0" * 62 + "1"
+    assert Fingerprint.from_hex(fp.to_hex()) == fp
+    # prefixes, separators and spaces would count as digits of the width
+    for text in ("0xff", " ff ", "f_ff", "+fff", "00g0"):
+        with pytest.raises(ValueError):
+            Fingerprint.from_hex(text)
 
 
 def test_bit_array_round_trip(rng):

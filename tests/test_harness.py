@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qsarbench.errors import (
 from qsarbench.harness import (
     ExperimentConfig,
     ExperimentReport,
-    emit_report,
     load_report,
     run_cluster_protocol,
     run_fraction_sweep,
@@ -113,6 +113,19 @@ def test_config_validation():
         ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": "bace"})
+
+
+def test_config_path_fields_must_be_paths():
+    # an int would open a file descriptor (0 is stdin), a bool likewise
+    for value in (0, True, 3.5, ["a.csv"], ""):
+        for field, base in (("dataset_path", {}), ("embedding_path", {"dataset_path": "x.csv"})):
+            with pytest.raises(ConfigError, match=field):
+                ExperimentConfig(dataset="bace", **{**base, field: value})
+            with pytest.raises(ConfigError, match=field):
+                ExperimentConfig.from_dict({"dataset": "bace", **base, field: value})
+    config = ExperimentConfig(dataset="bace", dataset_path=Path("d.csv"), embedding="imgmol",
+                              embedding_path=Path("e.csv"))
+    assert (config.dataset_path, config.embedding_path) == ("d.csv", "e.csv")
 
 
 def test_config_undersample_defaults():
@@ -392,9 +405,7 @@ def test_imgmol_protocol_and_unknown_id(synthetic_csv, tmp_path, rng):
 
 def test_report_round_trip(synthetic_csv, tmp_path):
     report = run_protocol(tiny_config(synthetic_csv))
-    path = str(tmp_path / "report.json")
-    emit_report(report, "json", path)
-    loaded = load_report(path)
+    loaded = load_report(write_report_files(report, str(tmp_path), "report")["json"])
     assert loaded.protocol == report.protocol
     assert len(loaded.trials) == len(report.trials)
     for a, b in zip(loaded.summaries, report.summaries):
@@ -424,14 +435,10 @@ def test_emit_refuses_empty_trials(tmp_path):
     report = ExperimentReport(
         protocol="feature_sweep", config={}, version="0", skipped_rows=0, trials=[],
     )
+    out_dir = tmp_path / "out"
     with pytest.raises(InvariantViolation):
-        emit_report(report, "json", str(tmp_path / "no.json"))
-
-
-def test_emit_unknown_format(synthetic_csv, tmp_path):
-    report = run_protocol(tiny_config(synthetic_csv, reps=1, resplits=1))
-    with pytest.raises(ConfigError):
-        emit_report(report, "parquet", str(tmp_path / "x"))
+        write_report_files(report, str(out_dir), "no")
+    assert not out_dir.exists()
 
 
 def test_skipped_rows_propagate_to_report(tmp_path):
@@ -441,6 +448,21 @@ def test_skipped_rows_propagate_to_report(tmp_path):
     path = write_dataset_csv(tmp_path / "skippy.csv", smiles, labels)
     report = run_protocol(tiny_config(str(path)))
     assert report.skipped_rows == 1
+
+
+def test_atomless_smiles_row_is_skipped(tmp_path):
+    rng = np.random.Generator(np.random.Philox(5))
+    smiles, labels = synthetic_molecules(rng, rows=40)
+    smiles[5] = "."  # parses to no atom: nothing to fingerprint
+    path = write_dataset_csv(tmp_path / "dotty.csv", smiles, labels)
+    report = run_protocol(tiny_config(str(path)))
+    assert report.skipped_rows == 1
+
+
+def test_path_config_is_echoed_as_a_string(synthetic_csv, tmp_path):
+    report = run_protocol(tiny_config(Path(synthetic_csv), reps=1, resplits=1))
+    payload = json.load(open(write_report_files(report, str(tmp_path), "r")["json"]))
+    assert payload["config"]["dataset_path"] == str(synthetic_csv)
 
 
 def test_adding_reps_preserves_existing_trials(synthetic_csv):

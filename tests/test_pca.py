@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qsarbench import pca
 from qsarbench.errors import DegenerateInput, DimensionMismatch, KTooLarge
 from qsarbench.pca import PcaModel, fit_pca, transform
+
+from conftest import write_dataset_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -168,3 +178,43 @@ def test_truncate():
     assert np.array_equal(model.components, reference.components)
     assert np.array_equal(model.eigenvalues, reference.eigenvalues)
     assert np.array_equal(transform(model, bits), transform(reference, bits.astype(np.float64)))
+
+
+FIT_PCA_DIGEST = """
+import hashlib
+import numpy as np
+from qsarbench.pca import fit_pca
+x = (np.random.Generator(np.random.Philox(11)).random((1200, 512)) < 0.1).astype(np.uint8)
+model = fit_pca(x, 512)
+print(hashlib.sha256(model.components.tobytes() + model.eigenvalues.tobytes()).hexdigest())
+"""
+
+CLUSTER_REPORT = """
+import sys
+from qsarbench.harness import ExperimentConfig, run_cluster_protocol, write_report_files
+config = ExperimentConfig(dataset="bace", dataset_path=sys.argv[1], n_list=(2, 4), reps=1,
+                          resplits=1, epochs=2, batch_size=8, cluster_k=(1, 3), workers=1)
+paths = write_report_files(run_cluster_protocol(config), sys.argv[2], "r")
+print(open(paths["json"]).read() + open(paths["csv"]).read())
+"""
+
+
+def _under_blas_threads(threads: int, code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_fits_and_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if pca._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available to pin")
+    # a threaded eigh of this covariance returns other bits than a one-thread eigh
+    assert _under_blas_threads(1, FIT_PCA_DIGEST) == _under_blas_threads(2, FIT_PCA_DIGEST)
+    # k=1 fits 16 axes on 2 rows: the trailing axes span a degenerate null space
+    smiles = ["CC(=O)Oc1ccccc1C(=O)O"] * 25 + ["CCCCCCCCCC"] * 25 + ["C", "CCO", "CCN"]
+    labels = [int(i % 3 == 0) for i in range(len(smiles))]
+    data = str(write_dataset_csv(tmp_path / "d.csv", smiles, labels))
+    reports = [_under_blas_threads(t, CLUSTER_REPORT, data, str(tmp_path / str(t))) for t in (1, 2)]
+    assert reports[0] == reports[1]

@@ -251,6 +251,14 @@ def test_empty_input_rejected():
         parse_smiles("")
 
 
+def test_atomless_input_rejected():
+    # fragment separators alone parse cleanly but name no molecule to fingerprint
+    for text in (".", ".."):
+        with pytest.raises(SmilesParseError) as caught:
+            parse_smiles(text)
+        assert caught.value.offset == 0
+
+
 def test_duplicate_and_self_ring_bonds_rejected():
     with pytest.raises(ConflictingRingBond):
         parse_smiles("C11")
