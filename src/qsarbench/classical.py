@@ -4,8 +4,9 @@ The hidden layer uses tanh, the output is linear, and there are no bias
 terms anywhere, giving exactly 2(N+1) trainable parameters.  Labels are
 encoded +/-1 and trained under mean squared error so the loss scale is
 directly comparable with the quantum classifier; that loss and its chain
-rule live in `training`, and the forward is written once, over the flat
-parameter vector, in `_scores_and_backward`.
+rule live in `training`, and the model is its score function, written once
+over the flat parameter vector in `_scores_and_backward`; decisions, in
+training and in `mlp_predict`, come from `training.decide`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .rng import generator
-from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, mse_loss_and_gradient,
-                       run_training)
+from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
+                       mse_loss_and_gradient, run_training)
 
 __all__ = ["MlpParams", "init_mlp_params", "mlp_forward", "mlp_predict",
            "mlp_loss", "mlp_gradient", "train_mlp"]
@@ -103,8 +104,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> float | np.ndarray:
 
 def mlp_predict(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Sign of the score with ties at zero mapped to +1."""
-    scores = np.atleast_1d(mlp_forward(params, x))
-    return np.where(scores >= 0.0, 1, -1)
+    return decide(np.atleast_1d(mlp_forward(params, x)))
 
 
 def mlp_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
@@ -125,10 +125,5 @@ def train_mlp(
     schedule: np.ndarray,
 ) -> TrainingResult:
     """Adam-train the perceptron; `seed` fixes the init, the schedule the batches."""
-    n_features = data.train_x.shape[1]
-    params = init_mlp_params(n_features, seed)
-
-    def predict(vec, xs):
-        return mlp_predict(MlpParams.from_vector(n_features, vec), xs)
-
-    return run_training(_scores_and_backward, predict, params.to_vector(), data, config, schedule)
+    params = init_mlp_params(data.train_x.shape[1], seed)
+    return run_training(_scores_and_backward, params.to_vector(), data, config, schedule)

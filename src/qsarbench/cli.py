@@ -16,7 +16,7 @@ import numpy as np
 from .clustering import butina_cluster
 from .data import SCHEMA_PRESETS, DatasetSchema, load_dataset, undersample
 from .errors import ConfigError, DataError, InvariantViolation, QsarBenchError, SmilesParseError
-from .fingerprint import Fingerprint, morgan_fingerprint
+from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
 from .harness import (
     ExperimentConfig,
     run_cluster_protocol,
@@ -103,6 +103,7 @@ def _cmd_protocol(args, runner, protocol_name: str) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    check_morgan_settings(args.radius, args.bits)
     skipped = 0
     rows = []
     with open(args.input, newline="", encoding="utf-8") as handle:
@@ -172,7 +173,10 @@ def _cmd_cluster(args) -> int:
             if fps and 4 * len(text) != fps[0].nbits:
                 raise DataError(f"{args.fingerprints} row {index} holds a {4 * len(text)}-bit "
                                 f"fingerprint; row 0 holds {fps[0].nbits} bits")
-            fps.append(Fingerprint.from_hex(text))
+            try:
+                fps.append(Fingerprint.from_hex(text))
+            except ValueError as exc:
+                raise DataError(f"{args.fingerprints} row {index}: {exc}") from exc
     clustering = butina_cluster(fps, args.cutoff)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -193,6 +197,8 @@ def _cmd_ingest(args) -> int:
         schema = SCHEMA_PRESETS[args.schema]
     else:
         raise ConfigError(f"unknown schema {args.schema!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     data = load_dataset(args.dataset, schema)
     if args.undersample:

@@ -98,7 +98,7 @@ def cluster_training_plan(clustering: Clustering, k_per_cluster: int = 1, seed: 
     Everything else, small-cluster members included, becomes the test set.
     """
     if not 1 <= k_per_cluster <= MAX_PER_CLUSTER:
-        raise ValueError(f"k_per_cluster must be in 1..{MAX_PER_CLUSTER}, got {k_per_cluster}")
+        raise ConfigError(f"k_per_cluster must be in 1..{MAX_PER_CLUSTER}, got {k_per_cluster}")
     large = [c for c in clustering.clusters if len(c) >= LARGE_CLUSTER_MIN_SIZE]
     if not large:
         raise NoLargeClusters(f"no cluster reaches size {LARGE_CLUSTER_MIN_SIZE}")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DimensionMismatch,
     EmptyTrainSet,
@@ -266,7 +267,7 @@ def make_split(data: Dataset, seed: int) -> SplitPlan:
 def subsample_fraction(plan: SplitPlan, fraction: float, seed: int) -> SplitPlan:
     """Keep a seeded random fraction of the training indices; tests untouched."""
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     keep = _round_half_up(fraction * plan.train_indices.size)
     if keep == 0:
         raise EmptyTrainSet(f"fraction {fraction} of {plan.train_indices.size} rows rounds to zero")

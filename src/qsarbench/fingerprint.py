@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigError, EmptyMolecule, LengthMismatch
 from .smiles import MolecularGraph
 
-__all__ = ["Fingerprint", "atom_invariant", "morgan_fingerprint", "tanimoto"]
+__all__ = ["Fingerprint", "atom_invariant", "check_morgan_settings", "morgan_fingerprint",
+           "tanimoto"]
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 512
@@ -40,7 +41,7 @@ class Fingerprint:
 
     def __post_init__(self):
         if self.nbits <= 0 or self.nbits & (self.nbits - 1):
-            raise ValueError("nbits must be a power of two")
+            raise ValueError(f"nbits must be a power of two, got {self.nbits}")
         if self.bits < 0 or self.bits >> self.nbits:
             raise ValueError("bits out of range for nbits")
 
@@ -112,6 +113,14 @@ def _environment_hash(radius: int, center_id: int, neighborhood: list[tuple[int,
     return _hash64(b"".join(parts))
 
 
+def check_morgan_settings(radius: int, nbits: int) -> None:
+    """Raise ConfigError unless `radius` >= 0 and `nbits` is a power of two."""
+    if radius < 0:
+        raise ConfigError(f"fingerprint radius must be >= 0, got {radius}")
+    if nbits <= 0 or nbits & (nbits - 1):
+        raise ConfigError(f"fingerprint bits must be a power of two, got {nbits}")
+
+
 def morgan_fingerprint(
     graph: MolecularGraph,
     radius: int = DEFAULT_RADIUS,
@@ -125,10 +134,7 @@ def morgan_fingerprint(
     whose covered bond set duplicates one already emitted are dropped,
     keeping the smaller identifier within a round.
     """
-    if radius < 0:
-        raise ConfigError(f"radius must be non-negative, got {radius}")
-    if nbits <= 0 or nbits & (nbits - 1):
-        raise ConfigError(f"nbits must be a power of two, got {nbits}")
+    check_morgan_settings(radius, nbits)
     if not graph.atoms:
         raise EmptyMolecule("cannot fingerprint an empty molecule")
 

@@ -46,7 +46,7 @@ from .data import (
     undersample,
 )
 from .errors import ConfigError, InvariantViolation, NonFiniteTraining, QsarBenchError
-from .fingerprint import Fingerprint, morgan_fingerprint
+from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
 from .pca import fit_pca, transform
 from .quantum import train_quantum
 from .rng import derive_seed
@@ -173,14 +173,10 @@ class ExperimentConfig:
             )
         if not 0.0 < self.cluster_cutoff <= 1.0:
             raise ConfigError(f"cluster_cutoff must lie in (0, 1], got {self.cluster_cutoff}")
-        bits = self.fingerprint_bits
-        if bits <= 0 or bits & (bits - 1):
-            raise ConfigError(f"fingerprint_bits must be a power of two, got {bits}")
-        if self.fingerprint_radius < 0:
-            raise ConfigError("fingerprint_radius must be >= 0")
+        check_morgan_settings(self.fingerprint_radius, self.fingerprint_bits)
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        width = bits if self.embedding == "mgfp" else EMBEDDING_DIM
+        width = self.fingerprint_bits if self.embedding == "mgfp" else EMBEDDING_DIM
         if 1 << max(self.n_list) > width:
             raise ConfigError(
                 f"n={max(self.n_list)} needs {1 << max(self.n_list)} features; "

@@ -7,8 +7,10 @@ public angle-gradient path is the parameter-shift rule; the batched
 trainer computes the same derivatives with the simulator's adjoint sweep
 (`simulator.adjoint_gradient`: one gate pass forward, one backward)
 because a shift evaluation per angle is two orders of magnitude more
-circuit work.  This module holds only the readout; the circuit's structure
-lives in `simulator`, the MSE loss and its chain rule in `training`.  The
+circuit work.  This module holds only the readout: the model supplies its
+score function, `_scores_and_backward`, and its decisions, in training and
+in `q_predict`, come from `training.decide`.  The circuit's structure lives
+in `simulator`, the MSE loss and its chain rule in `training`.  The
 equality of the two gradient paths is part of the test suite.
 """
 
@@ -29,8 +31,8 @@ from .simulator import (
     run_ansatz_array,
     z_expectations_array,
 )
-from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, mse_loss_and_gradient,
-                       run_training)
+from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
+                       mse_loss_and_gradient, run_training)
 
 __all__ = ["QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
            "q_loss", "q_gradient", "train_quantum"]
@@ -123,8 +125,8 @@ def q_forward(params: QuantumModelParams, x: np.ndarray) -> float | np.ndarray:
 
 
 def q_predict(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
-    scores = np.atleast_1d(q_forward(params, x))
-    return np.where(scores >= 0.0, 1, -1)
+    """Sign of the readout score with ties at zero mapped to +1."""
+    return decide(np.atleast_1d(q_forward(params, x)))
 
 
 def q_loss(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> float:
@@ -153,10 +155,5 @@ def train_quantum(
     n_features = data.train_x.shape[1]
     if n_features < 2 or n_features & (n_features - 1):
         raise DimensionMismatch(f"feature count {n_features} is not a power of two")
-    n_qubits = int(math.log2(n_features))
-    params = init_quantum_params(n_qubits, seed)
-
-    def predict(vec, xs):
-        return q_predict(QuantumModelParams.from_vector(n_qubits, vec), xs)
-
-    return run_training(_scores_and_backward, predict, params.to_vector(), data, config, schedule)
+    params = init_quantum_params(int(math.log2(n_features)), seed)
+    return run_training(_scores_and_backward, params.to_vector(), data, config, schedule)

@@ -3,13 +3,14 @@
 Both classifiers train through `run_training` so they share one loss and its
 chain rule, consume identical batch schedules, track the same per-epoch
 trace, and report the best test accuracy over the run.  A model supplies
-`scores_and_backward(vec, x) -> (scores, backward)` over its flat parameter
-vector, where `backward` maps d(loss)/d(scores) to the flat gradient.  A
-batch schedule is a read-only (epochs, train rows) array holding one
-shuffled row order per epoch, a pure function of its seed; `run_training`
-cuts each order into batches of `OptimizerConfig.batch_size` rows, the one
-place the batch size and the Adam settings are written.  The schedule's
-digest is recorded so the harness can assert that paired trainers really
+only `scores_and_backward(vec, x) -> (scores, backward)` over its flat
+parameter vector, where `backward` maps d(loss)/d(scores) to the flat
+gradient; every decision, per epoch here and in the models' predict
+functions, is `decide(scores)`.  A batch schedule is a read-only
+(epochs, train rows) array holding one shuffled row order per epoch, a pure
+function of its seed; `run_training` cuts each order into batches of
+`OptimizerConfig.batch_size` rows, the one place the batch size and the
+Adam settings are written.  The schedule's digest is recorded so the harness can assert that paired trainers really
 saw the same batches.
 """
 
@@ -37,6 +38,7 @@ __all__ = [
     "batch_schedule",
     "schedule_digest",
     "mse_loss_and_gradient",
+    "decide",
     "run_training",
 ]
 
@@ -161,6 +163,11 @@ def mse_loss_and_gradient(scores_and_backward: ScoresAndBackward, vec: np.ndarra
     return loss, backward(2.0 * residual / x.shape[0])
 
 
+def decide(scores: np.ndarray) -> np.ndarray:
+    """The +/-1 decision for each score: its sign, with a score of zero deciding +1."""
+    return np.where(scores >= 0.0, 1, -1)
+
+
 @dataclass
 class TrainingResult:
     params: np.ndarray
@@ -175,13 +182,12 @@ class TrainingResult:
 
 def run_training(
     scores_and_backward: ScoresAndBackward,
-    predict: Callable[[np.ndarray, np.ndarray], np.ndarray],
     params0: np.ndarray,
     data: SupervisedSplit,
     config: OptimizerConfig,
     schedule: np.ndarray,
 ) -> TrainingResult:
-    """Adam-train a model on the MSE of its scores, given its score function and predict.
+    """Adam-train a model on the MSE of its scores; each epoch decides the test rows.
 
     Raises DimensionMismatch before the first step unless the schedule is
     (epochs, train rows), and NonFiniteTraining at the end of the first
@@ -212,7 +218,7 @@ def run_training(
                 f"{np.count_nonzero(~np.isfinite(params))} of {params.size} parameters non-finite"
             )
 
-        pred = predict(params, data.test_x)
+        pred = decide(scores_and_backward(params, data.test_x)[0])
         accuracies[epoch] = accuracy(pred, data.test_y)
         try:
             recalls.append(recall(pred, data.test_y))

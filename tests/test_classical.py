@@ -172,8 +172,8 @@ def test_explicit_schedule_is_used():
     assert result.schedule_digest == schedule_digest(schedule)
 
 
-def test_training_rebuilds_params_once_per_epoch(monkeypatch):
-    # steps work on the flat vector; only the per-epoch prediction builds MlpParams
+def test_training_never_calls_from_vector(monkeypatch):
+    # steps and the per-epoch decisions both work on the flat vector
     calls = []
     from_vector = MlpParams.from_vector.__func__
 
@@ -184,4 +184,4 @@ def test_training_rebuilds_params_once_per_epoch(monkeypatch):
     monkeypatch.setattr(MlpParams, "from_vector", classmethod(counted))
     config = OptimizerConfig(epochs=5, batch_size=1)
     train_mlp(separable_toy_data(), config, seed=1, schedule=batch_schedule(2, 5, seed=1))
-    assert len(calls) == config.epochs
+    assert not calls

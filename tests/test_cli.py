@@ -246,12 +246,21 @@ def test_out_of_range_flags_are_config_errors(dataset_csv, tmp_path, capsys):
     fps = tmp_path / "fps.csv"
     assert main(["fingerprint", "--input", dataset_csv, "--smiles-col", "mol",
                  "--output", str(fps)]) == EXIT_OK
-    for flags in (["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--bits", "100"],
-                  ["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--radius", "-1"],
-                  ["cluster", "--fingerprints", str(fps), "--cutoff", "1.5"]):
+    unparseable = tmp_path / "unparseable.csv"
+    unparseable.write_text("mol,label\nC1CC,1\n")
+    for flags, named in (
+        (["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--bits", "100"], "bits"),
+        (["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--radius", "-1"], "radius"),
+        # checked before the rows, so an input with no parseable row is no exception
+        (["fingerprint", "--input", str(unparseable), "--smiles-col", "mol", "--bits", "100"],
+         "bits"),
+        (["cluster", "--fingerprints", str(fps), "--cutoff", "1.5"], "cutoff"),
+        (["ingest", "--dataset", dataset_csv, "--schema", "bace", "--seed", "-1"], "--seed"),
+    ):
         capsys.readouterr()
         assert main(flags + ["--output", str(tmp_path / "o.csv")]) == EXIT_CONFIG, flags
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err, err
 
 
 def test_fingerprint_skips_atomless_rows(tmp_path, capsys):
@@ -285,6 +294,15 @@ def test_cluster_takes_the_width_from_the_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["cluster", "--fingerprints", str(mixed), "--output", str(out)]) == EXIT_DATA
     assert "row 2 holds a 512-bit fingerprint; row 0 holds 256 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["fff", "zz"])
+def test_cluster_names_the_file_and_row_of_a_bad_hex_cell(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"row,fingerprint_hex\n0,{text}\n")
+    assert main(["cluster", "--fingerprints", str(bad), "--output", str(tmp_path / "o.csv")]) \
+        == EXIT_DATA
+    assert f"{bad} row 0" in capsys.readouterr().err
 
 
 def test_config_path_that_is_no_path_is_a_config_error(tmp_path, capsys):

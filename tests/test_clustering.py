@@ -167,9 +167,9 @@ def test_plan_no_large_clusters():
 
 def test_plan_k_out_of_range():
     clustering = clustered_world()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         cluster_training_plan(clustering, k_per_cluster=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         cluster_training_plan(clustering, k_per_cluster=8, seed=0)
 
 

@@ -13,6 +13,7 @@ from qsarbench.data import (
     undersample,
 )
 from qsarbench.errors import (
+    ConfigError,
     DataError,
     DimensionMismatch,
     EmptyTrainSet,
@@ -231,9 +232,9 @@ def test_subsample_zero_rows_rejected():
 def test_subsample_fraction_out_of_range():
     data = small_dataset((1, 0, 1, 0))
     plan = make_split(data, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         subsample_fraction(plan, 1.5, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         subsample_fraction(plan, 0.0, seed=0)
 
 

@@ -204,8 +204,8 @@ def test_zero_epochs_rejected():
         OptimizerConfig(epochs=0)
 
 
-def test_training_rebuilds_params_once_per_epoch(monkeypatch):
-    # steps work on the flat vector; only the per-epoch prediction builds the params
+def test_training_never_calls_from_vector(monkeypatch):
+    # steps and the per-epoch decisions both work on the flat vector
     calls = []
     from_vector = QuantumModelParams.from_vector.__func__
 
@@ -216,4 +216,4 @@ def test_training_rebuilds_params_once_per_epoch(monkeypatch):
     monkeypatch.setattr(QuantumModelParams, "from_vector", classmethod(counted))
     config = OptimizerConfig(epochs=5, batch_size=2)
     train_quantum(one_hot_toy_split(), config, seed=3, schedule=batch_schedule(4, 5, seed=3))
-    assert len(calls) == config.epochs
+    assert not calls

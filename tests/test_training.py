@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import qsarbench.classical
+from qsarbench.classical import MlpParams, mlp_predict, train_mlp
 from qsarbench.errors import ConfigError, DimensionMismatch, InvariantViolation, NonFiniteTraining
+from qsarbench.metrics import accuracy
+from qsarbench.quantum import QuantumModelParams, q_predict, train_quantum
 from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule, run_training,
                                 schedule_digest)
 
@@ -24,16 +27,15 @@ def test_non_finite_epoch_raises_at_its_end(bad_score, bad_grad):
     steps = []
 
     def scores_and_backward(params, xb):
+        if xb.shape[0] != 2:                          # each epoch's call on the 4 test rows
+            return xb @ params, None
         steps.append(len(steps))
         bad = len(steps) == 3                         # first step of epoch 1
         scores = np.full(xb.shape[0], bad_score if bad else 0.0)
         return scores, lambda d_scores: np.full_like(params, bad_grad if bad else 0.1)
 
-    def predict(params, xs):
-        return np.where(xs @ params >= 0.0, 1, -1)
-
     with pytest.raises(NonFiniteTraining, match="epoch 1:") as caught:
-        run_training(scores_and_backward, predict, np.zeros(2), toy_split(),
+        run_training(scores_and_backward, np.zeros(2), toy_split(),
                      OptimizerConfig(epochs=epochs, batch_size=2), schedule)
     assert len(steps) == 4          # checked once per epoch, not per step
     assert isinstance(caught.value, InvariantViolation)
@@ -77,15 +79,11 @@ def recording_model(batches):
     return scores_and_backward
 
 
-def predict(params, xs):
-    return np.ones(xs.shape[0], dtype=int)
-
-
 @pytest.mark.parametrize("rows, epochs", [(4, 2), (9, 2), (6, 3)])
 def test_schedule_of_another_shape_rejected_before_the_first_step(rows, epochs):
     batches = []
     with pytest.raises(DimensionMismatch, match=rf"\({epochs}, {rows}\).*\(2, 6\)"):
-        run_training(recording_model(batches), predict, np.zeros(1), index_split(6),
+        run_training(recording_model(batches), np.zeros(1), index_split(6),
                      OptimizerConfig(epochs=2), batch_schedule(rows, epochs, seed=0))
     assert not batches
 
@@ -93,11 +91,13 @@ def test_schedule_of_another_shape_rejected_before_the_first_step(rows, epochs):
 def test_epoch_order_cut_into_batches_of_the_configured_size():
     schedule = batch_schedule(5, 3, seed=4)
     batches = []
-    run_training(recording_model(batches), predict, np.zeros(1), index_split(5),
+    run_training(recording_model(batches), np.zeros(1), index_split(5),
                  OptimizerConfig(epochs=3, batch_size=2), schedule)
-    assert [len(batch) for batch in batches] == [2, 2, 1] * 3
+    # each epoch: its batches, then one call on all test rows to decide them
+    assert [len(batch) for batch in batches] == [2, 2, 1, 5] * 3
     for epoch, order in enumerate(schedule):
-        np.testing.assert_array_equal(np.concatenate(batches[3 * epoch:3 * epoch + 3]), order)
+        np.testing.assert_array_equal(np.concatenate(batches[4 * epoch:4 * epoch + 3]), order)
+        np.testing.assert_array_equal(batches[4 * epoch + 3], np.arange(5))
 
 
 def test_schedule_is_read_only_epoch_orders_with_a_stable_digest():
@@ -109,3 +109,17 @@ def test_schedule_is_read_only_epoch_orders_with_a_stable_digest():
         schedule[0, 0] = 1
     # the digest of the same orders cut into batches, as reports have recorded it
     assert schedule_digest(schedule) == "4a9ba18d72950a1525e7ea9dadfc6751"
+
+
+@pytest.mark.parametrize("train, params_type, predict, width", [
+    (train_mlp, MlpParams, mlp_predict, 4),
+    (train_quantum, QuantumModelParams, q_predict, 2),
+])
+def test_epoch_decisions_are_the_public_predict(train, params_type, predict, width):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(24, 4))
+    y = np.where(rng.random(24) < 0.5, 1, -1)
+    data = SupervisedSplit(x[:16], y[:16], x[16:], y[16:])
+    result = train(data, OptimizerConfig(epochs=3, batch_size=4), 0, batch_schedule(16, 3, seed=0))
+    params = params_type.from_vector(width, result.params)
+    assert result.test_accuracy[-1] == accuracy(predict(params, data.test_x), data.test_y)
