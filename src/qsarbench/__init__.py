@@ -41,16 +41,7 @@ from .quantum import (
     q_predict,
     train_quantum,
 )
-from .simulator import (
-    AnsatzParams,
-    StateVector,
-    amplitude_embed,
-    apply_cnot,
-    apply_rot,
-    parameter_shift_gradient,
-    run_ansatz,
-    z_expectations,
-)
+from .simulator import amplitude_embed, parameter_shift_gradient, run_ansatz, z_expectations
 from .smiles import Atom, Bond, BondOrder, MolecularGraph, parse_smiles, perceive_rings
 from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_schedule
 
@@ -63,8 +54,7 @@ __all__ = [
     "PcaModel", "fit_pca", "transform",
     "OptimizerConfig", "SupervisedSplit", "TrainingResult", "batch_schedule",
     "MlpParams", "init_mlp_params", "mlp_forward", "mlp_predict", "mlp_gradient", "train_mlp",
-    "AnsatzParams", "StateVector", "amplitude_embed", "apply_rot", "apply_cnot",
-    "run_ansatz", "z_expectations", "parameter_shift_gradient",
+    "amplitude_embed", "run_ansatz", "z_expectations", "parameter_shift_gradient",
     "QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
     "q_gradient", "train_quantum",
     "Clustering", "butina_cluster", "cluster_training_plan",

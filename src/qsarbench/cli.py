@@ -9,13 +9,18 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import TextIO
 
 import numpy as np
 
 from .clustering import butina_cluster
 from .data import SCHEMA_PRESETS, DatasetSchema, load_dataset, undersample
-from .errors import ConfigError, DataError, InvariantViolation, QsarBenchError, SmilesParseError
+from .errors import (ConfigError, DataError, InvariantViolation, QsarBenchError, SmilesParseError,
+                     UnreadableFile)
 from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
 from .harness import (
     ExperimentConfig,
@@ -102,11 +107,21 @@ def _cmd_protocol(args, runner, protocol_name: str) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _open_input(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text input whose decode errors name the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise UnreadableFile(f"{path} is not valid UTF-8: {exc}") from exc
+
+
 def _cmd_fingerprint(args) -> int:
     check_morgan_settings(args.radius, args.bits)
     skipped = 0
     rows = []
-    with open(args.input, newline="", encoding="utf-8") as handle:
+    with _open_input(args.input) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.smiles_col not in reader.fieldnames:
             raise DataError(f"{args.input} lacks column {args.smiles_col!r}")
@@ -129,22 +144,44 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as handle:
+    rows = []
+    with _open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path} is empty")
-        try:
-            rows = [[float(v) for v in row] for row in reader]
-        except ValueError as exc:
-            raise DataError(f"{path} has non-numeric entries: {exc}") from exc
+        for index, row in enumerate(reader):
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise DataError(f"{path} row {index} has a non-numeric entry: {exc}") from exc
+            if len(values) != len(header):
+                raise DataError(f"{path} row {index} has {len(values)} values; "
+                                f"the header names {len(header)} columns")
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path} row {index} holds a value that is not finite")
+            rows.append(values)
     return np.array(rows, dtype=np.float64)
 
 
+def _read_fit_rows(path: str) -> list[int]:
+    fit_rows = []
+    with _open_input(path) as handle:
+        for number, line in enumerate(handle, 1):
+            if line.strip():
+                try:
+                    fit_rows.append(int(line))
+                except ValueError as exc:
+                    raise DataError(f"{path} line {number} is no row index: "
+                                    f"{line.strip()!r}") from exc
+    return fit_rows
+
+
 def _cmd_pca(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     matrix = _read_matrix(args.input)
-    with open(args.fit_rows, encoding="utf-8") as handle:
-        fit_rows = [int(line) for line in handle.read().split()]
+    fit_rows = _read_fit_rows(args.fit_rows)
     for index in fit_rows:
         if not 0 <= index < matrix.shape[0]:
             raise DataError(f"--fit-rows index {index} is outside the {matrix.shape[0]} rows "
@@ -164,7 +201,7 @@ def _cmd_pca(args) -> int:
 
 def _cmd_cluster(args) -> int:
     fps = []
-    with open(args.fingerprints, newline="", encoding="utf-8") as handle:
+    with _open_input(args.fingerprints) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.column not in reader.fieldnames:
             raise DataError(f"{args.fingerprints} lacks column {args.column!r}")

@@ -177,9 +177,9 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         width = self.fingerprint_bits if self.embedding == "mgfp" else EMBEDDING_DIM
-        if 1 << max(self.n_list) > width:
+        if max(self.n_list) > width.bit_length() - 1:   # 2**n > width, without forming 2**n
             raise ConfigError(
-                f"n={max(self.n_list)} needs {1 << max(self.n_list)} features; "
+                f"n={max(self.n_list)} needs 2**{max(self.n_list)} features; "
                 f"the {self.embedding} embedding has {width}"
             )
 

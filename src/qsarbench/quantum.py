@@ -9,9 +9,12 @@ trainer computes the same derivatives with the simulator's adjoint sweep
 because a shift evaluation per angle is two orders of magnitude more
 circuit work.  This module holds only the readout: the model supplies its
 score function, `_scores_and_backward`, and its decisions, in training and
-in `q_predict`, come from `training.decide`.  The circuit's structure lives
-in `simulator`, the MSE loss and its chain rule in `training`.  The
-equality of the two gradient paths is part of the test suite.
+in `q_predict`, come from `training.decide`.  The parameters are the
+(layers, n, 3) angle array and the readout vector, and the score function
+runs the simulator's `amplitude_embed`, `run_ansatz` and `z_expectations`
+on the whole batch.  The circuit's structure lives in `simulator`, the MSE
+loss and its chain rule in `training`.  The equality of the two gradient
+paths is part of the test suite.
 """
 
 from __future__ import annotations
@@ -23,14 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .rng import generator
-from .simulator import (
-    DEFAULT_LAYERS,
-    AnsatzParams,
-    adjoint_gradient,
-    embed_array,
-    run_ansatz_array,
-    z_expectations_array,
-)
+from .simulator import (DEFAULT_LAYERS, adjoint_gradient, amplitude_embed, run_ansatz,
+                        z_expectations)
 from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
                        mse_loss_and_gradient, run_training)
 
@@ -40,33 +37,37 @@ __all__ = ["QuantumModelParams", "init_quantum_params", "q_forward", "q_predict"
 
 @dataclass(frozen=True)
 class QuantumModelParams:
-    ansatz: AnsatzParams
+    ansatz: np.ndarray   # (layers, n, 3) rotation angles in radians
     readout: np.ndarray  # (n,)
 
     def __post_init__(self):
+        ansatz = np.asarray(self.ansatz, dtype=np.float64)
         readout = np.asarray(self.readout, dtype=np.float64)
-        if readout.shape != (self.ansatz.n_qubits,):
+        if ansatz.ndim != 3 or ansatz.shape[1] < 1 or ansatz.shape[2] != 3:
+            raise DimensionMismatch(f"angles must be (layers, n, 3), got {ansatz.shape}")
+        if readout.shape != (ansatz.shape[1],):
             raise DimensionMismatch(
-                f"readout shape {readout.shape} does not match {self.ansatz.n_qubits} qubits"
+                f"readout shape {readout.shape} does not match {ansatz.shape[1]} qubits"
             )
+        object.__setattr__(self, "ansatz", ansatz)
         object.__setattr__(self, "readout", readout)
 
     @property
     def n_qubits(self) -> int:
-        return self.ansatz.n_qubits
+        return self.ansatz.shape[1]
 
     @property
     def n_parameters(self) -> int:
-        return self.ansatz.n_angles + self.readout.size
+        return self.ansatz.size + self.readout.size
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.ansatz.angles.ravel(), self.readout])
+        return np.concatenate([self.ansatz.ravel(), self.readout])
 
     @classmethod
     def from_vector(cls, n_qubits: int, vec: np.ndarray) -> "QuantumModelParams":
         """Inverse of to_vector(); the layer count follows from the length."""
         angles, readout = _split_vector(np.asarray(vec, dtype=np.float64), n_qubits)
-        return cls(AnsatzParams(angles.copy()), readout.copy())
+        return cls(angles.copy(), readout.copy())
 
 
 def _split_vector(vec: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +84,7 @@ def init_quantum_params(n_qubits: int, seed: int, layers: int = DEFAULT_LAYERS) 
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(layers, n_qubits, 3))
     bound = 1.0 / math.sqrt(n_qubits)
     readout = rng.uniform(-bound, bound, size=n_qubits)
-    return QuantumModelParams(AnsatzParams(angles), readout)
+    return QuantumModelParams(angles, readout)
 
 
 def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
@@ -96,8 +97,8 @@ def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
     """
     n = x.shape[-1].bit_length() - 1
     angles, readout = _split_vector(vec, n)
-    final = run_ansatz_array(embed_array(x)[0], n, angles)
-    z = z_expectations_array(final, n)                 # (B, n)
+    final = run_ansatz(amplitude_embed(x), angles)
+    z = z_expectations(final)                          # (B, n)
     scores = z @ readout                               # (B,)
 
     def backward(d_scores: np.ndarray) -> np.ndarray:

@@ -10,33 +10,34 @@ Conventions, asserted by the test suite:
   with target offset (layer mod max(n-1, 1)) + 1; single qubits skip the
   entanglers.
 
+A state is its complex amplitude array and an ansatz its (layers, n, 3)
+angle array.  The state functions (`amplitude_embed`, `run_ansatz`,
+`z_expectations`) and the gate kernels take arbitrary leading batch axes, so
+one state and a whole batch of circuit evaluations go through the same numpy
+calls; the state functions read n from the amplitude width 2^n.
 Measurements are exact expectations; there is no shot sampling.  Rotations
-work on the amplitude array with stride arithmetic, and `rot_matrix` is the
-one builder of their unitaries.  A CNOT is an index gather of the basis
-states; a layer's CNOT ring is one cached gather (`ring_permutation`),
-composed from the per-gate `apply_cnot_array`.  Every kernel accepts
-arbitrary leading batch axes so whole batches of circuit evaluations run
-in single numpy calls.  The circuit's order is written here only: the
-forward sweep `run_ansatz_array`, the adjoint sweep `adjoint_gradient`
-that walks it backwards for the trainer's angle gradients, and the
-parameter-shift reference `parameter_shift_gradient`.
+work on the amplitude array with stride arithmetic (`apply_single_array`),
+and `rot_matrix` is the one builder of their unitaries.  A CNOT is an index
+gather of the basis states (`apply_cnot_array`); a layer's CNOT ring is one
+cached gather (`ring_permutation`), composed from the per-gate gathers.  The
+circuit's order is written here only: the forward sweep `run_ansatz`, the
+adjoint sweep `adjoint_gradient` that walks it backwards for the trainer's
+angle gradients, and the parameter-shift reference
+`parameter_shift_gradient`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPowerOfTwo, QubitOutOfRange, SameQubit
 
 __all__ = [
-    "AnsatzParams",
-    "StateVector",
     "amplitude_embed",
-    "apply_rot",
-    "apply_cnot",
+    "apply_single_array",
+    "apply_cnot_array",
     "run_ansatz",
     "z_expectations",
     "parameter_shift_gradient",
@@ -48,76 +49,25 @@ ZERO_NORM_THRESHOLD = 1e-12
 DEFAULT_LAYERS = 2
 
 
-@dataclass(frozen=True)
-class AnsatzParams:
-    """Rotation angles, shaped (layers, qubits, 3), in radians."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=np.float64)
-        if angles.ndim != 3 or angles.shape[2] != 3 or angles.shape[1] < 1:
-            raise DimensionMismatch(f"angles must be (layers, n, 3), got {angles.shape}")
-        object.__setattr__(self, "angles", angles)
-
-    @property
-    def layers(self) -> int:
-        return self.angles.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.angles.shape[1]
-
-    @property
-    def n_angles(self) -> int:
-        return self.angles.size
-
-    def shifted(self, layer: int, qubit: int, component: int, delta: float) -> "AnsatzParams":
-        angles = self.angles.copy()
-        angles[layer, qubit, component] += delta
-        return AnsatzParams(angles)
+def _n_qubits(width: int) -> int:
+    """The qubit count n of an amplitude width 2^n."""
+    if width < 2 or width & (width - 1):
+        raise NotPowerOfTwo(f"input length {width} is not a power of two >= 2")
+    return width.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitudes of an n-qubit register; qubit 0 is the MSB of the index."""
+def amplitude_embed(x: np.ndarray) -> np.ndarray:
+    """Normalize rows of width 2^n into (complex) amplitude vectors.
 
-    amplitudes: np.ndarray
-    n_qubits: int
-    zero_input: bool = False  # set when a zero vector was embedded as uniform
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.n_qubits < 1 or amps.shape != (1 << self.n_qubits,):
-            raise DimensionMismatch(
-                f"amplitude shape {amps.shape} does not match {self.n_qubits} qubits"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(self.amplitudes.real ** 2 + self.amplitudes.imag ** 2))
-
-
-# --- array kernels (arbitrary leading batch axes) ---------------------------
-
-def embed_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize rows into amplitude vectors; zero rows become uniform states.
-
-    Returns (amplitudes, zero_mask) where amplitudes has the input's shape
-    (complex) and zero_mask flags rows that fell back to the uniform state.
+    A row with norm below 1e-12 embeds as the uniform state.
     """
     x = np.asarray(x, dtype=np.float64)
     size = x.shape[-1]
-    if size < 2 or size & (size - 1):
-        raise NotPowerOfTwo(f"input length {size} is not a power of two >= 2")
+    _n_qubits(size)
     norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-    zero_mask = norms[..., 0] < ZERO_NORM_THRESHOLD
-    safe = np.where(norms < ZERO_NORM_THRESHOLD, 1.0, norms)
-    amps = x / safe
-    if np.any(zero_mask):
-        amps[zero_mask] = 1.0 / math.sqrt(size)
-    return amps.astype(np.complex128), zero_mask
+    zero = norms < ZERO_NORM_THRESHOLD
+    amps = np.where(zero, 1.0 / math.sqrt(size), x / np.where(zero, 1.0, norms))
+    return amps.astype(np.complex128)
 
 
 def rz_matrix(theta: float) -> np.ndarray:
@@ -225,11 +175,17 @@ def ring_permutation(layer: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]
     return ring
 
 
-def run_ansatz_array(amps: np.ndarray, n_qubits: int, angles: np.ndarray) -> np.ndarray:
-    if angles.shape[1] != n_qubits:
-        raise DimensionMismatch(
-            f"ansatz is for {angles.shape[1]} qubits, state has {n_qubits}"
-        )
+def _ansatz_angles(angles: np.ndarray, n_qubits: int) -> np.ndarray:
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim != 3 or angles.shape[1:] != (n_qubits, 3):
+        raise DimensionMismatch(f"angles must be (layers, {n_qubits}, 3), got {angles.shape}")
+    return angles
+
+
+def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The ansatz's output amplitudes; `angles` is (layers, n, 3) in radians."""
+    n_qubits = _n_qubits(amps.shape[-1])
+    angles = _ansatz_angles(angles, n_qubits)
     u = rot_matrix(*angles.transpose(2, 0, 1))
     for layer in range(angles.shape[0]):
         for q in range(n_qubits):
@@ -256,9 +212,10 @@ def z_sign_matrix(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def z_expectations_array(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+def z_expectations(amps: np.ndarray) -> np.ndarray:
+    """Exact <Z_q> for every qubit q, along the last axis."""
     probs = amps.real ** 2 + amps.imag ** 2
-    return probs @ z_sign_matrix(n_qubits)
+    return probs @ z_sign_matrix(_n_qubits(amps.shape[-1]))
 
 
 def _qubit_overlap(b: np.ndarray, a: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -308,61 +265,31 @@ def adjoint_gradient(final: np.ndarray, n_qubits: int, angles: np.ndarray,
     return 2.0 * np.einsum("lncij,lnij->lnc", derivatives, overlaps).real
 
 
-# --- StateVector-level operations --------------------------------------------
-
-def amplitude_embed(x: np.ndarray) -> StateVector:
-    """Encode a length-2^n real vector as normalized amplitudes.
-
-    A vector with norm below 1e-12 embeds as the uniform state, flagged via
-    `zero_input` on the result.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch("amplitude_embed expects a single vector")
-    amps, zero_mask = embed_array(x)
-    return StateVector(amps, int(math.log2(x.shape[0])), zero_input=bool(zero_mask))
-
-
-def apply_rot(state: StateVector, qubit: int, alpha: float, beta: float, gamma: float) -> StateVector:
-    amps = apply_single_array(state.amplitudes, state.n_qubits, qubit,
-                              rot_matrix(alpha, beta, gamma))
-    return StateVector(amps, state.n_qubits, state.zero_input)
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    amps = apply_cnot_array(state.amplitudes, state.n_qubits, control, target)
-    return StateVector(amps, state.n_qubits, state.zero_input)
-
-
-def run_ansatz(state: StateVector, params: AnsatzParams) -> StateVector:
-    amps = run_ansatz_array(state.amplitudes, state.n_qubits, params.angles)
-    return StateVector(amps, state.n_qubits, state.zero_input)
-
-
-def z_expectations(state: StateVector) -> np.ndarray:
-    """Exact <Z_q> for every qubit q."""
-    return z_expectations_array(state.amplitudes, state.n_qubits)
-
-
-def parameter_shift_gradient(x: np.ndarray, params: AnsatzParams,
+def parameter_shift_gradient(x: np.ndarray, angles: np.ndarray,
                              upstream: np.ndarray) -> np.ndarray:
-    """Gradient of sum_q upstream[q] * <Z_q> w.r.t. every rotation angle.
+    """Gradient of sum_q upstream[q] * <Z_q> w.r.t. every rotation angle,
+    for one input vector `x`; the result has the shape of `angles`.
 
     Uses the exact two-point rule: d<Z>/dtheta = (<Z>(theta + pi/2)
     - <Z>(theta - pi/2)) / 2, valid because every parametrized gate is an
     RY or RZ rotation.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    state = amplitude_embed(x)
-    if upstream.shape != (state.n_qubits,):
-        raise DimensionMismatch(
-            f"upstream must have one entry per qubit, got {upstream.shape}"
-        )
-    grad = np.zeros_like(params.angles)
-    for layer in range(params.layers):
-        for qubit in range(params.n_qubits):
-            for comp in range(3):
-                z_plus = z_expectations(run_ansatz(state, params.shifted(layer, qubit, comp, +math.pi / 2)))
-                z_minus = z_expectations(run_ansatz(state, params.shifted(layer, qubit, comp, -math.pi / 2)))
-                grad[layer, qubit, comp] = upstream @ (z_plus - z_minus) / 2.0
+    amps = amplitude_embed(x)
+    n_qubits = amps.shape[-1].bit_length() - 1
+    if amps.ndim != 1 or upstream.shape != (n_qubits,):
+        raise DimensionMismatch(f"expected one input vector and one upstream entry per qubit, "
+                                f"got shapes {amps.shape} and {upstream.shape}")
+    angles = _ansatz_angles(angles, n_qubits)
+
+    def shifted_z(index: tuple[int, ...], delta: float) -> np.ndarray:
+        shifted = angles.copy()
+        shifted[index] += delta
+        return z_expectations(run_ansatz(amps, shifted))
+
+    grad = np.zeros_like(angles)
+    for index in np.ndindex(angles.shape):
+        z_plus = shifted_z(index, +math.pi / 2)
+        z_minus = shifted_z(index, -math.pi / 2)
+        grad[index] = upstream @ (z_plus - z_minus) / 2.0
     return grad

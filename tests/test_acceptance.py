@@ -29,7 +29,6 @@ from qsarbench.pca import fit_pca
 from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_gradient, q_loss
 from qsarbench.rng import generator
 from qsarbench.simulator import (
-    AnsatzParams,
     amplitude_embed,
     apply_cnot_array,
     apply_single_array,
@@ -107,10 +106,10 @@ def test_c02_gradient_correctness():
         angles = rng.uniform(-math.pi, math.pi, size=(2, n, 3))
         upstream = rng.normal(size=n)
         x = rng.normal(size=1 << n)
-        grad = parameter_shift_gradient(x, AnsatzParams(angles), upstream)
+        grad = parameter_shift_gradient(x, angles, upstream)
 
         def objective(flat):
-            state = run_ansatz(amplitude_embed(x), AnsatzParams(flat.reshape(2, n, 3)))
+            state = run_ansatz(amplitude_embed(x), flat.reshape(2, n, 3))
             return float(upstream @ z_expectations(state))
 
         fd = _fd_gradient(objective, angles.ravel(), 1e-6)

@@ -89,6 +89,57 @@ def test_pca_fit_row_outside_the_matrix_is_a_data_error(index, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body, named", [
+    ("a,b\n1,2\nnan,5\n4,4\n", "row 1 holds a value that is not finite"),
+    ("a,b\n1,2\n3,5\n4,inf\n", "row 2 holds a value that is not finite"),
+    ("a,b\n1,2\n3,5,6\n4,4\n", "row 1 has 3 values; the header names 2 columns"),
+    ("a,b\n1,2\n3\n4,4\n", "row 1 has 1 values; the header names 2 columns"),
+    ("a,b\n1,2\n3,x\n4,4\n", "row 1 has a non-numeric entry"),
+], ids=["nan", "inf", "long-row", "short-row", "non-numeric"])
+def test_pca_names_the_file_and_row_of_a_bad_matrix_row(body, named, tmp_path, capsys):
+    inp = tmp_path / "m.csv"
+    inp.write_text(body)
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n1\n2\n")
+    out = tmp_path / "scores.csv"
+    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                 "--output", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {inp} {named}")
+    assert not out.exists()
+
+
+def test_pca_names_the_file_and_line_of_a_bad_fit_row(tmp_path, capsys):
+    inp = tmp_path / "m.csv"
+    inp.write_text("a,b\n1,2\n3,5\n4,4\n")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n\n1\n2.5\n")
+    out = tmp_path / "scores.csv"
+    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                 "--output", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {fit_rows} line 4 is no row index: '2.5'\n"
+    assert not out.exists()
+
+
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"mol,fingerprint_hex,a\nCCO,\xff,1\n")
+    good = tmp_path / "m.csv"
+    good.write_text("a\n1\n2\n")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n1\n")
+    for flags in (["fingerprint", "--input", str(bad), "--smiles-col", "mol"],
+                  ["cluster", "--fingerprints", str(bad)],
+                  ["pca", "--input", str(bad), "--k", "1", "--fit-rows", str(fit_rows)],
+                  ["pca", "--input", str(good), "--k", "1", "--fit-rows", str(bad)]):
+        capsys.readouterr()
+        assert main(flags + ["--output", str(tmp_path / "o.csv")]) == EXIT_DATA, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad} is not valid UTF-8: "), err
+        assert "can't decode byte 0xff" in err, err
+
+
 def test_ingest_command(dataset_csv, tmp_path, capsys):
     out = tmp_path / "norm.csv"
     code = main(["ingest", "--dataset", dataset_csv, "--schema", "bace",
@@ -204,7 +255,7 @@ def test_any_library_error_exits_without_traceback(dataset_csv, tmp_path, capsys
     assert capsys.readouterr().err == "internal error: no predictions\n"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # usage error -> config exit code
     assert main(["run"]) == EXIT_CONFIG
     # malformed config file -> config exit code
@@ -219,6 +270,14 @@ def test_exit_codes(tmp_path):
     cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
                                "n_list": [2, 10]}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    # so is an n whose 2**n would not fit in memory: checked without forming 2**n
+    for n in (4_000_000_000, 100_000_000_000):
+        cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
+                                   "n_list": [n]}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"n={n}" in err and "Traceback" not in err
     # non-integer counts, a fractional n and a negative seed are config errors before ingest
     # as are bools for counts or numbers, strings for numbers, and Adam settings out of range
     for bad_value in ({"reps": 1.5}, {"n_list": [2.9]}, {"master_seed": -1},
@@ -256,6 +315,11 @@ def test_out_of_range_flags_are_config_errors(dataset_csv, tmp_path, capsys):
          "bits"),
         (["cluster", "--fingerprints", str(fps), "--cutoff", "1.5"], "cutoff"),
         (["ingest", "--dataset", dataset_csv, "--schema", "bace", "--seed", "-1"], "--seed"),
+        # checked before reading, so missing input files are no data error
+        (["pca", "--input", str(tmp_path / "none.csv"), "--k", "-1",
+          "--fit-rows", str(tmp_path / "none.txt")], "--k"),
+        (["pca", "--input", str(tmp_path / "none.csv"), "--k", "0",
+          "--fit-rows", str(tmp_path / "none.txt")], "--k"),
     ):
         capsys.readouterr()
         assert main(flags + ["--output", str(tmp_path / "o.csv")]) == EXIT_CONFIG, flags

@@ -73,6 +73,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):  # 2**10 features from 512-d embeddings
         ExperimentConfig(dataset="bace", dataset_path="x.csv", embedding="imgmol",
                          embedding_path="e.csv", n_list=[10], fingerprint_bits=2048)
+    for n in (4_000_000_000, 100_000_000_000):  # rejected without forming 2**n
+        with pytest.raises(ConfigError, match=f"n={n} needs 2\\*\\*{n} features; "
+                                              f"the mgfp embedding has 512"):
+            ExperimentConfig(dataset="bace", dataset_path="x.csv", n_list=[2, n])
     # integer fields take integers only: a float is not rounded, and a string is no number
     for field, value in (("reps", 1.5), ("resplits", 2.0), ("epochs", "3"), ("batch_size", 8.5),
                          ("fingerprint_bits", 512.0), ("fingerprint_radius", 1.5),

@@ -13,7 +13,8 @@ from qsarbench.quantum import (
     q_predict,
     train_quantum,
 )
-from qsarbench.simulator import AnsatzParams, parameter_shift_gradient
+from qsarbench.simulator import (amplitude_embed, parameter_shift_gradient, run_ansatz,
+                                 z_expectations)
 from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule
 
 from test_simulator import dense_ansatz
@@ -24,25 +25,23 @@ def test_parameter_count_is_7n(n):
     params = init_quantum_params(n, seed=0)
     assert params.n_parameters == 7 * n
     roundtrip = QuantumModelParams.from_vector(n, params.to_vector())
-    np.testing.assert_array_equal(roundtrip.ansatz.angles, params.ansatz.angles)
+    np.testing.assert_array_equal(roundtrip.ansatz, params.ansatz)
     np.testing.assert_array_equal(roundtrip.readout, params.readout)
     for layers in (3, n):  # the layer count follows from the vector length
         deep = init_quantum_params(n, seed=0, layers=layers)
         roundtrip = QuantumModelParams.from_vector(n, deep.to_vector())
-        assert roundtrip.ansatz.layers == layers
-        np.testing.assert_array_equal(roundtrip.ansatz.angles, deep.ansatz.angles)
+        assert roundtrip.ansatz.shape[0] == layers
+        np.testing.assert_array_equal(roundtrip.ansatz, deep.ansatz)
         np.testing.assert_array_equal(roundtrip.readout, deep.readout)
 
 
 def test_wrong_readout_size_rejected():
     with pytest.raises(DimensionMismatch):
-        QuantumModelParams(AnsatzParams(np.zeros((2, 3, 3))), np.zeros(2))
+        QuantumModelParams(np.zeros((2, 3, 3)), np.zeros(2))
 
 
 def test_zero_readout_scores_zero_predicts_positive(rng):
-    params = QuantumModelParams(
-        AnsatzParams(rng.uniform(0, 2 * math.pi, size=(2, 2, 3))), np.zeros(2)
-    )
+    params = QuantumModelParams(rng.uniform(0, 2 * math.pi, size=(2, 2, 3)), np.zeros(2))
     x = rng.normal(size=(5, 4))
     np.testing.assert_array_equal(q_forward(params, x), 0.0)
     np.testing.assert_array_equal(q_predict(params, x), 1)
@@ -50,9 +49,7 @@ def test_zero_readout_scores_zero_predicts_positive(rng):
 
 def test_zero_angles_on_first_basis_vector():
     # |0..0> is untouched by the CNOT ring, so every <Z> is +1
-    params = QuantumModelParams(
-        AnsatzParams(np.zeros((2, 3, 3))), np.array([0.2, -0.5, 1.25])
-    )
+    params = QuantumModelParams(np.zeros((2, 3, 3)), np.array([0.2, -0.5, 1.25]))
     x = np.zeros(8)
     x[0] = 1.0
     assert q_forward(params, x) == pytest.approx(0.2 - 0.5 + 1.25, abs=1e-12)
@@ -63,7 +60,7 @@ def test_forward_matches_dense_composition_oracle(rng):
         params = init_quantum_params(2, seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=4)
         state = x / np.linalg.norm(x)
-        final = dense_ansatz(2, params.ansatz.angles) @ state.astype(np.complex128)
+        final = dense_ansatz(2, params.ansatz) @ state.astype(np.complex128)
         probs = np.abs(final) ** 2
         z = [
             sum(p * (1 if not (b >> (1 - q)) & 1 else -1) for b, p in enumerate(probs))
@@ -112,8 +109,6 @@ def test_gradient_matches_finite_differences(rng):
 def test_gradient_equals_per_sample_parameter_shift(rng):
     """The adjoint-computed angle gradient must reproduce the parameter-shift
     composition stated by the contract: upstream = 2(score - y) w / batch."""
-    from qsarbench.simulator import embed_array, run_ansatz_array, z_expectations_array
-
     # the widths the trainer runs; layers = n differentiates every ring offset
     for n, layers in [(n, 2) for n in (1, 2, 3, 4, 8)] + [(n, n) for n in (3, 4, 8)]:
         params = init_quantum_params(n, seed=n, layers=layers)
@@ -122,11 +117,10 @@ def test_gradient_equals_per_sample_parameter_shift(rng):
         y = rng.choice([-1.0, 1.0], size=batch)
         grad = q_gradient(params, x, y)
 
-        amps, _ = embed_array(x)
-        z = z_expectations_array(run_ansatz_array(amps, n, params.ansatz.angles), n)
+        z = z_expectations(run_ansatz(amplitude_embed(x), params.ansatz))
         residual = z @ params.readout - y
         g_readout = 2 / batch * (z.T @ residual)
-        g_angles = np.zeros_like(params.ansatz.angles)
+        g_angles = np.zeros_like(params.ansatz)
         for i in range(batch):
             upstream = 2 / batch * residual[i] * params.readout
             g_angles += parameter_shift_gradient(x[i], params.ansatz, upstream)

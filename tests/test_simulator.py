@@ -4,23 +4,18 @@ import numpy as np
 import pytest
 
 from qsarbench.errors import DimensionMismatch, NotPowerOfTwo, QubitOutOfRange, SameQubit
+from qsarbench.quantum import QuantumModelParams
 from qsarbench.simulator import (
-    AnsatzParams,
-    StateVector,
     adjoint_gradient,
     amplitude_embed,
-    apply_cnot,
     apply_cnot_array,
-    apply_rot,
     apply_single_array,
-    embed_array,
     entangler_offset,
     parameter_shift_gradient,
     ring_permutation,
     rot_matrix,
     rot_matrix_derivatives,
     run_ansatz,
-    run_ansatz_array,
     ry_matrix,
     rz_matrix,
     z_expectations,
@@ -60,37 +55,34 @@ def dense_ansatz(n: int, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_state(rng, n: int) -> StateVector:
+def random_state(rng, n: int) -> np.ndarray:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    amps /= np.linalg.norm(amps)
-    return StateVector(amps, n)
+    return amps / np.linalg.norm(amps)
 
 
 # --- amplitude embedding ----------------------------------------------------------
 
 def test_embed_basis_vector():
     state = amplitude_embed(np.array([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
-    assert state.n_qubits == 2
-    assert not state.zero_input
+    np.testing.assert_array_equal(state, [1, 0, 0, 0])
+    assert state.dtype == np.complex128
 
 
 def test_embed_three_four_five():
     state = amplitude_embed(np.array([3.0, 4.0]))
-    np.testing.assert_allclose(state.amplitudes, [0.6, 0.8])
+    np.testing.assert_allclose(state, [0.6, 0.8])
 
 
 def test_embed_uniform_and_z():
     state = amplitude_embed(np.ones(4))
-    np.testing.assert_allclose(state.amplitudes, 0.5)
+    np.testing.assert_allclose(state, 0.5)
     np.testing.assert_allclose(z_expectations(state), [0.0, 0.0], atol=1e-15)
 
 
 def test_embed_zero_vector_falls_back_to_uniform():
     state = amplitude_embed(np.zeros(8))
-    assert state.zero_input
-    np.testing.assert_allclose(state.amplitudes, 1 / math.sqrt(8))
-    assert abs(state.norm_squared - 1.0) < 1e-12
+    np.testing.assert_allclose(state, 1 / math.sqrt(8))
+    assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
 
 def test_embed_rejects_non_power_of_two():
@@ -109,14 +101,14 @@ def test_bit_ordering_qubit0_is_msb():
 
 def test_rot_zero_angles_is_identity(rng):
     state = random_state(rng, 3)
-    out = apply_rot(state, 1, 0.0, 0.0, 0.0)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+    out = apply_single_array(state, 3, 1, rot_matrix(0.0, 0.0, 0.0))
+    np.testing.assert_allclose(out, state, atol=1e-15)
 
 
 def test_ry_pi_flips_ground_state():
     state = amplitude_embed(np.array([1.0, 0.0]))
-    out = apply_rot(state, 0, 0.0, math.pi, 0.0)
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
+    out = apply_single_array(state, 1, 0, rot_matrix(0.0, math.pi, 0.0))
+    np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(z_expectations(out), [-1.0], atol=1e-15)
 
 
@@ -148,8 +140,8 @@ def test_single_qubit_gate_matches_dense_oracle(rng):
             state = random_state(rng, n)
             qubit = int(rng.integers(0, n))
             u = rot_matrix(*rng.uniform(-math.pi, math.pi, size=3))
-            fast = apply_single_array(state.amplitudes, n, qubit, u)
-            dense = dense_single(u, n, qubit) @ state.amplitudes
+            fast = apply_single_array(state, n, qubit, u)
+            dense = dense_single(u, n, qubit) @ state
             np.testing.assert_allclose(fast, dense, atol=1e-12)
 
 
@@ -179,20 +171,20 @@ def test_rot_derivatives_match_finite_differences(rng):
 
 def test_cnot_truth_table():
     state = amplitude_embed(np.array([0.0, 0.0, 1.0, 0.0]))  # |10>
-    out = apply_cnot(state, 0, 1)
-    np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, 1])  # |11>
+    out = apply_cnot_array(state, 2, 0, 1)
+    np.testing.assert_array_equal(out, [0, 0, 0, 1])  # |11>
 
     state = amplitude_embed(np.array([0.0, 1.0, 0.0, 0.0]))  # |01>
-    out = apply_cnot(state, 0, 1)
-    np.testing.assert_array_equal(out.amplitudes, [0, 1, 0, 0])  # unchanged
+    out = apply_cnot_array(state, 2, 0, 1)
+    np.testing.assert_array_equal(out, [0, 1, 0, 0])  # unchanged
 
 
 def test_cnot_involution(rng):
     for n in (2, 3, 4):
         state = random_state(rng, n)
         control, target = rng.choice(n, size=2, replace=False)
-        twice = apply_cnot(apply_cnot(state, control, target), control, target)
-        np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-15)
+        twice = apply_cnot_array(apply_cnot_array(state, n, control, target), n, control, target)
+        np.testing.assert_allclose(twice, state, atol=1e-15)
 
 
 def test_cnot_matches_dense_oracle(rng):
@@ -200,19 +192,19 @@ def test_cnot_matches_dense_oracle(rng):
         for _ in range(10):
             state = random_state(rng, n)
             control, target = (int(v) for v in rng.choice(n, size=2, replace=False))
-            fast = apply_cnot_array(state.amplitudes, n, control, target)
-            dense = dense_cnot(n, control, target) @ state.amplitudes
+            fast = apply_cnot_array(state, n, control, target)
+            dense = dense_cnot(n, control, target) @ state
             np.testing.assert_allclose(fast, dense, atol=1e-12)
 
 
 def test_cnot_errors(rng):
     state = random_state(rng, 2)
     with pytest.raises(SameQubit):
-        apply_cnot(state, 1, 1)
+        apply_cnot_array(state, 2, 1, 1)
     with pytest.raises(QubitOutOfRange):
-        apply_cnot(state, 0, 2)
+        apply_cnot_array(state, 2, 0, 2)
     with pytest.raises(QubitOutOfRange):
-        apply_rot(state, 5, 0.1, 0.2, 0.3)
+        apply_single_array(state, 2, 5, rot_matrix(0.1, 0.2, 0.3))
     for width in (2, 8):  # amplitude arrays that are not 2**n wide
         with pytest.raises(DimensionMismatch):
             apply_cnot_array(np.zeros((3, width)), 2, 0, 1)
@@ -246,36 +238,34 @@ def test_ring_permutation_matches_dense_cnot_product(n, rng):
 
 def test_zero_angle_ansatz_is_cnot_ring(rng):
     state = random_state(rng, 2)
-    params = AnsatzParams(np.zeros((2, 2, 3)))
-    expected = apply_cnot(apply_cnot(state, 0, 1), 1, 0)
-    expected = apply_cnot(apply_cnot(expected, 0, 1), 1, 0)
-    out = run_ansatz(state, params)
-    np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-15)
+    expected = apply_cnot_array(apply_cnot_array(state, 2, 0, 1), 2, 1, 0)
+    expected = apply_cnot_array(apply_cnot_array(expected, 2, 0, 1), 2, 1, 0)
+    out = run_ansatz(state, np.zeros((2, 2, 3)))
+    np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 def test_single_qubit_ansatz_is_two_rotations(rng):
     state = random_state(rng, 1)
     angles = rng.uniform(-math.pi, math.pi, size=(2, 1, 3))
-    params = AnsatzParams(angles)
-    expected = apply_rot(apply_rot(state, 0, *angles[0, 0]), 0, *angles[1, 0])
-    out = run_ansatz(state, params)
-    np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-15)
+    expected = apply_single_array(state, 1, 0, rot_matrix(*angles[0, 0]))
+    expected = apply_single_array(expected, 1, 0, rot_matrix(*angles[1, 0]))
+    out = run_ansatz(state, angles)
+    np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 def test_ansatz_matches_dense_oracle(rng):
     for n in (2, 3, 4):
         state = random_state(rng, n)
         angles = rng.uniform(-math.pi, math.pi, size=(2, n, 3))
-        out = run_ansatz(state, AnsatzParams(angles))
-        dense = dense_ansatz(n, angles) @ state.amplitudes
-        np.testing.assert_allclose(out.amplitudes, dense, atol=1e-12)
-        assert abs(out.norm_squared - 1.0) < 1e-12
+        out = run_ansatz(state, angles)
+        dense = dense_ansatz(n, angles) @ state
+        np.testing.assert_allclose(out, dense, atol=1e-12)
+        assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
 
 def test_norm_preserved_after_1000_random_gates(rng):
     n = 4
-    state = random_state(rng, n)
-    amps = state.amplitudes
+    amps = random_state(rng, n)
     for _ in range(1000):
         if rng.random() < 0.5:
             amps = apply_single_array(
@@ -321,7 +311,7 @@ def test_cached_z_signs_are_read_only():
 def test_z_expectations_against_explicit_sum(rng):
     for n in (1, 2, 3):
         state = random_state(rng, n)
-        probs = np.abs(state.amplitudes) ** 2
+        probs = np.abs(state) ** 2
         expected = [
             sum(p * (1 if not (b >> (n - 1 - q)) & 1 else -1) for b, p in enumerate(probs))
             for q in range(n)
@@ -329,11 +319,34 @@ def test_z_expectations_against_explicit_sum(rng):
         np.testing.assert_allclose(z_expectations(state), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 8))
+def test_batch_and_single_states_share_one_api(n, rng):
+    """A (B, 2^n) batch gives the row-by-row results, zero row included.
+
+    Embedding and ansatz are elementwise and gather kernels, so they agree
+    bit for bit; <Z> is one BLAS product, whose matrix-vector (one row) and
+    matrix-matrix (batch) code sum in different orders, so it agrees to
+    rounding.
+    """
+    x = rng.normal(size=(5, 1 << n))
+    x[2] = 0.0
+    angles = rng.uniform(0.0, 2 * math.pi, size=(2, n, 3))
+    amps = amplitude_embed(x)
+    final = run_ansatz(amps, angles)
+    z = z_expectations(final)
+    assert amps.shape == final.shape == x.shape and z.shape == (5, n)
+    np.testing.assert_array_equal(amps[2], np.full(1 << n, 1 / math.sqrt(1 << n)))
+    for row, a, f, zz in zip(x, amps, final, z):
+        assert np.array_equal(amplitude_embed(row), a)
+        assert np.array_equal(run_ansatz(a, angles), f)
+        np.testing.assert_allclose(z_expectations(f), zz, rtol=0, atol=1e-14)
+
+
 # --- parameter shift ---------------------------------------------------------------------
 
 def test_parameter_shift_zero_upstream():
-    params = AnsatzParams(np.ones((2, 2, 3)))
-    grad = parameter_shift_gradient(np.array([1.0, 2.0, 3.0, 4.0]), params, np.zeros(2))
+    grad = parameter_shift_gradient(np.array([1.0, 2.0, 3.0, 4.0]), np.ones((2, 2, 3)),
+                                    np.zeros(2))
     np.testing.assert_array_equal(grad, 0.0)
 
 
@@ -342,12 +355,12 @@ def test_parameter_shift_single_ry_closed_form():
     for theta in (0.3, math.pi / 2, 2.1):
         angles = np.zeros((1, 1, 3))
         angles[0, 0, 1] = theta
-        grad = parameter_shift_gradient(np.array([1.0, 0.0]), AnsatzParams(angles), np.ones(1))
+        grad = parameter_shift_gradient(np.array([1.0, 0.0]), angles, np.ones(1))
         assert grad[0, 0, 1] == pytest.approx(-math.sin(theta), abs=1e-12)
         assert grad[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
     angles = np.zeros((1, 1, 3))
     angles[0, 0, 1] = math.pi / 2
-    grad = parameter_shift_gradient(np.array([1.0, 0.0]), AnsatzParams(angles), np.ones(1))
+    grad = parameter_shift_gradient(np.array([1.0, 0.0]), angles, np.ones(1))
     assert grad[0, 0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -357,12 +370,10 @@ def test_parameter_shift_matches_finite_differences(rng):
         x = rng.normal(size=1 << n)
         upstream = rng.normal(size=n)
         angles = rng.uniform(-math.pi, math.pi, size=(2, n, 3))
-        params = AnsatzParams(angles)
-        grad = parameter_shift_gradient(x, params, upstream)
+        grad = parameter_shift_gradient(x, angles, upstream)
 
         def objective(flat):
-            p = AnsatzParams(flat.reshape(2, n, 3))
-            state = run_ansatz(amplitude_embed(x), p)
+            state = run_ansatz(amplitude_embed(x), flat.reshape(2, n, 3))
             return float(upstream @ z_expectations(state))
 
         h = 1e-6
@@ -381,25 +392,29 @@ def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
     """The batched adjoint sweep meets the parameter-shift contract summed
     over rows, for any per-row upstream weights, not only MSE-shaped ones."""
     for layers in (2, n):
-        params = AnsatzParams(rng.uniform(0.0, 2 * math.pi, size=(layers, n, 3)))
+        angles = rng.uniform(0.0, 2 * math.pi, size=(layers, n, 3))
         x = rng.normal(size=(4, 1 << n))
         upstream = rng.normal(size=(4, n))
         upstream[1] = 0.0                        # a row that contributes nothing
         upstream[2] = np.abs(upstream[2])
         upstream[3] = -np.abs(upstream[3])
-        amps, _ = embed_array(x)
-        final = run_ansatz_array(amps, n, params.angles)
-        grad = adjoint_gradient(final, n, params.angles, upstream)
-        reference = sum(parameter_shift_gradient(row, params, weights)
+        final = run_ansatz(amplitude_embed(x), angles)
+        grad = adjoint_gradient(final, n, angles, upstream)
+        reference = sum(parameter_shift_gradient(row, angles, weights)
                         for row, weights in zip(x, upstream))
-        assert grad.shape == params.angles.shape
+        assert grad.shape == angles.shape
         np.testing.assert_allclose(grad, reference, atol=1e-12)
     with pytest.raises(DimensionMismatch):
-        adjoint_gradient(final, n, params.angles, upstream[:, :-1])
+        adjoint_gradient(final, n, angles, upstream[:, :-1])
 
 
 def test_state_vector_validation():
+    state = amplitude_embed(np.ones(4))
+    # angles that do not fit the width, and angles that are not (layers, n, 3)
+    for shape in ((2, 3, 3), (2, 2), (2, 2, 2), (1, 2, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            run_ansatz(state, np.zeros(shape))
+    with pytest.raises(NotPowerOfTwo):
+        z_expectations(np.ones(3, dtype=complex))
     with pytest.raises(DimensionMismatch):
-        StateVector(np.ones(3, dtype=complex), 2)
-    with pytest.raises(DimensionMismatch):
-        run_ansatz(amplitude_embed(np.ones(4)), AnsatzParams(np.zeros((2, 3, 3))))
+        QuantumModelParams(np.zeros((2, 3)), np.zeros(3))
