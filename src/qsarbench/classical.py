@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DataError
 from .rng import generator
 from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
                        mse_loss_and_gradient, run_training)
@@ -33,9 +33,9 @@ class MlpParams:
 
     def __post_init__(self):
         if self.w_hidden.shape != (HIDDEN_UNITS, self.n_features):
-            raise DimensionMismatch(f"hidden weights must be (2, N), got {self.w_hidden.shape}")
+            raise DataError(f"hidden weights must be (2, N), got {self.w_hidden.shape}")
         if self.w_out.shape != (HIDDEN_UNITS,):
-            raise DimensionMismatch(f"output weights must be (2,), got {self.w_out.shape}")
+            raise DataError(f"output weights must be (2,), got {self.w_out.shape}")
 
     @property
     def n_features(self) -> int:
@@ -91,7 +91,7 @@ def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
 def _check_features(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.n_features:
-        raise DimensionMismatch(f"expected {params.n_features} features, got {x.shape[-1]}")
+        raise DataError(f"expected {params.n_features} features, got {x.shape[-1]}")
     return x
 
 

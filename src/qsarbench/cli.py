@@ -1,7 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
-invariant violation or any other library error.
+A failure prints one line to stderr and exits with the code of its type
+(the table in `errors`):
+
+    exit  raised                                    stderr
+    0     nothing                                   -
+    1     ConfigError or a usage error              config error: ...
+    2     DataError (SmilesParseError is one),      data error: ...
+          OSError or ValueError
+    3     InvariantViolation or another             internal error: ...
+          QsarBenchError
 """
 
 from __future__ import annotations
@@ -11,16 +19,12 @@ import csv
 import logging
 import math
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
-from typing import TextIO
 
 import numpy as np
 
 from .clustering import butina_cluster
-from .data import SCHEMA_PRESETS, DatasetSchema, load_dataset, undersample
-from .errors import (ConfigError, DataError, InvariantViolation, QsarBenchError, SmilesParseError,
-                     UnreadableFile)
+from .data import SCHEMA_PRESETS, DatasetSchema, load_dataset, open_input, undersample
+from .errors import ConfigError, DataError, QsarBenchError, SmilesParseError
 from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
 from .harness import (
     ExperimentConfig,
@@ -107,21 +111,11 @@ def _cmd_protocol(args, runner, protocol_name: str) -> int:
     return EXIT_OK
 
 
-@contextmanager
-def _open_input(path: str) -> Iterator[TextIO]:
-    """A UTF-8 text input whose decode errors name the file."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError as exc:
-            raise UnreadableFile(f"{path} is not valid UTF-8: {exc}") from exc
-
-
 def _cmd_fingerprint(args) -> int:
     check_morgan_settings(args.radius, args.bits)
     skipped = 0
     rows = []
-    with _open_input(args.input) as handle:
+    with open_input(args.input) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.smiles_col not in reader.fieldnames:
             raise DataError(f"{args.input} lacks column {args.smiles_col!r}")
@@ -145,7 +139,7 @@ def _cmd_fingerprint(args) -> int:
 
 def _read_matrix(path: str) -> np.ndarray:
     rows = []
-    with _open_input(path) as handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -166,7 +160,7 @@ def _read_matrix(path: str) -> np.ndarray:
 
 def _read_fit_rows(path: str) -> list[int]:
     fit_rows = []
-    with _open_input(path) as handle:
+    with open_input(path) as handle:
         for number, line in enumerate(handle, 1):
             if line.strip():
                 try:
@@ -201,7 +195,7 @@ def _cmd_pca(args) -> int:
 
 def _cmd_cluster(args) -> int:
     fps = []
-    with _open_input(args.fingerprints) as handle:
+    with open_input(args.fingerprints) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.column not in reader.fieldnames:
             raise DataError(f"{args.fingerprints} lacks column {args.column!r}")
@@ -214,6 +208,8 @@ def _cmd_cluster(args) -> int:
                 fps.append(Fingerprint.from_hex(text))
             except ValueError as exc:
                 raise DataError(f"{args.fingerprints} row {index}: {exc}") from exc
+    if not fps:
+        raise DataError(f"{args.fingerprints} holds no fingerprints to cluster")
     clustering = butina_cluster(fps, args.cutoff)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -279,9 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantViolation as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

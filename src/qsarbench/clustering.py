@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SplitPlan
-from .errors import ConfigError, EmptyInput, LengthMismatch, NoLargeClusters
+from .errors import ConfigError, DataError, InvariantViolation
 from .fingerprint import Fingerprint
 from .rng import generator
 
@@ -55,7 +55,7 @@ def neighbor_matrix(fps: list[Fingerprint], cutoff: float) -> np.ndarray:
     """Boolean matrix of pairwise Tanimoto >= cutoff (diagonal True)."""
     widths = {fp.nbits for fp in fps}
     if len(widths) > 1:
-        raise LengthMismatch(f"mixed fingerprint widths: {sorted(widths)}")
+        raise InvariantViolation(f"mixed fingerprint widths: {sorted(widths)}")
     words = np.stack([fp.to_words() for fp in fps])
     pop = np.bitwise_count(words).sum(axis=1).astype(np.int64)
     n = len(fps)
@@ -74,7 +74,7 @@ def butina_cluster(fps: list[Fingerprint], cutoff: float) -> Clustering:
     if not 0.0 < cutoff <= 1.0:
         raise ConfigError(f"cutoff must be in (0, 1], got {cutoff}")
     if not fps:
-        raise EmptyInput("cannot cluster an empty fingerprint list")
+        raise DataError("cannot cluster an empty fingerprint list")
 
     neighbors = neighbor_matrix(fps, cutoff)
     counts = neighbors.sum(axis=1)  # unassigned neighbors per item
@@ -101,7 +101,7 @@ def cluster_training_plan(clustering: Clustering, k_per_cluster: int = 1, seed: 
         raise ConfigError(f"k_per_cluster must be in 1..{MAX_PER_CLUSTER}, got {k_per_cluster}")
     large = [c for c in clustering.clusters if len(c) >= LARGE_CLUSTER_MIN_SIZE]
     if not large:
-        raise NoLargeClusters(f"no cluster reaches size {LARGE_CLUSTER_MIN_SIZE}")
+        raise DataError(f"no cluster reaches size {LARGE_CLUSTER_MIN_SIZE}")
 
     rng = generator(seed)
     picks: list[np.ndarray] = []

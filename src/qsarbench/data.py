@@ -17,23 +17,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    EmptyTrainSet,
-    MissingColumn,
-    NonBinaryLabel,
-    SingleClass,
-    SmilesParseError,
-    UnknownId,
-    UnreadableFile,
-)
+from .errors import ConfigError, DataError, SmilesParseError
 from .rng import generator
 from .smiles import MolecularGraph, parse_smiles
 
@@ -60,7 +51,6 @@ TRAIN_FRACTION = 0.8
 class DatasetSchema:
     smiles_col: str
     label_col: str
-    id_col: str | None = None
 
 
 SCHEMA_PRESETS: dict[str, DatasetSchema] = {
@@ -90,7 +80,7 @@ class Dataset:
             raise DataError("dataset columns have inconsistent lengths")
         bad = set(np.unique(self.labels)) - {0, 1}
         if bad:
-            raise NonBinaryLabel(f"labels outside {{0,1}}: {sorted(bad)}")
+            raise DataError(f"labels outside {{0,1}}: {sorted(bad)}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -134,16 +124,30 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _coerce_label(text: str, row: int) -> int:
+def _coerce_label(path: str, text: str, row: int) -> int:
     try:
         value = float(text.strip())
     except (ValueError, AttributeError):
-        raise NonBinaryLabel(f"row {row}: label {text!r} is not numeric") from None
+        raise DataError(f"{path} row {row}: label {text!r} is not numeric") from None
     if value == 0.0:
         return 0
     if value == 1.0:
         return 1
-    raise NonBinaryLabel(f"row {row}: label {text!r} is not 0 or 1")
+    raise DataError(f"{path} row {row}: label {text!r} is not 0 or 1")
+
+
+@contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text input whose open and decode errors are DataErrors naming the file."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def load_dataset(path: str, schema: DatasetSchema,
@@ -153,41 +157,33 @@ def load_dataset(path: str, schema: DatasetSchema,
     With `featurize`, each parsed graph becomes one feature row and is then
     dropped; the stacked matrix keeps the featurizer's dtype (uint8 for mgfp).
     """
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise UnreadableFile(f"cannot open {path}: {exc}") from exc
-
     ids: list[str] = []
     smiles: list[str] = []
     labels: list[int] = []
     rows: list[np.ndarray] = []
     skipped: list[str] = []
-    with handle:
-        try:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames
-            if header is None:
-                raise UnreadableFile(f"{path} has no header row")
-            for col in (schema.smiles_col, schema.label_col, schema.id_col):
-                if col is not None and col not in header:
-                    raise MissingColumn(f"{path} lacks column {col!r}")
-            for row_number, row in enumerate(reader):
-                text = (row[schema.smiles_col] or "").strip()
-                label = _coerce_label(row[schema.label_col], row_number)
-                row_id = row[schema.id_col] if schema.id_col else str(row_number)
-                try:
-                    graph = parse_smiles(text)
-                except SmilesParseError:
-                    skipped.append(row_id)
-                    continue
-                if featurize is not None:
-                    rows.append(featurize(graph))
-                ids.append(row_id)
-                smiles.append(text)
-                labels.append(label)
-        except UnicodeDecodeError as exc:
-            raise UnreadableFile(f"{path} is not valid UTF-8: {exc}") from exc
+    with open_input(path) as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if header is None:
+            raise DataError(f"{path} has no header row")
+        for col in (schema.smiles_col, schema.label_col):
+            if col not in header:
+                raise DataError(f"{path} lacks column {col!r}")
+        for row_number, row in enumerate(reader):
+            text = (row[schema.smiles_col] or "").strip()
+            label = _coerce_label(path, row[schema.label_col], row_number)
+            row_id = str(row_number)
+            try:
+                graph = parse_smiles(text)
+            except SmilesParseError:
+                skipped.append(row_id)
+                continue
+            if featurize is not None:
+                rows.append(featurize(graph))
+            ids.append(row_id)
+            smiles.append(text)
+            labels.append(label)
 
     if skipped:
         logger.info("skipped %d unparseable SMILES rows in %s", len(skipped), path)
@@ -199,32 +195,27 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
     """Read an `id,e0,...,e511` CSV and align rows to the given id order.
 
     Every id must have a row.  Rows of `skipped_ids` (rows the dataset loader
-    could not parse) are ignored; any other extra id raises UnknownId rather
+    could not parse) are ignored; any other extra id raises DataError rather
     than silently reordering or dropping rows.
     """
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise UnreadableFile(f"cannot open {path}: {exc}") from exc
-
     rows: dict[str, np.ndarray] = {}
-    with handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise UnreadableFile(f"{path} has no header row")
+            raise DataError(f"{path} has no header row")
         if len(header) - 1 != EMBEDDING_DIM:
-            raise DimensionMismatch(
+            raise DataError(
                 f"{path}: expected {EMBEDDING_DIM} embedding columns, got {len(header) - 1}"
             )
         for row in reader:
             if len(row) - 1 != EMBEDDING_DIM:
-                raise DimensionMismatch(
+                raise DataError(
                     f"{path}: expected {EMBEDDING_DIM} embedding columns, got {len(row) - 1}"
                 )
             key = row[0]
             if key in rows:
-                raise UnknownId(f"{path}: duplicate id {key!r}")
+                raise DataError(f"{path}: duplicate id {key!r}")
             try:
                 rows[key] = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
@@ -234,11 +225,11 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
 
     extra = set(rows) - set(ids) - set(skipped_ids)
     if extra:
-        raise UnknownId(f"{path}: ids not present in dataset: {sorted(extra)[:5]}")
+        raise DataError(f"{path}: ids not present in dataset: {sorted(extra)[:5]}")
     out = np.empty((len(ids), EMBEDDING_DIM), dtype=np.float64)
     for i, key in enumerate(ids):
         if key not in rows:
-            raise UnknownId(f"{path}: dataset id {key!r} missing from embeddings")
+            raise DataError(f"{path}: dataset id {key!r} missing from embeddings")
         out[i] = rows[key]
     return out
 
@@ -248,7 +239,7 @@ def undersample(data: Dataset, seed: int) -> Dataset:
     positive = np.flatnonzero(data.labels == 1)
     negative = np.flatnonzero(data.labels == 0)
     if positive.size == 0 or negative.size == 0:
-        raise SingleClass("undersampling needs both classes present")
+        raise DataError("undersampling needs both classes present")
     minority, majority = sorted((positive, negative), key=lambda a: a.size)
     rng = generator(seed)
     chosen = rng.choice(majority, size=minority.size, replace=False)
@@ -270,7 +261,7 @@ def subsample_fraction(plan: SplitPlan, fraction: float, seed: int) -> SplitPlan
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     keep = _round_half_up(fraction * plan.train_indices.size)
     if keep == 0:
-        raise EmptyTrainSet(f"fraction {fraction} of {plan.train_indices.size} rows rounds to zero")
+        raise DataError(f"fraction {fraction} of {plan.train_indices.size} rows rounds to zero")
     rng = generator(seed)
     chosen = rng.choice(plan.train_indices, size=keep, replace=False)
     return SplitPlan(train_indices=np.sort(chosen), test_indices=plan.test_indices.copy())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMolecule, LengthMismatch
+from .errors import ConfigError, DataError, InvariantViolation
 from .smiles import MolecularGraph
 
 __all__ = ["Fingerprint", "atom_invariant", "check_morgan_settings", "morgan_fingerprint",
@@ -136,7 +136,7 @@ def morgan_fingerprint(
     """
     check_morgan_settings(radius, nbits)
     if not graph.atoms:
-        raise EmptyMolecule("cannot fingerprint an empty molecule")
+        raise DataError("cannot fingerprint an empty molecule")
 
     adjacency = graph.adjacency()
     ids = [_atom_invariant(graph, i, neighbors) for i, neighbors in enumerate(adjacency)]
@@ -183,7 +183,7 @@ def morgan_fingerprint(
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a AND b| / |a OR b|, with the all-zero pair defined as 1.0."""
     if a.nbits != b.nbits:
-        raise LengthMismatch(f"fingerprint widths differ: {a.nbits} vs {b.nbits}")
+        raise InvariantViolation(f"fingerprint widths differ: {a.nbits} vs {b.nbits}")
     union = (a.bits | b.bits).bit_count()
     if union == 0:
         return 1.0

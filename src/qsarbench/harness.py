@@ -45,7 +45,7 @@ from .data import (
     subsample_fraction,
     undersample,
 )
-from .errors import ConfigError, InvariantViolation, NonFiniteTraining, QsarBenchError
+from .errors import ConfigError, InvariantViolation, QsarBenchError
 from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
 from .pca import fit_pca, transform
 from .quantum import train_quantum
@@ -203,6 +203,8 @@ class ExperimentConfig:
                 raw = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -347,7 +349,7 @@ def _run_cell(task: _CellTask) -> list[TrialResult]:
                                      ("quantum", train_quantum, _STREAM_QUANTUM_INIT)):
             try:
                 outcomes[model] = train(data, task.optimizer, derive_seed(rep_seed, stream), schedule)
-            except NonFiniteTraining as exc:
+            except InvariantViolation as exc:
                 raise InvariantViolation(
                     f"split_index={task.split_index} n={task.n} x={task.x} "
                     f"rep_seed={rep_seed} model={model}: {exc}"

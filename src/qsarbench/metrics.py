@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptySequence, LengthMismatch, NoPositives
+from .errors import InvariantViolation
 
 __all__ = ["accuracy", "recall"]
 
@@ -14,20 +14,20 @@ def accuracy(pred, truth) -> float:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
-        raise LengthMismatch(f"length mismatch: {pred.shape} vs {truth.shape}")
+        raise InvariantViolation(f"length mismatch: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
-        raise EmptySequence("accuracy of an empty sequence is undefined")
+        raise InvariantViolation("accuracy of an empty sequence is undefined")
     return float(np.mean(pred == truth))
 
 
-def recall(pred, truth) -> float:
-    """True-positive rate with the positive class encoded as +1."""
+def recall(pred, truth) -> float | None:
+    """True-positive rate with the positive class encoded as +1; None without positives."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
-        raise LengthMismatch(f"length mismatch: {pred.shape} vs {truth.shape}")
+        raise InvariantViolation(f"length mismatch: {pred.shape} vs {truth.shape}")
     positives = truth == 1
     if not positives.any():
-        raise NoPositives("truth contains no positive labels")
+        return None
     tp = np.sum(positives & (pred == 1))
     return float(tp / positives.sum())

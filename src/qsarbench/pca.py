@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, KTooLarge
+from .errors import DataError
 
 __all__ = ["PcaModel", "fit_pca", "transform"]
 
@@ -47,7 +47,7 @@ class PcaModel:
 
     def truncate(self, k: int) -> "PcaModel":
         if k > self.n_components:
-            raise KTooLarge(f"cannot truncate to {k} of {self.n_components} components")
+            raise DataError(f"cannot truncate to {k} of {self.n_components} components")
         return PcaModel(self.mean, self.components[:k], self.eigenvalues[:k])
 
     def to_csv(self, path: str) -> None:
@@ -64,7 +64,7 @@ class PcaModel:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = [np.array([float(v) for v in row]) for row in csv.reader(handle)]
         if len(rows) < 3:
-            raise DimensionMismatch(f"{path}: expected mean, components and eigenvalues")
+            raise DataError(f"{path}: expected mean, components and eigenvalues")
         return cls(mean=rows[0], components=np.vstack(rows[1:-1]), eigenvalues=rows[-1])
 
 
@@ -116,12 +116,12 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     """Fit the top-k principal axes of the rows of x."""
     x = np.asarray(x)  # uint8 bits stay uint8: mean and x - mean promote to float64
     if x.ndim != 2:
-        raise DimensionMismatch("expected a 2-D sample matrix")
+        raise DataError("expected a 2-D sample matrix")
     n_rows, n_cols = x.shape
     if n_rows < 2:
-        raise DegenerateInput(f"need at least 2 rows to fit a covariance, got {n_rows}")
+        raise DataError(f"need at least 2 rows to fit a covariance, got {n_rows}")
     if k < 1 or k > n_cols:
-        raise KTooLarge(f"k={k} outside [1, {n_cols}]")
+        raise DataError(f"k={k} outside [1, {n_cols}]")
     if k > n_rows - 1:
         logger.warning(
             "k=%d exceeds the covariance rank bound %d; trailing components have zero variance",
@@ -145,7 +145,7 @@ def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] != model.n_features:
-        raise DimensionMismatch(
+        raise DataError(
             f"expected {model.n_features} columns, got {x.shape[1]}"
         )
     return (x - model.mean) @ model.components.T

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DataError
 from .rng import generator
 from .simulator import (DEFAULT_LAYERS, adjoint_gradient, amplitude_embed, run_ansatz,
                         z_expectations)
@@ -44,9 +44,9 @@ class QuantumModelParams:
         ansatz = np.asarray(self.ansatz, dtype=np.float64)
         readout = np.asarray(self.readout, dtype=np.float64)
         if ansatz.ndim != 3 or ansatz.shape[1] < 1 or ansatz.shape[2] != 3:
-            raise DimensionMismatch(f"angles must be (layers, n, 3), got {ansatz.shape}")
+            raise DataError(f"angles must be (layers, n, 3), got {ansatz.shape}")
         if readout.shape != (ansatz.shape[1],):
-            raise DimensionMismatch(
+            raise DataError(
                 f"readout shape {readout.shape} does not match {ansatz.shape[1]} qubits"
             )
         object.__setattr__(self, "ansatz", ansatz)
@@ -74,7 +74,7 @@ def _split_vector(vec: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarra
     """Views of the (layers, n, 3) angles and the (n,) readout in a flat vector."""
     n_angles = vec.size - n_qubits
     if n_angles < 0 or n_angles % (3 * n_qubits):
-        raise DimensionMismatch(f"{vec.size} parameters are not whole layers on {n_qubits} qubits")
+        raise DataError(f"{vec.size} parameters are not whole layers on {n_qubits} qubits")
     return vec[:n_angles].reshape(-1, n_qubits, 3), vec[n_angles:]
 
 
@@ -111,7 +111,7 @@ def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
 def _check_features(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != 1 << params.n_qubits:
-        raise DimensionMismatch(
+        raise DataError(
             f"expected {1 << params.n_qubits} features for {params.n_qubits} qubits, "
             f"got {x.shape[-1]}"
         )
@@ -155,6 +155,6 @@ def train_quantum(
     """Adam-train the hybrid classifier; contract mirrors train_mlp."""
     n_features = data.train_x.shape[1]
     if n_features < 2 or n_features & (n_features - 1):
-        raise DimensionMismatch(f"feature count {n_features} is not a power of two")
+        raise DataError(f"feature count {n_features} is not a power of two")
     params = init_quantum_params(int(math.log2(n_features)), seed)
     return run_training(_scores_and_backward, params.to_vector(), data, config, schedule)

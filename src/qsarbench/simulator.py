@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPowerOfTwo, QubitOutOfRange, SameQubit
+from .errors import DataError, InvariantViolation
 
 __all__ = [
     "amplitude_embed",
@@ -52,7 +52,7 @@ DEFAULT_LAYERS = 2
 def _n_qubits(width: int) -> int:
     """The qubit count n of an amplitude width 2^n."""
     if width < 2 or width & (width - 1):
-        raise NotPowerOfTwo(f"input length {width} is not a power of two >= 2")
+        raise InvariantViolation(f"input length {width} is not a power of two >= 2")
     return width.bit_length() - 1
 
 
@@ -113,7 +113,7 @@ def rot_matrix_derivatives(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_qubit(qubit: int, n_qubits: int) -> None:
     if not 0 <= qubit < n_qubits:
-        raise QubitOutOfRange(f"qubit {qubit} outside [0, {n_qubits})")
+        raise InvariantViolation(f"qubit {qubit} outside [0, {n_qubits})")
 
 
 def apply_single_array(amps: np.ndarray, n_qubits: int, qubit: int, u: np.ndarray) -> np.ndarray:
@@ -138,9 +138,9 @@ def apply_cnot_array(amps: np.ndarray, n_qubits: int, control: int, target: int)
     _check_qubit(control, n_qubits)
     _check_qubit(target, n_qubits)
     if control == target:
-        raise SameQubit("control and target must differ")
+        raise InvariantViolation("control and target must differ")
     if amps.shape[-1] != 1 << n_qubits:   # a gather would silently drop the rest
-        raise DimensionMismatch(f"{amps.shape[-1]} amplitudes for {n_qubits} qubits")
+        raise DataError(f"{amps.shape[-1]} amplitudes for {n_qubits} qubits")
     basis = np.arange(1 << n_qubits)
     # the basis state with the target bit flipped wherever the control bit is set
     flip = ((basis >> (n_qubits - 1 - control)) & 1) << (n_qubits - 1 - target)
@@ -178,7 +178,7 @@ def ring_permutation(layer: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]
 def _ansatz_angles(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3 or angles.shape[1:] != (n_qubits, 3):
-        raise DimensionMismatch(f"angles must be (layers, {n_qubits}, 3), got {angles.shape}")
+        raise DataError(f"angles must be (layers, {n_qubits}, 3), got {angles.shape}")
     return angles
 
 
@@ -247,7 +247,7 @@ def adjoint_gradient(final: np.ndarray, n_qubits: int, angles: np.ndarray,
     rotation thus serves its three angles.
     """
     if upstream.shape != (final.shape[0], n_qubits):
-        raise DimensionMismatch(f"upstream must be (rows, {n_qubits}), got {upstream.shape}")
+        raise DataError(f"upstream must be (rows, {n_qubits}), got {upstream.shape}")
     a = final
     b = (upstream @ z_sign_matrix(n_qubits).T) * a
     u, derivatives = rot_matrix_derivatives(*angles.transpose(2, 0, 1))
@@ -278,8 +278,8 @@ def parameter_shift_gradient(x: np.ndarray, angles: np.ndarray,
     amps = amplitude_embed(x)
     n_qubits = amps.shape[-1].bit_length() - 1
     if amps.ndim != 1 or upstream.shape != (n_qubits,):
-        raise DimensionMismatch(f"expected one input vector and one upstream entry per qubit, "
-                                f"got shapes {amps.shape} and {upstream.shape}")
+        raise DataError(f"expected one input vector and one upstream entry per qubit, "
+                        f"got shapes {amps.shape} and {upstream.shape}")
     angles = _ansatz_angles(angles, n_qubits)
 
     def shifted_z(index: tuple[int, ...], delta: float) -> np.ndarray:

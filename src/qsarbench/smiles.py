@@ -27,14 +27,7 @@ from .elements import (
     DEFAULT_VALENCES,
     ORGANIC_SUBSET,
 )
-from .errors import (
-    ConflictingRingBond,
-    InvalidCharge,
-    UnbalancedParenthesis,
-    UnclosedRingBond,
-    UnexpectedCharacter,
-    UnknownElement,
-)
+from .errors import SmilesParseError
 
 __all__ = ["Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles", "perceive_rings"]
 
@@ -146,16 +139,16 @@ class _Parser:
                 order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
             self.add_bond(self.prev, idx, order, offset)
         elif self.pending is not None:
-            raise UnexpectedCharacter("bond with no preceding atom", self.text, offset)
+            raise SmilesParseError("bond with no preceding atom", self.text, offset)
         self.pending = None
         self.prev = idx
 
     def add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
         if a == b:
-            raise ConflictingRingBond("ring bond closes onto its own atom", self.text, offset)
+            raise SmilesParseError("ring bond closes onto its own atom", self.text, offset)
         key = (min(a, b), max(a, b))
         if key in self.bond_keys:
-            raise ConflictingRingBond("duplicate bond between atoms", self.text, offset)
+            raise SmilesParseError("duplicate bond between atoms", self.text, offset)
         self.bond_keys.add(key)
         self.bonds.append(Bond(a, b, order))
 
@@ -168,24 +161,24 @@ class _Parser:
             if ch == "(":
                 self.take()
                 if self.prev is None or self.pending is not None:
-                    raise UnbalancedParenthesis("branch opened without an atom", self.text, offset)
+                    raise SmilesParseError("branch opened without an atom", self.text, offset)
                 self.branch_stack.append(self.prev)
             elif ch == ")":
                 self.take()
                 if not self.branch_stack:
-                    raise UnbalancedParenthesis("unmatched closing parenthesis", self.text, offset)
+                    raise SmilesParseError("unmatched closing parenthesis", self.text, offset)
                 if self.pending is not None:
-                    raise UnexpectedCharacter("dangling bond before ')'", self.text, offset)
+                    raise SmilesParseError("dangling bond before ')'", self.text, offset)
                 self.prev = self.branch_stack.pop()
             elif ch in _BOND_SYMBOLS:
                 self.take()
                 if self.pending is not None:
-                    raise UnexpectedCharacter("two consecutive bond symbols", self.text, offset)
+                    raise SmilesParseError("two consecutive bond symbols", self.text, offset)
                 self.pending = _BOND_SYMBOLS[ch]
             elif ch == ".":
                 self.take()
                 if self.pending is not None:
-                    raise UnexpectedCharacter("bond before fragment separator", self.text, offset)
+                    raise SmilesParseError("bond before fragment separator", self.text, offset)
                 self.prev = None
             elif ch in _DIGITS or ch == "%":
                 self.ring_closure(offset)
@@ -194,27 +187,27 @@ class _Parser:
             elif ch.isalpha():
                 self.organic_atom(offset)
             else:
-                raise UnexpectedCharacter(f"unexpected character {ch!r}", self.text, offset)
+                raise SmilesParseError(f"unexpected character {ch!r}", self.text, offset)
 
         if self.open_rings:
             _, (_, _, offset) = min(self.open_rings.items(), key=lambda kv: kv[1][2])
-            raise UnclosedRingBond("ring closure never paired", self.text, offset)
+            raise SmilesParseError("ring closure never paired", self.text, offset)
         if self.branch_stack:
-            raise UnbalancedParenthesis("unclosed branch", self.text, len(self.text))
+            raise SmilesParseError("unclosed branch", self.text, len(self.text))
         if self.pending is not None:
-            raise UnexpectedCharacter("dangling bond at end of input", self.text, len(self.text))
+            raise SmilesParseError("dangling bond at end of input", self.text, len(self.text))
         return self.atoms, self.bonds, self.from_bracket
 
     def ring_closure(self, offset: int) -> None:
         if self.prev is None:
-            raise UnexpectedCharacter("ring closure with no preceding atom", self.text, offset)
+            raise SmilesParseError("ring closure with no preceding atom", self.text, offset)
         ch = self.take()
         if ch == "%":
             digits = self.read_digits()
             if len(digits) < 2:
-                raise UnexpectedCharacter("'%' needs two digits", self.text, offset)
+                raise SmilesParseError("'%' needs two digits", self.text, offset)
             if len(digits) > 2:
-                raise UnexpectedCharacter("'%' takes exactly two digits", self.text, offset)
+                raise SmilesParseError("'%' takes exactly two digits", self.text, offset)
             number = int(digits)
         else:
             number = int(ch)
@@ -223,7 +216,7 @@ class _Parser:
         if number in self.open_rings:
             other, other_symbol, _ = self.open_rings.pop(number)
             if symbol is not None and other_symbol is not None and symbol is not other_symbol:
-                raise ConflictingRingBond("ring closure bond symbols disagree", self.text, offset)
+                raise SmilesParseError("ring closure bond symbols disagree", self.text, offset)
             order = symbol or other_symbol
             if order is None:
                 both_aromatic = self.atoms[other].aromatic and self.atoms[self.prev].aromatic
@@ -245,7 +238,7 @@ class _Parser:
             atom = Atom(ATOMIC_NUMBERS[ch.upper()], aromatic=True)
             self.add_atom(atom, bracket=False, offset=offset)
             return
-        raise UnknownElement(f"unknown element {ch!r}", self.text, offset)
+        raise SmilesParseError(f"unknown element {ch!r}", self.text, offset)
 
     def bracket_atom(self, offset: int) -> None:
         self.take()  # consume '['
@@ -257,13 +250,13 @@ class _Parser:
         symbol_offset = self.pos
         symbol = self._read_symbol()
         if symbol is None:
-            raise UnknownElement("missing element symbol in brackets", self.text, symbol_offset)
+            raise SmilesParseError("missing element symbol in brackets", self.text, symbol_offset)
         aromatic = symbol.islower()
         if aromatic and symbol not in AROMATIC_BRACKET:
-            raise UnknownElement(f"{symbol!r} cannot be aromatic", self.text, symbol_offset)
+            raise SmilesParseError(f"{symbol!r} cannot be aromatic", self.text, symbol_offset)
         atomic_number = ATOMIC_NUMBERS.get(symbol.capitalize())
         if atomic_number is None:
-            raise UnknownElement(f"unknown element {symbol!r}", self.text, symbol_offset)
+            raise SmilesParseError(f"unknown element {symbol!r}", self.text, symbol_offset)
 
         hydrogens = 0
         charge = 0
@@ -272,7 +265,7 @@ class _Parser:
             ch = self.peek()
             at = self.pos
             if ch is None:
-                raise UnexpectedCharacter("unterminated bracket atom", self.text, offset)
+                raise SmilesParseError("unterminated bracket atom", self.text, offset)
             if ch == "]":
                 self.take()
                 break
@@ -287,15 +280,15 @@ class _Parser:
                 hydrogens = int(digits) if digits else 1
             elif ch in "+-":
                 if seen_charge:
-                    raise InvalidCharge("multiple charge groups", self.text, at)
+                    raise SmilesParseError("multiple charge groups", self.text, at)
                 charge = self._read_charge(at)
                 seen_charge = True
             elif ch == ":":
                 self.take()
                 if not self.read_digits():
-                    raise UnexpectedCharacter("atom class needs digits", self.text, at)
+                    raise SmilesParseError("atom class needs digits", self.text, at)
             else:
-                raise UnexpectedCharacter(f"unexpected {ch!r} in brackets", self.text, at)
+                raise SmilesParseError(f"unexpected {ch!r} in brackets", self.text, at)
 
         atom = Atom(atomic_number, formal_charge=charge, explicit_h=hydrogens,
                     aromatic=aromatic, isotope=isotope)
@@ -326,10 +319,10 @@ class _Parser:
         digits = self.read_digits()
         if digits:
             if count > 1:
-                raise InvalidCharge("repeated signs followed by digits", self.text, offset)
+                raise SmilesParseError("repeated signs followed by digits", self.text, offset)
             count = int(digits)
         if count > _MAX_CHARGE:
-            raise InvalidCharge(f"charge magnitude {count} out of range", self.text, offset)
+            raise SmilesParseError(f"charge magnitude {count} out of range", self.text, offset)
         return sign * count
 
 
@@ -424,7 +417,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     """
     atoms, bonds, from_bracket = _Parser(text).parse()
     if not atoms:  # "", "." and ".." parse cleanly but name no molecule
-        raise UnexpectedCharacter("SMILES holds no atom", text, 0)
+        raise SmilesParseError("SMILES holds no atom", text, 0)
     graph = MolecularGraph(
         atoms=atoms,
         bonds=bonds,

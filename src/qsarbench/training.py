@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyBatch, NonFiniteTraining, NoPositives
+from .errors import ConfigError, DataError, InvariantViolation
 from .metrics import accuracy, recall
 from .rng import generator
 
@@ -134,7 +134,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
 def batch_schedule(n_rows: int, epochs: int, seed: int) -> np.ndarray:
     """Each epoch's shuffled row order: a read-only int64 (epochs, n_rows) array."""
     if n_rows < 1:
-        raise EmptyBatch("cannot schedule batches over zero rows")
+        raise InvariantViolation("cannot schedule batches over zero rows")
     rng = generator(seed)
     schedule = np.empty((epochs, n_rows), dtype=np.int64)
     for order in schedule:
@@ -156,7 +156,7 @@ def mse_loss_and_gradient(scores_and_backward: ScoresAndBackward, vec: np.ndarra
     """mean((score - y)^2) over the batch rows, and its gradient in `vec`."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyBatch("gradient needs a non-empty batch of rows")
+        raise InvariantViolation("gradient needs a non-empty batch of rows")
     scores, backward = scores_and_backward(vec, x)
     residual = scores - y
     loss = float(np.mean(residual ** 2))
@@ -189,13 +189,13 @@ def run_training(
 ) -> TrainingResult:
     """Adam-train a model on the MSE of its scores; each epoch decides the test rows.
 
-    Raises DimensionMismatch before the first step unless the schedule is
-    (epochs, train rows), and NonFiniteTraining at the end of the first
+    Raises DataError before the first step unless the schedule is
+    (epochs, train rows), and InvariantViolation at the end of the first
     epoch whose mean loss or parameter vector is not finite.
     """
     expected = (config.epochs, data.train_x.shape[0])
     if schedule.shape != expected:
-        raise DimensionMismatch(f"schedule {schedule.shape} is not (epochs, train rows) {expected}")
+        raise DataError(f"schedule {schedule.shape} is not (epochs, train rows) {expected}")
 
     params = np.array(params0, dtype=np.float64)
     adam = AdamState.zeros(params.size)
@@ -213,17 +213,14 @@ def run_training(
             params = adam_step(adam, params, grad, config)
         losses[epoch] = mean_loss = float(np.mean(epoch_losses))
         if not (np.isfinite(mean_loss) and np.isfinite(params).all()):
-            raise NonFiniteTraining(
+            raise InvariantViolation(
                 f"epoch {epoch}: mean train loss {mean_loss}, "
                 f"{np.count_nonzero(~np.isfinite(params))} of {params.size} parameters non-finite"
             )
 
         pred = decide(scores_and_backward(params, data.test_x)[0])
         accuracies[epoch] = accuracy(pred, data.test_y)
-        try:
-            recalls.append(recall(pred, data.test_y))
-        except NoPositives:
-            recalls.append(None)
+        recalls.append(recall(pred, data.test_y))
 
     best_epoch = int(np.argmax(accuracies))
     return TrainingResult(

@@ -12,7 +12,7 @@ from qsarbench.classical import (
     mlp_predict,
     train_mlp,
 )
-from qsarbench.errors import ConfigError, DimensionMismatch, EmptyBatch
+from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule
 
 
@@ -56,7 +56,7 @@ def test_forward_matches_naive_two_loop_oracle(rng):
 
 def test_forward_dimension_mismatch():
     params = init_mlp_params(4, seed=0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="expected 4 features, got 5"):
         mlp_forward(params, np.ones(5))
 
 
@@ -107,7 +107,7 @@ def test_gradient_duplication_invariance(rng):
 
 def test_empty_batch_rejected():
     params = init_mlp_params(2, seed=0)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvariantViolation, match="non-empty batch"):
         mlp_gradient(params, np.empty((0, 2)), np.empty(0))
 
 

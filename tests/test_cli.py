@@ -8,7 +8,7 @@ import pytest
 import qsarbench.quantum
 import qsarbench.training
 from qsarbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
-from qsarbench.errors import EmptySequence
+from qsarbench.errors import QsarBenchError
 from qsarbench.fingerprint import Fingerprint, morgan_fingerprint
 from qsarbench.smiles import parse_smiles
 
@@ -129,10 +129,16 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
     good.write_text("a\n1\n2\n")
     fit_rows = tmp_path / "rows.txt"
     fit_rows.write_text("0\n1\n")
+    dataset = write_dataset_csv(tmp_path / "d.csv", ["CCO", "CCN"], [1, 0])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(dataset),
+                               "embedding": "imgmol", "embedding_path": str(bad)}))
     for flags in (["fingerprint", "--input", str(bad), "--smiles-col", "mol"],
                   ["cluster", "--fingerprints", str(bad)],
                   ["pca", "--input", str(bad), "--k", "1", "--fit-rows", str(fit_rows)],
-                  ["pca", "--input", str(good), "--k", "1", "--fit-rows", str(bad)]):
+                  ["pca", "--input", str(good), "--k", "1", "--fit-rows", str(bad)],
+                  ["ingest", "--dataset", str(bad), "--schema", "bace"],
+                  ["run", "--config", str(cfg)]):
         capsys.readouterr()
         assert main(flags + ["--output", str(tmp_path / "o.csv")]) == EXIT_DATA, flags
         err = capsys.readouterr().err
@@ -215,7 +221,7 @@ def test_non_finite_training_exits_with_cell_context(dataset_csv, tmp_path, caps
     monkeypatch.setattr(qsarbench.quantum, "_scores_and_backward", nan_in_one_step)
     assert main(run_config(dataset_csv, tmp_path)) == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert "split_index=0 n=2 x=2.0 rep_seed=" in err
+    assert err.startswith("internal error: split_index=0 n=2 x=2.0 rep_seed="), err
     assert "model=quantum: epoch 0: mean train loss nan" in err
 
 
@@ -248,7 +254,7 @@ def test_workers_below_one_rejected_before_ingest(tmp_path, monkeypatch):
 
 def test_any_library_error_exits_without_traceback(dataset_csv, tmp_path, capsys, monkeypatch):
     def fail(*args):
-        raise EmptySequence("no predictions")
+        raise QsarBenchError("no predictions")
 
     monkeypatch.setattr(qsarbench.training, "accuracy", fail)
     assert main(run_config(dataset_csv, tmp_path)) == EXIT_INVARIANT
@@ -262,6 +268,12 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    # a config that is not UTF-8 is a config error naming the file, not a data error
+    bad.write_bytes(b'{"dataset": "\xff"}')
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {bad} is not valid UTF-8: "), err
     # valid config pointing at a missing dataset -> data exit code
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv")}))
@@ -367,6 +379,15 @@ def test_cluster_names_the_file_and_row_of_a_bad_hex_cell(tmp_path, capsys, text
     assert main(["cluster", "--fingerprints", str(bad), "--output", str(tmp_path / "o.csv")]) \
         == EXIT_DATA
     assert f"{bad} row 0" in capsys.readouterr().err
+
+
+def test_cluster_of_a_file_without_rows_names_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("row,fingerprint_hex\n")
+    out = tmp_path / "o.csv"
+    assert main(["cluster", "--fingerprints", str(empty), "--output", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {empty} holds no fingerprints to cluster\n"
+    assert not out.exists()
 
 
 def test_config_path_that_is_no_path_is_a_config_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from qsarbench.clustering import butina_cluster, cluster_training_plan, neighbor_matrix
-from qsarbench.errors import ConfigError, EmptyInput, NoLargeClusters
+from qsarbench.errors import ConfigError, DataError
 from qsarbench.fingerprint import tanimoto
 
 from test_fingerprint import fp_from_bits
@@ -117,7 +117,7 @@ def test_neighbor_matrix_matches_bruteforce(rng):
 
 
 def test_empty_input_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="cannot cluster an empty fingerprint list"):
         butina_cluster([], 0.5)
     with pytest.raises(ConfigError):
         butina_cluster([fp_from_bits([1])], 0.0)
@@ -161,7 +161,7 @@ def test_plan_deterministic():
 def test_plan_no_large_clusters():
     fps = [fp_from_bits([int(7 * i)]) for i in range(10)]
     clustering = butina_cluster(fps, cutoff=1.0)
-    with pytest.raises(NoLargeClusters):
+    with pytest.raises(DataError, match="no cluster reaches size"):
         cluster_training_plan(clustering, k_per_cluster=1, seed=0)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,7 @@ from qsarbench.data import (
     subsample_fraction,
     undersample,
 )
-from qsarbench.errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    EmptyTrainSet,
-    MissingColumn,
-    NonBinaryLabel,
-    SingleClass,
-    UnknownId,
-    UnreadableFile,
-)
+from qsarbench.errors import ConfigError, DataError
 
 from qsarbench.fingerprint import morgan_fingerprint
 from qsarbench.smiles import parse_smiles
@@ -73,14 +65,16 @@ def test_load_dataset_featurize_gives_one_row_per_kept_smiles(tmp_path):
 
 def test_load_dataset_missing_column(tmp_path):
     path = write_dataset_csv(tmp_path / "d.csv", ["C"], [1], smiles_col="smiles", label_col="p_np")
-    with pytest.raises(MissingColumn):
+    with pytest.raises(DataError, match="lacks column 'mol'"):
         load_dataset(str(path), SCHEMA_PRESETS["bace"])
 
 
 def test_load_dataset_non_binary_label(tmp_path):
-    path = write_dataset_csv(tmp_path / "d.csv", ["C", "CC"], [1, 2])
-    with pytest.raises(NonBinaryLabel):
-        load_dataset(str(path), SCHEMA_PRESETS["bace"])
+    # the message starts with the file and the row
+    for label, named in (("2", "label '2' is not 0 or 1"), ("yes", "label 'yes' is not numeric")):
+        path = write_dataset_csv(tmp_path / "d.csv", ["C", "CC"], ["1", label])
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} row 1: {named}$"):
+            load_dataset(str(path), SCHEMA_PRESETS["bace"])
 
 
 def test_load_dataset_float_labels_coerced(tmp_path):
@@ -90,16 +84,16 @@ def test_load_dataset_float_labels_coerced(tmp_path):
 
 
 def test_load_dataset_unreadable():
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(DataError, match="cannot open /nonexistent/nowhere.csv"):
         load_dataset("/nonexistent/nowhere.csv", SCHEMA_PRESETS["bace"])
 
 
 def test_custom_schema_with_id_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("key,structure,active\nk1,CCO,1\nk2,CC,0\n", encoding="utf-8")
-    schema = DatasetSchema(smiles_col="structure", label_col="active", id_col="key")
+    schema = DatasetSchema(smiles_col="structure", label_col="active")
     data = load_dataset(str(path), schema)
-    assert data.ids == ["k1", "k2"]
+    assert data.ids == ["0", "1"]  # ids are row numbers, whatever the other columns hold
 
 
 def test_load_embeddings_alignment(tmp_path, rng):
@@ -114,23 +108,23 @@ def test_load_embeddings_alignment(tmp_path, rng):
 
 def test_load_embeddings_dimension_mismatch(tmp_path, rng):
     path = write_embeddings_csv(tmp_path / "e.csv", ["a"], rng.normal(size=(1, 511)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="expected 512 embedding columns, got 511"):
         load_embeddings(str(path), ["a"])
 
 
 def test_load_embeddings_unknown_and_missing_ids(tmp_path, rng):
     matrix = rng.normal(size=(2, 512))
     path = write_embeddings_csv(tmp_path / "e.csv", ["a", "zz"], matrix)
-    with pytest.raises(UnknownId):
+    with pytest.raises(DataError, match=r"ids not present in dataset: \['zz'\]"):
         load_embeddings(str(path), ["a", "b"])
     path2 = write_embeddings_csv(tmp_path / "e2.csv", ["a"], matrix[:1])
-    with pytest.raises(UnknownId):
+    with pytest.raises(DataError, match="dataset id 'b' missing from embeddings"):
         load_embeddings(str(path2), ["a", "b"])
     # the row of a skipped id is ignored, but every other extra or missing id still raises
     np.testing.assert_array_equal(load_embeddings(str(path), ["a"], skipped_ids=("zz",)), matrix[:1])
-    with pytest.raises(UnknownId):
+    with pytest.raises(DataError, match=r"ids not present in dataset: \['zz'\]"):
         load_embeddings(str(path), ["a"], skipped_ids=("yy",))
-    with pytest.raises(UnknownId):
+    with pytest.raises(DataError, match="dataset id 'b' missing from embeddings"):
         load_embeddings(str(path), ["a", "b"], skipped_ids=("zz",))
 
 
@@ -170,7 +164,7 @@ def test_undersample_deterministic_and_duplicate_free():
 
 
 def test_undersample_single_class():
-    with pytest.raises(SingleClass):
+    with pytest.raises(DataError, match="undersampling needs both classes present"):
         undersample(small_dataset((1, 1, 1)), seed=0)
 
 
@@ -225,7 +219,7 @@ def test_subsample_is_subset():
 def test_subsample_zero_rows_rejected():
     data = small_dataset((1, 0, 1, 0, 1, 0, 1, 0, 1, 0))
     plan = make_split(data, seed=1)
-    with pytest.raises(EmptyTrainSet):
+    with pytest.raises(DataError, match="fraction 0.01 of 8 rows rounds to zero"):
         subsample_fraction(plan, 0.01, seed=0)
 
 

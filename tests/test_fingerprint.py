@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsarbench.errors import ConfigError, EmptyMolecule, LengthMismatch
+from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.fingerprint import Fingerprint, atom_invariant, morgan_fingerprint, tanimoto
 from qsarbench.smiles import MolecularGraph, Bond, parse_smiles, perceive_rings
 
@@ -102,7 +102,7 @@ def test_permutation_invariance(rng):
 
 
 def test_empty_molecule_rejected():
-    with pytest.raises(EmptyMolecule):
+    with pytest.raises(DataError, match="cannot fingerprint an empty molecule"):
         morgan_fingerprint(MolecularGraph(atoms=[], bonds=[], implicit_h=[]), 2, 512)
 
 
@@ -141,7 +141,7 @@ def test_tanimoto_symmetry(rng):
 
 
 def test_tanimoto_width_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvariantViolation, match="fingerprint widths differ: 512 vs 256"):
         tanimoto(Fingerprint(0, 512), Fingerprint(0, 256))
 
 

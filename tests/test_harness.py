@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 import qsarbench.harness
-from qsarbench.errors import (
-    ConfigError,
-    EmptySequence,
-    InvariantViolation,
-    LengthMismatch,
-    NoPositives,
-)
+from qsarbench.errors import ConfigError, InvariantViolation
 from qsarbench.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -36,9 +30,9 @@ def test_accuracy_examples():
 
 
 def test_accuracy_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvariantViolation, match=r"length mismatch: \(1,\) vs \(2,\)"):
         accuracy([1], [1, -1])
-    with pytest.raises(EmptySequence):
+    with pytest.raises(InvariantViolation, match="accuracy of an empty sequence"):
         accuracy([], [])
 
 
@@ -49,8 +43,7 @@ def test_recall_examples():
 
 
 def test_recall_requires_positives():
-    with pytest.raises(NoPositives):
-        recall([1, 1], [-1, -1])
+    assert recall([1, 1], [-1, -1]) is None
 
 
 # --- config ------------------------------------------------------------------

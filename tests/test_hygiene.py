@@ -4,7 +4,8 @@ Every module in `src/qsarbench` must use each name it imports (a name listed
 in the module's `__all__` counts as used: it is re-exported), every name
 in an `__all__` must be defined at the top level of its module, and every
 private top-level name (one leading underscore) must be read by some module
-of the package.
+of the package.  Every exception type in `errors.py` must be raised or caught
+by name in another module, so a type that no code tells apart does not stay.
 """
 
 import ast
@@ -83,6 +84,18 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
     return unread
 
 
+def _raised_or_caught(tree: ast.Module) -> set[str]:
+    """Names a `raise` or an `except` clause of the module names."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            named.update(n.id for n in ast.walk(exc) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named.update(n.id for n in ast.walk(node.type) if isinstance(n, ast.Name))
+    return named
+
+
 def test_package_modules_found():
     assert {"data.py", "harness.py", "__init__.py"} <= {path.name for path in MODULES}
 
@@ -120,3 +133,20 @@ def test_check_catches_an_unread_private_name():
         "b.py": ast.parse("from a import _helper\n_helper()\ndef _unused(x):\n    return x\n"),
     }
     assert _unread_private_names(trees) == {"a.py": {"_OLD", "_Gone"}, "b.py": {"_unused"}}
+
+
+def test_every_error_type_is_raised_or_caught_elsewhere():
+    errors = _parse(PACKAGE / "errors.py")
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    named = set().union(*(_raised_or_caught(_parse(path)) for path in MODULES
+                          if path.name != "errors.py"))
+    assert defined - named == set(), f"error types no other module raises or catches: " \
+        f"{sorted(defined - named)}"
+
+
+def test_check_finds_raised_and_caught_names():
+    tree = ast.parse(
+        "try:\n    raise Bad('x')\nexcept (Worse, Other):\n    raise Plain\n"
+        "except Single as exc:\n    raise Wrapped(str(exc)) from exc\nUnused = 1\n"
+    )
+    assert _raised_or_caught(tree) == {"Bad", "Worse", "Other", "Plain", "Single", "Wrapped"}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsarbench import pca
-from qsarbench.errors import DegenerateInput, DimensionMismatch, KTooLarge
+from qsarbench.errors import DataError
 from qsarbench.pca import PcaModel, fit_pca, transform
 
 from conftest import write_dataset_csv
@@ -132,12 +132,12 @@ def test_rank_deficient_fit_allowed(caplog):
 
 
 def test_errors():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DataError, match="need at least 2 rows"):
         fit_pca(np.ones((1, 3)), 1)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(DataError, match=r"k=4 outside \[1, 3\]"):
         fit_pca(np.ones((5, 3)), 4)
     model = fit_pca(np.eye(3), 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="expected 3 columns, got 4"):
         transform(model, np.ones((2, 4)))
 
 
@@ -157,7 +157,7 @@ def test_truncate():
     model = fit_pca(x, 6)
     small = model.truncate(2)
     np.testing.assert_array_equal(small.components, model.components[:2])
-    with pytest.raises(KTooLarge):
+    with pytest.raises(DataError, match="cannot truncate to 7 of 6 components"):
         model.truncate(7)
     # truncating one wide fit must be exactly a narrower fit; 9 rows give a
     # rank-8 covariance, so k=16 and k=32 reach into its zero-variance

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsarbench.errors import ConfigError, DimensionMismatch, EmptyBatch
+from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.quantum import (
     QuantumModelParams,
     init_quantum_params,
@@ -36,7 +36,7 @@ def test_parameter_count_is_7n(n):
 
 
 def test_wrong_readout_size_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"readout shape \(2,\) does not match 3 qubits"):
         QuantumModelParams(np.zeros((2, 3, 3)), np.zeros(2))
 
 
@@ -72,7 +72,7 @@ def test_forward_matches_dense_composition_oracle(rng):
 
 def test_forward_feature_count_check(rng):
     params = init_quantum_params(2, seed=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="expected 4 features for 2 qubits, got 8"):
         q_forward(params, np.ones(8))
 
 
@@ -141,7 +141,7 @@ def test_parameter_shift_is_linear_in_upstream(rng):
 
 def test_empty_batch_rejected():
     params = init_quantum_params(2, seed=0)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvariantViolation, match="non-empty batch"):
         q_gradient(params, np.empty((0, 4)), np.empty(0))
 
 
@@ -188,7 +188,7 @@ def test_non_power_of_two_features_rejected():
     x = np.ones((4, 3))
     y = np.array([1, -1, 1, -1])
     data = SupervisedSplit(x, y, x.copy(), y.copy())
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="feature count 3 is not a power of two"):
         train_quantum(data, OptimizerConfig(epochs=1), seed=0,
                       schedule=batch_schedule(4, 1, seed=0))
 

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qsarbench.errors import DimensionMismatch, NotPowerOfTwo, QubitOutOfRange, SameQubit
+from qsarbench.errors import DataError, InvariantViolation
 from qsarbench.quantum import QuantumModelParams
 from qsarbench.simulator import (
     adjoint_gradient,
@@ -86,9 +87,9 @@ def test_embed_zero_vector_falls_back_to_uniform():
 
 
 def test_embed_rejects_non_power_of_two():
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(InvariantViolation, match="input length 3 is not a power of two"):
         amplitude_embed(np.ones(3))
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(InvariantViolation, match="input length 1 is not a power of two"):
         amplitude_embed(np.ones(1))
 
 
@@ -199,14 +200,14 @@ def test_cnot_matches_dense_oracle(rng):
 
 def test_cnot_errors(rng):
     state = random_state(rng, 2)
-    with pytest.raises(SameQubit):
+    with pytest.raises(InvariantViolation, match="control and target must differ"):
         apply_cnot_array(state, 2, 1, 1)
-    with pytest.raises(QubitOutOfRange):
+    with pytest.raises(InvariantViolation, match=r"qubit 2 outside \[0, 2\)"):
         apply_cnot_array(state, 2, 0, 2)
-    with pytest.raises(QubitOutOfRange):
+    with pytest.raises(InvariantViolation, match=r"qubit 5 outside \[0, 2\)"):
         apply_single_array(state, 2, 5, rot_matrix(0.1, 0.2, 0.3))
     for width in (2, 8):  # amplitude arrays that are not 2**n wide
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=f"{width} amplitudes for 2 qubits"):
             apply_cnot_array(np.zeros((3, width)), 2, 0, 1)
 
 
@@ -404,7 +405,7 @@ def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
                         for row, weights in zip(x, upstream))
         assert grad.shape == angles.shape
         np.testing.assert_allclose(grad, reference, atol=1e-12)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"upstream must be \(rows, "):
         adjoint_gradient(final, n, angles, upstream[:, :-1])
 
 
@@ -412,9 +413,9 @@ def test_state_vector_validation():
     state = amplitude_embed(np.ones(4))
     # angles that do not fit the width, and angles that are not (layers, n, 3)
     for shape in ((2, 3, 3), (2, 2), (2, 2, 2), (1, 2, 2, 3)):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=re.escape(f"angles must be (layers, 2, 3), got {shape}")):
             run_ansatz(state, np.zeros(shape))
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(InvariantViolation, match="input length 3 is not a power of two"):
         z_expectations(np.ones(3, dtype=complex))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"angles must be \(layers, n, 3\), got \(2, 3\)"):
         QuantumModelParams(np.zeros((2, 3)), np.zeros(3))
