@@ -25,6 +25,8 @@ __all__ = ["Fingerprint", "atom_invariant", "check_morgan_settings", "morgan_fin
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 512
+# the widest fingerprint: each row is unpacked to one byte per bit before PCA
+MAX_NBITS = 1 << 16
 _HEX_DIGITS = frozenset(string.hexdigits)
 
 
@@ -114,11 +116,14 @@ def _environment_hash(radius: int, center_id: int, neighborhood: list[tuple[int,
 
 
 def check_morgan_settings(radius: int, nbits: int) -> None:
-    """Raise ConfigError unless `radius` >= 0 and `nbits` is a power of two."""
+    """Raise ConfigError unless `radius` >= 0 and `nbits` is a power of two
+    no larger than MAX_NBITS."""
     if radius < 0:
         raise ConfigError(f"fingerprint radius must be >= 0, got {radius}")
     if nbits <= 0 or nbits & (nbits - 1):
         raise ConfigError(f"fingerprint bits must be a power of two, got {nbits}")
+    if nbits > MAX_NBITS:
+        raise ConfigError(f"fingerprint bits must be at most {MAX_NBITS}, got {nbits}")
 
 
 def morgan_fingerprint(

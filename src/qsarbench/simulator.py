@@ -12,18 +12,25 @@ Conventions, asserted by the test suite:
 
 A state is its complex amplitude array and an ansatz its (layers, n, 3)
 angle array.  The state functions (`amplitude_embed`, `run_ansatz`,
-`z_expectations`) and the gate kernels take arbitrary leading batch axes, so
-one state and a whole batch of circuit evaluations go through the same numpy
-calls; the state functions read n from the amplitude width 2^n.
-Measurements are exact expectations; there is no shot sampling.  Rotations
-work on the amplitude array with stride arithmetic (`apply_single_array`),
-and `rot_matrix` is the one builder of their unitaries.  A CNOT is an index
-gather of the basis states (`apply_cnot_array`); a layer's CNOT ring is one
-cached gather (`ring_permutation`), composed from the per-gate gathers.  The
-circuit's order is written here only: the forward sweep `run_ansatz`, the
-adjoint sweep `adjoint_gradient` that walks it backwards for the trainer's
-angle gradients, and the parameter-shift reference
-`parameter_shift_gradient`.
+`z_expectations`) take arbitrary leading batch axes, so one state and a
+whole batch of circuit evaluations go through the same numpy calls; they
+read n from the amplitude width 2^n.  Measurements are exact expectations;
+there is no shot sampling.  `rot_matrix` is the one builder of the rotation
+unitaries.  A layer's rotations act on distinct qubits and commute, so the
+sweeps fuse them (gate fusion as in Haener & Steiger, arXiv:1704.01127):
+the qubits split into contiguous blocks (`block_widths`), each block's
+rotations form one Kronecker factor (`layer_factors`), and a layer is one
+matrix product per block on the state viewed as a tensor with one mode per
+block, a mode product in the sense of Kolda & Bader (SIAM Review 2009)
+(`apply_layer`).  A CNOT is an index gather of the basis states
+(`apply_cnot_array`); a layer's CNOT ring is one cached gather
+(`ring_permutation`), composed from the per-gate gathers.  The per-gate
+kernels `apply_single_array` and `apply_cnot_array` serve as references
+and for single gates; the sweeps do not call them.  The circuit's order is
+written here only: the forward sweep `ansatz_sweep` (and `run_ansatz`), the
+adjoint sweep `adjoint_gradient` that walks it backwards a layer at a time
+for the trainer's angle gradients, with one overlap per qubit block, and
+the parameter-shift reference `parameter_shift_gradient`.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
 ]
 
 ZERO_NORM_THRESHOLD = 1e-12
+BLOCK_WIDTH = 4   # widest qubit block whose rotations fuse into one Kronecker factor
 DEFAULT_LAYERS = 2
 
 
@@ -182,17 +190,78 @@ def _ansatz_angles(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     return angles
 
 
-def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The ansatz's output amplitudes; `angles` is (layers, n, 3) in radians."""
+def block_widths(n_qubits: int) -> tuple[int, ...]:
+    """Widths of the contiguous qubit blocks of a fused layer, qubit 0's first.
+
+    Widths are as equal as possible and at most BLOCK_WIDTH.  From n = 2 on
+    there are at least two blocks, so even one state meets each block
+    factor as a matrix with two or more rows (see `apply_layer`).
+    """
+    blocks = max(-(-n_qubits // BLOCK_WIDTH), min(n_qubits, 2))
+    return tuple(n_qubits // blocks + (i < n_qubits % blocks) for i in range(blocks))
+
+
+def layer_factors(u: np.ndarray) -> list[np.ndarray]:
+    """The Kronecker factors of every layer: per block, the (layers, 2^w, 2^w)
+    product of its qubits' rotations `u` (layers, n, 2, 2), qubit 0 most
+    significant."""
+    factors, first = [], 0
+    for width in block_widths(u.shape[1]):
+        factor = u[:, first]
+        for q in range(first + 1, first + width):
+            size = 2 * factor.shape[-1]
+            factor = (factor[:, :, None, :, None] * u[:, q, None, :, None, :]
+                      ).reshape(-1, size, size)
+        factors.append(factor)
+        first += width
+    return factors
+
+
+def apply_layer(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """One layer's rotations: the Kronecker `factors` of its qubit blocks,
+    each applied as one mode product, on a batch-last (2^n, rows) state; the
+    result is batch-first, (rows, 2^n).
+
+    Viewed as a tensor, the state's modes are the qubit blocks, qubit 0's
+    first, then the rows.  Each product `x.reshape(d, -1).T @ K.T` applies
+    the first mode's factor and moves that mode to the back, so once every
+    block is applied the rows lead, and no product copies a transposed
+    state.  Each
+    product has two or more rows even for one state, so a state alone is
+    summed in the same order as inside a batch.  A single qubit, whose one
+    state would be a matrix-vector product, has each row multiplied on its
+    own as a (1, 2) x (2, 2) product.
+    """
+    if len(factors) == 1:
+        return (x.T[:, None, :] @ factors[0].T)[:, 0]
+    for factor in factors:
+        x = x.reshape(len(factor), -1).T @ factor.T
+    return x.reshape(-1, math.prod(len(factor) for factor in factors))
+
+
+def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ansatz's output amplitudes, and each layer's batch-last input
+    state, kept for `adjoint_gradient`.
+
+    Each layer is `apply_layer` followed by its CNOT ring, one gather that
+    also returns the state to batch-last.
+    """
     n_qubits = _n_qubits(amps.shape[-1])
     angles = _ansatz_angles(angles, n_qubits)
-    u = rot_matrix(*angles.transpose(2, 0, 1))
+    factors = layer_factors(rot_matrix(*angles.transpose(2, 0, 1)))
+    x = amps.reshape(-1, amps.shape[-1]).T
+    inputs = []
     for layer in range(angles.shape[0]):
-        for q in range(n_qubits):
-            amps = apply_single_array(amps, n_qubits, q, u[layer, q])
+        inputs.append(x)
+        x = apply_layer(x, [factor[layer] for factor in factors]).T
         if n_qubits > 1:
-            amps = amps[..., ring_permutation(layer, n_qubits)[0]]
-    return amps
+            x = x[ring_permutation(layer, n_qubits)[0]]
+    return x.T.reshape(amps.shape), inputs
+
+
+def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The ansatz's output amplitudes; `angles` is (layers, n, 3) in radians."""
+    return ansatz_sweep(amps, angles)[0]
 
 
 _Z_SIGNS: dict[int, np.ndarray] = {}
@@ -218,51 +287,58 @@ def z_expectations(amps: np.ndarray) -> np.ndarray:
     return probs @ z_sign_matrix(_n_qubits(amps.shape[-1]))
 
 
-def _qubit_overlap(b: np.ndarray, a: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    """The 2x2 overlap M of `adjoint_gradient` on `qubit`: its axis is moved
-    first, then M is one (2, K) x (K, 2) product."""
-    pre = a.shape[0] << qubit
-    post = 1 << (n_qubits - 1 - qubit)
-    a_t = a.reshape(pre, 2, post).transpose(1, 0, 2).reshape(2, -1)
-    b_t = b.reshape(pre, 2, post).transpose(1, 0, 2).reshape(2, -1)
-    return b_t.conj() @ a_t.T
+def _qubit_overlaps(block_overlap: np.ndarray, width: int) -> list[np.ndarray]:
+    """Each qubit's 2x2 overlap from its block's (2^w, 2^w) one: the partial
+    trace over the block's other qubits."""
+    return [np.einsum("aibajb->ij", block_overlap.reshape((1 << q, 2, 1 << (width - 1 - q)) * 2))
+            for q in range(width)]
 
 
-def adjoint_gradient(final: np.ndarray, n_qubits: int, angles: np.ndarray,
+def adjoint_gradient(final: np.ndarray, inputs: list[np.ndarray], angles: np.ndarray,
                      upstream: np.ndarray) -> np.ndarray:
     """Gradient of sum_rows sum_q upstream[row, q] * <Z_q> w.r.t. every angle.
 
-    `final` holds the circuit's (B, 2^n) output states, `upstream` the
-    (B, n) weights; the result has the shape of `angles`.  This is the
+    `final` holds the circuit's (B, 2^n) output states and `inputs` each
+    layer's input state, both from `ansatz_sweep`; `upstream` holds the
+    (B, n) weights, and the result has the shape of `angles`.  This is the
     contract of `parameter_shift_gradient` summed over rows, computed with
-    one backward sweep (Jones & Gacon, arXiv:2009.02823).  The weighted sum
-    is <psi|O|psi> with a diagonal per-row observable O, so the adjoint
-    state `b` starts as O|final>.  The sweep un-applies each layer's CNOT
-    ring (one inverse gather) and each rotation U (all gates are unitary),
-    keeping `a`, the state just before U, and `b`, the adjoint state just
-    after it.  An angle's gradient is 2*Re(<b|dU|a>), and since dU acts on
-    one qubit, <b|dU|a> = sum_ij dU[i, j] * M[i, j] with the 2x2 overlap
-    M[i, j] = sum of conj(b) * a over the amplitudes whose qubit is i in b
-    and j in a, summed over the batch and the other qubits.  One M per
-    rotation thus serves its three angles.
+    one backward sweep (Jones & Gacon, arXiv:2009.02823) that takes a whole
+    layer at a time.  The weighted sum is <psi|O|psi> with a diagonal
+    per-row observable O, so the adjoint state `b` starts as O|final>.  Per
+    layer, the sweep un-applies the CNOT ring (one inverse gather) and the
+    rotations U (`apply_layer` with the conjugate-transposed factors),
+    giving c = U^dagger b.  The rotations act on distinct qubits and
+    commute, so an angle of qubit q's rotation u differentiates U into
+    U (u^dagger du on qubit q).  Its gradient is thus
+    2 Re <c| u^dagger du |s> = 2 Re sum_ij du[i, j] (conj(u) N)[i, j], with s
+    the layer's input and N the 2x2 overlap N[i, j] = sum of conj(c) * s
+    over the amplitudes whose qubit q is i in c and j in s, summed over the
+    batch and the other qubits.  Each block's (2^w, 2^w) overlap c^H s is
+    one matrix product per value of the qubits before the block, and each
+    N is a partial trace of it; one N serves the three angles.
     """
+    n_qubits = _n_qubits(final.shape[-1])
     if upstream.shape != (final.shape[0], n_qubits):
         raise DataError(f"upstream must be (rows, {n_qubits}), got {upstream.shape}")
-    a = final
-    b = (upstream @ z_sign_matrix(n_qubits).T) * a
     u, derivatives = rot_matrix_derivatives(*angles.transpose(2, 0, 1))
-    u_dag = u.conj().swapaxes(-1, -2)
+    undo = [factor.conj().swapaxes(-1, -2) for factor in layer_factors(u)]
+    widths = block_widths(n_qubits)
+    b = (upstream @ z_sign_matrix(n_qubits).T) * final
     overlaps = np.empty(angles.shape[:2] + (2, 2), dtype=np.complex128)
     for layer in reversed(range(angles.shape[0])):
+        b = b.T
         if n_qubits > 1:
-            inverse = ring_permutation(layer, n_qubits)[1]
-            a = a[:, inverse]
-            b = b[:, inverse]
-        for q in reversed(range(n_qubits)):
-            a = apply_single_array(a, n_qubits, q, u_dag[layer, q])   # state before this gate
-            overlaps[layer, q] = _qubit_overlap(b, a, n_qubits, q)
-            b = apply_single_array(b, n_qubits, q, u_dag[layer, q])
-    return 2.0 * np.einsum("lncij,lnij->lnc", derivatives, overlaps).real
+            b = b[ring_permutation(layer, n_qubits)[1]]
+        b = apply_layer(b, [factor[layer] for factor in undo])
+        c = np.conjugate(b.T, out=np.empty_like(b.T, order="C"))   # batch-last, as the input
+        first = 0
+        for width in widths:
+            # the block's mode between the qubits before it and the rest
+            shape = (1 << first, 1 << width, -1)
+            block = (c.reshape(shape) @ inputs[layer].reshape(shape).swapaxes(1, 2)).sum(axis=0)
+            overlaps[layer, first:first + width] = _qubit_overlaps(block, width)
+            first += width
+    return 2.0 * np.einsum("lncij,lnij->lnc", derivatives, u.conj() @ overlaps).real
 
 
 def parameter_shift_gradient(x: np.ndarray, angles: np.ndarray,

@@ -290,6 +290,15 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"n={n}" in err and "Traceback" not in err
+    # so are fingerprint bits whose per-row bit array would not fit in memory
+    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": str(tmp_path / "none.csv"),
+                               "fingerprint_bits": 2**40}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "fingerprint bits must be at most" in capsys.readouterr().err
+    assert main(["fingerprint", "--input", str(tmp_path / "none.csv"), "--smiles-col", "mol",
+                 "--bits", str(2**40), "--output", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    assert "fingerprint bits must be at most" in capsys.readouterr().err
     # non-integer counts, a fractional n and a negative seed are config errors before ingest
     # as are bools for counts or numbers, strings for numbers, and Adam settings out of range
     for bad_value in ({"reps": 1.5}, {"n_list": [2.9]}, {"master_seed": -1},

@@ -1,0 +1,22 @@
+"""A smoke run of `scripts/compare_steps.py` that times this tree against itself."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_steps.py"
+
+
+def test_compare_steps_prints_one_row_per_width_batch_and_kind():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(ROOT),
+         "--qubits", "1", "2", "--rows", "3", "--repeats", "2", "--number", "1"],
+        capture_output=True, text=True, check=True)
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["n", "rows", "kind", "parent", "us", "change", "us", "ratio"]
+    assert [row.split()[:3] for row in rows] == [
+        [n, "3", kind] for n in ("1", "2") for kind in ("step", "forward")]
+    for row in rows:
+        parent, change, ratio = (float(v) for v in row.split()[3:])
+        assert parent > 0 and change > 0 and ratio > 0

@@ -66,6 +66,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):  # 2**10 features from 512-d embeddings
         ExperimentConfig(dataset="bace", dataset_path="x.csv", embedding="imgmol",
                          embedding_path="e.csv", n_list=[10], fingerprint_bits=2048)
+    with pytest.raises(ConfigError, match="fingerprint bits must be at most 65536"):
+        ExperimentConfig(dataset="bace", dataset_path="x.csv", fingerprint_bits=2**40)
+    assert ExperimentConfig(dataset="bace", dataset_path="x.csv",
+                            fingerprint_bits=2**16).fingerprint_bits == 2**16
     for n in (4_000_000_000, 100_000_000_000):  # rejected without forming 2**n
         with pytest.raises(ConfigError, match=f"n={n} needs 2\\*\\*{n} features; "
                                               f"the mgfp embedding has 512"):

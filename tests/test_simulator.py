@@ -7,11 +7,16 @@ import pytest
 from qsarbench.errors import DataError, InvariantViolation
 from qsarbench.quantum import QuantumModelParams
 from qsarbench.simulator import (
+    BLOCK_WIDTH,
     adjoint_gradient,
     amplitude_embed,
+    ansatz_sweep,
     apply_cnot_array,
+    apply_layer,
     apply_single_array,
+    block_widths,
     entangler_offset,
+    layer_factors,
     parameter_shift_gradient,
     ring_permutation,
     rot_matrix,
@@ -264,6 +269,29 @@ def test_ansatz_matches_dense_oracle(rng):
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fused_layer_matches_dense_rotations(n, rng):
+    """One fused layer, and its un-apply with the conjugate-transposed
+    factors, equal the product of the dense single-qubit rotations, for the
+    block split chosen at every width."""
+    widths = block_widths(n)
+    assert sum(widths) == n and max(widths) <= BLOCK_WIDTH
+    assert len(widths) >= min(n, 2) and max(widths) - min(widths) <= 1
+    angles = rng.uniform(-math.pi, math.pi, size=(2, n, 3))
+    u = rot_matrix(*angles.transpose(2, 0, 1))
+    factors = layer_factors(u)
+    assert [f.shape for f in factors] == [(2, 1 << w, 1 << w) for w in widths]
+    states = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    for layer in range(2):
+        dense = np.eye(1 << n, dtype=np.complex128)
+        for q in range(n):
+            dense = dense_single(u[layer, q], n, q) @ dense
+        fused = apply_layer(states.T, [f[layer] for f in factors])
+        undone = apply_layer(states.T, [f[layer].conj().T for f in factors])
+        np.testing.assert_allclose(fused, states @ dense.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(undone, states @ dense.conj(), rtol=0, atol=1e-13)
+
+
 def test_norm_preserved_after_1000_random_gates(rng):
     n = 4
     amps = random_state(rng, n)
@@ -322,25 +350,27 @@ def test_z_expectations_against_explicit_sum(rng):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 8))
 def test_batch_and_single_states_share_one_api(n, rng):
-    """A (B, 2^n) batch gives the row-by-row results, zero row included.
+    """A (B, 2^n) batch gives the row-by-row results, zero row included, at
+    every batch size.
 
-    Embedding and ansatz are elementwise and gather kernels, so they agree
-    bit for bit; <Z> is one BLAS product, whose matrix-vector (one row) and
-    matrix-matrix (batch) code sum in different orders, so it agrees to
-    rounding.
+    Embedding is elementwise, and every matrix product of the ansatz has two
+    or more rows even for one state, so both agree bit for bit; <Z> is one
+    BLAS product, whose matrix-vector (one row) and matrix-matrix (batch)
+    code sum in different orders, so it agrees to rounding.
     """
-    x = rng.normal(size=(5, 1 << n))
-    x[2] = 0.0
     angles = rng.uniform(0.0, 2 * math.pi, size=(2, n, 3))
-    amps = amplitude_embed(x)
-    final = run_ansatz(amps, angles)
-    z = z_expectations(final)
-    assert amps.shape == final.shape == x.shape and z.shape == (5, n)
-    np.testing.assert_array_equal(amps[2], np.full(1 << n, 1 / math.sqrt(1 << n)))
-    for row, a, f, zz in zip(x, amps, final, z):
-        assert np.array_equal(amplitude_embed(row), a)
-        assert np.array_equal(run_ansatz(a, angles), f)
-        np.testing.assert_allclose(z_expectations(f), zz, rtol=0, atol=1e-14)
+    for rows in (5, 2, 32, 300):
+        x = rng.normal(size=(rows, 1 << n))
+        x[rows // 2] = 0.0
+        amps = amplitude_embed(x)
+        final = run_ansatz(amps, angles)
+        z = z_expectations(final)
+        assert amps.shape == final.shape == x.shape and z.shape == (rows, n)
+        np.testing.assert_array_equal(amps[rows // 2], np.full(1 << n, 1 / math.sqrt(1 << n)))
+        for row, a, f, zz in zip(x, amps, final, z):
+            assert np.array_equal(amplitude_embed(row), a)
+            assert np.array_equal(run_ansatz(a, angles), f)
+            np.testing.assert_allclose(z_expectations(f), zz, rtol=0, atol=1e-14)
 
 
 # --- parameter shift ---------------------------------------------------------------------
@@ -399,14 +429,14 @@ def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
         upstream[1] = 0.0                        # a row that contributes nothing
         upstream[2] = np.abs(upstream[2])
         upstream[3] = -np.abs(upstream[3])
-        final = run_ansatz(amplitude_embed(x), angles)
-        grad = adjoint_gradient(final, n, angles, upstream)
+        final, inputs = ansatz_sweep(amplitude_embed(x), angles)
+        grad = adjoint_gradient(final, inputs, angles, upstream)
         reference = sum(parameter_shift_gradient(row, angles, weights)
                         for row, weights in zip(x, upstream))
         assert grad.shape == angles.shape
         np.testing.assert_allclose(grad, reference, atol=1e-12)
     with pytest.raises(DataError, match=r"upstream must be \(rows, "):
-        adjoint_gradient(final, n, angles, upstream[:, :-1])
+        adjoint_gradient(final, inputs, angles, upstream[:, :-1])
 
 
 def test_state_vector_validation():
