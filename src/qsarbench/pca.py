@@ -61,11 +61,23 @@ class PcaModel:
 
     @classmethod
     def from_csv(cls, path: str) -> "PcaModel":
+        rows = []
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = [np.array([float(v) for v in row]) for row in csv.reader(handle)]
+            for line, row in enumerate(csv.reader(handle), 1):
+                try:
+                    rows.append(np.array([float(v) for v in row]))
+                except ValueError as exc:
+                    raise DataError(f"{path}: row {line}: {exc}") from None
         if len(rows) < 3:
             raise DataError(f"{path}: expected mean, components and eigenvalues")
-        return cls(mean=rows[0], components=np.vstack(rows[1:-1]), eigenvalues=rows[-1])
+        mean, components, eigenvalues = rows[0], rows[1:-1], rows[-1]
+        if any(len(row) != len(mean) for row in components):
+            raise DataError(f"{path}: a component row is not as wide as the "
+                            f"{len(mean)}-column mean row")
+        if len(eigenvalues) != len(components):
+            raise DataError(f"{path}: {len(eigenvalues)} eigenvalues for "
+                            f"{len(components)} components")
+        return cls(mean=mean, components=np.vstack(components), eigenvalues=eigenvalues)
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

@@ -5,17 +5,17 @@ With the default two layers the model has exactly 7n trainable scalars:
 6n rotation angles plus an n-vector of readout weights and no bias.  The
 public angle-gradient path is the parameter-shift rule; the batched
 trainer computes the same derivatives with the simulator's adjoint sweep
-(`simulator.adjoint_gradient`: one pass forward, one backward, each a
-fused layer at a time with one overlap per qubit block) because a shift
+(`simulator.adjoint_gradient`: one pass forward, one backward with the
+same layer factors, each angle's gradient in closed form) because a shift
 evaluation per angle is two orders of magnitude more circuit work.  This
 module holds only the readout: the model supplies its score function,
 `_scores_and_backward`, and its decisions, in training and in `q_predict`,
 come from `training.decide`.  The parameters are the (layers, n, 3) angle
 array and the readout vector, and the score function runs the simulator's
 `amplitude_embed`, `ansatz_sweep` and `z_expectations` on the whole batch,
-keeping each layer's input state for the backward pass.  The circuit's
-structure lives in `simulator`, the MSE loss and its chain rule in
-`training`.  The equality of the two gradient paths is part of the test
+keeping each layer's input state and factors for the backward pass.  The
+circuit's structure lives in `simulator`, the MSE loss and its chain rule
+in `training`.  The equality of the two gradient paths is part of the test
 suite.
 """
 
@@ -95,17 +95,17 @@ def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
 
     Weighting the scores by d_scores weights each <Z_q> by d_scores * readout,
     so the angle gradient is `simulator.adjoint_gradient` of the output
-    states and the kept layer inputs; it equals the parameter-shift rule
+    states and what the sweep kept; it equals the parameter-shift rule
     (`parameter_shift_gradient`).
     """
     n = x.shape[-1].bit_length() - 1
     angles, readout = _split_vector(vec, n)
-    final, inputs = ansatz_sweep(amplitude_embed(x), angles)
+    final, kept = ansatz_sweep(amplitude_embed(x), angles)
     z = z_expectations(final)                          # (B, n)
     scores = z @ readout                               # (B,)
 
     def backward(d_scores: np.ndarray) -> np.ndarray:
-        g_angles = adjoint_gradient(final, inputs, angles, np.outer(d_scores, readout))
+        g_angles = adjoint_gradient(final, kept, angles, np.outer(d_scores, readout))
         return np.concatenate([g_angles.ravel(), z.T @ d_scores])
 
     return scores, backward

@@ -29,8 +29,9 @@ kernels `apply_single_array` and `apply_cnot_array` serve as references
 and for single gates; the sweeps do not call them.  The circuit's order is
 written here only: the forward sweep `ansatz_sweep` (and `run_ansatz`), the
 adjoint sweep `adjoint_gradient` that walks it backwards a layer at a time
-for the trainer's angle gradients, with one overlap per qubit block, and
-the parameter-shift reference `parameter_shift_gradient`.
+with the forward sweep's factors, reading the trainer's angle gradients in
+closed form off one overlap per qubit block, and the parameter-shift
+reference `parameter_shift_gradient`.
 """
 
 from __future__ import annotations
@@ -102,21 +103,6 @@ def rot_matrix(alpha, beta, gamma) -> np.ndarray:
     np.conjugate(off, out=u[..., 1, 0])
     np.conjugate(diagonal, out=u[..., 1, 1])
     return u
-
-
-def rot_matrix_derivatives(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """The rotation unitary and its three angle derivatives, for angles of any
-    common shape S: the unitaries have shape S + (2, 2), the derivatives
-    S + (3, 2, 2), ordered (alpha, beta, gamma).
-    """
-    u = rot_matrix(alpha, beta, gamma)
-    # dRY(beta)/dbeta = RY(beta + pi) / 2, between the same two RZ gates
-    d_beta = 0.5 * rot_matrix(alpha, np.add(beta, math.pi), gamma)
-    half = np.array([-0.5j, 0.5j])
-    # RZ(alpha) acts first, so its derivative scales the columns of u; RZ(gamma)
-    # acts last and scales the rows
-    derivatives = np.stack([u * half, d_beta, u * half[:, None]], axis=-3)
-    return u, derivatives
 
 
 def _check_qubit(qubit: int, n_qubits: int) -> None:
@@ -239,9 +225,9 @@ def apply_layer(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return x.reshape(-1, math.prod(len(factor) for factor in factors))
 
 
-def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ansatz's output amplitudes, and each layer's batch-last input
-    state, kept for `adjoint_gradient`.
+def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The ansatz's output amplitudes, and what `adjoint_gradient` needs of
+    the sweep: each layer's batch-last input state and the layer factors.
 
     Each layer is `apply_layer` followed by its CNOT ring, one gather that
     also returns the state to batch-last.
@@ -256,7 +242,7 @@ def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, list
         x = apply_layer(x, [factor[layer] for factor in factors]).T
         if n_qubits > 1:
             x = x[ring_permutation(layer, n_qubits)[0]]
-    return x.T.reshape(amps.shape), inputs
+    return x.T.reshape(amps.shape), (inputs, factors)
 
 
 def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -294,34 +280,41 @@ def _qubit_overlaps(block_overlap: np.ndarray, width: int) -> list[np.ndarray]:
             for q in range(width)]
 
 
-def adjoint_gradient(final: np.ndarray, inputs: list[np.ndarray], angles: np.ndarray,
+def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
                      upstream: np.ndarray) -> np.ndarray:
     """Gradient of sum_rows sum_q upstream[row, q] * <Z_q> w.r.t. every angle.
 
-    `final` holds the circuit's (B, 2^n) output states and `inputs` each
-    layer's input state, both from `ansatz_sweep`; `upstream` holds the
-    (B, n) weights, and the result has the shape of `angles`.  This is the
-    contract of `parameter_shift_gradient` summed over rows, computed with
-    one backward sweep (Jones & Gacon, arXiv:2009.02823) that takes a whole
-    layer at a time.  The weighted sum is <psi|O|psi> with a diagonal
-    per-row observable O, so the adjoint state `b` starts as O|final>.  Per
-    layer, the sweep un-applies the CNOT ring (one inverse gather) and the
-    rotations U (`apply_layer` with the conjugate-transposed factors),
+    `final` and `kept` (each layer's input state and the layer factors) come
+    from `ansatz_sweep` of `angles`; `upstream` holds the (B, n) weights, and
+    the result has the shape of `angles`.  This is the contract of
+    `parameter_shift_gradient` summed over rows, computed with one backward
+    sweep (Jones & Gacon, arXiv:2009.02823) that takes a whole layer at a
+    time.  The weighted sum is <psi|O|psi> with a diagonal per-row
+    observable O, so the adjoint state `b` starts as O|final>.  Per layer,
+    the sweep un-applies the CNOT ring (one inverse gather) and the
+    rotations U (`apply_layer` with the conjugate-transposed kept factors),
     giving c = U^dagger b.  The rotations act on distinct qubits and
-    commute, so an angle of qubit q's rotation u differentiates U into
-    U (u^dagger du on qubit q).  Its gradient is thus
-    2 Re <c| u^dagger du |s> = 2 Re sum_ij du[i, j] (conj(u) N)[i, j], with s
-    the layer's input and N the 2x2 overlap N[i, j] = sum of conj(c) * s
-    over the amplitudes whose qubit q is i in c and j in s, summed over the
-    batch and the other qubits.  Each block's (2^w, 2^w) overlap c^H s is
-    one matrix product per value of the qubits before the block, and each
-    N is a partial trace of it; one N serves the three angles.
+    commute, so an angle of qubit q's rotation u has the gradient
+    g = 2 Re sum_ij (u^dagger du)[i, j] N[i, j], with s the layer's input
+    and N the 2x2 overlap N[i, j] = sum of conj(c) * s over the amplitudes
+    whose qubit q is i in c and j in s, summed over the batch and the other
+    qubits: a partial trace of its block's (2^w, 2^w) overlap c^H s.  The
+    generators u^dagger du are Paulis (Schuld et al., PRA 99, 2019), so with
+    p = exp(i alpha) each g is closed-form in N and no derivative is built:
+      alpha: u^dagger du = -(i/2) Z,  g = Im(N00 - N11);
+      beta:  u^dagger du = -(i/2) RZ(alpha)^dagger Y RZ(alpha),
+             g = Re(conj(p) N10 - p N01);
+      gamma: u^dagger du = -(i/2) RZ(alpha)^dagger (cos beta Z - sin beta X) RZ(alpha),
+             g = cos beta g_alpha - sin beta Im(p N01 + conj(p) N10).
     """
+    inputs, factors = kept
     n_qubits = _n_qubits(final.shape[-1])
     if upstream.shape != (final.shape[0], n_qubits):
         raise DataError(f"upstream must be (rows, {n_qubits}), got {upstream.shape}")
-    u, derivatives = rot_matrix_derivatives(*angles.transpose(2, 0, 1))
-    undo = [factor.conj().swapaxes(-1, -2) for factor in layer_factors(u)]
+    if angles.shape != (len(inputs), n_qubits, 3):
+        raise DataError(f"angles must be ({len(inputs)}, {n_qubits}, 3) for this sweep, "
+                        f"got {angles.shape}")
+    undo = [factor.conj().swapaxes(-1, -2) for factor in factors]
     widths = block_widths(n_qubits)
     b = (upstream @ z_sign_matrix(n_qubits).T) * final
     overlaps = np.empty(angles.shape[:2] + (2, 2), dtype=np.complex128)
@@ -338,7 +331,12 @@ def adjoint_gradient(final: np.ndarray, inputs: list[np.ndarray], angles: np.nda
             block = (c.reshape(shape) @ inputs[layer].reshape(shape).swapaxes(1, 2)).sum(axis=0)
             overlaps[layer, first:first + width] = _qubit_overlaps(block, width)
             first += width
-    return 2.0 * np.einsum("lncij,lnij->lnc", derivatives, u.conj() @ overlaps).real
+    n00, n01, n10, n11 = overlaps.reshape(angles.shape[:2] + (4,)).transpose(2, 0, 1)
+    p, beta = np.exp(1j * angles[..., 0]), angles[..., 1]
+    g_alpha = (n00 - n11).imag
+    g_beta = (p.conj() * n10 - p * n01).real
+    g_gamma = np.cos(beta) * g_alpha - np.sin(beta) * (p * n01 + p.conj() * n10).imag
+    return np.stack([g_alpha, g_beta, g_gamma], axis=-1)
 
 
 def parameter_shift_gradient(x: np.ndarray, angles: np.ndarray,

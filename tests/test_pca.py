@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,18 @@ def test_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(loaded.mean, model.mean)
     np.testing.assert_array_equal(loaded.components, model.components)
     np.testing.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.5,1.0\n1.0,0.0\nx,2.0\n", r"row 3: could not convert string to float: 'x'"),
+    ("0.5,1.0\n1.0,0.0,0.0\n2.0\n", "a component row is not as wide as the 2-column mean row"),
+    ("0.5,1.0\n1.0,0.0\n0.0,1.0\n2.0\n", "1 eigenvalues for 2 components"),
+])
+def test_csv_malformed_rejected(tmp_path, text, message):
+    path = tmp_path / "model.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+        PcaModel.from_csv(str(path))
 
 
 def test_truncate():

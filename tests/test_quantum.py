@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsarbench import quantum, simulator
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.quantum import (
     QuantumModelParams,
@@ -15,7 +16,8 @@ from qsarbench.quantum import (
 )
 from qsarbench.simulator import (amplitude_embed, parameter_shift_gradient, run_ansatz,
                                  z_expectations)
-from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule
+from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule,
+                                mse_loss_and_gradient)
 
 from test_simulator import dense_ansatz
 
@@ -211,3 +213,20 @@ def test_training_never_calls_from_vector(monkeypatch):
     config = OptimizerConfig(epochs=5, batch_size=2)
     train_quantum(one_hot_toy_split(), config, seed=3, schedule=batch_schedule(4, 5, seed=3))
     assert not calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_training_step_builds_rotations_once(monkeypatch, n):
+    # the adjoint sweep reuses the forward sweep's layer factors
+    calls = {"rot_matrix": 0, "layer_factors": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(simulator, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(simulator, name, counted)
+    params = init_quantum_params(n, seed=5)
+    x = np.random.default_rng(5).normal(size=(6, 1 << n))
+    y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    mse_loss_and_gradient(quantum._scores_and_backward, params.to_vector(), x, y)
+    assert calls == {"rot_matrix": 1, "layer_factors": 1}

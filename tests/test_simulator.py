@@ -20,7 +20,6 @@ from qsarbench.simulator import (
     parameter_shift_gradient,
     ring_permutation,
     rot_matrix,
-    rot_matrix_derivatives,
     run_ansatz,
     ry_matrix,
     rz_matrix,
@@ -123,6 +122,12 @@ def test_rot_is_rz_ry_rz_composition(rng):
         a, b, g = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
         composed = rz_matrix(g) @ ry_matrix(b) @ rz_matrix(a)
         np.testing.assert_allclose(rot_matrix(a, b, g), composed, atol=1e-15)
+    # a batch of angles, as the circuit sweeps build them: each slice is the scalar call
+    angles = rng.uniform(-math.pi, math.pi, size=(2, 4, 3))
+    u = rot_matrix(*np.moveaxis(angles, -1, 0))
+    assert u.shape == (2, 4, 2, 2)
+    for i, j in np.ndindex(2, 4):
+        np.testing.assert_array_equal(u[i, j], rot_matrix(*angles[i, j]))
 
 
 def test_rz_ry_conventions():
@@ -149,28 +154,6 @@ def test_single_qubit_gate_matches_dense_oracle(rng):
             fast = apply_single_array(state, n, qubit, u)
             dense = dense_single(u, n, qubit) @ state
             np.testing.assert_allclose(fast, dense, atol=1e-12)
-
-
-def test_rot_derivatives_match_finite_differences(rng):
-    for _ in range(20):
-        angles = rng.uniform(-math.pi, math.pi, size=3)
-        _, derivatives = rot_matrix_derivatives(*angles)
-        h = 1e-7
-        for comp in range(3):
-            step = np.zeros(3)
-            step[comp] = h
-            fd = (rot_matrix(*(angles + step)) - rot_matrix(*(angles - step))) / (2 * h)
-            np.testing.assert_allclose(derivatives[comp], fd, atol=1e-7)
-    # a batch of angles, as the circuit sweeps build them: each slice is the scalar call
-    angles = rng.uniform(-math.pi, math.pi, size=(2, 4, 3))
-    u, derivatives = rot_matrix_derivatives(*np.moveaxis(angles, -1, 0))
-    assert u.shape == (2, 4, 2, 2) and derivatives.shape == (2, 4, 3, 2, 2)
-    np.testing.assert_array_equal(rot_matrix(*np.moveaxis(angles, -1, 0)), u)
-    for i, j in np.ndindex(2, 4):
-        scalar_u, scalar_derivatives = rot_matrix_derivatives(*angles[i, j])
-        np.testing.assert_array_equal(u[i, j], scalar_u)
-        np.testing.assert_array_equal(derivatives[i, j], scalar_derivatives)
-        np.testing.assert_array_equal(rot_matrix(*angles[i, j]), scalar_u)
 
 
 # --- CNOT ----------------------------------------------------------------------------
@@ -429,14 +412,18 @@ def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
         upstream[1] = 0.0                        # a row that contributes nothing
         upstream[2] = np.abs(upstream[2])
         upstream[3] = -np.abs(upstream[3])
-        final, inputs = ansatz_sweep(amplitude_embed(x), angles)
-        grad = adjoint_gradient(final, inputs, angles, upstream)
+        final, kept = ansatz_sweep(amplitude_embed(x), angles)
+        grad = adjoint_gradient(final, kept, angles, upstream)
         reference = sum(parameter_shift_gradient(row, angles, weights)
                         for row, weights in zip(x, upstream))
         assert grad.shape == angles.shape
         np.testing.assert_allclose(grad, reference, atol=1e-12)
     with pytest.raises(DataError, match=r"upstream must be \(rows, "):
-        adjoint_gradient(final, inputs, angles, upstream[:, :-1])
+        adjoint_gradient(final, kept, angles, upstream[:, :-1])
+    # angles of another layer count than the kept sweep's, fewer and more
+    for wrong in (angles[:-1], np.concatenate([angles, angles[:1]])):
+        with pytest.raises(DataError, match=re.escape(f"angles must be ({layers}, {n}, 3)")):
+            adjoint_gradient(final, kept, wrong, upstream)
 
 
 def test_state_vector_validation():
