@@ -48,8 +48,8 @@ def main():
     config = OptimizerConfig(epochs=60, batch_size=16)
     schedule = batch_schedule(192, config.epochs, seed=42)
 
-    classical = train_mlp(data, config, seed=1, schedule=schedule)
-    quantum = train_quantum(data, config, seed=2, schedule=schedule)
+    [classical] = train_mlp(data, config, seeds=[1], schedules=[schedule])
+    [quantum] = train_quantum(data, config, seeds=[2], schedules=[schedule])
 
     n_features = x.shape[1]
     n_qubits = int(np.log2(n_features))

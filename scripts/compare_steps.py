@@ -1,21 +1,33 @@
-"""Time the quantum model's training step in two source trees, interleaved.
+"""Time the quantum model's training work in two source trees, interleaved.
 
 Run from the repository root:
 
-    python3 scripts/compare_steps.py --parent DIR --change DIR [--repeats 41]
+    python3 scripts/compare_steps.py --parent DIR --change DIR [--reps 1 20] [--repeats 41]
 
 Both trees' `qsarbench` packages are imported into this one process, under
 the names `parent` and `change`, with BLAS pinned to one thread.  For each
-qubit count n and batch size B, on the same seeded inputs, it times
+qubit count n, batch size B and rep count R, on the same seeded inputs, it
+times
 
-* `step`: one `quantum._scores_and_backward(vec, x)` plus its `backward`,
-  the loss-and-gradient work of one training batch;
-* `forward`: the scores alone, as `q_predict` computes them.
+* `step`: the loss-and-gradient work of one training batch for each of R
+  reps, `quantum._scores_and_backward` plus its `backward`;
+* `forward`: R reps' scores on the same B rows, as an epoch's test rows
+  are scored;
+* `cell`: one `harness._run_cell` on a seeded cell of 1,200 train and 300
+  test rows, both models, R reps and `--epochs` epochs (B does not apply).
+
+Each tree's score function is called in its own form, detected once per
+tree from its trainer's signature: a tree whose trainers take `schedules`
+trains the reps as one batch axis, so its score function takes (R, P)
+parameters and embedded rows, and one call covers all R reps; an older tree
+takes one flat parameter vector and raw features, and gets one call per rep.
+`cell` calls the same `_run_cell(task)` in both trees.
 
 The two trees alternate call by call, and the order of the pair alternates
 from repeat to repeat, so drift in the machine's speed hits both alike.
 Each time is the best of a few back-to-back calls; the script prints the
-median over the repeats, in microseconds, and the change/parent ratio.
+median over the repeats, per rep (per rep-epoch for `cell`), in
+microseconds, and the change/parent ratio.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -36,34 +49,77 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 TREES = ("parent", "change")
-KINDS = ("step", "forward")
+KINDS = ("step", "forward", "cell")
+CELL_TRAIN_ROWS = 1200
+CELL_TEST_ROWS = 300
 
 
 def load_tree(tree: str, name: str):
-    """The `qsarbench.quantum` module of a source tree, imported as package `name`."""
+    """The `qsarbench` package of a source tree, imported as package `name`."""
     init = os.path.join(os.path.abspath(tree), "src", "qsarbench", "__init__.py")
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[os.path.dirname(init)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return sys.modules[f"{name}.quantum"]
+    return package
 
 
-def _calls(quantum, n: int, rows: int) -> dict:
-    """The timed calls for one tree, on inputs seeded by (n, rows) alone."""
-    rng = np.random.default_rng([n, rows])
-    x = rng.normal(size=(rows, 1 << n))
-    d_scores = rng.normal(size=rows)
-    vec = quantum.init_quantum_params(n, seed=n).to_vector()
+def _modules(package) -> dict:
+    name = package.__name__
+    return {part: sys.modules[f"{name}.{part}"]
+            for part in ("quantum", "simulator", "harness", "training")}
 
-    def step():
-        quantum._scores_and_backward(vec, x)[1](d_scores)
 
-    def forward():
-        quantum._scores_and_backward(vec, x)
+def _batched(modules: dict) -> bool:
+    """Whether the tree trains a cell's reps as one batch axis."""
+    return "schedules" in inspect.signature(modules["quantum"].train_quantum).parameters
 
-    return {"step": step, "forward": forward}
+
+def _call(modules: dict, kind: str, n: int, rows: int, reps: int, epochs: int):
+    """One tree's timed call of a kind, on inputs seeded by the case alone."""
+    if kind == "cell":
+        task = _cell_task(modules, n, reps, epochs)
+        return lambda: modules["harness"]._run_cell(task)
+    quantum = modules["quantum"]
+    rng = np.random.default_rng([n, rows, reps])
+    x = rng.normal(size=(reps, rows, 1 << n))
+    d_scores = rng.normal(size=(reps, rows))
+    vecs = [quantum.init_quantum_params(n, seed=n + rep).to_vector() for rep in range(reps)]
+    score = quantum._scores_and_backward
+
+    if _batched(modules):
+        params = np.stack(vecs)
+        amps = modules["simulator"].amplitude_embed(x)
+
+        def step():
+            score(params, amps)[1](d_scores)
+
+        def forward():
+            score(params, amps[0])
+    else:
+        def step():
+            for vec, rows_x, d in zip(vecs, x, d_scores):
+                score(vec, rows_x)[1](d)
+
+        def forward():
+            for vec in vecs:
+                score(vec, x[0])
+
+    return {"step": step, "forward": forward}[kind]
+
+
+def _cell_task(modules: dict, n: int, reps: int, epochs: int):
+    """A seeded cell of random features: the same task in every tree."""
+    training = modules["training"]
+    rng = np.random.default_rng([n, reps, epochs])
+    x = rng.normal(size=(CELL_TRAIN_ROWS + CELL_TEST_ROWS, 1 << n))
+    y = np.where(rng.random(len(x)) < 0.5, 1, -1)
+    cut = CELL_TRAIN_ROWS
+    data = training.SupervisedSplit(x[:cut], y[:cut], x[cut:], y[cut:])
+    return modules["harness"]._CellTask(
+        n=n, x=float(n), split_index=0, split_seed=0, rep_seeds=tuple(range(reps)), data=data,
+        optimizer=training.OptimizerConfig(epochs=epochs))
 
 
 def _best_of(call, number: int) -> float:
@@ -75,22 +131,28 @@ def _best_of(call, number: int) -> float:
     return best
 
 
-def compare(modules: dict, qubits, rows_list, repeats: int, number: int) -> list[dict]:
-    """Median seconds per (n, rows, kind) and tree, timed interleaved."""
+def compare(modules: dict, qubits, rows_list, reps_list, kinds, repeats: int, number: int,
+            epochs: int) -> list[dict]:
+    """Median seconds per rep (per rep-epoch for `cell`) of each case and tree,
+    timed interleaved."""
     results = []
     for n in qubits:
-        for rows in rows_list:
-            calls = {tree: _calls(modules[tree], n, rows) for tree in TREES}
-            for kind in KINDS:
-                for tree in TREES:   # warm caches before timing
-                    calls[tree][kind]()
-                times = {tree: [] for tree in TREES}
-                for repeat in range(repeats):
-                    order = TREES if repeat % 2 == 0 else TREES[::-1]
-                    for tree in order:
-                        times[tree].append(_best_of(calls[tree][kind], number))
-                results.append(dict(n=n, rows=rows, kind=kind,
-                                    **{tree: statistics.median(times[tree]) for tree in TREES}))
+        for reps in reps_list:
+            for kind in kinds:
+                for rows in (rows_list if kind != "cell" else [CELL_TRAIN_ROWS]):
+                    calls = {tree: _call(modules[tree], kind, n, rows, reps, epochs)
+                             for tree in TREES}
+                    for tree in TREES:   # warm caches before timing
+                        calls[tree]()
+                    times = {tree: [] for tree in TREES}
+                    for repeat in range(repeats):
+                        order = TREES if repeat % 2 == 0 else TREES[::-1]
+                        for tree in order:
+                            times[tree].append(_best_of(calls[tree], number))
+                    per = reps * (epochs if kind == "cell" else 1)
+                    results.append(dict(n=n, rows=rows, reps=reps, kind=kind,
+                                        **{tree: statistics.median(times[tree]) / per
+                                           for tree in TREES}))
     return results
 
 
@@ -100,15 +162,21 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="source tree of the change")
     parser.add_argument("--qubits", type=int, nargs="+", default=[2, 3, 4, 8])
     parser.add_argument("--rows", type=int, nargs="+", default=[32, 300])
+    parser.add_argument("--reps", type=int, nargs="+", default=[1])
+    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=list(KINDS))
+    parser.add_argument("--epochs", type=int, default=2, help="epochs of each timed cell")
     parser.add_argument("--repeats", type=int, default=41)
     parser.add_argument("--number", type=int, default=3, help="calls per timed best-of")
     args = parser.parse_args(argv)
 
-    modules = {tree: load_tree(getattr(args, tree), tree) for tree in TREES}
-    print(f"{'n':>3} {'rows':>5} {'kind':>8} {'parent us':>10} {'change us':>10} {'ratio':>6}")
-    for row in compare(modules, args.qubits, args.rows, args.repeats, args.number):
-        print(f"{row['n']:>3} {row['rows']:>5} {row['kind']:>8} {row['parent'] * 1e6:>10.1f} "
-              f"{row['change'] * 1e6:>10.1f} {row['change'] / row['parent']:>6.2f}")
+    modules = {tree: _modules(load_tree(getattr(args, tree), tree)) for tree in TREES}
+    print(f"{'n':>3} {'rows':>5} {'reps':>4} {'kind':>8} {'parent us':>10} {'change us':>10} "
+          f"{'ratio':>6}")
+    for row in compare(modules, args.qubits, args.rows, args.reps, args.kinds, args.repeats,
+                       args.number, args.epochs):
+        print(f"{row['n']:>3} {row['rows']:>5} {row['reps']:>4} {row['kind']:>8} "
+              f"{row['parent'] * 1e6:>10.1f} {row['change'] * 1e6:>10.1f} "
+              f"{row['change'] / row['parent']:>6.2f}")
     return 0
 
 

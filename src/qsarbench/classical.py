@@ -5,12 +5,14 @@ terms anywhere, giving exactly 2(N+1) trainable parameters.  Labels are
 encoded +/-1 and trained under mean squared error so the loss scale is
 directly comparable with the quantum classifier; that loss and its chain
 rule live in `training`, and the model is its score function, written once
-over the flat parameter vector in `_scores_and_backward`; decisions, in
-training and in `mlp_predict`, come from `training.decide`.
+in `_scores_and_backward` over the (R, P) rows of flat parameter vectors,
+one per rep, as stacked matrix products; decisions, in training and in
+`mlp_predict`, come from `training.decide`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,21 +71,27 @@ def init_mlp_params(n_features: int, seed: int) -> MlpParams:
     )
 
 
-def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
-    """Scores w_out . tanh(w_hidden . x) for the flat to_vector() parameters,
-    and the map from d(loss)/d(scores) to the flat gradient."""
+def _scores_and_backward(params: np.ndarray, x: np.ndarray):
+    """Scores w_out . tanh(w_hidden . x) for (R, P) rows of to_vector()
+    parameters, and the map from d(loss)/d(scores) to the (R, P) gradient.
+
+    Rows x (R, B, N) are each rep's own; rows x (T, N) are shared by every
+    rep and are scored forward-only, with no backward.
+    """
     n_features = x.shape[-1]
     split = HIDDEN_UNITS * n_features
-    w_hidden = vec[:split].reshape(HIDDEN_UNITS, n_features)
-    w_out = vec[split:]
-    hidden = np.tanh(x @ w_hidden.T)                   # (B, 2)
-    scores = hidden @ w_out                            # (B,)
+    w_hidden = params[:, :split].reshape(-1, HIDDEN_UNITS, n_features)
+    w_out = params[:, split:, None]                             # (R, 2, 1)
+    hidden = np.tanh(x @ w_hidden.swapaxes(1, 2))               # (R, B, 2)
+    scores = (hidden @ w_out)[..., 0]                           # (R, B)
+    if x.ndim == 2:
+        return scores, None
 
     def backward(d_scores: np.ndarray) -> np.ndarray:
-        g_out = hidden.T @ d_scores                    # (2,)
-        d_hidden = np.outer(d_scores, w_out) * (1.0 - hidden ** 2)
-        g_hidden = d_hidden.T @ x                      # (2, N)
-        return np.concatenate([g_hidden.ravel(), g_out])
+        g_out = (hidden.swapaxes(1, 2) @ d_scores[..., None])[..., 0]           # (R, 2)
+        d_hidden = d_scores[..., None] * w_out.swapaxes(1, 2) * (1.0 - hidden ** 2)
+        g_hidden = d_hidden.swapaxes(1, 2) @ x                                  # (R, 2, N)
+        return np.concatenate([g_hidden.reshape(len(params), -1), g_out], axis=1)
 
     return scores, backward
 
@@ -98,8 +106,8 @@ def _check_features(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def mlp_forward(params: MlpParams, x: np.ndarray) -> float | np.ndarray:
     """Score w_out . tanh(w_hidden . x); accepts one vector or a batch of rows."""
     x = _check_features(params, x)
-    scores = _scores_and_backward(params.to_vector(), x)[0]
-    return float(scores) if x.ndim == 1 else scores
+    scores = _scores_and_backward(params.to_vector()[None], np.atleast_2d(x))[0][0]
+    return float(scores[0]) if x.ndim == 1 else scores
 
 
 def mlp_predict(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -115,15 +123,17 @@ def mlp_loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
 def mlp_gradient(params: MlpParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact gradient of mean((score - y)^2), flattened like to_vector()."""
     x = _check_features(params, x)
-    return mse_loss_and_gradient(_scores_and_backward, params.to_vector(), x, y)[1]
+    return mse_loss_and_gradient(_scores_and_backward, params.to_vector()[None], x[None],
+                                 np.asarray(y)[None])[1][0]
 
 
 def train_mlp(
     data: SupervisedSplit,
     config: OptimizerConfig,
-    seed: int,
-    schedule: np.ndarray,
-) -> TrainingResult:
-    """Adam-train the perceptron; `seed` fixes the init, the schedule the batches."""
-    params = init_mlp_params(data.train_x.shape[1], seed)
-    return run_training(_scores_and_backward, params.to_vector(), data, config, schedule)
+    seeds: Sequence[int],
+    schedules: np.ndarray,
+) -> list[TrainingResult]:
+    """Adam-train one perceptron per rep, all reps at once; rep r's init comes
+    from `seeds[r]` and its batches from `schedules[r]`."""
+    params = np.stack([init_mlp_params(data.train_x.shape[1], seed).to_vector() for seed in seeds])
+    return run_training(_scores_and_backward, params, data, config, schedules)

@@ -6,9 +6,11 @@ classes (where the dataset calls for it) and derives the split seed.  The
 protocol then supplies its training plans for that resplit, each tagged
 with its sweep value x.  Every plan gets one PCA fit at the widest n, which
 each n in n_list truncates; a cell is one (resplit, plan, n) holding one
-validated `SupervisedSplit`, and trains all reps.  Cells are built in the
-parent process, so every data check runs before the first worker starts.
-The driver maps the cells over the workers and builds the report.
+validated `SupervisedSplit`, and trains all its reps at once: one
+`train_mlp` and one `train_quantum` call, each on the reps' stacked batch
+schedules, along the trainers' rep axis.  Cells are built in the parent
+process, so every data check runs before the first worker starts.  The
+driver maps the cells over the workers and builds the report.
 
 A protocol run is a pure function of its configuration and input files.
 Seeds derive hierarchically (master -> per-resplit -> per-rep -> stream),
@@ -335,28 +337,36 @@ class _CellTask:
 
 
 def _run_cell(task: _CellTask) -> list[TrialResult]:
+    """Train every rep of a cell: one trainer call per model, all reps at once."""
     data = task.data
     if data.train_x.shape[1] != 1 << task.n:
         raise InvariantViolation(
             f"cell n={task.n} received {data.train_x.shape[1]} features instead of {1 << task.n}"
         )
+    schedules = np.stack([
+        batch_schedule(data.train_x.shape[0], task.optimizer.epochs,
+                       derive_seed(rep_seed, _STREAM_SCHEDULE))
+        for rep_seed in task.rep_seeds
+    ])
+    outcomes = {}
+    for model, train, stream in (("classical", train_mlp, _STREAM_MLP_INIT),
+                                 ("quantum", train_quantum, _STREAM_QUANTUM_INIT)):
+        seeds = [derive_seed(rep_seed, stream) for rep_seed in task.rep_seeds]
+        try:
+            outcomes[model] = train(data, task.optimizer, seeds, schedules)
+        except InvariantViolation as exc:
+            rep = getattr(exc, "rep", None)
+            reps = (f"rep_seeds={list(task.rep_seeds)}" if rep is None
+                    else f"rep_seed={task.rep_seeds[rep]}")
+            raise InvariantViolation(
+                f"split_index={task.split_index} n={task.n} x={task.x} {reps} model={model}: {exc}"
+            ) from exc
     results: list[TrialResult] = []
     for rep_index, rep_seed in enumerate(task.rep_seeds):
-        schedule = batch_schedule(data.train_x.shape[0], task.optimizer.epochs,
-                                  derive_seed(rep_seed, _STREAM_SCHEDULE))
-        outcomes = {}
-        for model, train, stream in (("classical", train_mlp, _STREAM_MLP_INIT),
-                                     ("quantum", train_quantum, _STREAM_QUANTUM_INIT)):
-            try:
-                outcomes[model] = train(data, task.optimizer, derive_seed(rep_seed, stream), schedule)
-            except InvariantViolation as exc:
-                raise InvariantViolation(
-                    f"split_index={task.split_index} n={task.n} x={task.x} "
-                    f"rep_seed={rep_seed} model={model}: {exc}"
-                ) from exc
-        if outcomes["classical"].schedule_digest != outcomes["quantum"].schedule_digest:
+        pair = {model: outcome[rep_index] for model, outcome in outcomes.items()}
+        if pair["classical"].schedule_digest != pair["quantum"].schedule_digest:
             raise InvariantViolation("paired trainers consumed different batch schedules")
-        for model, outcome in outcomes.items():
+        for model, outcome in pair.items():
             results.append(TrialResult(
                 model=model,
                 n=task.n,

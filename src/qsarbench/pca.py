@@ -30,6 +30,8 @@ __all__ = ["PcaModel", "fit_pca", "transform"]
 
 logger = logging.getLogger(__name__)
 
+ORTHONORMAL_TOLERANCE = 1e-8   # largest |C C^T - I| entry a loaded model may have
+
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -77,7 +79,16 @@ class PcaModel:
         if len(eigenvalues) != len(components):
             raise DataError(f"{path}: {len(eigenvalues)} eigenvalues for "
                             f"{len(components)} components")
-        return cls(mean=mean, components=np.vstack(components), eigenvalues=eigenvalues)
+        components = np.vstack(components)
+        if not all(np.isfinite(values).all() for values in (mean, components, eigenvalues)):
+            raise DataError(f"{path}: a value is not finite")
+        if np.any(eigenvalues < 0) or np.any(np.diff(eigenvalues) > 0):
+            raise DataError(f"{path}: eigenvalues must be non-negative and non-increasing")
+        gram = components @ components.T
+        if np.max(np.abs(gram - np.eye(len(gram)))) > ORTHONORMAL_TOLERANCE:
+            raise DataError(f"{path}: component rows are not orthonormal "
+                            f"within {ORTHONORMAL_TOLERANCE}")
+        return cls(mean=mean, components=components, eigenvalues=eigenvalues)
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

@@ -11,17 +11,24 @@ evaluation per angle is two orders of magnitude more circuit work.  This
 module holds only the readout: the model supplies its score function,
 `_scores_and_backward`, and its decisions, in training and in `q_predict`,
 come from `training.decide`.  The parameters are the (layers, n, 3) angle
-array and the readout vector, and the score function runs the simulator's
-`amplitude_embed`, `ansatz_sweep` and `z_expectations` on the whole batch,
-keeping each layer's input state and factors for the backward pass.  The
-circuit's structure lives in `simulator`, the MSE loss and its chain rule
-in `training`.  The equality of the two gradient paths is part of the test
-suite.
+array and the readout vector; the score function takes (R, P) rows of flat
+vectors, one per rep, and amplitudes rather than features.  `train_quantum`
+embeds the train and test rows once per cell, so a step gathers embedded
+rows; embedding works row by row, so that equals embedding the batch.  On
+each rep's rows the score function runs the simulator's `ansatz_sweep` and
+`z_expectations` for every rep at once, keeping each layer's input state and
+factors for the backward pass.  Rows shared by every rep, the test rows of
+each epoch, go forward-only through `run_ansatz_reps` in chunks of at most
+`SCORE_CHUNK_BYTES` of state, so scoring a large test set holds no layer
+inputs and a bounded state.  The circuit's structure lives in `simulator`,
+the MSE loss and its chain rule in `training`.  The equality of the two
+gradient paths is part of the test suite.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +36,15 @@ import numpy as np
 from .errors import DataError
 from .rng import generator
 from .simulator import (DEFAULT_LAYERS, adjoint_gradient, amplitude_embed, ansatz_sweep,
-                        z_expectations)
+                        run_ansatz_reps, z_expectations)
 from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
                        mse_loss_and_gradient, run_training)
 
 __all__ = ["QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
            "q_loss", "q_gradient", "train_quantum"]
+
+# the most state, reps x rows x 2^n amplitudes, that one chunk of shared rows holds
+SCORE_CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -73,11 +83,12 @@ class QuantumModelParams:
 
 
 def _split_vector(vec: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the (layers, n, 3) angles and the (n,) readout in a flat vector."""
-    n_angles = vec.size - n_qubits
+    """Views of the (..., layers, n, 3) angles and the (..., n) readout in flat
+    vectors along the last axis."""
+    n_angles = vec.shape[-1] - n_qubits
     if n_angles < 0 or n_angles % (3 * n_qubits):
-        raise DataError(f"{vec.size} parameters are not whole layers on {n_qubits} qubits")
-    return vec[:n_angles].reshape(-1, n_qubits, 3), vec[n_angles:]
+        raise DataError(f"{vec.shape[-1]} parameters are not whole layers on {n_qubits} qubits")
+    return vec[..., :n_angles].reshape(vec.shape[:-1] + (-1, n_qubits, 3)), vec[..., n_angles:]
 
 
 def init_quantum_params(n_qubits: int, seed: int, layers: int = DEFAULT_LAYERS) -> QuantumModelParams:
@@ -89,26 +100,40 @@ def init_quantum_params(n_qubits: int, seed: int, layers: int = DEFAULT_LAYERS) 
     return QuantumModelParams(angles, readout)
 
 
-def _scores_and_backward(vec: np.ndarray, x: np.ndarray):
-    """Readout scores for flat to_vector() parameters, and the map from
-    d(loss)/d(scores) to the flat gradient.
+def _scores_and_backward(params: np.ndarray, amps: np.ndarray):
+    """Readout scores for (R, P) rows of to_vector() parameters on embedded
+    rows, and the map from d(loss)/d(scores) to the (R, P) gradient.
 
-    Weighting the scores by d_scores weights each <Z_q> by d_scores * readout,
-    so the angle gradient is `simulator.adjoint_gradient` of the output
-    states and what the sweep kept; it equals the parameter-shift rule
-    (`parameter_shift_gradient`).
+    Rows amps (R, B, 2^n) are each rep's own.  Weighting the scores by
+    d_scores weights each <Z_q> by d_scores * readout, so the angle gradient
+    is `simulator.adjoint_gradient` of the output states and what the sweep
+    kept; it equals the parameter-shift rule (`parameter_shift_gradient`).
+    Rows amps (T, 2^n) are shared by every rep and are scored forward-only,
+    with no backward.
     """
-    n = x.shape[-1].bit_length() - 1
-    angles, readout = _split_vector(vec, n)
-    final, kept = ansatz_sweep(amplitude_embed(x), angles)
-    z = z_expectations(final)                          # (B, n)
-    scores = z @ readout                               # (B,)
+    n = amps.shape[-1].bit_length() - 1
+    angles, readout = _split_vector(params, n)
+    if amps.ndim == 2:
+        return _shared_scores(amps, angles, readout), None
+    final, kept = ansatz_sweep(amps, angles)
+    z = z_expectations(final)                                   # (R, B, n)
+    scores = (z @ readout[..., None])[..., 0]                   # (R, B)
 
     def backward(d_scores: np.ndarray) -> np.ndarray:
-        g_angles = adjoint_gradient(final, kept, angles, np.outer(d_scores, readout))
-        return np.concatenate([g_angles.ravel(), z.T @ d_scores])
+        g_angles = adjoint_gradient(final, kept, angles, d_scores[..., None] * readout[:, None])
+        g_readout = (z.swapaxes(1, 2) @ d_scores[..., None])[..., 0]
+        return np.concatenate([g_angles.reshape(len(params), -1), g_readout], axis=1)
 
     return scores, backward
+
+
+def _shared_scores(amps: np.ndarray, angles: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Every rep's (R, T) scores on the same (T, 2^n) rows, forward-only, in
+    chunks of rows whose R x rows x 2^n state fits in SCORE_CHUNK_BYTES."""
+    rows = max(1, SCORE_CHUNK_BYTES // (len(angles) * amps.shape[-1] * amps.itemsize))
+    chunks = [z_expectations(run_ansatz_reps(amps[start:start + rows], angles))
+              @ readout[..., None] for start in range(0, len(amps), rows)]
+    return np.concatenate(chunks, axis=1)[..., 0]
 
 
 def _check_features(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
@@ -124,8 +149,8 @@ def _check_features(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
 def q_forward(params: QuantumModelParams, x: np.ndarray) -> float | np.ndarray:
     """Readout score; accepts a single vector or a batch of rows."""
     x = _check_features(params, x)
-    scores = _scores_and_backward(params.to_vector(), x)[0]
-    return float(scores) if x.ndim == 1 else scores
+    scores = _scores_and_backward(params.to_vector()[None], amplitude_embed(np.atleast_2d(x)))[0][0]
+    return float(scores[0]) if x.ndim == 1 else scores
 
 
 def q_predict(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
@@ -146,18 +171,23 @@ def q_gradient(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> np.n
     2*(score - y)*readout / batch.
     """
     x = _check_features(params, x)
-    return mse_loss_and_gradient(_scores_and_backward, params.to_vector(), x, y)[1]
+    return mse_loss_and_gradient(_scores_and_backward, params.to_vector()[None],
+                                 amplitude_embed(x)[None], np.asarray(y)[None])[1][0]
 
 
 def train_quantum(
     data: SupervisedSplit,
     config: OptimizerConfig,
-    seed: int,
-    schedule: np.ndarray,
-) -> TrainingResult:
-    """Adam-train the hybrid classifier; contract mirrors train_mlp."""
+    seeds: Sequence[int],
+    schedules: np.ndarray,
+) -> list[TrainingResult]:
+    """Adam-train one hybrid classifier per rep, all reps at once; contract
+    mirrors train_mlp.  The train and test rows are embedded once, here."""
     n_features = data.train_x.shape[1]
     if n_features < 2 or n_features & (n_features - 1):
         raise DataError(f"feature count {n_features} is not a power of two")
-    params = init_quantum_params(int(math.log2(n_features)), seed)
-    return run_training(_scores_and_backward, params.to_vector(), data, config, schedule)
+    n_qubits = int(math.log2(n_features))
+    params = np.stack([init_quantum_params(n_qubits, seed).to_vector() for seed in seeds])
+    embedded = SupervisedSplit(amplitude_embed(data.train_x), data.train_y,
+                               amplitude_embed(data.test_x), data.test_y)
+    return run_training(_scores_and_backward, params, embedded, config, schedules)

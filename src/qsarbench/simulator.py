@@ -32,6 +32,14 @@ adjoint sweep `adjoint_gradient` that walks it backwards a layer at a time
 with the forward sweep's factors, reading the trainer's angle gradients in
 closed form off one overlap per qubit block, and the parameter-shift
 reference `parameter_shift_gradient`.
+
+The sweeps also take the trainer's rep axis: (reps, layers, n, 3) angles
+build per-rep (reps, layers, 2^w, 2^w) factors, and every layer product,
+CNOT gather and block overlap is one stacked call over the reps, each rep's
+arithmetic that of its own sweep.  Plain (layers, n, 3) angles keep their
+meaning, one rep.  `ansatz_sweep` keeps each layer's input for the adjoint
+sweep; `run_ansatz` and `run_ansatz_reps` (every rep's angles on the same
+rows, as the trainer scores its test rows) run forward only and keep none.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
     "apply_single_array",
     "apply_cnot_array",
     "run_ansatz",
+    "run_ansatz_reps",
     "z_expectations",
     "parameter_shift_gradient",
     "adjoint_gradient",
@@ -188,66 +197,126 @@ def block_widths(n_qubits: int) -> tuple[int, ...]:
 
 
 def layer_factors(u: np.ndarray) -> list[np.ndarray]:
-    """The Kronecker factors of every layer: per block, the (layers, 2^w, 2^w)
-    product of its qubits' rotations `u` (layers, n, 2, 2), qubit 0 most
+    """The Kronecker factors of every layer: per block, the (..., layers, 2^w, 2^w)
+    product of its qubits' rotations `u` (..., layers, n, 2, 2), qubit 0 most
     significant."""
     factors, first = [], 0
-    for width in block_widths(u.shape[1]):
-        factor = u[:, first]
+    for width in block_widths(u.shape[-3]):
+        factor = u[..., first, :, :]
         for q in range(first + 1, first + width):
             size = 2 * factor.shape[-1]
-            factor = (factor[:, :, None, :, None] * u[:, q, None, :, None, :]
-                      ).reshape(-1, size, size)
+            factor = (factor[..., :, None, :, None] * u[..., q, None, :, None, :]
+                      ).reshape(u.shape[:-3] + (size, size))
         factors.append(factor)
         first += width
     return factors
 
 
 def apply_layer(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """One layer's rotations: the Kronecker `factors` of its qubit blocks,
-    each applied as one mode product, on a batch-last (2^n, rows) state; the
-    result is batch-first, (rows, 2^n).
+    """One layer's rotations: the Kronecker `factors` (..., 2^w, 2^w) of its
+    qubit blocks, each applied as one mode product, on a batch-last
+    (..., 2^n, rows) state; the result is batch-first, (..., rows, 2^n).
+    Leading axes, such as the sweeps' rep axis, pair each state with its
+    own factors.
 
     Viewed as a tensor, the state's modes are the qubit blocks, qubit 0's
     first, then the rows.  Each product `x.reshape(d, -1).T @ K.T` applies
     the first mode's factor and moves that mode to the back, so once every
     block is applied the rows lead, and no product copies a transposed
-    state.  Each
-    product has two or more rows even for one state, so a state alone is
-    summed in the same order as inside a batch.  A single qubit, whose one
-    state would be a matrix-vector product, has each row multiplied on its
-    own as a (1, 2) x (2, 2) product.
+    state.  A leading axis makes each product a stack of the same matrix
+    products.  Each product has two or more rows even for one state, so a
+    state alone is summed in the same order as inside a batch.  A single
+    qubit, whose one state would be a matrix-vector product, has each row
+    multiplied on its own as a (1, 2) x (2, 2) product.
     """
+    lead, width = x.shape[:-2], x.shape[-2]
     if len(factors) == 1:
-        return (x.T[:, None, :] @ factors[0].T)[:, 0]
+        return (x.swapaxes(-1, -2)[..., None, :]
+                @ factors[0].swapaxes(-1, -2)[..., None, :, :])[..., 0, :]
     for factor in factors:
-        x = x.reshape(len(factor), -1).T @ factor.T
-    return x.reshape(-1, math.prod(len(factor) for factor in factors))
+        x = x.reshape(lead + (factor.shape[-1], -1)).swapaxes(-1, -2) @ factor.swapaxes(-1, -2)
+    return x.reshape(lead + (-1, width))
+
+
+def _rep_angles(angles: np.ndarray, n_qubits: int) -> tuple[np.ndarray, bool]:
+    """(reps, layers, n, 3) angles, and whether they came as plain (layers, n, 3)
+    angles, which are one rep."""
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim == 4 and angles.shape[2:] == (n_qubits, 3):
+        return angles, False
+    return _ansatz_angles(angles, n_qubits)[None], True
+
+
+def _rep_factors(angles: np.ndarray) -> list[np.ndarray]:
+    """Each block's (reps, layers, 2^w, 2^w) factors of (reps, layers, n, 3) angles."""
+    return layer_factors(rot_matrix(angles[..., 0], angles[..., 1], angles[..., 2]))
+
+
+def _rep_index(reps: int) -> np.ndarray:
+    """The (reps, 1) index that makes `x[_rep_index(len(x)), perm]` gather each
+    rep's rows `perm` of a (reps, a, b) array into one C-ordered
+    (reps, len(perm), b) array; `x[:, perm]` would order it perm-first, and
+    the next layer would copy it again."""
+    return np.arange(reps)[:, None]
+
+
+def _sweep(x: np.ndarray, factors: list[np.ndarray], inputs: list | None = None) -> np.ndarray:
+    """The forward sweep of a batch-last (reps, 2^n, rows) state through
+    every layer of the (reps, layers, ...) `factors`; the result is
+    batch-first, (reps, rows, 2^n).  Each layer's input is appended to
+    `inputs` when a list is given.
+
+    Each layer is `apply_layer` followed by its CNOT ring, one gather that
+    also returns the state to batch-last.
+    """
+    n_qubits = _n_qubits(x.shape[1])
+    rep_index = _rep_index(len(x))
+    for layer in range(factors[0].shape[1]):
+        if inputs is not None:
+            inputs.append(x)
+        x = apply_layer(x, [factor[:, layer] for factor in factors]).swapaxes(1, 2)
+        if n_qubits > 1:
+            x = x[rep_index, ring_permutation(layer, n_qubits)[0]]
+    return x.swapaxes(1, 2)
 
 
 def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The ansatz's output amplitudes, and what `adjoint_gradient` needs of
     the sweep: each layer's batch-last input state and the layer factors.
 
-    Each layer is `apply_layer` followed by its CNOT ring, one gather that
-    also returns the state to batch-last.
+    Plain (layers, n, 3) angles act on every state of `amps`.  Per-rep
+    (reps, layers, n, 3) angles act on (reps, rows, 2^n) amplitudes, rep r's
+    angles on rep r's rows.
     """
     n_qubits = _n_qubits(amps.shape[-1])
-    angles = _ansatz_angles(angles, n_qubits)
-    factors = layer_factors(rot_matrix(*angles.transpose(2, 0, 1)))
-    x = amps.reshape(-1, amps.shape[-1]).T
-    inputs = []
-    for layer in range(angles.shape[0]):
-        inputs.append(x)
-        x = apply_layer(x, [factor[layer] for factor in factors]).T
-        if n_qubits > 1:
-            x = x[ring_permutation(layer, n_qubits)[0]]
-    return x.T.reshape(amps.shape), (inputs, factors)
+    angles, _ = _rep_angles(angles, n_qubits)
+    reps = len(angles)
+    if reps > 1 and (amps.ndim != 3 or len(amps) != reps):
+        raise DataError(f"{reps} reps of angles need (reps, rows, 2^n) amplitudes, "
+                        f"got {amps.shape}")
+    factors = _rep_factors(angles)
+    inputs: list[np.ndarray] = []
+    final = _sweep(amps.reshape(reps, -1, amps.shape[-1]).swapaxes(1, 2), factors, inputs)
+    return final.reshape(amps.shape), (inputs, factors)
 
 
 def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The ansatz's output amplitudes; `angles` is (layers, n, 3) in radians."""
-    return ansatz_sweep(amps, angles)[0]
+    """The ansatz's output amplitudes; `angles` is (layers, n, 3) in radians.
+    Forward only: no layer's input is kept."""
+    n_qubits = _n_qubits(amps.shape[-1])
+    angles = _ansatz_angles(angles, n_qubits)
+    x = amps.reshape(1, -1, amps.shape[-1]).swapaxes(1, 2)
+    return _sweep(x, _rep_factors(angles[None])).reshape(amps.shape)
+
+
+def run_ansatz_reps(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Every rep's ansatz on the same rows: (rows, 2^n) amplitudes and
+    (reps, layers, n, 3) angles give the (reps, rows, 2^n) outputs.  Forward
+    only: no layer's input is kept."""
+    n_qubits = _n_qubits(amps.shape[-1])
+    angles, _ = _rep_angles(angles, n_qubits)
+    x = np.broadcast_to(amps.T, (len(angles),) + amps.T.shape)
+    return _sweep(x, _rep_factors(angles))
 
 
 _Z_SIGNS: dict[int, np.ndarray] = {}
@@ -273,11 +342,11 @@ def z_expectations(amps: np.ndarray) -> np.ndarray:
     return probs @ z_sign_matrix(_n_qubits(amps.shape[-1]))
 
 
-def _qubit_overlaps(block_overlap: np.ndarray, width: int) -> list[np.ndarray]:
-    """Each qubit's 2x2 overlap from its block's (2^w, 2^w) one: the partial
-    trace over the block's other qubits."""
-    return [np.einsum("aibajb->ij", block_overlap.reshape((1 << q, 2, 1 << (width - 1 - q)) * 2))
-            for q in range(width)]
+def _qubit_overlap(block_overlap: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Qubit q's (reps, 2, 2) overlap from its block's (reps, 2^w, 2^w) one:
+    the partial trace over the block's other qubits."""
+    shape = (len(block_overlap),) + (1 << q, 2, 1 << (width - 1 - q)) * 2
+    return np.einsum("raibajb->rij", block_overlap.reshape(shape))
 
 
 def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
@@ -285,12 +354,14 @@ def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
     """Gradient of sum_rows sum_q upstream[row, q] * <Z_q> w.r.t. every angle.
 
     `final` and `kept` (each layer's input state and the layer factors) come
-    from `ansatz_sweep` of `angles`; `upstream` holds the (B, n) weights, and
-    the result has the shape of `angles`.  This is the contract of
+    from `ansatz_sweep` of `angles`; `upstream` holds the (rows, n) weights,
+    (reps, rows, n) for per-rep angles, and the result has the shape of
+    `angles`.  This is the contract of
     `parameter_shift_gradient` summed over rows, computed with one backward
     sweep (Jones & Gacon, arXiv:2009.02823) that takes a whole layer at a
-    time.  The weighted sum is <psi|O|psi> with a diagonal per-row
-    observable O, so the adjoint state `b` starts as O|final>.  Per layer,
+    time, for every rep at once.  The weighted sum is <psi|O|psi> with a
+    diagonal per-row observable O, so the adjoint state `b` starts as
+    O|final>.  Per layer,
     the sweep un-applies the CNOT ring (one inverse gather) and the
     rotations U (`apply_layer` with the conjugate-transposed kept factors),
     giving c = U^dagger b.  The rotations act on distinct qubits and
@@ -309,34 +380,41 @@ def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
     """
     inputs, factors = kept
     n_qubits = _n_qubits(final.shape[-1])
-    if upstream.shape != (final.shape[0], n_qubits):
-        raise DataError(f"upstream must be (rows, {n_qubits}), got {upstream.shape}")
-    if angles.shape != (len(inputs), n_qubits, 3):
-        raise DataError(f"angles must be ({len(inputs)}, {n_qubits}, 3) for this sweep, "
-                        f"got {angles.shape}")
+    reps, layers = factors[0].shape[:2]
+    if upstream.shape != final.shape[:-1] + (n_qubits,):
+        raise DataError(f"upstream must be (rows, {n_qubits}) per rep, got {upstream.shape}")
+    expected = (layers, n_qubits, 3) if np.ndim(angles) == 3 else (reps, layers, n_qubits, 3)
+    if np.shape(angles) != expected or (len(expected) == 3 and reps != 1):
+        raise DataError(f"angles must be {expected} for this sweep, got {np.shape(angles)}")
+    rep_angles, plain = _rep_angles(angles, n_qubits)
     undo = [factor.conj().swapaxes(-1, -2) for factor in factors]
     widths = block_widths(n_qubits)
-    b = (upstream @ z_sign_matrix(n_qubits).T) * final
-    overlaps = np.empty(angles.shape[:2] + (2, 2), dtype=np.complex128)
-    for layer in reversed(range(angles.shape[0])):
-        b = b.T
+    rep_index = _rep_index(reps)
+    b = ((upstream @ z_sign_matrix(n_qubits).T) * final).reshape(reps, -1, final.shape[-1])
+    overlaps = np.empty(rep_angles.shape[:3] + (2, 2), dtype=np.complex128)
+    for layer in reversed(range(layers)):
+        b = b.swapaxes(1, 2)
         if n_qubits > 1:
-            b = b[ring_permutation(layer, n_qubits)[1]]
-        b = apply_layer(b, [factor[layer] for factor in undo])
-        c = np.conjugate(b.T, out=np.empty_like(b.T, order="C"))   # batch-last, as the input
+            b = b[rep_index, ring_permutation(layer, n_qubits)[1]]
+        b = apply_layer(b, [factor[:, layer] for factor in undo])
+        batch_last = b.swapaxes(1, 2)   # as the kept input
+        c = np.conjugate(batch_last, out=np.empty(batch_last.shape, dtype=b.dtype))
         first = 0
         for width in widths:
             # the block's mode between the qubits before it and the rest
-            shape = (1 << first, 1 << width, -1)
-            block = (c.reshape(shape) @ inputs[layer].reshape(shape).swapaxes(1, 2)).sum(axis=0)
-            overlaps[layer, first:first + width] = _qubit_overlaps(block, width)
+            shape = (reps, 1 << first, 1 << width, -1)
+            block = (c.reshape(shape) @ inputs[layer].reshape(shape).swapaxes(-1, -2)).sum(axis=1)
+            for q in range(width):
+                overlaps[:, layer, first + q] = _qubit_overlap(block, width, q)
             first += width
-    n00, n01, n10, n11 = overlaps.reshape(angles.shape[:2] + (4,)).transpose(2, 0, 1)
-    p, beta = np.exp(1j * angles[..., 0]), angles[..., 1]
+    n00, n01 = overlaps[..., 0, 0], overlaps[..., 0, 1]
+    n10, n11 = overlaps[..., 1, 0], overlaps[..., 1, 1]
+    p, beta = np.exp(1j * rep_angles[..., 0]), rep_angles[..., 1]
     g_alpha = (n00 - n11).imag
     g_beta = (p.conj() * n10 - p * n01).real
     g_gamma = np.cos(beta) * g_alpha - np.sin(beta) * (p * n01 + p.conj() * n10).imag
-    return np.stack([g_alpha, g_beta, g_gamma], axis=-1)
+    grad = np.stack([g_alpha, g_beta, g_gamma], axis=-1)
+    return grad[0] if plain else grad
 
 
 def parameter_shift_gradient(x: np.ndarray, angles: np.ndarray,

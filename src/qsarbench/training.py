@@ -2,16 +2,23 @@
 
 Both classifiers train through `run_training` so they share one loss and its
 chain rule, consume identical batch schedules, track the same per-epoch
-trace, and report the best test accuracy over the run.  A model supplies
-only `scores_and_backward(vec, x) -> (scores, backward)` over its flat
-parameter vector, where `backward` maps d(loss)/d(scores) to the flat
-gradient; every decision, per epoch here and in the models' predict
-functions, is `decide(scores)`.  A batch schedule is a read-only
-(epochs, train rows) array holding one shuffled row order per epoch, a pure
-function of its seed; `run_training` cuts each order into batches of
-`OptimizerConfig.batch_size` rows, the one place the batch size and the
-Adam settings are written.  The schedule's digest is recorded so the harness can assert that paired trainers really
-saw the same batches.
+trace, and report the best test accuracy over the run.  The reps of a cell
+train together along a leading rep axis R: the parameters are an (R, P)
+array, one flat vector per rep, and each step is one gather, one forward and
+backward pass and one Adam update for every rep.  A model supplies only
+`scores_and_backward(params, x)` over those parameter rows.  Given per-rep
+rows x (R, B, F) it returns the (R, B) scores and `backward`, which maps
+d(loss)/d(scores) to the (R, P) gradient; given rows that every rep shares,
+x (T, F), it returns the (R, T) scores forward-only, with no backward.
+Every decision, per epoch here and in the models' predict functions, is
+`decide(scores)`.  A batch schedule is a read-only (epochs, train rows)
+array holding one shuffled row order per epoch, a pure function of its
+seed; `run_training` takes the R reps' schedules stacked, (R, epochs, rows),
+and cuts each order into batches of `OptimizerConfig.batch_size` rows, the
+one place the batch size and the Adam settings are written.  Each rep's
+arithmetic is the arithmetic of training it alone, so a rep's result does
+not depend on which reps train beside it.  The schedule's digest is recorded
+so the harness can assert that paired trainers really saw the same batches.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ __all__ = [
 ]
 
 ScoresAndBackward = Callable[[np.ndarray, np.ndarray],
-                             tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+                             tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]]
 
 
 def _integer(name: str, value) -> int:
@@ -117,12 +124,13 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, dim: int) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim))
+    def zeros(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
               config: OptimizerConfig) -> np.ndarray:
+    """One Adam update, elementwise, so (R, P) parameters update every rep at once."""
     state.t += 1
     state.m = config.beta1 * state.m + (1.0 - config.beta1) * grad
     state.v = config.beta2 * state.v + (1.0 - config.beta2) * grad * grad
@@ -151,16 +159,17 @@ def schedule_digest(schedule: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def mse_loss_and_gradient(scores_and_backward: ScoresAndBackward, vec: np.ndarray,
-                          x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """mean((score - y)^2) over the batch rows, and its gradient in `vec`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise InvariantViolation("gradient needs a non-empty batch of rows")
-    scores, backward = scores_and_backward(vec, x)
+def mse_loss_and_gradient(scores_and_backward: ScoresAndBackward, params: np.ndarray,
+                          x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each rep's mean((score - y)^2) over its batch rows, and its gradient in
+    that rep's parameters: (R, P) parameters, (R, B, F) rows and (R, B)
+    labels give (R,) losses and the (R, P) gradient."""
+    if x.ndim != 3 or x.shape[1] == 0:
+        raise InvariantViolation("gradient needs a non-empty batch of rows for each rep")
+    scores, backward = scores_and_backward(params, x)
     residual = scores - y
-    loss = float(np.mean(residual ** 2))
-    return loss, backward(2.0 * residual / x.shape[0])
+    losses = np.mean(residual ** 2, axis=1)
+    return losses, backward(2.0 * residual / x.shape[1])
 
 
 def decide(scores: np.ndarray) -> np.ndarray:
@@ -185,51 +194,67 @@ def run_training(
     params0: np.ndarray,
     data: SupervisedSplit,
     config: OptimizerConfig,
-    schedule: np.ndarray,
-) -> TrainingResult:
-    """Adam-train a model on the MSE of its scores; each epoch decides the test rows.
+    schedules: np.ndarray,
+) -> list[TrainingResult]:
+    """Adam-train R reps of a model on the MSE of their scores; each epoch
+    decides the test rows.  Returns one result per rep, in order.
 
-    Raises DataError before the first step unless the schedule is
-    (epochs, train rows), and InvariantViolation at the end of the first
-    epoch whose mean loss or parameter vector is not finite.
+    `params0` holds one initial parameter row per rep, (R, P), and
+    `schedules` one batch schedule per rep, (R, epochs, train rows).
+    Raises DataError before the first step unless the schedules have that
+    shape, and InvariantViolation at the end of the first epoch in which a
+    rep's mean loss or parameter vector is not finite; the error's `rep`
+    attribute is that rep's index.
     """
-    expected = (config.epochs, data.train_x.shape[0])
-    if schedule.shape != expected:
-        raise DataError(f"schedule {schedule.shape} is not (epochs, train rows) {expected}")
-
     params = np.array(params0, dtype=np.float64)
-    adam = AdamState.zeros(params.size)
-    losses = np.empty(config.epochs)
-    accuracies = np.empty(config.epochs)
-    recalls: list[float | None] = []
+    schedules = np.asarray(schedules)
+    reps = len(params)
+    expected = (reps, config.epochs, data.train_x.shape[0])
+    if params.ndim != 2 or schedules.shape != expected:
+        raise DataError(f"schedules {schedules.shape} are not (reps, epochs, train rows) "
+                        f"{expected} for parameters {params.shape}")
 
-    for epoch, order in enumerate(schedule):
-        epoch_losses = []
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            loss, grad = mse_loss_and_gradient(scores_and_backward, params,
-                                               data.train_x[batch], data.train_y[batch])
-            epoch_losses.append(loss)
+    adam = AdamState.zeros(params.shape)
+    starts = range(0, expected[2], config.batch_size)
+    step_losses = np.empty((reps, len(starts)))
+    losses = np.empty((reps, config.epochs))
+    accuracies = np.empty((reps, config.epochs))
+    recalls: list[list[float | None]] = [[] for _ in range(reps)]
+
+    for epoch in range(config.epochs):
+        for step, start in enumerate(starts):
+            batch = schedules[:, epoch, start:start + config.batch_size]
+            step_losses[:, step], grad = mse_loss_and_gradient(
+                scores_and_backward, params, data.train_x[batch], data.train_y[batch])
             params = adam_step(adam, params, grad, config)
-        losses[epoch] = mean_loss = float(np.mean(epoch_losses))
-        if not (np.isfinite(mean_loss) and np.isfinite(params).all()):
-            raise InvariantViolation(
-                f"epoch {epoch}: mean train loss {mean_loss}, "
-                f"{np.count_nonzero(~np.isfinite(params))} of {params.size} parameters non-finite"
+        # each rep's step losses averaged as one 1-D array, as when the rep trains alone
+        losses[:, epoch] = [np.mean(rep_losses) for rep_losses in step_losses]
+        finite = np.isfinite(losses[:, epoch]) & np.isfinite(params).all(axis=1)
+        if not finite.all():
+            rep = int(np.argmin(finite))
+            error = InvariantViolation(
+                f"epoch {epoch}: mean train loss {losses[rep, epoch]}, "
+                f"{np.count_nonzero(~np.isfinite(params[rep]))} of {params.shape[1]} "
+                f"parameters non-finite in rep {rep}"
             )
+            error.rep = rep
+            raise error
 
-        pred = decide(scores_and_backward(params, data.test_x)[0])
-        accuracies[epoch] = accuracy(pred, data.test_y)
-        recalls.append(recall(pred, data.test_y))
+        for rep, pred in enumerate(decide(scores_and_backward(params, data.test_x)[0])):
+            accuracies[rep, epoch] = accuracy(pred, data.test_y)
+            recalls[rep].append(recall(pred, data.test_y))
 
-    best_epoch = int(np.argmax(accuracies))
-    return TrainingResult(
-        params=params,
-        train_loss=losses,
-        test_accuracy=accuracies,
-        best_test_accuracy=float(accuracies[best_epoch]),
-        best_epoch=best_epoch,
-        test_recall_at_best=recalls[best_epoch],
-        final_train_loss=float(losses[-1]),
-        schedule_digest=schedule_digest(schedule),
-    )
+    results = []
+    for rep in range(reps):
+        best_epoch = int(np.argmax(accuracies[rep]))
+        results.append(TrainingResult(
+            params=params[rep].copy(),
+            train_loss=losses[rep],
+            test_accuracy=accuracies[rep],
+            best_test_accuracy=float(accuracies[rep, best_epoch]),
+            best_epoch=best_epoch,
+            test_recall_at_best=recalls[rep][best_epoch],
+            final_train_loss=float(losses[rep, -1]),
+            schedule_digest=schedule_digest(schedules[rep]),
+        ))
+    return results

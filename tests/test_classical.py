@@ -139,8 +139,8 @@ def separable_toy_data():
 
 
 def test_training_converges_on_separable_points():
-    result = train_mlp(separable_toy_data(), OptimizerConfig(epochs=100, batch_size=2), seed=4,
-                       schedule=batch_schedule(2, 100, seed=4))
+    [result] = train_mlp(separable_toy_data(), OptimizerConfig(epochs=100, batch_size=2),
+                         seeds=[4], schedules=[batch_schedule(2, 100, seed=4)])
     assert result.train_loss[-1] < 0.01
     assert np.all(np.diff(result.train_loss)[:10] < 0)  # early descent
     assert result.best_test_accuracy == 1.0
@@ -150,8 +150,8 @@ def test_training_is_deterministic():
     data = separable_toy_data()
     config = OptimizerConfig(epochs=20, batch_size=2)
     schedule = batch_schedule(2, 20, seed=11)
-    a = train_mlp(data, config, seed=11, schedule=schedule)
-    b = train_mlp(data, config, seed=11, schedule=schedule)
+    [a] = train_mlp(data, config, seeds=[11], schedules=[schedule])
+    [b] = train_mlp(data, config, seeds=[11], schedules=[schedule])
     np.testing.assert_array_equal(a.train_loss, b.train_loss)
     np.testing.assert_array_equal(a.test_accuracy, b.test_accuracy)
     np.testing.assert_array_equal(a.params, b.params)
@@ -167,7 +167,7 @@ def test_explicit_schedule_is_used():
     data = separable_toy_data()
     config = OptimizerConfig(epochs=5, batch_size=1)
     schedule = batch_schedule(2, 5, seed=999)
-    result = train_mlp(data, config, seed=1, schedule=schedule)
+    [result] = train_mlp(data, config, seeds=[1], schedules=[schedule])
     from qsarbench.training import schedule_digest
     assert result.schedule_digest == schedule_digest(schedule)
 
@@ -183,5 +183,5 @@ def test_training_never_calls_from_vector(monkeypatch):
 
     monkeypatch.setattr(MlpParams, "from_vector", classmethod(counted))
     config = OptimizerConfig(epochs=5, batch_size=1)
-    train_mlp(separable_toy_data(), config, seed=1, schedule=batch_schedule(2, 5, seed=1))
+    train_mlp(separable_toy_data(), config, seeds=[1], schedules=[batch_schedule(2, 5, seed=1)])
     assert not calls

@@ -11,12 +11,14 @@ SCRIPT = ROOT / "scripts" / "compare_steps.py"
 def test_compare_steps_prints_one_row_per_width_batch_and_kind():
     result = subprocess.run(
         [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(ROOT),
-         "--qubits", "1", "2", "--rows", "3", "--repeats", "2", "--number", "1"],
+         "--qubits", "1", "2", "--rows", "3", "--reps", "1", "2", "--epochs", "1",
+         "--repeats", "2", "--number", "1"],
         capture_output=True, text=True, check=True)
     header, *rows = result.stdout.splitlines()
-    assert header.split() == ["n", "rows", "kind", "parent", "us", "change", "us", "ratio"]
-    assert [row.split()[:3] for row in rows] == [
-        [n, "3", kind] for n in ("1", "2") for kind in ("step", "forward")]
+    assert header.split() == ["n", "rows", "reps", "kind", "parent", "us", "change", "us", "ratio"]
+    assert [row.split()[:4] for row in rows] == [
+        [n, "1200" if kind == "cell" else "3", reps, kind]
+        for n in ("1", "2") for reps in ("1", "2") for kind in ("step", "forward", "cell")]
     for row in rows:
-        parent, change, ratio = (float(v) for v in row.split()[3:])
+        parent, change, ratio = (float(v) for v in row.split()[4:])
         assert parent > 0 and change > 0 and ratio > 0

@@ -157,6 +157,13 @@ def test_csv_round_trip(tmp_path, rng):
     ("0.5,1.0\n1.0,0.0\nx,2.0\n", r"row 3: could not convert string to float: 'x'"),
     ("0.5,1.0\n1.0,0.0,0.0\n2.0\n", "a component row is not as wide as the 2-column mean row"),
     ("0.5,1.0\n1.0,0.0\n0.0,1.0\n2.0\n", "1 eigenvalues for 2 components"),
+    ("0.5,nan\n1.0,0.0\n-2.0\n", "a value is not finite"),
+    ("0.5,1.0\n1.0,inf\n2.0\n", "a value is not finite"),
+    ("0.5,1.0\n1.0,0.0\n-2.0\n", "eigenvalues must be non-negative and non-increasing"),
+    ("0.5,1.0\n1.0,0.0\n0.0,1.0\n1.0,2.0\n",
+     "eigenvalues must be non-negative and non-increasing"),
+    ("0.5,1.0\n1.0,1.0\n2.0\n", r"component rows are not orthonormal within 1e-08"),
+    ("0.5,1.0\n1.0,0.0\n1.0,0.0\n2.0,1.0\n", r"component rows are not orthonormal"),
 ])
 def test_csv_malformed_rejected(tmp_path, text, message):
     path = tmp_path / "model.csv"

@@ -170,8 +170,8 @@ def one_hot_toy_split():
 
 
 def test_training_solves_one_hot_task():
-    result = train_quantum(one_hot_toy_split(), OptimizerConfig(epochs=100, batch_size=4), seed=8,
-                           schedule=batch_schedule(4, 100, seed=8))
+    [result] = train_quantum(one_hot_toy_split(), OptimizerConfig(epochs=100, batch_size=4),
+                             seeds=[8], schedules=[batch_schedule(4, 100, seed=8)])
     assert result.best_test_accuracy == 1.0
 
 
@@ -179,8 +179,8 @@ def test_training_deterministic():
     data = one_hot_toy_split()
     config = OptimizerConfig(epochs=15, batch_size=2)
     schedule = batch_schedule(4, 15, seed=21)
-    a = train_quantum(data, config, seed=21, schedule=schedule)
-    b = train_quantum(data, config, seed=21, schedule=schedule)
+    [a] = train_quantum(data, config, seeds=[21], schedules=[schedule])
+    [b] = train_quantum(data, config, seeds=[21], schedules=[schedule])
     np.testing.assert_array_equal(a.train_loss, b.train_loss)
     np.testing.assert_array_equal(a.test_accuracy, b.test_accuracy)
     np.testing.assert_array_equal(a.params, b.params)
@@ -191,8 +191,8 @@ def test_non_power_of_two_features_rejected():
     y = np.array([1, -1, 1, -1])
     data = SupervisedSplit(x, y, x.copy(), y.copy())
     with pytest.raises(DataError, match="feature count 3 is not a power of two"):
-        train_quantum(data, OptimizerConfig(epochs=1), seed=0,
-                      schedule=batch_schedule(4, 1, seed=0))
+        train_quantum(data, OptimizerConfig(epochs=1), seeds=[0],
+                      schedules=[batch_schedule(4, 1, seed=0)])
 
 
 def test_zero_epochs_rejected():
@@ -211,7 +211,7 @@ def test_training_never_calls_from_vector(monkeypatch):
 
     monkeypatch.setattr(QuantumModelParams, "from_vector", classmethod(counted))
     config = OptimizerConfig(epochs=5, batch_size=2)
-    train_quantum(one_hot_toy_split(), config, seed=3, schedule=batch_schedule(4, 5, seed=3))
+    train_quantum(one_hot_toy_split(), config, seeds=[3], schedules=[batch_schedule(4, 5, seed=3)])
     assert not calls
 
 
@@ -228,5 +228,6 @@ def test_training_step_builds_rotations_once(monkeypatch, n):
     params = init_quantum_params(n, seed=5)
     x = np.random.default_rng(5).normal(size=(6, 1 << n))
     y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-    mse_loss_and_gradient(quantum._scores_and_backward, params.to_vector(), x, y)
+    mse_loss_and_gradient(quantum._scores_and_backward, params.to_vector()[None],
+                          amplitude_embed(x)[None], y[None])
     assert calls == {"rot_matrix": 1, "layer_factors": 1}

@@ -21,6 +21,7 @@ from qsarbench.simulator import (
     ring_permutation,
     rot_matrix,
     run_ansatz,
+    run_ansatz_reps,
     ry_matrix,
     rz_matrix,
     z_expectations,
@@ -424,6 +425,61 @@ def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
     for wrong in (angles[:-1], np.concatenate([angles, angles[:1]])):
         with pytest.raises(DataError, match=re.escape(f"angles must be ({layers}, {n}, 3)")):
             adjoint_gradient(final, kept, wrong, upstream)
+
+
+def dense_ansatz_on(n: int, angles: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """`dense_ansatz(n, angles) @ states.T`, gate by gate, for widths where the
+    whole dense unitary would be slow to build."""
+    out = states.T
+    for layer in range(angles.shape[0]):
+        for q in range(n):
+            out = dense_single(rot_matrix(*angles[layer, q]), n, q) @ out
+        if n > 1:
+            offset = entangler_offset(layer, n)
+            for q in range(n):
+                out = dense_cnot(n, q, (q + offset) % n) @ out
+    return out.T
+
+
+@pytest.mark.parametrize("n", (5, 8))
+def test_ansatz_matches_dense_oracle_with_n_layers(n, rng):
+    """Every ring offset and the three- and four-qubit blocks, against dense gates."""
+    states = np.stack([random_state(rng, n) for _ in range(3)])
+    angles = rng.uniform(-math.pi, math.pi, size=(n, n, 3))
+    np.testing.assert_allclose(run_ansatz(states, angles), dense_ansatz_on(n, angles, states),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", (4, 8))
+def test_norm_preserved_after_hundreds_of_fused_layers(n, rng):
+    states = amplitude_embed(rng.normal(size=(5, 1 << n)))
+    out = run_ansatz(states, rng.uniform(0.0, 2 * math.pi, size=(400, n, 3)))
+    np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
+def test_rep_axis_sweeps_equal_the_per_rep_calls(n, rng):
+    """Per-rep angles on a leading rep axis give each rep's own sweep,
+    adjoint gradient and forward-only outputs bit for bit."""
+    reps = 3
+    angles = rng.uniform(0.0, 2 * math.pi, size=(reps, 2, n, 3))
+    amps = amplitude_embed(rng.normal(size=(reps, 6, 1 << n)))
+    upstream = rng.normal(size=(reps, 6, n))
+    final, kept = ansatz_sweep(amps, angles)
+    grad = adjoint_gradient(final, kept, angles, upstream)
+    shared = run_ansatz_reps(amps[0], angles)
+    assert final.shape == amps.shape and grad.shape == angles.shape
+    assert shared.shape == (reps,) + amps.shape[1:]
+    for rep in range(reps):
+        alone, alone_kept = ansatz_sweep(amps[rep], angles[rep])
+        np.testing.assert_array_equal(final[rep], alone)
+        np.testing.assert_array_equal(
+            grad[rep], adjoint_gradient(alone, alone_kept, angles[rep], upstream[rep]))
+        np.testing.assert_array_equal(shared[rep], run_ansatz(amps[0], angles[rep]))
+    with pytest.raises(DataError, match=r"3 reps of angles need \(reps, rows, 2\^n\) amplitudes"):
+        ansatz_sweep(amps[:2], angles)
+    with pytest.raises(DataError, match=re.escape(f"angles must be ({reps}, 2, {n}, 3)")):
+        adjoint_gradient(final, kept, angles[:, :1], upstream)
 
 
 def test_state_vector_validation():

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import qsarbench.classical
+from qsarbench import quantum
 from qsarbench.classical import MlpParams, mlp_predict, train_mlp
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
+from qsarbench.harness import _CellTask, _run_cell
 from qsarbench.metrics import accuracy
-from qsarbench.quantum import QuantumModelParams, q_predict, train_quantum
-from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule, run_training,
-                                schedule_digest)
+from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_predict, train_quantum
+from qsarbench.simulator import amplitude_embed
+from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule, decide,
+                                run_training, schedule_digest)
 
 
 def toy_split():
@@ -27,16 +30,16 @@ def test_non_finite_epoch_raises_at_its_end(bad_score, bad_grad):
     steps = []
 
     def scores_and_backward(params, xb):
-        if xb.shape[0] != 2:                          # each epoch's call on the 4 test rows
-            return xb @ params, None
+        if xb.ndim == 2:                              # each epoch's call on the 4 shared test rows
+            return params @ xb.T, None
         steps.append(len(steps))
         bad = len(steps) == 3                         # first step of epoch 1
-        scores = np.full(xb.shape[0], bad_score if bad else 0.0)
+        scores = np.full(xb.shape[:2], bad_score if bad else 0.0)
         return scores, lambda d_scores: np.full_like(params, bad_grad if bad else 0.1)
 
     with pytest.raises(InvariantViolation, match="epoch 1: mean train loss"):
-        run_training(scores_and_backward, np.zeros(2), toy_split(),
-                     OptimizerConfig(epochs=epochs, batch_size=2), schedule)
+        run_training(scores_and_backward, np.zeros((1, 2)), toy_split(),
+                     OptimizerConfig(epochs=epochs, batch_size=2), [schedule])
     assert len(steps) == 4          # checked once per epoch, not per step
 
 
@@ -52,8 +55,8 @@ def test_bad_optimizer_setting_rejected_before_training(name, value, monkeypatch
     entered = []
     monkeypatch.setattr(qsarbench.classical, "run_training", lambda *args: entered.append(args))
     with pytest.raises(ConfigError, match=name):
-        qsarbench.classical.train_mlp(toy_split(), OptimizerConfig(**{name: value}), 0,
-                                      batch_schedule(4, 1, seed=0))
+        qsarbench.classical.train_mlp(toy_split(), OptimizerConfig(**{name: value}), [0],
+                                      [batch_schedule(4, 1, seed=0)])
     assert not entered
 
 
@@ -71,9 +74,11 @@ def index_split(rows):
 
 
 def recording_model(batches):
+    """Records each call's rows: a step's (reps, B) rows, or the (T,) rows every rep shares."""
     def scores_and_backward(params, xb):
-        batches.append(xb[:, 0].astype(int))
-        return np.zeros(xb.shape[0]), lambda d_scores: np.zeros_like(params)
+        batches.append(xb[..., 0].astype(int))
+        scores = np.zeros((len(params), xb.shape[-2]))
+        return scores, (None if xb.ndim == 2 else lambda d_scores: np.zeros_like(params))
 
     return scores_and_backward
 
@@ -81,21 +86,22 @@ def recording_model(batches):
 @pytest.mark.parametrize("rows, epochs", [(4, 2), (9, 2), (6, 3)])
 def test_schedule_of_another_shape_rejected_before_the_first_step(rows, epochs):
     batches = []
-    with pytest.raises(DataError, match=rf"\({epochs}, {rows}\).*\(2, 6\)"):
-        run_training(recording_model(batches), np.zeros(1), index_split(6),
-                     OptimizerConfig(epochs=2), batch_schedule(rows, epochs, seed=0))
+    with pytest.raises(DataError, match=rf"\(1, {epochs}, {rows}\).*\(1, 2, 6\)"):
+        run_training(recording_model(batches), np.zeros((1, 1)), index_split(6),
+                     OptimizerConfig(epochs=2), [batch_schedule(rows, epochs, seed=0)])
     assert not batches
 
 
 def test_epoch_order_cut_into_batches_of_the_configured_size():
-    schedule = batch_schedule(5, 3, seed=4)
+    schedules = np.stack([batch_schedule(5, 3, seed=4), batch_schedule(5, 3, seed=5)])
     batches = []
-    run_training(recording_model(batches), np.zeros(1), index_split(5),
-                 OptimizerConfig(epochs=3, batch_size=2), schedule)
-    # each epoch: its batches, then one call on all test rows to decide them
-    assert [len(batch) for batch in batches] == [2, 2, 1, 5] * 3
-    for epoch, order in enumerate(schedule):
-        np.testing.assert_array_equal(np.concatenate(batches[4 * epoch:4 * epoch + 3]), order)
+    run_training(recording_model(batches), np.zeros((2, 1)), index_split(5),
+                 OptimizerConfig(epochs=3, batch_size=2), schedules)
+    # each epoch: every rep's batches, then one call on all test rows to decide them
+    assert [batch.shape for batch in batches] == [(2, 2), (2, 2), (2, 1), (5,)] * 3
+    for epoch in range(3):
+        np.testing.assert_array_equal(np.concatenate(batches[4 * epoch:4 * epoch + 3], axis=1),
+                                      schedules[:, epoch])
         np.testing.assert_array_equal(batches[4 * epoch + 3], np.arange(5))
 
 
@@ -119,6 +125,85 @@ def test_epoch_decisions_are_the_public_predict(train, params_type, predict, wid
     x = rng.normal(size=(24, 4))
     y = np.where(rng.random(24) < 0.5, 1, -1)
     data = SupervisedSplit(x[:16], y[:16], x[16:], y[16:])
-    result = train(data, OptimizerConfig(epochs=3, batch_size=4), 0, batch_schedule(16, 3, seed=0))
+    [result] = train(data, OptimizerConfig(epochs=3, batch_size=4), [0],
+                     [batch_schedule(16, 3, seed=0)])
     params = params_type.from_vector(width, result.params)
     assert result.test_accuracy[-1] == accuracy(predict(params, data.test_x), data.test_y)
+
+
+def random_split(n, rows=60, test_rows=15, seed=16):
+    rng = np.random.default_rng([n, seed])
+    x = rng.normal(size=(rows, 1 << n))
+    y = np.where(rng.random(rows) < 0.5, 1, -1)
+    cut = rows - test_rows
+    return SupervisedSplit(x[:cut], y[:cut], x[cut:], y[cut:])
+
+
+@pytest.mark.parametrize("train", [train_mlp, train_quantum])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_reps_trained_together_equal_each_rep_trained_alone(train, n):
+    data = random_split(n)
+    config = OptimizerConfig(epochs=3, batch_size=8)    # a short last batch each epoch
+    seeds = [3, 17, 29]
+    schedules = [batch_schedule(45, 3, seed=seed) for seed in (5, 6, 7)]
+    together = train(data, config, seeds, np.stack(schedules))
+    assert len(together) == 3
+    for seed, schedule, result in zip(seeds, schedules, together):
+        [alone] = train(data, config, [seed], [schedule])
+        np.testing.assert_array_equal(result.params, alone.params)
+        np.testing.assert_array_equal(result.train_loss, alone.train_loss)
+        np.testing.assert_array_equal(result.test_accuracy, alone.test_accuracy)
+        assert (result.best_epoch, result.best_test_accuracy, result.test_recall_at_best,
+                result.final_train_loss, result.schedule_digest) == (
+            alone.best_epoch, alone.best_test_accuracy, alone.test_recall_at_best,
+            alone.final_train_loss, alone.schedule_digest)
+        assert result.schedule_digest == schedule_digest(schedule)
+
+
+def test_test_rows_scored_in_chunks_match_one_chunk(monkeypatch):
+    n, reps = 3, 2
+    data = random_split(n, rows=100, test_rows=40)
+    amps = amplitude_embed(data.test_x)
+    params = np.stack([init_quantum_params(n, seed).to_vector() for seed in (1, 2)])
+    whole = quantum._scores_and_backward(params, amps)[0]
+    config = OptimizerConfig(epochs=3, batch_size=8)
+    schedules = [batch_schedule(60, 3, seed=seed) for seed in (5, 6)]
+    trained = train_quantum(data, config, [1, 2], schedules)
+
+    chunks = []
+    run_ansatz_reps = quantum.run_ansatz_reps
+
+    def counted(rows, angles):
+        chunks.append(len(rows))
+        return run_ansatz_reps(rows, angles)
+
+    monkeypatch.setattr(quantum, "run_ansatz_reps", counted)
+    monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 7 * reps * amps.shape[-1] * amps.itemsize)
+    chunked = quantum._scores_and_backward(params, amps)[0]
+    assert chunks == [7, 7, 7, 7, 7, 5]
+    np.testing.assert_array_equal(decide(chunked), decide(whole))
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
+    for result, alone in zip(train_quantum(data, config, [1, 2], schedules), trained):
+        np.testing.assert_array_equal(result.test_accuracy, alone.test_accuracy)
+        assert result.test_recall_at_best == alone.test_recall_at_best
+
+
+def test_non_finite_rep_names_its_rep_seed(monkeypatch):
+    exact = quantum._scores_and_backward
+
+    def nan_in_rep_one(params, x):
+        scores, backward = exact(params, x)
+        if x.ndim == 3:                  # a training step of every rep
+            scores = scores.copy()
+            scores[1] = np.nan
+        return scores, backward
+
+    monkeypatch.setattr(quantum, "_scores_and_backward", nan_in_rep_one)
+    task = _CellTask(n=2, x=2.0, split_index=0, split_seed=9, rep_seeds=(101, 202, 303),
+                     data=random_split(2), optimizer=OptimizerConfig(epochs=2, batch_size=8))
+    with pytest.raises(InvariantViolation) as raised:
+        _run_cell(task)
+    message = str(raised.value)
+    assert message.startswith("split_index=0 n=2 x=2.0 rep_seed=202 model=quantum: "
+                              "epoch 0: mean train loss nan"), message
+    assert "101" not in message and "303" not in message
