@@ -1,4 +1,5 @@
-"""Golden reports: each protocol, re-run at a tiny scale, writes the committed report.
+"""Golden files: each protocol, re-run at a tiny scale, writes the committed report,
+and ingest turns the seeded corpus into the committed graphs, fingerprints and errors.
 
 A report is promised identical across re-runs and worker counts on one
 machine, not across CPUs: another BLAS kernel may round differently, and
@@ -47,3 +48,16 @@ def test_protocol_report_matches_its_golden_file(protocol, dataset_path, caplog)
                 and delta <= LOSS_TOLERANCE)
     ]
     assert not moved, f"{protocol} report moved in {len(moved)} fields:\n" + "\n".join(moved)
+
+
+def test_ingest_matches_its_golden_file():
+    golden = json.loads((ROOT / "tests" / "golden" / "ingest.json").read_text("utf-8"))
+    entries = regen_golden.ingest_entries()
+    assert [entry["smiles"] for entry in entries] == [entry["smiles"] for entry in golden], \
+        "the ingest corpus itself changed"
+    moved = [(old, new) for old, new in zip(golden, entries) if old != new]
+    if moved:
+        old, new = moved[0]
+        fields = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+        pytest.fail(f"{len(moved)} ingest entries moved; the first is {old['smiles']!r} "
+                    f"in {fields}:\n{old}\n->\n{new}")
