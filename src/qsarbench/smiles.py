@@ -7,15 +7,27 @@ charge and hydrogen counts, and dot-separated fragments.  Stereochemistry
 markers (``/``, ``\\``, ``@``) are accepted and discarded.  Aromaticity is
 purely syntactic (lowercase notation); no kekulization is attempted.
 
+The parser is one compiled regular expression run over the string with
+`re.finditer`: each match is one token (an organic or aromatic atom, a
+bracket atom, a bond symbol, a ring closure, a parenthesis or a dot), and a
+character that no token matches is an error at its offset.  Organic-subset
+atoms are frozen, so every use of one symbol shares one `Atom`.
+
 Implicit hydrogen counts for unbracketed atoms follow the usual valence
 rule: the smallest default valence that accommodates the atom's bond-order
 sum determines the hydrogen deficit.  Aromatic ring bonds count 1.5 toward
 that sum.
+
+A graph's adjacency is built once: `parse_smiles` fills it while it adds
+bonds, and ring perception, Morgan fingerprints and `atom_invariant` all
+read that one list through `MolecularGraph.adjacency`.  A bond is in a ring
+exactly when it is not a bridge; `parse_smiles` sets both ring flag lists
+from one bridge search over that adjacency.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,9 +50,18 @@ class BondOrder(Enum):
     TRIPLE = 3
     AROMATIC = 4
 
+    # Members are singletons, so identity hashing is equality hashing; it keeps
+    # dict lookups keyed by a member in C instead of `Enum.__hash__`.
+    __hash__ = object.__hash__
+
     @property
     def valence_units(self) -> float:
-        return 1.5 if self is BondOrder.AROMATIC else float(self.value)
+        return _HALF_UNITS[self] / 2
+
+
+# bond-order contribution to an atom's valence, in half units (aromatic = 1.5)
+_HALF_UNITS = {BondOrder.SINGLE: 2, BondOrder.DOUBLE: 4, BondOrder.TRIPLE: 6,
+               BondOrder.AROMATIC: 3}
 
 
 @dataclass(frozen=True)
@@ -59,6 +80,14 @@ class Bond:
     order: BondOrder
 
 
+def _adjacency(n_atoms: int, bonds: list[Bond]) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
+    for bi, bond in enumerate(bonds):
+        adj[bond.a].append((bond.b, bi))
+        adj[bond.b].append((bond.a, bi))
+    return adj
+
+
 @dataclass
 class MolecularGraph:
     """Atoms, bonds and the derived per-atom/per-bond annotations.
@@ -72,14 +101,14 @@ class MolecularGraph:
     implicit_h: list[int] = field(default_factory=list)
     atom_in_ring: list[bool] = field(default_factory=list)
     bond_in_ring: list[bool] = field(default_factory=list)
+    _adjacency: list[list[tuple[int, int]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-atom list of (neighbor index, bond index)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-        for bi, bond in enumerate(self.bonds):
-            adj[bond.a].append((bond.b, bi))
-            adj[bond.b].append((bond.a, bi))
-        return adj
+        """Per-atom list of (neighbor index, bond index), built once per graph."""
+        if self._adjacency is None:
+            self._adjacency = _adjacency(len(self.atoms), self.bonds)
+        return self._adjacency
 
 
 _BOND_SYMBOLS = {
@@ -91,319 +120,165 @@ _BOND_SYMBOLS = {
     "\\": BondOrder.SINGLE,
 }
 
-_DIGITS = "0123456789"  # str.isdigit accepts non-ASCII digits; int() does not
+# One alternative per token kind; character classes spell out ASCII digits,
+# which is all `int` reads here (`str.isdigit` would also accept others).
+_TOKEN = re.compile(
+    "(?P<atom>" + "|".join(ORGANIC_SUBSET + AROMATIC_ORGANIC) + ")"
+    "|(?P<ring>[0-9]|%[0-9]*)"
+    "|(?P<open>\\()"
+    "|(?P<close>\\))"
+    "|(?P<bond>[-=#:/\\\\])"
+    "|(?P<dot>\\.)"
+    # up to the closing bracket, or to the end of a string that has none
+    "|(?P<bracket>\\[[^\\]]*\\]?)"
+)
+_BRACKET_ISOTOPE = re.compile("[0-9]*")
+# chirality, hydrogen count, one charge group, atom class
+_BRACKET_ITEM = re.compile("(?P<chiral>@@?)|H(?P<h>[0-9]*)|(?P<signs>\\++|-+)(?P<count>[0-9]*)"
+                           "|:(?P<klass>[0-9]*)")
+
+_BARE_ATOMS = {symbol: Atom(ATOMIC_NUMBERS[symbol]) for symbol in ORGANIC_SUBSET}
+_BARE_ATOMS.update({symbol: Atom(ATOMIC_NUMBERS[symbol.upper()], aromatic=True)
+                    for symbol in AROMATIC_ORGANIC})
 
 _MAX_CHARGE = 15
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.atoms: list[Atom] = []
-        self.from_bracket: list[bool] = []
-        self.bonds: list[Bond] = []
-        self.bond_keys: set[tuple[int, int]] = set()
-        self.prev: int | None = None
-        self.pending: BondOrder | None = None
-        self.branch_stack: list[int] = []
-        # ring number -> (atom index, bond symbol or None, offset of the digit)
-        self.open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
+def _unexpected(text: str, offset: int) -> SmilesParseError:
+    """The error for a character no token starts with."""
+    ch = text[offset]
+    if ch.isalpha():
+        return SmilesParseError(f"unknown element {ch!r}", text, offset)
+    return SmilesParseError(f"unexpected character {ch!r}", text, offset)
 
-    # -- cursor helpers --------------------------------------------------
 
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
-
-    def read_digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    # -- atom/bond emission ------------------------------------------------
-
-    def add_atom(self, atom: Atom, bracket: bool, offset: int) -> None:
-        idx = len(self.atoms)
-        self.atoms.append(atom)
-        self.from_bracket.append(bracket)
-        if self.prev is not None:
-            order = self.pending
-            if order is None:
-                both_aromatic = atom.aromatic and self.atoms[self.prev].aromatic
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-            self.add_bond(self.prev, idx, order, offset)
-        elif self.pending is not None:
-            raise SmilesParseError("bond with no preceding atom", self.text, offset)
-        self.pending = None
-        self.prev = idx
-
-    def add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
-        if a == b:
-            raise SmilesParseError("ring bond closes onto its own atom", self.text, offset)
-        key = (min(a, b), max(a, b))
-        if key in self.bond_keys:
-            raise SmilesParseError("duplicate bond between atoms", self.text, offset)
-        self.bond_keys.add(key)
-        self.bonds.append(Bond(a, b, order))
-
-    # -- token handlers ------------------------------------------------------
-
-    def parse(self) -> tuple[list[Atom], list[Bond], list[bool]]:
-        while self.pos < len(self.text):
-            offset = self.pos
-            ch = self.peek()
-            if ch == "(":
-                self.take()
-                if self.prev is None or self.pending is not None:
-                    raise SmilesParseError("branch opened without an atom", self.text, offset)
-                self.branch_stack.append(self.prev)
-            elif ch == ")":
-                self.take()
-                if not self.branch_stack:
-                    raise SmilesParseError("unmatched closing parenthesis", self.text, offset)
-                if self.pending is not None:
-                    raise SmilesParseError("dangling bond before ')'", self.text, offset)
-                self.prev = self.branch_stack.pop()
-            elif ch in _BOND_SYMBOLS:
-                self.take()
-                if self.pending is not None:
-                    raise SmilesParseError("two consecutive bond symbols", self.text, offset)
-                self.pending = _BOND_SYMBOLS[ch]
-            elif ch == ".":
-                self.take()
-                if self.pending is not None:
-                    raise SmilesParseError("bond before fragment separator", self.text, offset)
-                self.prev = None
-            elif ch in _DIGITS or ch == "%":
-                self.ring_closure(offset)
-            elif ch == "[":
-                self.bracket_atom(offset)
-            elif ch.isalpha():
-                self.organic_atom(offset)
-            else:
-                raise SmilesParseError(f"unexpected character {ch!r}", self.text, offset)
-
-        if self.open_rings:
-            _, (_, _, offset) = min(self.open_rings.items(), key=lambda kv: kv[1][2])
-            raise SmilesParseError("ring closure never paired", self.text, offset)
-        if self.branch_stack:
-            raise SmilesParseError("unclosed branch", self.text, len(self.text))
-        if self.pending is not None:
-            raise SmilesParseError("dangling bond at end of input", self.text, len(self.text))
-        return self.atoms, self.bonds, self.from_bracket
-
-    def ring_closure(self, offset: int) -> None:
-        if self.prev is None:
-            raise SmilesParseError("ring closure with no preceding atom", self.text, offset)
-        ch = self.take()
-        if ch == "%":
-            digits = self.read_digits()
-            if len(digits) < 2:
-                raise SmilesParseError("'%' needs two digits", self.text, offset)
-            if len(digits) > 2:
-                raise SmilesParseError("'%' takes exactly two digits", self.text, offset)
-            number = int(digits)
-        else:
-            number = int(ch)
-        symbol = self.pending
-        self.pending = None
-        if number in self.open_rings:
-            other, other_symbol, _ = self.open_rings.pop(number)
-            if symbol is not None and other_symbol is not None and symbol is not other_symbol:
-                raise SmilesParseError("ring closure bond symbols disagree", self.text, offset)
-            order = symbol or other_symbol
-            if order is None:
-                both_aromatic = self.atoms[other].aromatic and self.atoms[self.prev].aromatic
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-            self.add_bond(other, self.prev, order, offset)
-        else:
-            self.open_rings[number] = (self.prev, symbol, offset)
-
-    def organic_atom(self, offset: int) -> None:
-        rest = self.text[self.pos:]
-        for symbol in ORGANIC_SUBSET:
-            if rest.startswith(symbol):
-                self.pos += len(symbol)
-                self.add_atom(Atom(ATOMIC_NUMBERS[symbol]), bracket=False, offset=offset)
-                return
-        ch = rest[0]
-        if ch in AROMATIC_ORGANIC:
-            self.pos += 1
-            atom = Atom(ATOMIC_NUMBERS[ch.upper()], aromatic=True)
-            self.add_atom(atom, bracket=False, offset=offset)
-            return
-        raise SmilesParseError(f"unknown element {ch!r}", self.text, offset)
-
-    def bracket_atom(self, offset: int) -> None:
-        self.take()  # consume '['
-        isotope = 0
-        digits = self.read_digits()
-        if digits:
-            isotope = int(digits)
-
-        symbol_offset = self.pos
-        symbol = self._read_symbol()
-        if symbol is None:
-            raise SmilesParseError("missing element symbol in brackets", self.text, symbol_offset)
-        aromatic = symbol.islower()
-        if aromatic and symbol not in AROMATIC_BRACKET:
-            raise SmilesParseError(f"{symbol!r} cannot be aromatic", self.text, symbol_offset)
-        atomic_number = ATOMIC_NUMBERS.get(symbol.capitalize())
-        if atomic_number is None:
-            raise SmilesParseError(f"unknown element {symbol!r}", self.text, symbol_offset)
-
-        hydrogens = 0
-        charge = 0
-        seen_charge = False
-        while True:
-            ch = self.peek()
-            at = self.pos
-            if ch is None:
-                raise SmilesParseError("unterminated bracket atom", self.text, offset)
-            if ch == "]":
-                self.take()
-                break
-            if ch == "@":
-                # chirality marker, not used by the fingerprint invariants
-                self.take()
-                if self.peek() == "@":
-                    self.take()
-            elif ch == "H":
-                self.take()
-                digits = self.read_digits()
-                hydrogens = int(digits) if digits else 1
-            elif ch in "+-":
-                if seen_charge:
-                    raise SmilesParseError("multiple charge groups", self.text, at)
-                charge = self._read_charge(at)
-                seen_charge = True
-            elif ch == ":":
-                self.take()
-                if not self.read_digits():
-                    raise SmilesParseError("atom class needs digits", self.text, at)
-            else:
-                raise SmilesParseError(f"unexpected {ch!r} in brackets", self.text, at)
-
-        atom = Atom(atomic_number, formal_charge=charge, explicit_h=hydrogens,
-                    aromatic=aromatic, isotope=isotope)
-        self.add_atom(atom, bracket=True, offset=offset)
-
-    def _read_symbol(self) -> str | None:
-        ch = self.peek()
-        if ch is None or not ch.isalpha():
-            return None
-        self.take()
-        nxt = self.peek()
-        if nxt is not None and nxt.islower():
-            two = ch + nxt
-            if two in AROMATIC_BRACKET or (ch.isupper() and two in ATOMIC_NUMBERS):
-                self.take()
-                return two
-        if ch.isupper() or ch in AROMATIC_BRACKET:
-            return ch
+def _bracket_symbol(text: str, at: int) -> str | None:
+    """The element symbol starting at `at` inside brackets, if any."""
+    ch = text[at:at + 1]
+    if not ch.isalpha():
         return None
-
-    def _read_charge(self, offset: int) -> int:
-        sign_char = self.take()
-        sign = 1 if sign_char == "+" else -1
-        count = 1
-        while self.peek() == sign_char:
-            self.take()
-            count += 1
-        digits = self.read_digits()
-        if digits:
-            if count > 1:
-                raise SmilesParseError("repeated signs followed by digits", self.text, offset)
-            count = int(digits)
-        if count > _MAX_CHARGE:
-            raise SmilesParseError(f"charge magnitude {count} out of range", self.text, offset)
-        return sign * count
+    nxt = text[at + 1:at + 2]
+    if nxt.islower():
+        two = ch + nxt
+        if two in AROMATIC_BRACKET or (ch.isupper() and two in ATOMIC_NUMBERS):
+            return two
+    if ch.isupper() or ch in AROMATIC_BRACKET:
+        return ch
+    return None
 
 
-def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], from_bracket: list[bool]) -> list[int]:
-    order_sum = [0.0] * len(atoms)
-    for bond in bonds:
-        order_sum[bond.a] += bond.order.valence_units
-        order_sum[bond.b] += bond.order.valence_units
+def _bracket_atom(text: str, start: int, end: int) -> Atom:
+    """The atom of the bracket token `text[start:end]`, which opens with '['."""
+    at = _BRACKET_ISOTOPE.match(text, start + 1).end()
+    isotope = int(text[start + 1:at]) if at > start + 1 else 0
+    symbol = _bracket_symbol(text, at)
+    if symbol is None:
+        raise SmilesParseError("missing element symbol in brackets", text, at)
+    aromatic = symbol.islower()
+    if aromatic and symbol not in AROMATIC_BRACKET:
+        raise SmilesParseError(f"{symbol!r} cannot be aromatic", text, at)
+    atomic_number = ATOMIC_NUMBERS.get(symbol.capitalize())
+    if atomic_number is None:
+        raise SmilesParseError(f"unknown element {symbol!r}", text, at)
+    at += len(symbol)
 
-    counts: list[int] = []
-    for idx, atom in enumerate(atoms):
-        if from_bracket[idx]:
-            counts.append(0)  # bracket atoms carry hydrogens explicitly
-            continue
-        used = math.ceil(order_sum[idx])
-        if atom.aromatic:
-            valence = AROMATIC_VALENCE.get(atom.atomic_number, 4)
-            counts.append(max(0, valence - used))
-            continue
-        options = DEFAULT_VALENCES.get(atom.atomic_number, ())
-        for valence in options:
-            if valence >= used:
-                counts.append(valence - used)
-                break
-        else:
-            counts.append(0)
-    return counts
+    closed = text[end - 1] == "]"
+    body_end = end - closed
+    hydrogens = 0
+    charge = None
+    while at < body_end:
+        item = _BRACKET_ITEM.match(text, at, body_end)
+        if item is None:
+            raise SmilesParseError(f"unexpected {text[at]!r} in brackets", text, at)
+        kind = item.lastgroup
+        if kind == "h":
+            hydrogens = int(item["h"]) if item["h"] else 1
+        elif kind == "count":
+            if charge is not None:
+                raise SmilesParseError("multiple charge groups", text, at)
+            signs, digits = item["signs"], item["count"]
+            count = len(signs)
+            if digits:
+                if count > 1:
+                    raise SmilesParseError("repeated signs followed by digits", text, at)
+                count = int(digits)
+            if count > _MAX_CHARGE:
+                raise SmilesParseError(f"charge magnitude {count} out of range", text, at)
+            charge = count if signs[0] == "+" else -count
+        elif kind == "klass" and not item["klass"]:
+            raise SmilesParseError("atom class needs digits", text, at)
+        # a chirality marker is not used by the fingerprint invariants
+        at = item.end()
+    if not closed:
+        raise SmilesParseError("unterminated bracket atom", text, start)
+    return Atom(atomic_number, formal_charge=charge or 0, explicit_h=hydrogens,
+                aromatic=aromatic, isotope=isotope)
 
 
-def _find_cycle_edges(graph: MolecularGraph) -> list[bool]:
+def _implicit_hydrogens(atom: Atom, half_units: int) -> int:
+    """Hydrogens an unbracketed atom takes, given its bond-order sum in half units."""
+    used = (half_units + 1) // 2
+    if atom.aromatic:
+        return max(0, AROMATIC_VALENCE.get(atom.atomic_number, 4) - used)
+    for valence in DEFAULT_VALENCES.get(atom.atomic_number, ()):
+        if valence >= used:
+            return valence - used
+    return 0
+
+
+def _bond_in_ring(adjacency: list[list[tuple[int, int]]], n_bonds: int) -> list[bool]:
     """Mark each bond that lies on some simple cycle (i.e. is not a bridge)."""
-    adj = graph.adjacency()
-    n_atoms = len(graph.atoms)
-    disc = [-1] * n_atoms
+    n_atoms = len(adjacency)
+    disc = [0] * n_atoms   # discovery time, from 1; 0 = not yet visited
     low = [0] * n_atoms
-    is_bridge = [False] * len(graph.bonds)
+    in_ring = [True] * n_bonds
     timer = 0
-
     for root in range(n_atoms):
-        if disc[root] != -1:
+        if disc[root]:
             continue
-        # iterative DFS: (node, incoming bond index, iterator position)
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        disc[root] = low[root] = timer
         timer += 1
+        disc[root] = low[root] = timer
+        # iterative DFS: (node, incoming bond index, iterator over its neighbors)
+        stack = [(root, -1, iter(adjacency[root]))]
         while stack:
-            node, in_edge, i = stack[-1]
-            if i < len(adj[node]):
-                stack[-1] = (node, in_edge, i + 1)
-                nxt, edge = adj[node][i]
+            node, in_edge, neighbors = stack[-1]
+            for nxt, edge in neighbors:
                 if edge == in_edge:
                     continue
-                if disc[nxt] == -1:
-                    disc[nxt] = low[nxt] = timer
+                if not disc[nxt]:
                     timer += 1
-                    stack.append((nxt, edge, 0))
-                else:
-                    low[node] = min(low[node], disc[nxt])
+                    disc[nxt] = low[nxt] = timer
+                    stack.append((nxt, edge, iter(adjacency[nxt])))
+                    break
+                if disc[nxt] < low[node]:
+                    low[node] = disc[nxt]
             else:
                 stack.pop()
                 if stack:
                     parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
                     if low[node] > disc[parent]:
-                        is_bridge[in_edge] = True
-    return [not b for b in is_bridge]
+                        in_ring[in_edge] = False
+    return in_ring
+
+
+def _atom_in_ring(n_atoms: int, bonds: list[Bond], bond_in_ring: list[bool]) -> list[bool]:
+    atom_in_ring = [False] * n_atoms
+    for bond, in_ring in zip(bonds, bond_in_ring):
+        if in_ring:
+            atom_in_ring[bond.a] = atom_in_ring[bond.b] = True
+    return atom_in_ring
 
 
 def perceive_rings(graph: MolecularGraph) -> MolecularGraph:
     """Return a copy with in-ring flags recomputed from cycle membership."""
-    bond_in_ring = _find_cycle_edges(graph)
-    atom_in_ring = [False] * len(graph.atoms)
-    for bi, bond in enumerate(graph.bonds):
-        if bond_in_ring[bi]:
-            atom_in_ring[bond.a] = True
-            atom_in_ring[bond.b] = True
+    bond_in_ring = _bond_in_ring(graph.adjacency(), len(graph.bonds))
     return MolecularGraph(
         atoms=list(graph.atoms),
         bonds=list(graph.bonds),
         implicit_h=list(graph.implicit_h),
-        atom_in_ring=atom_in_ring,
+        atom_in_ring=_atom_in_ring(len(graph.atoms), graph.bonds, bond_in_ring),
         bond_in_ring=bond_in_ring,
     )
 
@@ -415,12 +290,133 @@ def parse_smiles(text: str) -> MolecularGraph:
     Raises a SmilesParseError subclass identifying the byte offset on any
     malformed input, and at offset 0 on a string that holds no atom.
     """
-    atoms, bonds, from_bracket = _Parser(text).parse()
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    adjacency: list[list[tuple[int, int]]] = []
+    half_units: list[int] = []     # bond-order sum per atom
+    bracketed: list[bool] = []     # bracket atoms carry their hydrogens explicitly
+    parent: list[int] = []         # the atom each one bonds to on its chain, or -1
+    ring_pairs: set[tuple[int, int]] = set()
+    prev: int | None = None
+    pending: BondOrder | None = None
+    branches: list[int] = []
+    # ring number -> (atom index, bond symbol or None, offset of the digit)
+    open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
+    pos = 0
+    for token in _TOKEN.finditer(text):
+        start = token.start()
+        if start != pos:
+            raise _unexpected(text, pos)
+        pos = token.end()
+        kind = token.lastgroup
+        if kind == "atom" or kind == "bracket":
+            if kind == "atom":
+                atom = _BARE_ATOMS[token.group()]
+            else:
+                atom = _bracket_atom(text, start, pos)
+            idx = len(atoms)
+            atoms.append(atom)
+            bracketed.append(kind == "bracket")
+            if prev is not None:
+                order = pending
+                if order is None:
+                    both_aromatic = atom.aromatic and atoms[prev].aromatic
+                    order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+                units = _HALF_UNITS[order]
+                adjacency[prev].append((idx, len(bonds)))
+                adjacency.append([(prev, len(bonds))])
+                half_units[prev] += units
+                half_units.append(units)
+                parent.append(prev)
+                bonds.append(Bond(prev, idx, order))
+            elif pending is not None:
+                raise SmilesParseError("bond with no preceding atom", text, start)
+            else:
+                adjacency.append([])
+                half_units.append(0)
+                parent.append(-1)
+            pending = None
+            prev = idx
+        elif kind == "ring":
+            if prev is None:
+                raise SmilesParseError("ring closure with no preceding atom", text, start)
+            digits = token.group()
+            if digits[0] == "%":
+                digits = digits[1:]
+                if len(digits) < 2:
+                    raise SmilesParseError("'%' needs two digits", text, start)
+                if len(digits) > 2:
+                    raise SmilesParseError("'%' takes exactly two digits", text, start)
+            number = int(digits)
+            symbol = pending
+            pending = None
+            opened = open_rings.pop(number, None)
+            if opened is None:
+                open_rings[number] = (prev, symbol, start)
+                continue
+            other, other_symbol, _ = opened
+            if symbol is not None and other_symbol is not None and symbol is not other_symbol:
+                raise SmilesParseError("ring closure bond symbols disagree", text, start)
+            if other == prev:
+                raise SmilesParseError("ring bond closes onto its own atom", text, start)
+            pair = (other, prev) if other < prev else (prev, other)
+            if parent[pair[1]] == pair[0] or pair in ring_pairs:
+                raise SmilesParseError("duplicate bond between atoms", text, start)
+            ring_pairs.add(pair)
+            order = symbol or other_symbol
+            if order is None:
+                both_aromatic = atoms[other].aromatic and atoms[prev].aromatic
+                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+            units = _HALF_UNITS[order]
+            adjacency[other].append((prev, len(bonds)))
+            adjacency[prev].append((other, len(bonds)))
+            half_units[other] += units
+            half_units[prev] += units
+            bonds.append(Bond(other, prev, order))
+        elif kind == "open":
+            if prev is None or pending is not None:
+                raise SmilesParseError("branch opened without an atom", text, start)
+            branches.append(prev)
+        elif kind == "close":
+            if not branches:
+                raise SmilesParseError("unmatched closing parenthesis", text, start)
+            if pending is not None:
+                raise SmilesParseError("dangling bond before ')'", text, start)
+            prev = branches.pop()
+        elif kind == "bond":
+            if pending is not None:
+                raise SmilesParseError("two consecutive bond symbols", text, start)
+            pending = _BOND_SYMBOLS[token.group()]
+        else:  # dot
+            if pending is not None:
+                raise SmilesParseError("bond before fragment separator", text, start)
+            prev = None
+    if pos != len(text):
+        raise _unexpected(text, pos)
+
+    if open_rings:
+        offset = min(offset for _, _, offset in open_rings.values())
+        raise SmilesParseError("ring closure never paired", text, offset)
+    if branches:
+        raise SmilesParseError("unclosed branch", text, len(text))
+    if pending is not None:
+        raise SmilesParseError("dangling bond at end of input", text, len(text))
     if not atoms:  # "", "." and ".." parse cleanly but name no molecule
         raise SmilesParseError("SMILES holds no atom", text, 0)
+
+    if ring_pairs:
+        bond_in_ring = _bond_in_ring(adjacency, len(bonds))
+        atom_in_ring = _atom_in_ring(len(atoms), bonds, bond_in_ring)
+    else:  # a chain forest has no cycle
+        bond_in_ring = [False] * len(bonds)
+        atom_in_ring = [False] * len(atoms)
     graph = MolecularGraph(
         atoms=atoms,
         bonds=bonds,
-        implicit_h=_implicit_hydrogens(atoms, bonds, from_bracket),
+        implicit_h=[0 if bracket else _implicit_hydrogens(atom, units)
+                    for atom, bracket, units in zip(atoms, bracketed, half_units)],
+        atom_in_ring=atom_in_ring,
+        bond_in_ring=bond_in_ring,
     )
-    return perceive_rings(graph)
+    graph._adjacency = adjacency
+    return graph

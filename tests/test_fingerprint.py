@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
+from qsarbench import fingerprint
 from qsarbench.fingerprint import Fingerprint, atom_invariant, morgan_fingerprint, tanimoto
 from qsarbench.smiles import MolecularGraph, Bond, parse_smiles, perceive_rings
 
@@ -35,6 +36,14 @@ def test_invariant_is_frozen_across_runs():
     # regression pin for hash portability; recompute only on a deliberate
     # invariant-tuple change
     assert atom_invariant(parse_smiles("C"), 0) == 16220966302742209544
+
+
+@pytest.mark.parametrize("smiles", REAL_SMILES)
+def test_cached_round_zero_ids_equal_atom_invariants(smiles):
+    graph = parse_smiles(smiles)
+    ids = fingerprint._atom_ids(graph, graph.adjacency())
+    assert [int.from_bytes(identifier, "big") for identifier in ids] == [
+        atom_invariant(graph, i) for i in range(len(graph.atoms))]
 
 
 def test_methane_radius2_single_bit():

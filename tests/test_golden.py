@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from qsarbench import fingerprint
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,14 +52,24 @@ def test_protocol_report_matches_its_golden_file(protocol, dataset_path, caplog)
     assert not moved, f"{protocol} report moved in {len(moved)} fields:\n" + "\n".join(moved)
 
 
-def test_ingest_matches_its_golden_file():
+@pytest.fixture(scope="module")
+def ingest_entries():
+    return regen_golden.ingest_entries()
+
+
+def test_ingest_matches_its_golden_file(ingest_entries):
     golden = json.loads((ROOT / "tests" / "golden" / "ingest.json").read_text("utf-8"))
-    entries = regen_golden.ingest_entries()
-    assert [entry["smiles"] for entry in entries] == [entry["smiles"] for entry in golden], \
+    assert [entry["smiles"] for entry in ingest_entries] == [entry["smiles"] for entry in golden], \
         "the ingest corpus itself changed"
-    moved = [(old, new) for old, new in zip(golden, entries) if old != new]
+    moved = [(old, new) for old, new in zip(golden, ingest_entries) if old != new]
     if moved:
         old, new = moved[0]
         fields = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
         pytest.fail(f"{len(moved)} ingest entries moved; the first is {old['smiles']!r} "
                     f"in {fields}:\n{old}\n->\n{new}")
+
+
+def test_invariant_cache_stays_within_its_bound(ingest_entries):
+    info = fingerprint._cached_invariant.cache_info()
+    assert info.maxsize == fingerprint._INVARIANT_CACHE_SIZE
+    assert 0 < info.currsize <= info.maxsize

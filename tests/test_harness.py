@@ -366,13 +366,16 @@ def test_run_parses_each_smiles_once(synthetic_csv, monkeypatch):
     import qsarbench.smiles as smiles
 
     calls = []
-    original = smiles._Parser.parse
+    original = smiles._TOKEN
 
-    def counting(self):
-        calls.append(self.text)
-        return original(self)
+    class CountingScanner:
+        """Counts every parse, whichever module called `parse_smiles`."""
 
-    monkeypatch.setattr(smiles._Parser, "parse", counting)
+        def finditer(self, text):
+            calls.append(text)
+            return original.finditer(text)
+
+    monkeypatch.setattr(smiles, "_TOKEN", CountingScanner())
     run_protocol(tiny_config(synthetic_csv, epochs=1))
     with open(synthetic_csv, newline="", encoding="utf-8") as handle:
         rows = sum(1 for _ in csv.DictReader(handle))
