@@ -1,8 +1,9 @@
-"""Time the quantum model's training work in two source trees, interleaved.
+"""Time the quantum model's training work, or ingest, in two source trees, interleaved.
 
 Run from the repository root:
 
     python3 scripts/compare_steps.py --parent DIR --change DIR [--reps 1 20] [--repeats 41]
+    python3 scripts/compare_steps.py --parent DIR --change DIR --kinds ingest [--rows 2000]
 
 Both trees' `qsarbench` packages are imported into this one process, under
 the names `parent` and `change`, with BLAS pinned to one thread.  For each
@@ -22,6 +23,13 @@ trains the reps as one batch axis, so its score function takes (R, P)
 parameters and embedded rows, and one call covers all R reps; an older tree
 takes one flat parameter vector and raw features, and gets one call per rep.
 `cell` calls the same `_run_cell(task)` in both trees.
+
+`--kinds ingest` times `data.load_dataset` with the Morgan featurizer the
+harness passes (default radius and width), once per `--rows` value, on a
+CSV of that many seeded `synthetic_molecules` from `tests/conftest.py` plus
+`REAL_SMILES` (bracket atoms) and a few malformed rows (skipped rows).  The
+two trees must return the same features, ids and skipped ids; the script
+exits non-zero naming what differs.  Its times are per CSV row.
 
 The two trees alternate call by call, and the order of the pair alternates
 from repeat to repeat, so drift in the machine's speed hits both alike.
@@ -44,14 +52,19 @@ import importlib.util  # noqa: E402
 import inspect  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREES = ("parent", "change")
-KINDS = ("step", "forward", "cell")
+TRAINING_KINDS = ("step", "forward", "cell")
+KINDS = TRAINING_KINDS + ("ingest",)
 CELL_TRAIN_ROWS = 1200
 CELL_TEST_ROWS = 300
+INGEST_SEED = 1717
+MALFORMED_SMILES = ("C1CC", "C(C", "[C", "C%1", "CC)C", "Qx")
 
 
 def load_tree(tree: str, name: str):
@@ -68,7 +81,7 @@ def load_tree(tree: str, name: str):
 def _modules(package) -> dict:
     name = package.__name__
     return {part: sys.modules[f"{name}.{part}"]
-            for part in ("quantum", "simulator", "harness", "training")}
+            for part in ("quantum", "simulator", "harness", "training", "data", "fingerprint")}
 
 
 def _batched(modules: dict) -> bool:
@@ -131,6 +144,18 @@ def _best_of(call, number: int) -> float:
     return best
 
 
+def _interleaved(calls: dict, repeats: int, number: int) -> dict:
+    """Median over the repeats of each tree's best-of-`number` seconds."""
+    for tree in TREES:   # warm caches before timing
+        calls[tree]()
+    times = {tree: [] for tree in TREES}
+    for repeat in range(repeats):
+        order = TREES if repeat % 2 == 0 else TREES[::-1]
+        for tree in order:
+            times[tree].append(_best_of(calls[tree], number))
+    return {tree: statistics.median(times[tree]) for tree in TREES}
+
+
 def compare(modules: dict, qubits, rows_list, reps_list, kinds, repeats: int, number: int,
             epochs: int) -> list[dict]:
     """Median seconds per rep (per rep-epoch for `cell`) of each case and tree,
@@ -142,17 +167,56 @@ def compare(modules: dict, qubits, rows_list, reps_list, kinds, repeats: int, nu
                 for rows in (rows_list if kind != "cell" else [CELL_TRAIN_ROWS]):
                     calls = {tree: _call(modules[tree], kind, n, rows, reps, epochs)
                              for tree in TREES}
-                    for tree in TREES:   # warm caches before timing
-                        calls[tree]()
-                    times = {tree: [] for tree in TREES}
-                    for repeat in range(repeats):
-                        order = TREES if repeat % 2 == 0 else TREES[::-1]
-                        for tree in order:
-                            times[tree].append(_best_of(calls[tree], number))
                     per = reps * (epochs if kind == "cell" else 1)
+                    medians = _interleaved(calls, repeats, number)
                     results.append(dict(n=n, rows=rows, reps=reps, kind=kind,
-                                        **{tree: statistics.median(times[tree]) / per
-                                           for tree in TREES}))
+                                        **{tree: medians[tree] / per for tree in TREES}))
+    return results
+
+
+def write_ingest_csv(directory: str, rows: int) -> tuple[str, int]:
+    """The seeded ingest input as a BACE-schema CSV, and its row count."""
+    for path in (os.path.join(ROOT, "tests"), os.path.join(ROOT, "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    from conftest import REAL_SMILES, synthetic_molecules, write_dataset_csv
+
+    smiles, labels = synthetic_molecules(np.random.default_rng(INGEST_SEED), rows)
+    smiles += REAL_SMILES + list(MALFORMED_SMILES)
+    labels += [i % 2 for i in range(len(REAL_SMILES) + len(MALFORMED_SMILES))]
+    return str(write_dataset_csv(os.path.join(directory, f"ingest-{rows}.csv"), smiles, labels)), \
+        len(smiles)
+
+
+def _ingest_call(modules: dict, path: str):
+    """One tree's `load_dataset` of `path` with the harness's Morgan featurizer."""
+    data, fingerprint = modules["data"], modules["fingerprint"]
+    schema = data.SCHEMA_PRESETS["bace"]
+    radius, nbits = fingerprint.DEFAULT_RADIUS, fingerprint.DEFAULT_NBITS
+    morgan = fingerprint.morgan_fingerprint
+    return lambda: data.load_dataset(
+        path, schema, lambda graph: morgan(graph, radius, nbits).as_bit_array())
+
+
+def check_same_ingest(datasets: dict) -> None:
+    """Exit naming the first field in which the two trees' datasets differ."""
+    parent, change = (datasets[tree] for tree in TREES)
+    for name in ("ids", "skipped_ids", "features"):
+        if not np.array_equal(np.asarray(getattr(parent, name)), np.asarray(getattr(change, name))):
+            sys.exit(f"ingest {name} differ between the parent and the change")
+
+
+def compare_ingest(modules: dict, rows_list, repeats: int, number: int) -> list[dict]:
+    """Median seconds per CSV row of each tree's ingest, timed interleaved."""
+    results = []
+    with tempfile.TemporaryDirectory(prefix="ingest-") as work:
+        for rows in rows_list:
+            path, n_rows = write_ingest_csv(work, rows)
+            calls = {tree: _ingest_call(modules[tree], path) for tree in TREES}
+            check_same_ingest({tree: calls[tree]() for tree in TREES})
+            medians = _interleaved(calls, repeats, number)
+            results.append(dict(n=None, rows=n_rows, reps=None, kind="ingest",
+                                **{tree: medians[tree] / n_rows for tree in TREES}))
     return results
 
 
@@ -161,9 +225,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="source tree of the parent commit")
     parser.add_argument("--change", required=True, help="source tree of the change")
     parser.add_argument("--qubits", type=int, nargs="+", default=[2, 3, 4, 8])
-    parser.add_argument("--rows", type=int, nargs="+", default=[32, 300])
+    parser.add_argument("--rows", type=int, nargs="+", default=[32, 300],
+                        help="batch rows of step and forward; synthetic molecules of ingest")
     parser.add_argument("--reps", type=int, nargs="+", default=[1])
-    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=list(KINDS))
+    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=list(TRAINING_KINDS))
     parser.add_argument("--epochs", type=int, default=2, help="epochs of each timed cell")
     parser.add_argument("--repeats", type=int, default=41)
     parser.add_argument("--number", type=int, default=3, help="calls per timed best-of")
@@ -172,9 +237,14 @@ def main(argv=None) -> int:
     modules = {tree: _modules(load_tree(getattr(args, tree), tree)) for tree in TREES}
     print(f"{'n':>3} {'rows':>5} {'reps':>4} {'kind':>8} {'parent us':>10} {'change us':>10} "
           f"{'ratio':>6}")
-    for row in compare(modules, args.qubits, args.rows, args.reps, args.kinds, args.repeats,
-                       args.number, args.epochs):
-        print(f"{row['n']:>3} {row['rows']:>5} {row['reps']:>4} {row['kind']:>8} "
+    training = [kind for kind in args.kinds if kind in TRAINING_KINDS]
+    rows = compare(modules, args.qubits, args.rows, args.reps, training, args.repeats,
+                   args.number, args.epochs)
+    if "ingest" in args.kinds:
+        rows += compare_ingest(modules, args.rows, args.repeats, args.number)
+    for row in rows:
+        n, reps = ("-" if row[key] is None else row[key] for key in ("n", "reps"))
+        print(f"{n:>3} {row['rows']:>5} {reps:>4} {row['kind']:>8} "
               f"{row['parent'] * 1e6:>10.1f} {row['change'] * 1e6:>10.1f} "
               f"{row['change'] / row['parent']:>6.2f}")
     return 0
