@@ -124,7 +124,8 @@ _BOND_SYMBOLS = {
 # which is all `int` reads here (`str.isdigit` would also accept others).
 _TOKEN = re.compile(
     "(?P<atom>" + "|".join(ORGANIC_SUBSET + AROMATIC_ORGANIC) + ")"
-    "|(?P<ring>[0-9]|%[0-9]*)"
+    # '%' reads exactly two digits; a digit after them is another ring closure
+    "|(?P<ring>[0-9]|%[0-9]{0,2})"
     "|(?P<open>\\()"
     "|(?P<close>\\))"
     "|(?P<bond>[-=#:/\\\\])"
@@ -345,8 +346,6 @@ def parse_smiles(text: str) -> MolecularGraph:
                 digits = digits[1:]
                 if len(digits) < 2:
                     raise SmilesParseError("'%' needs two digits", text, start)
-                if len(digits) > 2:
-                    raise SmilesParseError("'%' takes exactly two digits", text, start)
             number = int(digits)
             symbol = pending
             pending = None

@@ -205,6 +205,24 @@ def test_two_digit_ring_closure():
     assert all(graph.atom_in_ring)
 
 
+@pytest.mark.parametrize("text, same_as", [
+    ("C%101CC%10CC1", "C21CC2CC1"),
+    ("C%10CC1CC%101", "C2CC1CC21"),
+])
+def test_percent_ring_number_is_two_digits_and_a_third_is_another_ring(text, same_as):
+    graph = parse_smiles(text)
+    assert graph == parse_smiles(same_as)
+    assert len(graph.bonds) == 6
+    assert all(graph.atom_in_ring)
+
+
+def test_percent_needs_two_digits():
+    for text in ("C%1CC%1", "C%"):
+        with pytest.raises(SmilesParseError, match="'%' needs two digits") as err:
+            parse_smiles(text)
+        assert err.value.offset == 1
+
+
 def test_ring_bond_order_from_either_closure_digit():
     for text in ("C=1CCCCC=1", "C=1CCCCC1", "C1CCCCC=1"):
         graph = parse_smiles(text)
