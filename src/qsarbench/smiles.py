@@ -80,7 +80,7 @@ class Bond:
     order: BondOrder
 
 
-def _adjacency(n_atoms: int, bonds: list[Bond]) -> list[list[tuple[int, int]]]:
+def _build_adjacency(n_atoms: int, bonds: list[Bond]) -> list[list[tuple[int, int]]]:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
     for bi, bond in enumerate(bonds):
         adj[bond.a].append((bond.b, bi))
@@ -107,7 +107,7 @@ class MolecularGraph:
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-atom list of (neighbor index, bond index), built once per graph."""
         if self._adjacency is None:
-            self._adjacency = _adjacency(len(self.atoms), self.bonds)
+            self._adjacency = _build_adjacency(len(self.atoms), self.bonds)
         return self._adjacency
 
 
@@ -227,12 +227,17 @@ def _implicit_hydrogens(atom: Atom, half_units: int) -> int:
     return 0
 
 
-def _bond_in_ring(adjacency: list[list[tuple[int, int]]], n_bonds: int) -> list[bool]:
-    """Mark each bond that lies on some simple cycle (i.e. is not a bridge)."""
+def _ring_flags(adjacency: list[list[tuple[int, int]]],
+                bonds: list[Bond]) -> tuple[list[bool], list[bool]]:
+    """Per-atom and per-bond flags of lying on some simple cycle.
+
+    A bond is on a cycle exactly when it is not a bridge, and an atom exactly
+    when one of its bonds is.
+    """
     n_atoms = len(adjacency)
     disc = [0] * n_atoms   # discovery time, from 1; 0 = not yet visited
     low = [0] * n_atoms
-    in_ring = [True] * n_bonds
+    in_ring = [True] * len(bonds)
     timer = 0
     for root in range(n_atoms):
         if disc[root]:
@@ -261,25 +266,21 @@ def _bond_in_ring(adjacency: list[list[tuple[int, int]]], n_bonds: int) -> list[
                         low[parent] = low[node]
                     if low[node] > disc[parent]:
                         in_ring[in_edge] = False
-    return in_ring
-
-
-def _atom_in_ring(n_atoms: int, bonds: list[Bond], bond_in_ring: list[bool]) -> list[bool]:
     atom_in_ring = [False] * n_atoms
-    for bond, in_ring in zip(bonds, bond_in_ring):
-        if in_ring:
+    for bond, flag in zip(bonds, in_ring):
+        if flag:
             atom_in_ring[bond.a] = atom_in_ring[bond.b] = True
-    return atom_in_ring
+    return atom_in_ring, in_ring
 
 
 def perceive_rings(graph: MolecularGraph) -> MolecularGraph:
     """Return a copy with in-ring flags recomputed from cycle membership."""
-    bond_in_ring = _bond_in_ring(graph.adjacency(), len(graph.bonds))
+    atom_in_ring, bond_in_ring = _ring_flags(graph.adjacency(), graph.bonds)
     return MolecularGraph(
         atoms=list(graph.atoms),
         bonds=list(graph.bonds),
         implicit_h=list(graph.implicit_h),
-        atom_in_ring=_atom_in_ring(len(graph.atoms), graph.bonds, bond_in_ring),
+        atom_in_ring=atom_in_ring,
         bond_in_ring=bond_in_ring,
     )
 
@@ -404,9 +405,8 @@ def parse_smiles(text: str) -> MolecularGraph:
         raise SmilesParseError("SMILES holds no atom", text, 0)
 
     if ring_pairs:
-        bond_in_ring = _bond_in_ring(adjacency, len(bonds))
-        atom_in_ring = _atom_in_ring(len(atoms), bonds, bond_in_ring)
-    else:  # a chain forest has no cycle
+        atom_in_ring, bond_in_ring = _ring_flags(adjacency, bonds)
+    else:  # without ring closures the bonds form a forest
         bond_in_ring = [False] * len(bonds)
         atom_in_ring = [False] * len(atoms)
     graph = MolecularGraph(
