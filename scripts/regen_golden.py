@@ -56,7 +56,10 @@ MORGAN_WIDTHS = (64, 512)
 
 
 def _conftest():
-    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    """`tests/conftest.py`, where the seeded molecule generators live."""
+    tests = os.path.join(ROOT, "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
     import conftest
     return conftest
 

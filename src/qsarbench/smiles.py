@@ -105,7 +105,10 @@ class MolecularGraph:
         default=None, init=False, repr=False, compare=False)
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-atom list of (neighbor index, bond index), built once per graph."""
+        """Per-atom list of (neighbor index, bond index), built once per graph.
+
+        Every caller gets the same lists, so none may change them.
+        """
         if self._adjacency is None:
             self._adjacency = _build_adjacency(len(self.atoms), self.bonds)
         return self._adjacency
