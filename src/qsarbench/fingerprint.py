@@ -176,7 +176,7 @@ def morgan_fingerprint(
     # 1 covers an atom's own bonds; a later round's cover is the union of the
     # atom's and its neighbors' previous covers, which hold the atom's bonds.
     covers = [sum([1 << bond_idx for _, bond_idx in neighbors]) for neighbors in adjacency]
-    fold = nbits - 1
+    fold = nbits - 1   # nbits is a power of two, so `& fold` is `% nbits`
 
     bits = 0
     for identifier in ids:
