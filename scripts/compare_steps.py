@@ -17,11 +17,8 @@ times
 * `cell`: one `harness._run_cell` on a seeded cell of 1,200 train and 300
   test rows, both models, R reps and `--epochs` epochs (B does not apply).
 
-Each tree's score function is called in its own form, detected once per
-tree from its trainer's signature: a tree whose trainers take `schedules`
-trains the reps as one batch axis, so its score function takes (R, P)
-parameters and embedded rows, and one call covers all R reps; an older tree
-takes one flat parameter vector and raw features, and gets one call per rep.
+Both trees train the reps as one batch axis: one call of the score
+function, on (R, P) parameters and embedded rows, covers all R reps, and
 `cell` calls the same `_run_cell(task)` in both trees.
 
 `--kinds ingest` times `data.load_dataset` with the Morgan featurizer the
@@ -49,7 +46,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
-import inspect  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -84,11 +80,6 @@ def _modules(package) -> dict:
             for part in ("quantum", "simulator", "harness", "training", "data", "fingerprint")}
 
 
-def _batched(modules: dict) -> bool:
-    """Whether the tree trains a cell's reps as one batch axis."""
-    return "schedules" in inspect.signature(modules["quantum"].train_quantum).parameters
-
-
 def _call(modules: dict, kind: str, n: int, rows: int, reps: int, epochs: int):
     """One tree's timed call of a kind, on inputs seeded by the case alone."""
     if kind == "cell":
@@ -98,26 +89,16 @@ def _call(modules: dict, kind: str, n: int, rows: int, reps: int, epochs: int):
     rng = np.random.default_rng([n, rows, reps])
     x = rng.normal(size=(reps, rows, 1 << n))
     d_scores = rng.normal(size=(reps, rows))
-    vecs = [quantum.init_quantum_params(n, seed=n + rep).to_vector() for rep in range(reps)]
+    params = np.stack([quantum.init_quantum_params(n, seed=n + rep).to_vector()
+                       for rep in range(reps)])
+    amps = modules["simulator"].amplitude_embed(x)
     score = quantum._scores_and_backward
 
-    if _batched(modules):
-        params = np.stack(vecs)
-        amps = modules["simulator"].amplitude_embed(x)
+    def step():
+        score(params, amps)[1](d_scores)
 
-        def step():
-            score(params, amps)[1](d_scores)
-
-        def forward():
-            score(params, amps[0])
-    else:
-        def step():
-            for vec, rows_x, d in zip(vecs, x, d_scores):
-                score(vec, rows_x)[1](d)
-
-        def forward():
-            for vec in vecs:
-                score(vec, x[0])
+    def forward():
+        score(params, amps[0])
 
     return {"step": step, "forward": forward}[kind]
 

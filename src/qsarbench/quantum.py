@@ -120,7 +120,7 @@ def _scores_and_backward(params: np.ndarray, amps: np.ndarray):
     scores = (z @ readout[..., None])[..., 0]                   # (R, B)
 
     def backward(d_scores: np.ndarray) -> np.ndarray:
-        g_angles = adjoint_gradient(final, kept, angles, d_scores[..., None] * readout[:, None])
+        g_angles = adjoint_gradient(final, kept, d_scores[..., None] * readout[:, None])
         g_readout = (z.swapaxes(1, 2) @ d_scores[..., None])[..., 0]
         return np.concatenate([g_angles.reshape(len(params), -1), g_readout], axis=1)
 

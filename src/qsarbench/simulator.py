@@ -33,13 +33,14 @@ with the forward sweep's factors, reading the trainer's angle gradients in
 closed form off one overlap per qubit block, and the parameter-shift
 reference `parameter_shift_gradient`.
 
-The sweeps also take the trainer's rep axis: (reps, layers, n, 3) angles
-build per-rep (reps, layers, 2^w, 2^w) factors, and every layer product,
-CNOT gather and block overlap is one stacked call over the reps, each rep's
-arithmetic that of its own sweep.  Plain (layers, n, 3) angles keep their
-meaning, one rep.  `ansatz_sweep` keeps each layer's input for the adjoint
-sweep; `run_ansatz` and `run_ansatz_reps` (every rep's angles on the same
-rows, as the trainer scores its test rows) run forward only and keep none.
+The sweeps take one layout, the trainer's rep axis: (reps, layers, n, 3)
+angles build per-rep (reps, layers, 2^w, 2^w) factors, and every layer
+product, CNOT gather and block overlap is one stacked call over the reps,
+each rep's arithmetic that of its own sweep; one model is one rep.
+`ansatz_sweep` keeps its angles, each layer's input and the layer factors
+for the adjoint sweep; `run_ansatz_reps` (every rep's angles on the same
+rows, as the trainer scores its test rows) runs forward only and keeps
+none, and `run_ansatz` is it for one (layers, n, 3) ansatz.
 """
 
 from __future__ import annotations
@@ -238,13 +239,11 @@ def apply_layer(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return x.reshape(lead + (-1, width))
 
 
-def _rep_angles(angles: np.ndarray, n_qubits: int) -> tuple[np.ndarray, bool]:
-    """(reps, layers, n, 3) angles, and whether they came as plain (layers, n, 3)
-    angles, which are one rep."""
+def _rep_angles(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim == 4 and angles.shape[2:] == (n_qubits, 3):
-        return angles, False
-    return _ansatz_angles(angles, n_qubits)[None], True
+    if angles.ndim != 4 or angles.shape[2:] != (n_qubits, 3):
+        raise DataError(f"angles must be (reps, layers, {n_qubits}, 3), got {angles.shape}")
+    return angles
 
 
 def _rep_factors(angles: np.ndarray) -> list[np.ndarray]:
@@ -281,40 +280,36 @@ def _sweep(x: np.ndarray, factors: list[np.ndarray], inputs: list | None = None)
 
 
 def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The ansatz's output amplitudes, and what `adjoint_gradient` needs of
-    the sweep: each layer's batch-last input state and the layer factors.
+    """The ansatz's (reps, rows, 2^n) output amplitudes, and `kept`, what
+    `adjoint_gradient` needs of the sweep: its angles, each layer's
+    batch-last input state and the layer factors.
 
-    Plain (layers, n, 3) angles act on every state of `amps`.  Per-rep
     (reps, layers, n, 3) angles act on (reps, rows, 2^n) amplitudes, rep r's
     angles on rep r's rows.
     """
     n_qubits = _n_qubits(amps.shape[-1])
-    angles, _ = _rep_angles(angles, n_qubits)
-    reps = len(angles)
-    if reps > 1 and (amps.ndim != 3 or len(amps) != reps):
-        raise DataError(f"{reps} reps of angles need (reps, rows, 2^n) amplitudes, "
+    angles = _rep_angles(angles, n_qubits)
+    if amps.ndim != 3 or len(amps) != len(angles):
+        raise DataError(f"{len(angles)} reps of angles need (reps, rows, 2^n) amplitudes, "
                         f"got {amps.shape}")
     factors = _rep_factors(angles)
     inputs: list[np.ndarray] = []
-    final = _sweep(amps.reshape(reps, -1, amps.shape[-1]).swapaxes(1, 2), factors, inputs)
-    return final.reshape(amps.shape), (inputs, factors)
+    final = _sweep(amps.swapaxes(1, 2), factors, inputs)
+    return final, (angles, inputs, factors)
 
 
 def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The ansatz's output amplitudes; `angles` is (layers, n, 3) in radians.
-    Forward only: no layer's input is kept."""
-    n_qubits = _n_qubits(amps.shape[-1])
-    angles = _ansatz_angles(angles, n_qubits)
-    x = amps.reshape(1, -1, amps.shape[-1]).swapaxes(1, 2)
-    return _sweep(x, _rep_factors(angles[None])).reshape(amps.shape)
+    """The ansatz's output amplitudes, for states of any leading shape;
+    `angles` is (layers, n, 3) in radians.  `run_ansatz_reps` with one rep."""
+    angles = _ansatz_angles(angles, _n_qubits(amps.shape[-1]))
+    return run_ansatz_reps(amps.reshape(-1, amps.shape[-1]), angles[None])[0].reshape(amps.shape)
 
 
 def run_ansatz_reps(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Every rep's ansatz on the same rows: (rows, 2^n) amplitudes and
     (reps, layers, n, 3) angles give the (reps, rows, 2^n) outputs.  Forward
     only: no layer's input is kept."""
-    n_qubits = _n_qubits(amps.shape[-1])
-    angles, _ = _rep_angles(angles, n_qubits)
+    angles = _rep_angles(angles, _n_qubits(amps.shape[-1]))
     x = np.broadcast_to(amps.T, (len(angles),) + amps.T.shape)
     return _sweep(x, _rep_factors(angles))
 
@@ -349,14 +344,14 @@ def _qubit_overlap(block_overlap: np.ndarray, width: int, q: int) -> np.ndarray:
     return np.einsum("raibajb->rij", block_overlap.reshape(shape))
 
 
-def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
-                     upstream: np.ndarray) -> np.ndarray:
-    """Gradient of sum_rows sum_q upstream[row, q] * <Z_q> w.r.t. every angle.
+def adjoint_gradient(final: np.ndarray, kept: tuple, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of sum_rows sum_q upstream[rep, row, q] * <Z_q> w.r.t. every
+    angle of every rep.
 
-    `final` and `kept` (each layer's input state and the layer factors) come
-    from `ansatz_sweep` of `angles`; `upstream` holds the (rows, n) weights,
-    (reps, rows, n) for per-rep angles, and the result has the shape of
-    `angles`.  This is the contract of
+    `final` and `kept` (the sweep's angles, each layer's input state and the
+    layer factors) come from one `ansatz_sweep`; `upstream` holds the
+    (reps, rows, n) weights, and the result has the shape of the kept
+    (reps, layers, n, 3) angles.  Per rep this is the contract of
     `parameter_shift_gradient` summed over rows, computed with one backward
     sweep (Jones & Gacon, arXiv:2009.02823) that takes a whole layer at a
     time, for every rep at once.  The weighted sum is <psi|O|psi> with a
@@ -378,20 +373,16 @@ def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
       gamma: u^dagger du = -(i/2) RZ(alpha)^dagger (cos beta Z - sin beta X) RZ(alpha),
              g = cos beta g_alpha - sin beta Im(p N01 + conj(p) N10).
     """
-    inputs, factors = kept
+    angles, inputs, factors = kept
     n_qubits = _n_qubits(final.shape[-1])
-    reps, layers = factors[0].shape[:2]
+    reps, layers = angles.shape[:2]
     if upstream.shape != final.shape[:-1] + (n_qubits,):
-        raise DataError(f"upstream must be (rows, {n_qubits}) per rep, got {upstream.shape}")
-    expected = (layers, n_qubits, 3) if np.ndim(angles) == 3 else (reps, layers, n_qubits, 3)
-    if np.shape(angles) != expected or (len(expected) == 3 and reps != 1):
-        raise DataError(f"angles must be {expected} for this sweep, got {np.shape(angles)}")
-    rep_angles, plain = _rep_angles(angles, n_qubits)
+        raise DataError(f"upstream must be (reps, rows, {n_qubits}), got {upstream.shape}")
     undo = [factor.conj().swapaxes(-1, -2) for factor in factors]
     widths = block_widths(n_qubits)
     rep_index = _rep_index(reps)
-    b = ((upstream @ z_sign_matrix(n_qubits).T) * final).reshape(reps, -1, final.shape[-1])
-    overlaps = np.empty(rep_angles.shape[:3] + (2, 2), dtype=np.complex128)
+    b = (upstream @ z_sign_matrix(n_qubits).T) * final
+    overlaps = np.empty(angles.shape[:3] + (2, 2), dtype=np.complex128)
     for layer in reversed(range(layers)):
         b = b.swapaxes(1, 2)
         if n_qubits > 1:
@@ -409,12 +400,11 @@ def adjoint_gradient(final: np.ndarray, kept: tuple, angles: np.ndarray,
             first += width
     n00, n01 = overlaps[..., 0, 0], overlaps[..., 0, 1]
     n10, n11 = overlaps[..., 1, 0], overlaps[..., 1, 1]
-    p, beta = np.exp(1j * rep_angles[..., 0]), rep_angles[..., 1]
+    p, beta = np.exp(1j * angles[..., 0]), angles[..., 1]
     g_alpha = (n00 - n11).imag
     g_beta = (p.conj() * n10 - p * n01).real
     g_gamma = np.cos(beta) * g_alpha - np.sin(beta) * (p * n01 + p.conj() * n10).imag
-    grad = np.stack([g_alpha, g_beta, g_gamma], axis=-1)
-    return grad[0] if plain else grad
+    return np.stack([g_alpha, g_beta, g_gamma], axis=-1)
 
 
 def parameter_shift_gradient(x: np.ndarray, angles: np.ndarray,

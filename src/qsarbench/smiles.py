@@ -146,6 +146,7 @@ _BARE_ATOMS.update({symbol: Atom(ATOMIC_NUMBERS[symbol.upper()], aromatic=True)
                     for symbol in AROMATIC_ORGANIC})
 
 _MAX_CHARGE = 15
+_MAX_COUNT = 0xFFFF   # isotopes and hydrogen counts fill 16-bit fields of the atom invariant
 
 
 def _unexpected(text: str, offset: int) -> SmilesParseError:
@@ -175,6 +176,8 @@ def _bracket_atom(text: str, start: int, end: int) -> Atom:
     """The atom of the bracket token `text[start:end]`, which opens with '['."""
     at = _BRACKET_ISOTOPE.match(text, start + 1).end()
     isotope = int(text[start + 1:at]) if at > start + 1 else 0
+    if isotope > _MAX_COUNT:
+        raise SmilesParseError(f"isotope {isotope} out of range", text, start + 1)
     symbol = _bracket_symbol(text, at)
     if symbol is None:
         raise SmilesParseError("missing element symbol in brackets", text, at)
@@ -197,6 +200,9 @@ def _bracket_atom(text: str, start: int, end: int) -> Atom:
         kind = item.lastgroup
         if kind == "h":
             hydrogens = int(item["h"]) if item["h"] else 1
+            if hydrogens > _MAX_COUNT:
+                raise SmilesParseError(f"hydrogen count {hydrogens} out of range", text,
+                                       item.start("h"))
         elif kind == "count":
             if charge is not None:
                 raise SmilesParseError("multiple charge groups", text, at)

@@ -358,6 +358,16 @@ def test_fingerprint_skips_atomless_rows(tmp_path, capsys):
     assert "(1 rows skipped)" in capsys.readouterr().out
 
 
+def test_fingerprint_skips_isotopes_and_hydrogen_counts_beyond_sixteen_bits(tmp_path, capsys):
+    d = tmp_path / "d.csv"
+    d.write_text("mol,label\nCCO,1\n[70000C],0\n[CH70000],1\n[65535CH4],0\n")
+    out = tmp_path / "fps.csv"
+    assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol",
+                 "--output", str(out)]) == EXIT_OK
+    assert [r["row"] for r in csv.DictReader(open(out))] == ["0", "3"]
+    assert "(2 rows skipped)" in capsys.readouterr().out
+
+
 def write_hex_column(path, fps):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

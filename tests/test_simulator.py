@@ -413,18 +413,14 @@ def test_adjoint_gradient_equals_summed_parameter_shift(n, rng):
         upstream[1] = 0.0                        # a row that contributes nothing
         upstream[2] = np.abs(upstream[2])
         upstream[3] = -np.abs(upstream[3])
-        final, kept = ansatz_sweep(amplitude_embed(x), angles)
-        grad = adjoint_gradient(final, kept, angles, upstream)
+        final, kept = ansatz_sweep(amplitude_embed(x)[None], angles[None])
+        grad = adjoint_gradient(final, kept, upstream[None])
         reference = sum(parameter_shift_gradient(row, angles, weights)
                         for row, weights in zip(x, upstream))
-        assert grad.shape == angles.shape
-        np.testing.assert_allclose(grad, reference, atol=1e-12)
-    with pytest.raises(DataError, match=r"upstream must be \(rows, "):
-        adjoint_gradient(final, kept, angles, upstream[:, :-1])
-    # angles of another layer count than the kept sweep's, fewer and more
-    for wrong in (angles[:-1], np.concatenate([angles, angles[:1]])):
-        with pytest.raises(DataError, match=re.escape(f"angles must be ({layers}, {n}, 3)")):
-            adjoint_gradient(final, kept, wrong, upstream)
+        assert grad.shape == (1,) + angles.shape
+        np.testing.assert_allclose(grad[0], reference, atol=1e-12)
+    with pytest.raises(DataError, match=r"upstream must be \(reps, rows, "):
+        adjoint_gradient(final, kept, upstream[None, :, :-1])
 
 
 def dense_ansatz_on(n: int, angles: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -466,20 +462,23 @@ def test_rep_axis_sweeps_equal_the_per_rep_calls(n, rng):
     amps = amplitude_embed(rng.normal(size=(reps, 6, 1 << n)))
     upstream = rng.normal(size=(reps, 6, n))
     final, kept = ansatz_sweep(amps, angles)
-    grad = adjoint_gradient(final, kept, angles, upstream)
+    grad = adjoint_gradient(final, kept, upstream)
     shared = run_ansatz_reps(amps[0], angles)
     assert final.shape == amps.shape and grad.shape == angles.shape
     assert shared.shape == (reps,) + amps.shape[1:]
     for rep in range(reps):
-        alone, alone_kept = ansatz_sweep(amps[rep], angles[rep])
-        np.testing.assert_array_equal(final[rep], alone)
-        np.testing.assert_array_equal(
-            grad[rep], adjoint_gradient(alone, alone_kept, angles[rep], upstream[rep]))
+        one = slice(rep, rep + 1)
+        alone, alone_kept = ansatz_sweep(amps[one], angles[one])
+        np.testing.assert_array_equal(final[one], alone)
+        np.testing.assert_array_equal(grad[one], adjoint_gradient(alone, alone_kept, upstream[one]))
         np.testing.assert_array_equal(shared[rep], run_ansatz(amps[0], angles[rep]))
     with pytest.raises(DataError, match=r"3 reps of angles need \(reps, rows, 2\^n\) amplitudes"):
         ansatz_sweep(amps[:2], angles)
-    with pytest.raises(DataError, match=re.escape(f"angles must be ({reps}, 2, {n}, 3)")):
-        adjoint_gradient(final, kept, angles[:, :1], upstream)
+    # the one-model layout, (rows, 2^n) amplitudes or (layers, n, 3) angles
+    with pytest.raises(DataError, match=r"1 reps of angles need \(reps, rows, 2\^n\) amplitudes"):
+        ansatz_sweep(amps[0], angles[:1])
+    with pytest.raises(DataError, match=re.escape(f"angles must be (reps, layers, {n}, 3)")):
+        ansatz_sweep(amps[:1], angles[0])
 
 
 def test_state_vector_validation():

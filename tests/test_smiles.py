@@ -257,6 +257,20 @@ def test_invalid_charge():
         parse_smiles("[C+99]")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("[70000C]", "isotope 70000 out of range", 1),
+    ("CC[65536CH3]", "isotope 65536 out of range", 3),
+    ("[CH70000]", "hydrogen count 70000 out of range", 3),
+    ("C[13CH65536+]", "hydrogen count 65536 out of range", 6),
+])
+def test_isotope_and_hydrogen_count_fit_sixteen_bits(text, message, offset):
+    with pytest.raises(SmilesParseError, match=message) as err:
+        parse_smiles(text)
+    assert err.value.offset == offset
+    atom = parse_smiles("[65535CH65535]").atoms[0]
+    assert (atom.isotope, atom.explicit_h) == (65535, 65535)
+
+
 def test_empty_input_rejected():
     with pytest.raises(SmilesParseError):
         parse_smiles("")
