@@ -18,6 +18,7 @@ import csv
 import logging
 import math
 from collections.abc import Callable, Iterator
+from concurrent.futures import Executor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TextIO
@@ -45,6 +46,9 @@ logger = logging.getLogger(__name__)
 
 EMBEDDING_DIM = 512
 TRAIN_FRACTION = 0.8
+# ingest slices per executor worker: several, so that a slow slice does not
+# leave the other workers idle at the end
+_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -150,18 +154,47 @@ def open_input(path: str) -> Iterator[TextIO]:
             raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
+def _parse_chunk(texts: list[str], featurize: Callable[[MolecularGraph], np.ndarray] | None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse, and featurize, a slice of SMILES: a kept-row mask and one (kept, width) matrix.
+
+    Each parsed graph is featurized into the next row of one matrix and then
+    dropped; the matrix keeps the featurizer's dtype (uint8 for mgfp).  The
+    matrix is None without `featurize`, or when no row of the slice parses.
+    """
+    kept = np.zeros(len(texts), dtype=bool)
+    features = None
+    count = 0
+    for i, text in enumerate(texts):
+        try:
+            graph = parse_smiles(text)
+        except SmilesParseError:
+            continue
+        kept[i] = True
+        if featurize is not None:
+            row = featurize(graph)
+            if features is None:
+                features = np.empty((len(texts),) + row.shape, dtype=row.dtype)
+            features[count] = row
+            count += 1
+    return kept, None if features is None else features[:count]
+
+
 def load_dataset(path: str, schema: DatasetSchema,
-                 featurize: Callable[[MolecularGraph], np.ndarray] | None = None) -> Dataset:
+                 featurize: Callable[[MolecularGraph], np.ndarray] | None = None,
+                 executor: Executor | None = None) -> Dataset:
     """Read a CSV of molecules, parsing each SMILES once; unparseable rows are skipped.
 
-    With `featurize`, each parsed graph becomes one feature row and is then
-    dropped; the stacked matrix keeps the featurizer's dtype (uint8 for mgfp).
+    The CSV's ids, SMILES and labels are read here, so a label error names its
+    row.  Parsing, and with `featurize` one feature row per parsed graph,
+    runs in `_parse_chunk`: once over all rows, or with `executor` over
+    `_CHUNKS_PER_WORKER` slices per worker, whose results come back in row
+    order.  Either way each row is parsed, skipped or featurized alike, so
+    the dataset is the same.  On an executor `featurize` must pickle: a
+    module-level function or a `functools.partial` of one.
     """
-    ids: list[str] = []
-    smiles: list[str] = []
+    texts: list[str] = []
     labels: list[int] = []
-    rows: list[np.ndarray] = []
-    skipped: list[str] = []
     with open_input(path) as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
@@ -171,24 +204,28 @@ def load_dataset(path: str, schema: DatasetSchema,
             if col not in header:
                 raise DataError(f"{path} lacks column {col!r}")
         for row_number, row in enumerate(reader):
-            text = (row[schema.smiles_col] or "").strip()
-            label = _coerce_label(path, row[schema.label_col], row_number)
-            row_id = str(row_number)
-            try:
-                graph = parse_smiles(text)
-            except SmilesParseError:
-                skipped.append(row_id)
-                continue
-            if featurize is not None:
-                rows.append(featurize(graph))
-            ids.append(row_id)
-            smiles.append(text)
-            labels.append(label)
+            texts.append((row[schema.smiles_col] or "").strip())
+            labels.append(_coerce_label(path, row[schema.label_col], row_number))
 
+    if executor is None:
+        chunks = [_parse_chunk(texts, featurize)]
+    else:
+        # both standard-library executors keep their worker count in `_max_workers`
+        size = -(-len(texts) // (_CHUNKS_PER_WORKER * executor._max_workers)) or 1
+        slices = [texts[start:start + size] for start in range(0, max(len(texts), 1), size)]
+        chunks = list(executor.map(_parse_chunk, slices, [featurize] * len(slices)))
+    kept = np.concatenate([mask for mask, _ in chunks])
+    skipped = tuple(str(i) for i in np.flatnonzero(~kept).tolist())
     if skipped:
         logger.info("skipped %d unparseable SMILES rows in %s", len(skipped), path)
-    return Dataset(ids=ids, smiles=smiles, labels=np.array(labels), skipped_ids=tuple(skipped),
-                   features=None if featurize is None else np.array(rows))
+    features = None
+    if featurize is not None:
+        matrices = [matrix for _, matrix in chunks if matrix is not None]
+        features = np.concatenate(matrices) if matrices else np.array([])
+    rows = np.flatnonzero(kept).tolist()
+    return Dataset(ids=[str(i) for i in rows], smiles=[texts[i] for i in rows],
+                   labels=np.array(labels, dtype=np.int64)[kept], skipped_ids=skipped,
+                   features=features)
 
 
 def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()) -> np.ndarray:

@@ -8,9 +8,14 @@ with its sweep value x.  Every plan gets one PCA fit at the widest n, which
 each n in n_list truncates; a cell is one (resplit, plan, n) holding one
 validated `SupervisedSplit`, and trains all its reps at once: one
 `train_mlp` and one `train_quantum` call, each on the reps' stacked batch
-schedules, along the trainers' rep axis.  Cells are built in the parent
-process, so every data check runs before the first worker starts.  The
-driver maps the cells over the workers and builds the report.
+schedules, along the trainers' rep axis.
+
+With more than one worker a run opens one process pool and uses it twice:
+first the ingest chunks (SMILES parsing and fingerprints, see
+`data.load_dataset`), then the cells.  Cells are built in the parent
+process between the two, so every data check runs before the first cell
+starts.  With one worker everything runs in this process.  The report is
+built from the cells' trials.
 
 A protocol run is a pure function of its configuration and input files.
 Seeds derive hierarchically (master -> per-resplit -> per-rep -> stream),
@@ -27,8 +32,10 @@ import json
 import logging
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -305,14 +312,19 @@ class ExperimentReport:
 
 # --- data preparation ---------------------------------------------------------
 
-def _load_with_features(config: ExperimentConfig) -> Dataset:
+def _morgan_bits(graph, radius: int, nbits: int) -> np.ndarray:
+    """One molecule's Morgan fingerprint as uint8 bits; a module-level function, so it pickles."""
+    return morgan_fingerprint(graph, radius, nbits).as_bit_array()
+
+
+def _load_with_features(config: ExperimentConfig, pool: Executor | None) -> Dataset:
     """The dataset with its feature matrix: uint8 fingerprint bits or float64 embeddings."""
     schema = SCHEMA_PRESETS[config.dataset]
     if config.embedding == "mgfp":
-        radius, bits = config.fingerprint_radius, config.fingerprint_bits
-        return load_dataset(config.dataset_path, schema,
-                            lambda graph: morgan_fingerprint(graph, radius, bits).as_bit_array())
-    data = load_dataset(config.dataset_path, schema)
+        featurize = partial(_morgan_bits, radius=config.fingerprint_radius,
+                            nbits=config.fingerprint_bits)
+        return load_dataset(config.dataset_path, schema, featurize, pool)
+    data = load_dataset(config.dataset_path, schema, executor=pool)
     embeddings = load_embeddings(config.embedding_path, data.ids, data.skipped_ids)
     return replace(data, features=embeddings)
 
@@ -384,15 +396,14 @@ def _run_cell(task: _CellTask) -> list[TrialResult]:
     return results
 
 
-def _map_cells(tasks: list[_CellTask], workers: int) -> list[TrialResult]:
-    if workers <= 1 or len(tasks) <= 1:
+def _map_cells(tasks: list[_CellTask], pool: Executor | None) -> list[TrialResult]:
+    if pool is None or len(tasks) <= 1:
         nested = [_run_cell(task) for task in tasks]
     else:
         # widest circuits and largest training sets first, so the longest
         # cells start at once instead of queueing behind short ones
         longest_first = sorted(tasks, key=lambda t: (t.n, t.data.train_x.shape[0]), reverse=True)
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            nested = list(pool.map(_run_cell, longest_first))
+        nested = list(pool.map(_run_cell, longest_first))
     trials = [trial for cell in nested for trial in cell]
     return sorted(trials, key=lambda t: (t.n, t.x, t.split_index, t.rep_index, t.model))
 
@@ -520,17 +531,19 @@ _Plans = Callable[[Dataset, int, int], Iterator[tuple[float | None, SplitPlan]]]
 def _run(config: ExperimentConfig, protocol: str, plans: _Plans) -> ExperimentReport:
     try:
         workers = config.resolved_workers()
-        data = _load_with_features(config)
-        tasks = []
-        for split_index in range(config.resplits):
-            subset = data
-            if config.should_undersample:
-                subset = undersample(data, derive_seed(config.master_seed, _NS_UNDERSAMPLE, split_index))
-            split_seed = derive_seed(config.master_seed, _NS_SPLIT, split_index)
-            for x, plan in plans(subset, split_index, split_seed):
-                tasks += _make_cells(config, subset, plan, x, split_index, split_seed)
-        logger.info("%s: %d cells on %d workers", protocol, len(tasks), workers)
-        trials = _map_cells(tasks, workers)
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            data = _load_with_features(config, pool)
+            tasks = []
+            for split_index in range(config.resplits):
+                subset = data
+                if config.should_undersample:
+                    subset = undersample(data, derive_seed(config.master_seed, _NS_UNDERSAMPLE,
+                                                           split_index))
+                split_seed = derive_seed(config.master_seed, _NS_SPLIT, split_index)
+                for x, plan in plans(subset, split_index, split_seed):
+                    tasks += _make_cells(config, subset, plan, x, split_index, split_seed)
+            logger.info("%s: %d cells on %d workers", protocol, len(tasks), workers)
+            trials = _map_cells(tasks, pool)
         return _build_report(config, protocol, data.skipped_rows, trials)
     except QsarBenchError as exc:
         _abort_context(config, exc)

@@ -172,12 +172,25 @@ def _bracket_symbol(text: str, at: int) -> str | None:
     return None
 
 
+def _bounded(text: str, start: int, end: int, what: str, limit: int) -> int:
+    """The decimal number `text[start:end]`, or a SmilesParseError at `start` above `limit`.
+
+    The digits are counted before converting, since `int()` refuses more than
+    4,300 of them with a plain ValueError.
+    """
+    digits = text[start:end].lstrip("0")
+    if len(digits) > len(str(limit)):
+        raise SmilesParseError(f"{what} of {len(digits)} digits out of range", text, start)
+    value = int(digits or "0")
+    if value > limit:
+        raise SmilesParseError(f"{what} {value} out of range", text, start)
+    return value
+
+
 def _bracket_atom(text: str, start: int, end: int) -> Atom:
     """The atom of the bracket token `text[start:end]`, which opens with '['."""
     at = _BRACKET_ISOTOPE.match(text, start + 1).end()
-    isotope = int(text[start + 1:at]) if at > start + 1 else 0
-    if isotope > _MAX_COUNT:
-        raise SmilesParseError(f"isotope {isotope} out of range", text, start + 1)
+    isotope = _bounded(text, start + 1, at, "isotope", _MAX_COUNT)
     symbol = _bracket_symbol(text, at)
     if symbol is None:
         raise SmilesParseError("missing element symbol in brackets", text, at)
@@ -199,20 +212,18 @@ def _bracket_atom(text: str, start: int, end: int) -> Atom:
             raise SmilesParseError(f"unexpected {text[at]!r} in brackets", text, at)
         kind = item.lastgroup
         if kind == "h":
-            hydrogens = int(item["h"]) if item["h"] else 1
-            if hydrogens > _MAX_COUNT:
-                raise SmilesParseError(f"hydrogen count {hydrogens} out of range", text,
-                                       item.start("h"))
+            hydrogens = (_bounded(text, *item.span("h"), "hydrogen count", _MAX_COUNT)
+                         if item["h"] else 1)
         elif kind == "count":
             if charge is not None:
                 raise SmilesParseError("multiple charge groups", text, at)
-            signs, digits = item["signs"], item["count"]
+            signs = item["signs"]
             count = len(signs)
-            if digits:
+            if item["count"]:
                 if count > 1:
                     raise SmilesParseError("repeated signs followed by digits", text, at)
-                count = int(digits)
-            if count > _MAX_CHARGE:
+                count = _bounded(text, *item.span("count"), "charge magnitude", _MAX_CHARGE)
+            elif count > _MAX_CHARGE:
                 raise SmilesParseError(f"charge magnitude {count} out of range", text, at)
             charge = count if signs[0] == "+" else -count
         elif kind == "klass" and not item["klass"]:

@@ -368,6 +368,18 @@ def test_fingerprint_skips_isotopes_and_hydrogen_counts_beyond_sixteen_bits(tmp_
     assert "(2 rows skipped)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("huge", ["[" + "1" * 5000 + "C]", "[C+" + "1" * 5000 + "]"],
+                         ids=["isotope", "charge"])
+def test_fingerprint_skips_numbers_too_long_to_convert(tmp_path, capsys, huge):
+    d = tmp_path / "d.csv"
+    d.write_text(f"mol,label\nCCO,1\n{huge},0\n")
+    out = tmp_path / "fps.csv"
+    assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol",
+                 "--output", str(out)]) == EXIT_OK
+    assert [r["row"] for r in csv.DictReader(open(out))] == ["0"]
+    assert "(1 rows skipped)" in capsys.readouterr().out
+
+
 def write_hex_column(path, fps):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -1,9 +1,12 @@
 import re
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from qsarbench.data import (
+    _CHUNKS_PER_WORKER,
     SCHEMA_PRESETS,
     Dataset,
     DatasetSchema,
@@ -17,6 +20,7 @@ from qsarbench.data import (
 from qsarbench.errors import ConfigError, DataError
 
 from qsarbench.fingerprint import morgan_fingerprint
+from qsarbench.harness import _morgan_bits
 from qsarbench.smiles import parse_smiles
 
 from conftest import write_dataset_csv, write_embeddings_csv
@@ -61,6 +65,36 @@ def test_load_dataset_featurize_gives_one_row_per_kept_smiles(tmp_path):
     expected = np.array([morgan_fingerprint(parse_smiles(s), 2, 64).as_bit_array() for s in kept])
     np.testing.assert_array_equal(data.features, expected)
     assert load_dataset(str(path), SCHEMA_PRESETS["bace"]).features is None
+
+
+def test_pooled_load_matches_serial(tmp_path):
+    chunks = _CHUNKS_PER_WORKER * 2
+    good = ["CCO", "c1ccccc1", "CC(=O)O", "C#N", "CC(C)C"]
+    bad = ["C1CC", "", "not smiles", "[" + "1" * 5000 + "C]"]  # malformed, empty cell, huge
+    featurizers = (None, partial(_morgan_bits, radius=2, nbits=512))
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        # one row; fewer rows than chunks; a count no multiple of the chunk
+        # count, whose second chunk holds only rows that do not parse
+        for rows in (1, chunks - 3, 3 * chunks + 5):
+            size = -(-rows // chunks)
+            smiles = [bad[i % len(bad)] if size <= i < 2 * size or i % 3 == 2
+                      else good[i % len(good)] for i in range(rows)]
+            path = write_dataset_csv(tmp_path / f"d{rows}.csv", smiles, [i % 2 for i in range(rows)])
+            for featurize in featurizers:
+                serial = load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize)
+                pooled = load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize, pool)
+                assert pooled.ids == serial.ids
+                assert pooled.smiles == serial.smiles
+                assert pooled.skipped_ids == serial.skipped_ids
+                np.testing.assert_array_equal(pooled.labels, serial.labels)
+                if featurize is None:
+                    assert pooled.features is None and serial.features is None
+                else:
+                    assert pooled.features.dtype == serial.features.dtype == np.uint8
+                    assert pooled.features.shape == serial.features.shape
+                    assert pooled.features.tobytes() == serial.features.tobytes()
+            assert len(serial) + serial.skipped_rows == rows
+            assert serial.skipped_rows > 0 or rows == 1
 
 
 def test_load_dataset_missing_column(tmp_path):

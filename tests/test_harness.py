@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 
 import qsarbench.harness
-from qsarbench.errors import ConfigError, InvariantViolation
+from qsarbench.data import SCHEMA_PRESETS, load_dataset
+from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -248,12 +251,49 @@ def test_run_protocol_deterministic_files(synthetic_csv, tmp_path):
     assert open(a["csv"], "rb").read() == open(b["csv"], "rb").read()
 
 
-def test_parallel_workers_match_serial(synthetic_csv, tmp_path):
-    serial = run_protocol(tiny_config(synthetic_csv, n_list=(2, 3), workers=1))
-    parallel = run_protocol(tiny_config(synthetic_csv, n_list=(2, 3), workers=2))
-    a = write_report_files(serial, str(tmp_path / "s"), "r")
-    b = write_report_files(parallel, str(tmp_path / "p"), "r")
-    assert open(a["json"], "rb").read() == open(b["json"], "rb").read()
+def test_parallel_workers_match_serial(synthetic_csv, tmp_path, rng, monkeypatch):
+    """Each protocol at two workers opens one pool, for ingest and cells, and
+    writes the report of its one-worker run, which opens none."""
+    opened = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(qsarbench.harness, "ProcessPoolExecutor", CountedPool)
+    data = load_dataset(synthetic_csv, SCHEMA_PRESETS["bace"])
+    emb_path = write_embeddings_csv(tmp_path / "emb.csv", data.ids,
+                                    rng.normal(size=(len(data), 512)))
+    runs = (
+        (run_protocol, tiny_config(synthetic_csv, n_list=(2, 3))),
+        (run_cluster_protocol, tiny_config(clustered_csv(tmp_path), n_list=(2, 3),
+                                           cluster_k=(1, 3), epochs=1)),
+        (run_fraction_sweep, tiny_config(synthetic_csv, n_list=(2, 3), embedding="imgmol",
+                                         embedding_path=str(emb_path), fractions=(0.5, 1.0),
+                                         epochs=1)),
+    )
+    for run, config in runs:
+        serial = run(config)
+        assert opened == []
+        parallel = run(replace(config, workers=2))
+        assert opened == [2]
+        opened.clear()
+        a = write_report_files(serial, str(tmp_path / "s"), run.__name__)
+        b = write_report_files(parallel, str(tmp_path / "p"), run.__name__)
+        assert Path(a["json"]).read_bytes() == Path(b["json"]).read_bytes()
+
+
+def test_worker_error_reaches_the_caller(synthetic_csv, monkeypatch):
+    def broken(graph, radius, nbits):
+        raise DataError("featurizer broke")
+
+    # patched before the pool forks, so its workers run the broken featurizer
+    monkeypatch.setattr(qsarbench.harness, "morgan_fingerprint", broken)
+    with pytest.raises(DataError, match="^featurizer broke$") as err:
+        run_protocol(tiny_config(synthetic_csv, workers=2))
+    assert type(err.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, monkeypatch):
@@ -261,7 +301,7 @@ def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, m
 
     class SerialPool:
         def __init__(self, max_workers):
-            pass
+            self._max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -269,10 +309,12 @@ def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, m
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            submitted.extend((task.n, task.data.train_x.shape[0]) for task in tasks)
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            # the run's pool first takes the ingest chunks, then the cells
+            if fn is qsarbench.harness._run_cell:
+                iterables = [list(iterables[0])]
+                submitted.extend((task.n, task.data.train_x.shape[0]) for task in iterables[0])
+            return map(fn, *iterables)
 
     monkeypatch.setattr(qsarbench.harness, "ProcessPoolExecutor", SerialPool)
     config = tiny_config(synthetic_csv, n_list=(2, 3), fractions=(0.5, 1.0), reps=1)
@@ -394,8 +436,6 @@ def test_imgmol_run_ignores_embeddings_of_skipped_rows(tmp_path, rng):
 
 
 def test_imgmol_protocol_and_unknown_id(synthetic_csv, tmp_path, rng):
-    from qsarbench.data import SCHEMA_PRESETS, load_dataset
-
     data = load_dataset(synthetic_csv, SCHEMA_PRESETS["bace"])
     matrix = rng.normal(size=(len(data), 512))
     emb_path = write_embeddings_csv(tmp_path / "emb.csv", data.ids, matrix)

@@ -255,6 +255,10 @@ def test_invalid_charge():
         parse_smiles("[C++2]")
     with pytest.raises(SmilesParseError, match="charge magnitude 99 out of range"):
         parse_smiles("[C+99]")
+    with pytest.raises(SmilesParseError, match="charge magnitude of 5000 digits") as err:
+        parse_smiles("[C+" + "1" * 5000 + "]")
+    assert err.value.offset == 3
+    assert parse_smiles("[C+" + "0" * 5000 + "15]").atoms[0].formal_charge == 15
 
 
 @pytest.mark.parametrize("text, message, offset", [
@@ -262,6 +266,11 @@ def test_invalid_charge():
     ("CC[65536CH3]", "isotope 65536 out of range", 3),
     ("[CH70000]", "hydrogen count 70000 out of range", 3),
     ("C[13CH65536+]", "hydrogen count 65536 out of range", 6),
+    # more digits than int() converts: a parse error at the number, not a ValueError
+    pytest.param("[" + "1" * 5000 + "C]", "isotope of 5000 digits out of range", 1,
+                 id="isotope-of-5000-digits"),
+    pytest.param("[CH" + "1" * 5000 + "]", "hydrogen count of 5000 digits out of range", 3,
+                 id="hydrogen-count-of-5000-digits"),
 ])
 def test_isotope_and_hydrogen_count_fit_sixteen_bits(text, message, offset):
     with pytest.raises(SmilesParseError, match=message) as err:
