@@ -1,9 +1,10 @@
-"""Time the quantum model's training work, or ingest, in two source trees, interleaved.
+"""Time the quantum model's training work, ingest or Butina in two source trees, interleaved.
 
 Run from the repository root:
 
     python3 scripts/compare_steps.py --parent DIR --change DIR [--reps 1 20] [--repeats 41]
     python3 scripts/compare_steps.py --parent DIR --change DIR --kinds ingest [--rows 2000]
+    python3 scripts/compare_steps.py --parent DIR --change DIR --kinds butina [--rows 1440 8000]
 
 Both trees' `qsarbench` packages are imported into this one process, under
 the names `parent` and `change`, with BLAS pinned to one thread.  For each
@@ -28,6 +29,13 @@ CSV of that many seeded `synthetic_molecules` from `tests/conftest.py` plus
 two trees must return the same features, ids and skipped ids; the script
 exits non-zero naming what differs.  Its times are per CSV row.
 
+`--kinds butina` times `clustering.butina_cluster` at the protocol's default
+cutoff, once per `--rows` value, on that many seeded 512-bit fingerprints
+(`fingerprint_families` from `tests/conftest.py`: perturbed copies of a few
+prototypes, so clusters form).  The two trees must return the same
+partition; the script exits non-zero naming the row count where they
+differ.  Its times are per call.
+
 The two trees alternate call by call, and the order of the pair alternates
 from repeat to repeat, so drift in the machine's speed hits both alike.
 Each time is the best of a few back-to-back calls; the script prints the
@@ -45,6 +53,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_name] = "1"
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -56,11 +65,14 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREES = ("parent", "change")
 TRAINING_KINDS = ("step", "forward", "cell")
-KINDS = TRAINING_KINDS + ("ingest",)
+KINDS = TRAINING_KINDS + ("ingest", "butina")
 CELL_TRAIN_ROWS = 1200
 CELL_TEST_ROWS = 300
 INGEST_SEED = 1717
 MALFORMED_SMILES = ("C1CC", "C(C", "[C", "C%1", "CC)C", "Qx")
+BUTINA_SEED = 2020
+BUTINA_CUTOFF = 0.65   # ExperimentConfig.cluster_cutoff's default
+BUTINA_BITS = 512
 
 
 def load_tree(tree: str, name: str):
@@ -77,7 +89,8 @@ def load_tree(tree: str, name: str):
 def _modules(package) -> dict:
     name = package.__name__
     return {part: sys.modules[f"{name}.{part}"]
-            for part in ("quantum", "simulator", "harness", "training", "data", "fingerprint")}
+            for part in ("quantum", "simulator", "harness", "training", "data", "fingerprint",
+                         "clustering")}
 
 
 def _call(modules: dict, kind: str, n: int, rows: int, reps: int, epochs: int):
@@ -155,18 +168,23 @@ def compare(modules: dict, qubits, rows_list, reps_list, kinds, repeats: int, nu
     return results
 
 
-def write_ingest_csv(directory: str, rows: int) -> tuple[str, int]:
-    """The seeded ingest input as a BACE-schema CSV, and its row count."""
+def _conftest():
+    """`tests/conftest.py`, which holds the seeded input generators."""
     for path in (os.path.join(ROOT, "tests"), os.path.join(ROOT, "src")):
         if path not in sys.path:
             sys.path.insert(0, path)
-    from conftest import REAL_SMILES, synthetic_molecules, write_dataset_csv
+    import conftest
+    return conftest
 
-    smiles, labels = synthetic_molecules(np.random.default_rng(INGEST_SEED), rows)
-    smiles += REAL_SMILES + list(MALFORMED_SMILES)
-    labels += [i % 2 for i in range(len(REAL_SMILES) + len(MALFORMED_SMILES))]
-    return str(write_dataset_csv(os.path.join(directory, f"ingest-{rows}.csv"), smiles, labels)), \
-        len(smiles)
+
+def write_ingest_csv(directory: str, rows: int) -> tuple[str, int]:
+    """The seeded ingest input as a BACE-schema CSV, and its row count."""
+    conftest = _conftest()
+    smiles, labels = conftest.synthetic_molecules(np.random.default_rng(INGEST_SEED), rows)
+    smiles += conftest.REAL_SMILES + list(MALFORMED_SMILES)
+    labels += [i % 2 for i in range(len(conftest.REAL_SMILES) + len(MALFORMED_SMILES))]
+    path = os.path.join(directory, f"ingest-{rows}.csv")
+    return str(conftest.write_dataset_csv(path, smiles, labels)), len(smiles)
 
 
 def _ingest_call(modules: dict, path: str):
@@ -201,13 +219,33 @@ def compare_ingest(modules: dict, rows_list, repeats: int, number: int) -> list[
     return results
 
 
+def compare_butina(modules: dict, rows_list, repeats: int, number: int) -> list[dict]:
+    """Median seconds per `butina_cluster` call of each tree, timed interleaved."""
+    results = []
+    for rows in rows_list:
+        bits = _conftest().fingerprint_families(np.random.default_rng(BUTINA_SEED), rows,
+                                                BUTINA_BITS)
+        calls = {}
+        for tree in TREES:
+            fps = [modules[tree]["fingerprint"].Fingerprint(b, BUTINA_BITS) for b in bits]
+            calls[tree] = functools.partial(modules[tree]["clustering"].butina_cluster, fps,
+                                            BUTINA_CUTOFF)
+        parent, change = (calls[tree]().clusters for tree in TREES)
+        if parent != change:
+            sys.exit(f"butina partitions of {rows} rows differ between the parent and the change")
+        medians = _interleaved(calls, repeats, number)
+        results.append(dict(n=None, rows=rows, reps=None, kind="butina", **medians))
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="source tree of the parent commit")
     parser.add_argument("--change", required=True, help="source tree of the change")
     parser.add_argument("--qubits", type=int, nargs="+", default=[2, 3, 4, 8])
     parser.add_argument("--rows", type=int, nargs="+", default=[32, 300],
-                        help="batch rows of step and forward; synthetic molecules of ingest")
+                        help="batch rows of step and forward; synthetic molecules of ingest; "
+                             "fingerprints of butina")
     parser.add_argument("--reps", type=int, nargs="+", default=[1])
     parser.add_argument("--kinds", nargs="+", choices=KINDS, default=list(TRAINING_KINDS))
     parser.add_argument("--epochs", type=int, default=2, help="epochs of each timed cell")
@@ -223,6 +261,8 @@ def main(argv=None) -> int:
                    args.number, args.epochs)
     if "ingest" in args.kinds:
         rows += compare_ingest(modules, args.rows, args.repeats, args.number)
+    if "butina" in args.kinds:
+        rows += compare_butina(modules, args.rows, args.repeats, args.number)
     for row in rows:
         n, reps = ("-" if row[key] is None else row[key] for key in ("n", "reps"))
         print(f"{n:>3} {row['rows']:>5} {reps:>4} {row['kind']:>8} "

@@ -20,9 +20,13 @@ each rep's rows the score function runs the simulator's `ansatz_sweep` and
 factors for the backward pass.  Rows shared by every rep, the test rows of
 each epoch, go forward-only through `run_ansatz_reps` in chunks of at most
 `SCORE_CHUNK_BYTES` of state, so scoring a large test set holds no layer
-inputs and a bounded state.  The circuit's structure lives in `simulator`,
-the MSE loss and its chain rule in `training`.  The equality of the two
-gradient paths is part of the test suite.
+inputs and a bounded state.  A chunk is 1 MiB: its states stay near the
+caches, and the allocator serves them from the heap it keeps.  16 MiB
+chunks took fresh pages from the OS on each call in a fresh process (about
+3,000 minor page faults per call on 1,400 rows at n = 8, one rep) and
+scored those rows in 24 ms, against 13 ms.  The circuit's structure lives
+in `simulator`, the MSE loss and its chain rule in `training`.  The
+equality of the two gradient paths is part of the test suite.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = ["QuantumModelParams", "init_quantum_params", "q_forward", "q_predict"
            "q_loss", "q_gradient", "train_quantum"]
 
 # the most state, reps x rows x 2^n amplitudes, that one chunk of shared rows holds
-SCORE_CHUNK_BYTES = 16 << 20
+SCORE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,20 @@ def _scores_and_backward(params: np.ndarray, amps: np.ndarray):
 
 def _shared_scores(amps: np.ndarray, angles: np.ndarray, readout: np.ndarray) -> np.ndarray:
     """Every rep's (R, T) scores on the same (T, 2^n) rows, forward-only, in
-    chunks of rows whose R x rows x 2^n state fits in SCORE_CHUNK_BYTES."""
-    rows = max(1, SCORE_CHUNK_BYTES // (len(angles) * amps.shape[-1] * amps.itemsize))
-    chunks = [z_expectations(run_ansatz_reps(amps[start:start + rows], angles))
-              @ readout[..., None] for start in range(0, len(amps), rows)]
-    return np.concatenate(chunks, axis=1)[..., 0]
+    chunks of rows whose R x rows x 2^n state fits in SCORE_CHUNK_BYTES.
+
+    A row's score does not depend on the chunking.  The readout is an
+    `einsum`, which sums each row's n terms on their own, where a
+    matrix-vector product sums a row in an order that depends on its place
+    in the chunk.  And no chunk of T > 1 rows is a single row, which
+    `z_expectations` would take through BLAS's matrix-vector path: a one-row
+    tail joins the chunk before it.
+    """
+    rows = max(2, SCORE_CHUNK_BYTES // (len(angles) * amps.shape[-1] * amps.itemsize))
+    starts = list(range(0, len(amps) - 1, rows)) or [0]   # the last chunk has >= 2 rows
+    chunks = [np.einsum("rtq,rq->rt", z_expectations(run_ansatz_reps(amps[start:stop], angles)),
+                        readout) for start, stop in zip(starts, starts[1:] + [len(amps)])]
+    return np.concatenate(chunks, axis=1)
 
 
 def _check_features(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:

@@ -145,6 +145,17 @@ def synthetic_molecules(rng: np.random.Generator, rows: int) -> tuple[list[str],
     return smiles, labels
 
 
+def fingerprint_families(rng: np.random.Generator, count: int, nbits: int = 512) -> list[int]:
+    """Seeded fingerprint bits, as ints: each row is a random family's
+    40-bit prototype with 4 random bits flipped, so Butina finds clusters
+    (about 20 rows per family)."""
+    prototypes = [sum(1 << int(b) for b in rng.choice(nbits, size=40, replace=False))
+                  for _ in range(max(1, count // 20))]
+    return [prototypes[rng.integers(len(prototypes))]
+            ^ sum(1 << int(b) for b in rng.choice(nbits, size=4, replace=False))
+            for _ in range(count)]
+
+
 def write_embeddings_csv(path: Path, ids: list[str], matrix: np.ndarray) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -11,6 +11,7 @@ noise, so a per-component ratio is meaningless for entries near zero.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,8 +318,8 @@ def test_c08_reruns_are_byte_identical(tmp_path):
     second = run_cluster_protocol(config)
     a = write_report_files(first, str(tmp_path / "a"), "det")
     b = write_report_files(second, str(tmp_path / "b"), "det")
-    same_json = open(a["json"], "rb").read() == open(b["json"], "rb").read()
-    same_csv = open(a["csv"], "rb").read() == open(b["csv"], "rb").read()
+    same_json = Path(a["json"]).read_bytes() == Path(b["json"]).read_bytes()
+    same_csv = Path(a["csv"]).read_bytes() == Path(b["csv"]).read_bytes()
     ok = same_json and same_csv
     report_line(8, ok, f"cluster-protocol re-run byte-identical: json={same_json} csv={same_csv}")
     assert ok

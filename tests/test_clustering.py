@@ -1,9 +1,13 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from qsarbench.clustering import butina_cluster, cluster_training_plan, neighbor_matrix
 from qsarbench.errors import ConfigError, DataError
-from qsarbench.fingerprint import tanimoto
+from qsarbench.fingerprint import Fingerprint, tanimoto
 
+from conftest import fingerprint_families
 from test_fingerprint import fp_from_bits
 
 
@@ -110,10 +114,24 @@ def test_neighbor_matrix_matches_bruteforce(rng):
     for nbits, n_on in ((512, 20), (32, 8), (8, 2)):
         fps = random_fps(rng, 15, n_on=n_on, nbits=nbits)
         cutoff = 0.3
-        matrix = neighbor_matrix(fps, cutoff)
+        indptr, indices = neighbor_matrix(fps, cutoff)
+        assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
+        assert indptr[0] == 0 and indptr[-1] == len(indices)
         for i in range(15):
-            for j in range(15):
-                assert matrix[i, j] == (tanimoto(fps[i], fps[j]) >= cutoff)
+            near = indices[indptr[i]:indptr[i + 1]].tolist()
+            assert near == [j for j in range(15) if tanimoto(fps[i], fps[j]) >= cutoff]
+
+
+def test_butina_memory_grows_with_pairs_not_rows_squared():
+    fps = [Fingerprint(bits, 512) for bits in fingerprint_families(np.random.default_rng(3), 3000)]
+    tracemalloc.start()
+    try:
+        clustering = butina_cluster(fps, cutoff=0.65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clustering.n_items == 3000 and len(clustering.clusters) < 3000
+    assert peak < 32 << 20   # a dense 3,000-row neighbor matrix and its temporaries peak at 79 MiB
 
 
 def test_empty_input_rejected():

@@ -36,3 +36,16 @@ def test_compare_steps_times_ingest_of_a_tree_against_itself():
     assert (n, reps, kind) == ("-", "-", "ingest")
     assert int(rows_read) > 5   # REAL_SMILES and the malformed rows ride along
     assert all(float(v) > 0 for v in times)
+
+
+def test_compare_steps_times_butina_of_a_tree_against_itself():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(ROOT),
+         "--kinds", "butina", "--rows", "50", "--repeats", "2", "--number", "1"],
+        capture_output=True, text=True, check=True)
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["n", "rows", "reps", "kind", "parent", "us", "change", "us", "ratio"]
+    assert len(rows) == 1
+    n, rows_read, reps, kind, *times = rows[0].split()
+    assert (n, rows_read, reps, kind) == ("-", "50", "-", "butina")
+    assert all(float(v) > 0 for v in times)

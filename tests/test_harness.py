@@ -247,8 +247,8 @@ def test_run_protocol_deterministic_files(synthetic_csv, tmp_path):
     second = run_protocol(config)
     a = write_report_files(first, str(tmp_path / "a"), "r")
     b = write_report_files(second, str(tmp_path / "b"), "r")
-    assert open(a["json"], "rb").read() == open(b["json"], "rb").read()
-    assert open(a["csv"], "rb").read() == open(b["csv"], "rb").read()
+    assert Path(a["json"]).read_bytes() == Path(b["json"]).read_bytes()
+    assert Path(a["csv"]).read_bytes() == Path(b["csv"]).read_bytes()
 
 
 def test_parallel_workers_match_serial(synthetic_csv, tmp_path, rng, monkeypatch):
@@ -325,7 +325,7 @@ def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, m
     serial = run_fraction_sweep(config)
     a = write_report_files(serial, str(tmp_path / "s"), "r")
     b = write_report_files(pooled, str(tmp_path / "p"), "r")
-    assert open(a["json"], "rb").read() == open(b["json"], "rb").read()
+    assert Path(a["json"]).read_bytes() == Path(b["json"]).read_bytes()
 
 
 def test_fraction_identity_matches_feature_protocol(synthetic_csv):
@@ -464,8 +464,8 @@ def test_report_round_trip(synthetic_csv, tmp_path):
 def test_csv_and_json_numeric_agreement(synthetic_csv, tmp_path):
     report = run_protocol(tiny_config(synthetic_csv))
     paths = write_report_files(report, str(tmp_path), "agree")
-    payload = json.load(open(paths["json"]))
-    lines = open(paths["csv"]).read().strip().splitlines()
+    payload = json.loads(Path(paths["json"]).read_text())
+    lines = Path(paths["csv"]).read_text().strip().splitlines()
     assert lines[0] == "dataset,embedding,n,model,x,mean,spread"
     assert len(lines) - 1 == len(payload["summaries"])
     for line, cell in zip(lines[1:], payload["summaries"]):
@@ -505,7 +505,7 @@ def test_atomless_smiles_row_is_skipped(tmp_path):
 
 def test_path_config_is_echoed_as_a_string(synthetic_csv, tmp_path):
     report = run_protocol(tiny_config(Path(synthetic_csv), reps=1, resplits=1))
-    payload = json.load(open(write_report_files(report, str(tmp_path), "r")["json"]))
+    payload = json.loads(Path(write_report_files(report, str(tmp_path), "r")["json"]).read_text())
     assert payload["config"]["dataset_path"] == str(synthetic_csv)
 
 

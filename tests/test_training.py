@@ -9,7 +9,7 @@ from qsarbench.harness import _CellTask, _run_cell
 from qsarbench.metrics import accuracy
 from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_predict, train_quantum
 from qsarbench.simulator import amplitude_embed
-from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule, decide,
+from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule,
                                 run_training, schedule_digest)
 
 
@@ -181,11 +181,36 @@ def test_test_rows_scored_in_chunks_match_one_chunk(monkeypatch):
     monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 7 * reps * amps.shape[-1] * amps.itemsize)
     chunked = quantum._scores_and_backward(params, amps)[0]
     assert chunks == [7, 7, 7, 7, 7, 5]
-    np.testing.assert_array_equal(decide(chunked), decide(whole))
-    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(chunked, whole)
     for result, alone in zip(train_quantum(data, config, [1, 2], schedules), trained):
         np.testing.assert_array_equal(result.test_accuracy, alone.test_accuracy)
         assert result.test_recall_at_best == alone.test_recall_at_best
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_shared_scores_bit_equal_to_one_chunk(monkeypatch, reps, extra):
+    # T = one chunk's rows + extra; a one-row tail would take BLAS's
+    # matrix-vector path and change the last bits, so it joins the chunk before
+    n = 8
+    per_chunk = quantum.SCORE_CHUNK_BYTES // (reps * (1 << n) * 16)
+    amps = amplitude_embed(np.random.default_rng([reps, extra + 1]).normal(
+        size=(per_chunk + extra, 1 << n)))
+    angles, readout = quantum._split_vector(
+        np.stack([init_quantum_params(n, seed).to_vector() for seed in range(reps)]), n)
+
+    chunks = []
+    run_ansatz_reps = quantum.run_ansatz_reps
+
+    def counted(rows, angles):
+        chunks.append(len(rows))
+        return run_ansatz_reps(rows, angles)
+
+    monkeypatch.setattr(quantum, "run_ansatz_reps", counted)
+    chunked = quantum._shared_scores(amps, angles, readout)
+    assert chunks == ([per_chunk, 2] if extra == 2 else [per_chunk + extra])
+    monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 1 << 40)
+    np.testing.assert_array_equal(chunked, quantum._shared_scores(amps, angles, readout))
 
 
 def test_non_finite_rep_names_its_rep_seed(monkeypatch):
