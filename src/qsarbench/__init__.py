@@ -19,7 +19,7 @@ from .data import (
     subsample_fraction,
     undersample,
 )
-from .fingerprint import Fingerprint, atom_invariant, morgan_fingerprint, tanimoto
+from .fingerprint import Fingerprint, morgan_fingerprint, tanimoto
 from .harness import (
     CellSummary,
     ExperimentConfig,
@@ -42,13 +42,13 @@ from .quantum import (
     train_quantum,
 )
 from .simulator import amplitude_embed, parameter_shift_gradient, run_ansatz, z_expectations
-from .smiles import Atom, Bond, BondOrder, MolecularGraph, parse_smiles, perceive_rings
+from .smiles import Atom, Bond, BondOrder, MolecularGraph, parse_smiles
 from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_schedule
 
 __all__ = [
     "__version__",
-    "Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles", "perceive_rings",
-    "Fingerprint", "atom_invariant", "morgan_fingerprint", "tanimoto",
+    "Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles",
+    "Fingerprint", "morgan_fingerprint", "tanimoto",
     "Dataset", "DatasetSchema", "SplitPlan", "load_dataset", "load_embeddings",
     "undersample", "make_split", "subsample_fraction",
     "PcaModel", "fit_pca", "transform",

@@ -155,6 +155,8 @@ def _read_matrix(path: str) -> np.ndarray:
             if not all(map(math.isfinite, values)):
                 raise DataError(f"{path} row {index} holds a value that is not finite")
             rows.append(values)
+    if not rows:
+        raise DataError(f"{path} holds no data rows")
     return np.array(rows, dtype=np.float64)
 
 

@@ -48,15 +48,6 @@ class Clustering:
     def n_items(self) -> int:
         return sum(len(c) for c in self.clusters)
 
-    def labels(self) -> np.ndarray:
-        out = np.empty(self.n_items, dtype=np.int64)
-        for cluster_id, members in enumerate(self.clusters):
-            for idx in members:
-                out[idx] = cluster_id
-        return out
-
-    def sizes(self) -> list[int]:
-        return [len(c) for c in self.clusters]
 
 
 def neighbor_matrix(fps: list[Fingerprint], cutoff: float) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ConfigError, DataError, InvariantViolation
 from .smiles import BondOrder, MolecularGraph
 
-__all__ = ["Fingerprint", "atom_invariant", "check_morgan_settings", "morgan_fingerprint",
-           "tanimoto"]
+__all__ = ["Fingerprint", "check_morgan_settings", "morgan_fingerprint", "tanimoto"]
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 512
@@ -102,30 +101,10 @@ def _hash_invariant(atomic_number: int, heavy_degree: int, total_h: int,
 _cached_invariant = functools.lru_cache(maxsize=_INVARIANT_CACHE_SIZE)(_hash_invariant)
 
 
-def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
-    """64-bit hash of an atom's immediate chemical environment.
-
-    The hashed tuple is (atomic number, heavy-atom degree, total hydrogen
-    count, formal charge, in-ring flag, isotope).  It is computed without the
-    cache that `morgan_fingerprint` reads, so it is the reference for it.
-    """
-    atoms = graph.atoms
-    atom = atoms[atom_index]
-    neighbors = graph.adjacency()[atom_index]
-    heavy_degree = sum(atoms[other].atomic_number > 1 for other, _ in neighbors)
-    digest = _hash_invariant(
-        atom.atomic_number,
-        heavy_degree,
-        graph.implicit_h[atom_index] + atom.explicit_h,
-        atom.formal_charge,
-        1 if graph.atom_in_ring[atom_index] else 0,
-        atom.isotope,
-    )
-    return int.from_bytes(digest, "big")
-
-
 def _atom_ids(graph: MolecularGraph, adjacency: list[list[tuple[int, int]]]) -> list[bytes]:
-    """Every atom's round-0 identifier, as the digest `atom_invariant` reads as an integer."""
+    """Every atom's round-0 identifier: the digest of its invariant tuple (atomic
+    number, heavy-atom degree, total hydrogen count, formal charge, in-ring flag,
+    isotope)."""
     heavy = [atom.atomic_number > 1 for atom in graph.atoms]
     return [
         _cached_invariant(atom.atomic_number, sum([heavy[other] for other, _ in neighbors]),

@@ -303,12 +303,6 @@ class ExperimentReport:
     trials: list[TrialResult]
     summaries: list[CellSummary] = field(default_factory=list)
 
-    def summary_for(self, model: str, n: int, x: float) -> CellSummary:
-        for cell in self.summaries:
-            if cell.model == model and cell.n == n and cell.x == x:
-                return cell
-        raise KeyError(f"no summary for model={model} n={n} x={x}")
-
 
 # --- data preparation ---------------------------------------------------------
 

@@ -89,18 +89,6 @@ def amplitude_embed(x: np.ndarray) -> np.ndarray:
     return amps.astype(np.complex128)
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=np.complex128
-    )
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def rot_matrix(alpha, beta, gamma) -> np.ndarray:
     """Unitary of RZ(gamma) . RY(beta) . RZ(alpha), for angles of any common
     shape S: the result has shape S + (2, 2)."""

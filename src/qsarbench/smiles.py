@@ -19,10 +19,10 @@ sum determines the hydrogen deficit.  Aromatic ring bonds count 1.5 toward
 that sum.
 
 A graph's adjacency is built once: `parse_smiles` fills it while it adds
-bonds, and ring perception, Morgan fingerprints and `atom_invariant` all
-read that one list through `MolecularGraph.adjacency`.  A bond is in a ring
-exactly when it is not a bridge; `parse_smiles` sets both ring flag lists
-from one bridge search over that adjacency.
+bonds, and ring perception and Morgan fingerprints both read that one list
+through `MolecularGraph.adjacency`.  A bond is in a ring exactly when it is
+not a bridge; `parse_smiles` sets both ring flag lists from one bridge
+search over that adjacency.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .elements import (
 )
 from .errors import SmilesParseError
 
-__all__ = ["Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles", "perceive_rings"]
+__all__ = ["Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles"]
 
 
 class BondOrder(Enum):
@@ -53,10 +53,6 @@ class BondOrder(Enum):
     # Members are singletons, so identity hashing is equality hashing; it keeps
     # dict lookups keyed by a member in C instead of `Enum.__hash__`.
     __hash__ = object.__hash__
-
-    @property
-    def valence_units(self) -> float:
-        return _HALF_UNITS[self] / 2
 
 
 # bond-order contribution to an atom's valence, in half units (aromatic = 1.5)
@@ -291,18 +287,6 @@ def _ring_flags(adjacency: list[list[tuple[int, int]]],
         if flag:
             atom_in_ring[bond.a] = atom_in_ring[bond.b] = True
     return atom_in_ring, in_ring
-
-
-def perceive_rings(graph: MolecularGraph) -> MolecularGraph:
-    """Return a copy with in-ring flags recomputed from cycle membership."""
-    atom_in_ring, bond_in_ring = _ring_flags(graph.adjacency(), graph.bonds)
-    return MolecularGraph(
-        atoms=list(graph.atoms),
-        bonds=list(graph.bonds),
-        implicit_h=list(graph.implicit_h),
-        atom_in_ring=atom_in_ring,
-        bond_in_ring=bond_in_ring,
-    )
 
 
 def parse_smiles(text: str) -> MolecularGraph:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qsarbench.rng import generator
+from qsarbench.smiles import MolecularGraph, _ring_flags
 
 settings.register_profile(
     "deterministic",
@@ -154,6 +155,15 @@ def fingerprint_families(rng: np.random.Generator, count: int, nbits: int = 512)
     return [prototypes[rng.integers(len(prototypes))]
             ^ sum(1 << int(b) for b in rng.choice(nbits, size=4, replace=False))
             for _ in range(count)]
+
+
+def perceive_rings(graph: MolecularGraph) -> MolecularGraph:
+    """A copy of `graph` with its in-ring flags recomputed from cycle membership,
+    by the bridge search that `parse_smiles` runs."""
+    atom_in_ring, bond_in_ring = _ring_flags(graph.adjacency(), graph.bonds)
+    return MolecularGraph(atoms=list(graph.atoms), bonds=list(graph.bonds),
+                          implicit_h=list(graph.implicit_h),
+                          atom_in_ring=atom_in_ring, bond_in_ring=bond_in_ring)
 
 
 def write_embeddings_csv(path: Path, ids: list[str], matrix: np.ndarray) -> Path:

@@ -20,7 +20,9 @@ from qsarbench.classical import MlpParams, init_mlp_params, mlp_gradient, mlp_lo
 from qsarbench.clustering import butina_cluster
 from qsarbench.fingerprint import morgan_fingerprint, tanimoto
 from qsarbench.harness import (
+    CellSummary,
     ExperimentConfig,
+    ExperimentReport,
     run_cluster_protocol,
     run_fraction_sweep,
     run_protocol,
@@ -187,13 +189,20 @@ def bace_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def summary_for(report: ExperimentReport, model: str, n: int, x: float) -> CellSummary:
+    for cell in report.summaries:
+        if cell.model == model and cell.n == n and cell.x == x:
+            return cell
+    raise KeyError(f"no summary for model={model} n={n} x={x}")
+
+
 @pytest.mark.full_protocol
 def test_c04_feature_sweep_reproduces_orderings():
     config = bace_config(n_list=(2, 3, 4, 8))
     report = run_protocol(config)
     write_report_files(report, "results/acceptance", "c04_features_bace_mgfp")
 
-    acc = {(m, n): report.summary_for(m, n, float(n)).mean_accuracy
+    acc = {(m, n): summary_for(report, m, n, float(n)).mean_accuracy
            for m in ("classical", "quantum") for n in (2, 3, 4, 8)}
     checks = {
         "quantum > classical at n=2": acc[("quantum", 2)] > acc[("classical", 2)],
@@ -222,7 +231,7 @@ def test_c05_fraction_sweep_trends():
     write_report_files(report, "results/acceptance", "c05_fractions_bace_mgfp")
 
     def mean(model, n, fraction):
-        return report.summary_for(model, n, fraction).mean_accuracy
+        return summary_for(report, model, n, fraction).mean_accuracy
 
     checks = {}
     for model in ("classical", "quantum"):
@@ -255,8 +264,8 @@ def test_c06_cluster_protocol_quantum_wins_every_k():
     write_report_files(report, "results/acceptance", "c06_clusters_bace_mgfp")
 
     comparisons = {
-        k: (report.summary_for("quantum", 3, float(k)).mean_accuracy,
-            report.summary_for("classical", 3, float(k)).mean_accuracy)
+        k: (summary_for(report, "quantum", 3, float(k)).mean_accuracy,
+            summary_for(report, "classical", 3, float(k)).mean_accuracy)
         for k in range(1, 8)
     }
     ok = all(q > c for q, c in comparisons.values())

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ def test_fingerprint_command(dataset_csv, tmp_path, capsys):
     code = main(["fingerprint", "--input", dataset_csv, "--smiles-col", "mol",
                  "--radius", "2", "--bits", "512", "--output", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 50
     # spot-check first row against the library call
-    first_smiles = list(csv.DictReader(open(dataset_csv)))[0]["mol"]
+    first_smiles = list(csv.DictReader(Path(dataset_csv).read_text().splitlines()))[0]["mol"]
     expected = morgan_fingerprint(parse_smiles(first_smiles), 2, 512)
     assert rows[0]["fingerprint_hex"] == expected.to_hex()
 
@@ -41,7 +42,7 @@ def test_cluster_command(dataset_csv, tmp_path):
     out = tmp_path / "clusters.csv"
     code = main(["cluster", "--fingerprints", str(fps), "--cutoff", "0.5", "--output", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 50
     assert {int(r["index"]) for r in rows} == set(range(50))
     centroids = [r for r in rows if r["is_centroid"] == "1"]
@@ -63,7 +64,7 @@ def test_pca_command(tmp_path, rng):
     code = main(["pca", "--input", str(inp), "--k", "3", "--fit-rows", str(fit_rows),
                  "--output", str(out), "--model-out", str(model_out)])
     assert code == EXIT_OK
-    scores = list(csv.reader(open(out)))
+    scores = list(csv.reader(out.read_text().splitlines()))
     assert scores[0] == ["c0", "c1", "c2"]
     assert len(scores) == 13
     from qsarbench.pca import PcaModel, fit_pca, transform
@@ -106,6 +107,19 @@ def test_pca_names_the_file_and_row_of_a_bad_matrix_row(body, named, tmp_path, c
                  "--output", str(out)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"data error: {inp} {named}")
+    assert not out.exists()
+
+
+def test_pca_on_a_header_without_rows_names_the_file(tmp_path, capsys):
+    inp = tmp_path / "m.csv"
+    inp.write_text("a,b\n")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n")
+    out = tmp_path / "scores.csv"
+    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                 "--output", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {inp} holds no data rows\n"
     assert not out.exists()
 
 
@@ -153,7 +167,7 @@ def test_ingest_command(dataset_csv, tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "rows:" in printed
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     labels = [int(r["label"]) for r in rows]
     assert labels.count(0) == labels.count(1)
 
@@ -186,7 +200,7 @@ def test_run_command(dataset_csv, tmp_path, capsys):
     assert code == EXIT_OK
     assert (out_dir / "features_bace_mgfp.json").exists()
     assert (out_dir / "features_bace_mgfp.csv").exists()
-    payload = json.load(open(out_dir / "features_bace_mgfp.json"))
+    payload = json.loads((out_dir / "features_bace_mgfp.json").read_text())
     assert payload["protocol"] == "feature_sweep"
     assert len(payload["trials"]) == 2
 
@@ -354,7 +368,7 @@ def test_fingerprint_skips_atomless_rows(tmp_path, capsys):
     out = tmp_path / "fps.csv"
     assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol",
                  "--output", str(out)]) == EXIT_OK
-    assert [r["row"] for r in csv.DictReader(open(out))] == ["0", "2"]
+    assert [r["row"] for r in csv.DictReader(out.read_text().splitlines())] == ["0", "2"]
     assert "(1 rows skipped)" in capsys.readouterr().out
 
 
@@ -364,7 +378,7 @@ def test_fingerprint_skips_isotopes_and_hydrogen_counts_beyond_sixteen_bits(tmp_
     out = tmp_path / "fps.csv"
     assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol",
                  "--output", str(out)]) == EXIT_OK
-    assert [r["row"] for r in csv.DictReader(open(out))] == ["0", "3"]
+    assert [r["row"] for r in csv.DictReader(out.read_text().splitlines())] == ["0", "3"]
     assert "(2 rows skipped)" in capsys.readouterr().out
 
 
@@ -376,7 +390,7 @@ def test_fingerprint_skips_numbers_too_long_to_convert(tmp_path, capsys, huge):
     out = tmp_path / "fps.csv"
     assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol",
                  "--output", str(out)]) == EXIT_OK
-    assert [r["row"] for r in csv.DictReader(open(out))] == ["0"]
+    assert [r["row"] for r in csv.DictReader(out.read_text().splitlines())] == ["0"]
     assert "(1 rows skipped)" in capsys.readouterr().out
 
 
@@ -393,7 +407,7 @@ def test_cluster_takes_the_width_from_the_file(tmp_path, capsys):
     write_hex_column(narrow, [morgan_fingerprint(g, 2, 256) for g in graphs])
     out = tmp_path / "clusters.csv"
     assert main(["cluster", "--fingerprints", str(narrow), "--output", str(out)]) == EXIT_OK
-    assert len(list(csv.DictReader(open(out)))) == len(graphs)
+    assert len(list(csv.DictReader(out.read_text().splitlines()))) == len(graphs)
     mixed = tmp_path / "mixed.csv"
     write_hex_column(mixed, [morgan_fingerprint(graphs[0], 2, 256),
                              morgan_fingerprint(graphs[1], 2, 256),

@@ -55,7 +55,7 @@ def test_partition_property(rng):
 def test_clusters_ordered_by_size_descending(rng):
     fps = random_fps(rng, 40, n_on=10)
     clustering = butina_cluster(fps, cutoff=0.3)
-    sizes = clustering.sizes()
+    sizes = [len(c) for c in clustering.clusters]
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -190,10 +190,3 @@ def test_plan_k_out_of_range():
     with pytest.raises(ConfigError):
         cluster_training_plan(clustering, k_per_cluster=8, seed=0)
 
-
-def test_labels_helper():
-    clustering = clustered_world()
-    labels = clustering.labels()
-    assert labels.shape == (55,)
-    assert labels[0] == labels[24]
-    assert labels[0] != labels[25]

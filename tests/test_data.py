@@ -171,6 +171,21 @@ def test_load_embeddings_non_finite_rejected(tmp_path, rng):
             load_embeddings(str(path), ["a", "b"])
 
 
+def test_load_embeddings_duplicate_id_rejected(tmp_path, rng):
+    path = write_embeddings_csv(tmp_path / "e.csv", ["a", "b", "a"], rng.normal(size=(3, 512)))
+    with pytest.raises(DataError, match=r"e\.csv: duplicate id 'a'"):
+        load_embeddings(str(path), ["a", "b"])
+
+
+def test_load_embeddings_non_numeric_value_rejected(tmp_path, rng):
+    path = write_embeddings_csv(tmp_path / "e.csv", ["a", "b"], rng.normal(size=(2, 512)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace(",", ",x", 1)  # id b's first value becomes "x<number>"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="non-numeric embedding for id 'b'"):
+        load_embeddings(str(path), ["a", "b"])
+
+
 def test_undersample_forced_reduction():
     data = small_dataset((1, 1, 1, 0))
     balanced = undersample(data, seed=3)

@@ -3,10 +3,31 @@ import pytest
 
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench import fingerprint
-from qsarbench.fingerprint import Fingerprint, atom_invariant, morgan_fingerprint, tanimoto
-from qsarbench.smiles import MolecularGraph, Bond, parse_smiles, perceive_rings
+from qsarbench.fingerprint import Fingerprint, morgan_fingerprint, tanimoto
+from qsarbench.smiles import MolecularGraph, Bond, parse_smiles
 
-from conftest import REAL_SMILES, random_smiles
+from conftest import REAL_SMILES, perceive_rings, random_smiles
+
+
+def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
+    """64-bit hash of an atom's immediate chemical environment, without the
+    cache that `morgan_fingerprint` reads: the reference for it.
+
+    The hashed tuple is (atomic number, heavy-atom degree, total hydrogen
+    count, formal charge, in-ring flag, isotope).
+    """
+    atoms = graph.atoms
+    atom = atoms[atom_index]
+    heavy_degree = sum(atoms[other].atomic_number > 1 for other, _ in graph.adjacency()[atom_index])
+    digest = fingerprint._hash_invariant(
+        atom.atomic_number,
+        heavy_degree,
+        graph.implicit_h[atom_index] + atom.explicit_h,
+        atom.formal_charge,
+        1 if graph.atom_in_ring[atom_index] else 0,
+        atom.isotope,
+    )
+    return int.from_bytes(digest, "big")
 
 
 def fp_from_bits(on_bits, nbits=512):

@@ -4,8 +4,12 @@ Every module in `src/qsarbench` must use each name it imports (a name listed
 in the module's `__all__` counts as used: it is re-exported), every name
 in an `__all__` must be defined at the top level of its module, and every
 private top-level name (one leading underscore) must be read by some module
-of the package.  Every exception type in `errors.py` must be raised or caught
-by name in another module, so a type that no code tells apart does not stay.
+of the package.  Every function, method and class defined in the package
+(dunders aside) must be read by some module other than `__init__.py`, so a
+definition that only the tests call, or that is only re-exported, does not
+stay; `OUTSIDE_CALLERS` lists the few that stay for a caller outside the
+package.  Every exception type in `errors.py` must be raised or caught by name
+in another module, so a type that no code tells apart does not stay.
 """
 
 import ast
@@ -15,6 +19,28 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsarbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# Definitions that no module of the package reads, as module.qualname: each
+# stays for the caller outside the package, or until the ROADMAP item, named.
+OUTSIDE_CALLERS = frozenset({
+    "classical.mlp_predict",                  # README
+    "quantum.q_predict",                      # README
+    "fingerprint.tanimoto",                   # demos/01_smiles_and_fingerprints.py
+    "simulator.apply_single_array",           # demos/03_quantum_circuit.py
+    "simulator.parameter_shift_gradient",     # demos/03_quantum_circuit.py, bench/tracer.py
+    "quantum.q_gradient",                     # bench/tracer.py
+    "pca.PcaModel.from_csv",                  # reads back `qsarbench pca --model-out`
+    "harness.load_report",                    # reads back `write_report_files`
+    "classical.mlp_gradient",                 # wrappers that ROADMAP item 11 keeps
+    "classical.mlp_loss",
+    "quantum.q_loss",
+    "classical.MlpParams.from_vector",        # ROADMAP item 11 removes these
+    "classical.MlpParams.n_parameters",
+    "quantum.QuantumModelParams.from_vector",
+    "quantum.QuantumModelParams.n_parameters",
+    "fingerprint.Fingerprint.on_bits",        # ROADMAP item 12 removes these
+    "fingerprint.Fingerprint.popcount",
+})
 
 
 def _parse(path: Path) -> ast.Module:
@@ -66,8 +92,8 @@ def _undefined_exports(tree: ast.Module) -> set[str]:
     return set(_exported(tree)) - _top_level_definitions(tree)
 
 
-def _unread_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
-    """Module -> its private top-level names that no module in `trees` reads."""
+def _read_names(trees: dict[str, ast.Module]) -> set[str]:
+    """Names that some module in `trees` loads, bare or as an attribute."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -75,6 +101,12 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Module -> its private top-level names that no module in `trees` reads."""
+    read = _read_names(trees)
     unread = {}
     for module, tree in trees.items():
         private = {name for name in _top_level_definitions(tree) - set(_imported(tree))
@@ -82,6 +114,27 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
         if private - read:
             unread[module] = private - read
     return unread
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, name) of each function, method and class under `node`, dunders aside."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _unread_definitions(trees: dict[str, ast.Module], allowed: frozenset[str]) -> set[str]:
+    """module.qualname of each definition whose name no module but `__init__.py`
+    reads (an `__all__` entry is a string, so it is no read), except `allowed`."""
+    read = _read_names({module: tree for module, tree in trees.items()
+                        if module != "__init__.py"})
+    return {f"{Path(module).stem}.{qualname}"
+            for module, tree in trees.items()
+            for qualname, name in _definitions(tree) if name not in read} - allowed
 
 
 def _raised_or_caught(tree: ast.Module) -> set[str]:
@@ -133,6 +186,27 @@ def test_check_catches_an_unread_private_name():
         "b.py": ast.parse("from a import _helper\n_helper()\ndef _unused(x):\n    return x\n"),
     }
     assert _unread_private_names(trees) == {"a.py": {"_OLD", "_Gone"}, "b.py": {"_unused"}}
+
+
+def test_every_definition_is_read():
+    unread = _unread_definitions({path.name: _parse(path) for path in MODULES}, frozenset())
+    assert unread <= OUTSIDE_CALLERS, \
+        f"definitions that no module of the package reads: {sorted(unread - OUTSIDE_CALLERS)}"
+    # an entry whose definition gained a reader in the package, or went, leaves the list
+    assert OUTSIDE_CALLERS <= unread, f"stale OUTSIDE_CALLERS: {sorted(OUTSIDE_CALLERS - unread)}"
+
+
+def test_check_catches_an_unread_definition():
+    trees = {
+        "__init__.py": ast.parse("from .a import exported\nexported\n__all__ = ['exported']\n"),
+        "a.py": ast.parse("def used():\n    pass\ndef unused():\n    pass\n"
+                          "def exported():\n    pass\ndef kept():\n    pass\n"
+                          "class Model:\n    def __init__(self):\n        pass\n"
+                          "    def fit(self):\n        pass\n    def old(self):\n        pass\n"),
+        "b.py": ast.parse("from a import Model, used\nused()\nModel().fit()\n"),
+    }
+    assert _unread_definitions(trees, frozenset({"a.kept"})) == {
+        "a.unused", "a.exported", "a.Model.old"}
 
 
 def test_every_error_type_is_raised_or_caught_elsewhere():

@@ -22,14 +22,24 @@ from qsarbench.simulator import (
     rot_matrix,
     run_ansatz,
     run_ansatz_reps,
-    ry_matrix,
-    rz_matrix,
     z_expectations,
     z_sign_matrix,
 )
 
 
 # --- dense-matrix oracle -------------------------------------------------------
+
+def rz_matrix(theta: float) -> np.ndarray:
+    return np.array(
+        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=np.complex128
+    )
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
 
 def dense_single(u: np.ndarray, n: int, qubit: int) -> np.ndarray:
     out = np.eye(1, dtype=np.complex128)
