@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,27 +56,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     bace = Path(os.environ.get("QSARBENCH_DATA", "data")) / "bace.csv"
-    if bace.is_file():
-        dataset_path = bace
-        print(f"using real dataset: {bace}")
-    else:
-        dataset_path = synth_dataset(Path("/tmp/qsarbench_demo.csv"), rows=800)
-        print(f"bace.csv not found; generated synthetic stand-in at {dataset_path}")
+    # a synthetic stand-in lives in a directory of its own until the protocol has read it
+    with tempfile.TemporaryDirectory(prefix="qsarbench_demo_") as scratch:
+        if bace.is_file():
+            dataset_path = bace
+            print(f"using real dataset: {bace}")
+        else:
+            dataset_path = synth_dataset(Path(scratch) / "synthetic_bace.csv", rows=800)
+            print(f"bace.csv not found; generated synthetic stand-in at {dataset_path}")
 
-    config = ExperimentConfig(
-        dataset="bace",
-        dataset_path=str(dataset_path),
-        n_list=tuple(args.n),
-        reps=20 if args.full else 3,
-        resplits=5 if args.full else 2,
-        epochs=100 if args.full else 40,
-        master_seed=20240901,
-    )
-    print(f"protocol: {config.resplits} resplits x {config.reps} reps x "
-          f"{config.epochs} epochs, n in {config.n_list}")
+        config = ExperimentConfig(
+            dataset="bace",
+            dataset_path=str(dataset_path),
+            n_list=tuple(args.n),
+            reps=20 if args.full else 3,
+            resplits=5 if args.full else 2,
+            epochs=100 if args.full else 40,
+            master_seed=20240901,
+        )
+        print(f"protocol: {config.resplits} resplits x {config.reps} reps x "
+              f"{config.epochs} epochs, n in {config.n_list}")
 
-    start = time.time()
-    report = run_protocol(config)
+        start = time.time()
+        report = run_protocol(config)
     print(f"\nfinished in {time.time() - start:.0f}s "
           f"({len(report.trials)} trials, {report.skipped_rows} rows skipped)\n")
 

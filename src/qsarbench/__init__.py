@@ -7,7 +7,7 @@ classifiers under shared batch schedules -> aggregated accuracy reports.
 """
 
 from ._version import __version__
-from .classical import MlpParams, init_mlp_params, mlp_forward, mlp_gradient, mlp_predict, train_mlp
+from .classical import init_mlp_params, mlp_forward, mlp_gradient, mlp_predict, train_mlp
 from .clustering import Clustering, butina_cluster, cluster_training_plan
 from .data import (
     Dataset,
@@ -53,7 +53,7 @@ __all__ = [
     "undersample", "make_split", "subsample_fraction",
     "PcaModel", "fit_pca", "transform",
     "OptimizerConfig", "SupervisedSplit", "TrainingResult", "batch_schedule",
-    "MlpParams", "init_mlp_params", "mlp_forward", "mlp_predict", "mlp_gradient", "train_mlp",
+    "init_mlp_params", "mlp_forward", "mlp_predict", "mlp_gradient", "train_mlp",
     "amplitude_embed", "run_ansatz", "z_expectations", "parameter_shift_gradient",
     "QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
     "q_gradient", "train_quantum",

@@ -161,15 +161,17 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _read_fit_rows(path: str) -> list[int]:
+    """One row index per non-blank line: an optional sign and ASCII digits, so
+    `int()`'s underscores and non-ASCII digits are no row index."""
     fit_rows = []
     with open_input(path) as handle:
         for number, line in enumerate(handle, 1):
-            if line.strip():
-                try:
-                    fit_rows.append(int(line))
-                except ValueError as exc:
-                    raise DataError(f"{path} line {number} is no row index: "
-                                    f"{line.strip()!r}") from exc
+            text = line.strip()
+            if text:
+                digits = text[1:] if text[0] in "+-" else text
+                if not (digits.isascii() and digits.isdigit()):
+                    raise DataError(f"{path} line {number} is no row index: {text!r}")
+                fit_rows.append(int(text))
     return fit_rows
 
 

@@ -258,6 +258,8 @@ class ExperimentConfig:
             if workers < 1:
                 raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
             return workers
+        if hasattr(os, "sched_getaffinity"):   # the CPUs this process may run on
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

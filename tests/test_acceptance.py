@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsarbench.classical import MlpParams, init_mlp_params, mlp_gradient, mlp_loss
+from qsarbench.classical import init_mlp_params, mlp_gradient, mlp_loss
 from qsarbench.clustering import butina_cluster
 from qsarbench.fingerprint import morgan_fingerprint, tanimoto
 from qsarbench.harness import (
@@ -69,11 +69,11 @@ def test_c01_parameter_counts():
     for n in (2, 3, 4, 8):
         classical = init_mlp_params(1 << n, seed=0)
         quantum = init_quantum_params(n, seed=0)
-        ok &= classical.n_parameters == 2 * ((1 << n) + 1)
+        ok &= len(classical) == 2 * ((1 << n) + 1)
         ok &= quantum.n_parameters == 7 * n
-    four_ratio = init_quantum_params(4, 0).n_parameters / init_mlp_params(16, 0).n_parameters
+    four_ratio = init_quantum_params(4, 0).n_parameters / len(init_mlp_params(16, 0))
     ok &= init_quantum_params(4, 0).n_parameters == 28
-    ok &= init_mlp_params(16, 0).n_parameters == 34
+    ok &= len(init_mlp_params(16, 0)) == 34
     report_line(1, ok, f"2(N+1) and 7n exact for n in 2,3,4,8; n=4 ratio 28/34 = {four_ratio:.3f}")
     assert ok
     assert abs(four_ratio - 28 / 34) < 1e-15
@@ -100,8 +100,7 @@ def test_c02_gradient_correctness():
         x = rng.normal(size=(int(rng.integers(1, 9)), n_features))
         y = rng.choice([-1.0, 1.0], size=x.shape[0])
         grad = mlp_gradient(params, x, y)
-        fd = _fd_gradient(lambda v: mlp_loss(MlpParams.from_vector(n_features, v), x, y),
-                          params.to_vector(), 1e-5)
+        fd = _fd_gradient(lambda v: mlp_loss(v, x, y), params, 1e-5)
         worst["backprop"] = max(worst["backprop"], norm_rel_err(grad, fd))
 
     for trial in range(100):

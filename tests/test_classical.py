@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qsarbench import classical
 from qsarbench.classical import (
-    MlpParams,
     init_mlp_params,
     mlp_forward,
     mlp_gradient,
@@ -16,48 +16,61 @@ from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule
 
 
-def naive_forward(params: MlpParams, x: np.ndarray) -> float:
-    """Independent two-loop evaluation of the same network."""
+def naive_forward(vec: np.ndarray, x: np.ndarray) -> float:
+    """Independent two-loop evaluation of the same network on its flat vector:
+    the (2, N) hidden weights row by row, then the two output weights."""
+    n = len(x)
     hidden = []
     for h in range(2):
         total = 0.0
-        for j in range(params.n_features):
-            total += params.w_hidden[h, j] * x[j]
+        for j in range(n):
+            total += vec[h * n + j] * x[j]
         hidden.append(math.tanh(total))
-    return sum(params.w_out[h] * hidden[h] for h in range(2))
+    return sum(vec[2 * n + h] * hidden[h] for h in range(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 256])
 def test_parameter_count_is_2_n_plus_1(n):
     params = init_mlp_params(n, seed=1)
-    assert params.n_parameters == 2 * (n + 1)
+    assert params.shape == (2 * (n + 1),) and params.dtype == np.float64
 
 
 def test_zero_weights_score_zero_predicts_positive():
-    params = MlpParams(w_hidden=np.zeros((2, 3)), w_out=np.zeros(2))
+    params = np.zeros(8)
     assert mlp_forward(params, np.ones(3)) == 0.0
     assert mlp_predict(params, np.ones((1, 3))).tolist() == [1]
 
 
 def test_odd_symmetry_cancellation():
-    params = MlpParams(w_hidden=np.array([[1.0], [-1.0]]), w_out=np.array([1.0, 1.0]))
+    params = np.array([1.0, -1.0, 1.0, 1.0])   # hidden rows [1] and [-1], output weights 1 and 1
     assert mlp_forward(params, np.array([5.0])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_forward_matches_naive_two_loop_oracle(rng):
     for _ in range(50):
         n = int(rng.integers(1, 9))
-        params = MlpParams(
-            w_hidden=rng.normal(size=(2, n)), w_out=rng.normal(size=2)
-        )
+        params = rng.normal(size=2 * (n + 1))
         x = rng.normal(size=n)
         assert mlp_forward(params, x) == pytest.approx(naive_forward(params, x), abs=1e-12)
 
 
-def test_forward_dimension_mismatch():
-    params = init_mlp_params(4, seed=0)
-    with pytest.raises(DataError, match="expected 4 features, got 5"):
-        mlp_forward(params, np.ones(5))
+def test_forward_dimension_mismatch(monkeypatch):
+    with pytest.raises(DataError, match="10 parameters are not a perceptron on 5 features, "
+                                        "which has 12"):
+        mlp_forward(init_mlp_params(4, seed=0), np.ones(5))
+    # a vector of the wrong length, however it reaches the score function
+    x = np.ones((3, 4))
+    y = np.array([1.0, -1.0, 1.0])
+    for params in (np.zeros(9), np.zeros(11)):
+        message = f"{len(params)} parameters are not a perceptron on 4 features, which has 10"
+        with pytest.raises(DataError, match=message):
+            mlp_forward(params, x)
+        with pytest.raises(DataError, match=message):
+            mlp_gradient(params, x, y)
+        monkeypatch.setattr(classical, "init_mlp_params", lambda n_features, seed: params)
+        with pytest.raises(DataError, match=message):
+            train_mlp(SupervisedSplit(x, y, x, y), OptimizerConfig(epochs=1, batch_size=2),
+                      [0], [batch_schedule(3, 1, seed=0)])
 
 
 def test_gradient_zero_at_exact_fit(rng):
@@ -86,10 +99,7 @@ def test_gradient_matches_finite_differences(rng):
         y = rng.choice([-1.0, 1.0], size=x.shape[0])
         grad = mlp_gradient(params, x, y)
 
-        def loss(vec):
-            return mlp_loss(MlpParams.from_vector(n, vec), x, y)
-
-        fd = finite_difference(loss, params.to_vector(), 1e-5)
+        fd = finite_difference(lambda vec: mlp_loss(vec, x, y), params, 1e-5)
         scale = max(np.linalg.norm(fd), 1e-12)
         if np.linalg.norm(grad - fd) / scale > 1e-6:
             failures += 1
@@ -115,12 +125,10 @@ def test_full_batch_descent_non_increasing(rng):
     params = init_mlp_params(3, seed=9)
     x = rng.normal(size=(16, 3))
     y = rng.choice([-1.0, 1.0], size=16)
-    vec = params.to_vector()
     losses = []
     for _ in range(50):
-        p = MlpParams.from_vector(3, vec)
-        losses.append(mlp_loss(p, x, y))
-        vec = vec - 1e-3 * mlp_gradient(p, x, y)
+        losses.append(mlp_loss(params, x, y))
+        params = params - 1e-3 * mlp_gradient(params, x, y)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -128,7 +136,8 @@ def test_prediction_invariant_under_positive_output_scaling(rng):
     params = init_mlp_params(4, seed=3)
     x = rng.normal(size=(20, 4))
     base = mlp_predict(params, x)
-    scaled = MlpParams(w_hidden=params.w_hidden, w_out=3.7 * params.w_out)
+    scaled = params.copy()
+    classical._split_vector(scaled, 4)[1][...] *= 3.7   # the output weights
     np.testing.assert_array_equal(mlp_predict(scaled, x), base)
 
 
@@ -170,18 +179,3 @@ def test_explicit_schedule_is_used():
     [result] = train_mlp(data, config, seeds=[1], schedules=[schedule])
     from qsarbench.training import schedule_digest
     assert result.schedule_digest == schedule_digest(schedule)
-
-
-def test_training_never_calls_from_vector(monkeypatch):
-    # steps and the per-epoch decisions both work on the flat vector
-    calls = []
-    from_vector = MlpParams.from_vector.__func__
-
-    def counted(cls, n_features, vec):
-        calls.append(None)
-        return from_vector(cls, n_features, vec)
-
-    monkeypatch.setattr(MlpParams, "from_vector", classmethod(counted))
-    config = OptimizerConfig(epochs=5, batch_size=1)
-    train_mlp(separable_toy_data(), config, seeds=[1], schedules=[batch_schedule(2, 5, seed=1)])
-    assert not calls

@@ -127,13 +127,16 @@ def test_pca_names_the_file_and_line_of_a_bad_fit_row(tmp_path, capsys):
     inp = tmp_path / "m.csv"
     inp.write_text("a,b\n1,2\n3,5\n4,4\n")
     fit_rows = tmp_path / "rows.txt"
-    fit_rows.write_text("0\n\n1\n2.5\n")
     out = tmp_path / "scores.csv"
-    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
-                 "--output", str(out)])
-    assert code == EXIT_DATA
-    assert capsys.readouterr().err == f"data error: {fit_rows} line 4 is no row index: '2.5'\n"
-    assert not out.exists()
+    # int() would read '1_0' as row 10 and the Arabic-Indic digit three as row 3
+    for bad in ("2.5", "1_0", "\u0663"):
+        fit_rows.write_text(f"0\n\n1\n{bad}\n", encoding="utf-8")
+        code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                     "--output", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"data error: {fit_rows} line 4 is no row index: {bad!r}\n"
+        assert not out.exists()
 
 
 def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -150,6 +151,18 @@ def test_config_workers_env_override(monkeypatch):
             config.resolved_workers()
     monkeypatch.delenv("QSARBENCH_WORKERS")
     assert ExperimentConfig(dataset="bace", dataset_path="x.csv", workers=2).resolved_workers() == 2
+
+
+def test_config_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("QSARBENCH_WORKERS", raising=False)
+    config = ExperimentConfig(dataset="bace", dataset_path="x.csv")
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert config.resolved_workers() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert config.resolved_workers() == 16
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert config.resolved_workers() == 1
 
 
 def test_config_file_round_trip(tmp_path):

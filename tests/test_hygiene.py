@@ -34,8 +34,8 @@ OUTSIDE_CALLERS = frozenset({
     "classical.mlp_gradient",                 # wrappers that ROADMAP item 11 keeps
     "classical.mlp_loss",
     "quantum.q_loss",
-    "classical.MlpParams.from_vector",        # ROADMAP item 11 removes these
-    "classical.MlpParams.n_parameters",
+    # bench/tracer.py::_check_gradient reads init_quantum_params(...).ansatz and
+    # .readout, so these stay until ROADMAP item 2a, then item 11 removes them
     "quantum.QuantumModelParams.from_vector",
     "quantum.QuantumModelParams.n_parameters",
     "fingerprint.Fingerprint.on_bits",        # ROADMAP item 12 removes these

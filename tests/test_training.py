@@ -3,7 +3,7 @@ import pytest
 
 import qsarbench.classical
 from qsarbench import quantum
-from qsarbench.classical import MlpParams, mlp_predict, train_mlp
+from qsarbench.classical import mlp_predict, train_mlp
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.harness import _CellTask, _run_cell
 from qsarbench.metrics import accuracy
@@ -117,7 +117,7 @@ def test_schedule_is_read_only_epoch_orders_with_a_stable_digest():
 
 
 @pytest.mark.parametrize("train, params_type, predict, width", [
-    (train_mlp, MlpParams, mlp_predict, 4),
+    pytest.param(train_mlp, None, mlp_predict, 4, id="train_mlp-mlp_predict-4"),  # its vector
     (train_quantum, QuantumModelParams, q_predict, 2),
 ])
 def test_epoch_decisions_are_the_public_predict(train, params_type, predict, width):
@@ -127,7 +127,7 @@ def test_epoch_decisions_are_the_public_predict(train, params_type, predict, wid
     data = SupervisedSplit(x[:16], y[:16], x[16:], y[16:])
     [result] = train(data, OptimizerConfig(epochs=3, batch_size=4), [0],
                      [batch_schedule(16, 3, seed=0)])
-    params = params_type.from_vector(width, result.params)
+    params = result.params if params_type is None else params_type.from_vector(width, result.params)
     assert result.test_accuracy[-1] == accuracy(predict(params, data.test_x), data.test_y)
 
 
