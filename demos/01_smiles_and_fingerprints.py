@@ -30,7 +30,7 @@ def main():
     fps = {name: morgan_fingerprint(parse_smiles(s), radius=2, nbits=512)
            for name, s in MOLECULES.items()}
     for name, fp in fps.items():
-        print(f"{name:>12}: {fp.popcount:3d} bits set")
+        print(f"{name:>12}: {int(fp.sum()):3d} bits set")
 
     print("\n=== pairwise Tanimoto similarity ===")
     names = list(MOLECULES)

@@ -18,7 +18,7 @@ SMILES = [
 
 def main():
     features = np.array(
-        [morgan_fingerprint(parse_smiles(s), 2, 512).as_bit_array() for s in SMILES],
+        [morgan_fingerprint(parse_smiles(s), 2, 512) for s in SMILES],
         dtype=float,
     )
     print(f"{features.shape[0]} molecules x {features.shape[1]} fingerprint bits")

@@ -188,13 +188,13 @@ def write_ingest_csv(directory: str, rows: int) -> tuple[str, int]:
 
 
 def _ingest_call(modules: dict, path: str):
-    """One tree's `load_dataset` of `path` with the harness's Morgan featurizer."""
+    """One tree's `load_dataset` of `path` with the harness's Morgan featurizer,
+    `harness._morgan_bits`, which gives uint8 bit rows in every tree."""
     data, fingerprint = modules["data"], modules["fingerprint"]
-    schema = data.SCHEMA_PRESETS["bace"]
-    radius, nbits = fingerprint.DEFAULT_RADIUS, fingerprint.DEFAULT_NBITS
-    morgan = fingerprint.morgan_fingerprint
-    return lambda: data.load_dataset(
-        path, schema, lambda graph: morgan(graph, radius, nbits).as_bit_array())
+    featurize = functools.partial(modules["harness"]._morgan_bits,
+                                  radius=fingerprint.DEFAULT_RADIUS,
+                                  nbits=fingerprint.DEFAULT_NBITS)
+    return lambda: data.load_dataset(path, data.SCHEMA_PRESETS["bace"], featurize)
 
 
 def check_same_ingest(datasets: dict) -> None:

@@ -110,7 +110,7 @@ def ingest_corpus() -> list[str]:
 def ingest_entry(text: str) -> dict:
     """What parsing and fingerprinting make of one string, as ingest.json holds it."""
     from qsarbench.errors import SmilesParseError
-    from qsarbench.fingerprint import morgan_fingerprint
+    from qsarbench.fingerprint import morgan_fingerprint, to_hex
     from qsarbench.smiles import parse_smiles
 
     try:
@@ -120,7 +120,7 @@ def ingest_entry(text: str) -> dict:
     bits = hashlib.blake2b(digest_size=8)
     for radius in MORGAN_RADII:
         for nbits in MORGAN_WIDTHS:
-            bits.update(morgan_fingerprint(graph, radius, nbits).to_hex().encode("ascii"))
+            bits.update(to_hex(morgan_fingerprint(graph, radius, nbits)).encode("ascii"))
     return {
         "smiles": text,
         "atoms": [[a.atomic_number, a.formal_charge, a.explicit_h, int(a.aromatic), a.isotope]

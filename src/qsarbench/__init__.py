@@ -19,7 +19,7 @@ from .data import (
     subsample_fraction,
     undersample,
 )
-from .fingerprint import Fingerprint, morgan_fingerprint, tanimoto
+from .fingerprint import Fingerprint, from_hex, morgan_fingerprint, tanimoto, to_hex
 from .harness import (
     CellSummary,
     ExperimentConfig,
@@ -48,7 +48,7 @@ from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_sc
 __all__ = [
     "__version__",
     "Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles",
-    "Fingerprint", "morgan_fingerprint", "tanimoto",
+    "Fingerprint", "morgan_fingerprint", "tanimoto", "to_hex", "from_hex",
     "Dataset", "DatasetSchema", "SplitPlan", "load_dataset", "load_embeddings",
     "undersample", "make_split", "subsample_fraction",
     "PcaModel", "fit_pca", "transform",

@@ -23,9 +23,10 @@ import sys
 import numpy as np
 
 from .clustering import butina_cluster
-from .data import SCHEMA_PRESETS, DatasetSchema, load_dataset, open_input, undersample
+from .data import (SCHEMA_PRESETS, DatasetSchema, load_dataset, open_input, parse_float,
+                   undersample)
 from .errors import ConfigError, DataError, QsarBenchError, SmilesParseError
-from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
+from .fingerprint import Fingerprint, check_morgan_settings, from_hex, morgan_fingerprint, to_hex
 from .harness import (
     ExperimentConfig,
     run_cluster_protocol,
@@ -113,6 +114,9 @@ def _cmd_protocol(args, runner, protocol_name: str) -> int:
 
 def _cmd_fingerprint(args) -> int:
     check_morgan_settings(args.radius, args.bits)
+    if args.bits < 4:
+        raise ConfigError(f"--bits must be at least 4, got {args.bits}: hex holds four bits "
+                          "per digit")
     skipped = 0
     rows = []
     with open_input(args.input) as handle:
@@ -126,7 +130,7 @@ def _cmd_fingerprint(args) -> int:
             except SmilesParseError:
                 skipped += 1
                 continue
-            rows.append((index, fp.to_hex()))
+            rows.append((index, to_hex(fp)))
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "fingerprint_hex"])
@@ -140,13 +144,13 @@ def _cmd_fingerprint(args) -> int:
 def _read_matrix(path: str) -> np.ndarray:
     rows = []
     with open_input(path) as handle:
-        reader = csv.reader(handle)
+        reader = filter(None, csv.reader(handle))  # blank lines are no rows, as in csv.DictReader
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path} is empty")
         for index, row in enumerate(reader):
             try:
-                values = [float(v) for v in row]
+                values = [parse_float(v) for v in row]
             except ValueError as exc:
                 raise DataError(f"{path} row {index} has a non-numeric entry: {exc}") from exc
             if len(values) != len(header):
@@ -205,16 +209,16 @@ def _cmd_cluster(args) -> int:
             raise DataError(f"{args.fingerprints} lacks column {args.column!r}")
         for index, row in enumerate(reader):
             text = row[args.column] or ""
-            if fps and 4 * len(text) != fps[0].nbits:
+            if fps and 4 * len(text) != fps[0].size:
                 raise DataError(f"{args.fingerprints} row {index} holds a {4 * len(text)}-bit "
-                                f"fingerprint; row 0 holds {fps[0].nbits} bits")
+                                f"fingerprint; row 0 holds {fps[0].size} bits")
             try:
-                fps.append(Fingerprint.from_hex(text))
+                fps.append(from_hex(text))
             except ValueError as exc:
                 raise DataError(f"{args.fingerprints} row {index}: {exc}") from exc
     if not fps:
         raise DataError(f"{args.fingerprints} holds no fingerprints to cluster")
-    clustering = butina_cluster(fps, args.cutoff)
+    clustering = butina_cluster([Fingerprint.from_bit_array(bits) for bits in fps], args.cutoff)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "cluster_id", "is_centroid"])

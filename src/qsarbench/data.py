@@ -128,9 +128,17 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def parse_float(text: str) -> float:
+    """The number in an input file's cell: ASCII text without `_`, then `float`,
+    which alone also reads `1_0` as 10 and the Arabic-Indic digit three as 3."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _coerce_label(path: str, text: str, row: int) -> int:
     try:
-        value = float(text.strip())
+        value = parse_float(text.strip())
     except (ValueError, AttributeError):
         raise DataError(f"{path} row {row}: label {text!r} is not numeric") from None
     if value == 0.0:
@@ -237,7 +245,7 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
     """
     rows: dict[str, np.ndarray] = {}
     with open_input(path) as handle:
-        reader = csv.reader(handle)
+        reader = filter(None, csv.reader(handle))  # blank lines are no rows, as in csv.DictReader
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path} has no header row")
@@ -254,7 +262,7 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
             if key in rows:
                 raise DataError(f"{path}: duplicate id {key!r}")
             try:
-                rows[key] = np.array([float(v) for v in row[1:]], dtype=np.float64)
+                rows[key] = np.array([parse_float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
             if not np.isfinite(rows[key]).all():

@@ -1,11 +1,12 @@
 """Circular substructure fingerprints and Tanimoto similarity.
 
 Each atom's local environment is hashed out to a configurable radius and
-folded into a fixed-width bitset.  Hashing uses blake2b with an 8-byte
-digest over a canonical serialization of the environment, so fingerprints
-are identical across runs and platforms.  Bit-for-bit parity with any other
-fingerprint implementation is not a goal; the invariant tuple below is the
-contract.
+folded into a fixed-width bit row, a `(nbits,)` uint8 array of 0s and 1s;
+`to_hex` writes it as the number whose bit i is element i.  Hashing uses
+blake2b with an 8-byte digest over a canonical serialization of the
+environment, so fingerprints are identical across runs and platforms.
+Bit-for-bit parity with any other fingerprint implementation is not a goal;
+the invariant tuple below is the contract.
 
 An environment's cover, the set of bonds it spans, is an int bitmask over
 bond indices: two covers are the same set exactly when their masks are
@@ -30,11 +31,12 @@ import numpy as np
 from .errors import ConfigError, DataError, InvariantViolation
 from .smiles import BondOrder, MolecularGraph
 
-__all__ = ["Fingerprint", "check_morgan_settings", "morgan_fingerprint", "tanimoto"]
+__all__ = ["Fingerprint", "check_morgan_settings", "from_hex", "morgan_fingerprint",
+           "tanimoto", "to_hex"]
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 512
-# the widest fingerprint: each row is unpacked to one byte per bit before PCA
+# the widest fingerprint: a bit row holds one byte per bit
 MAX_NBITS = 1 << 16
 _HEX_DIGITS = frozenset(string.hexdigits)
 # bound on the number of atom invariant tuples whose digests are kept
@@ -44,7 +46,8 @@ _BOND_CODES = {order: bytes((order.value,)) for order in BondOrder}
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Fixed-width bitset; bit i is bit i of the integer `bits`."""
+    """Fixed-width bitset, bit i of the integer `bits`: only `butina_cluster`'s
+    argument, which goes with ROADMAP item 12's Butina half, after item 2a."""
 
     bits: int
     nbits: int = DEFAULT_NBITS
@@ -54,17 +57,6 @@ class Fingerprint:
             raise ValueError(f"nbits must be a power of two, got {self.nbits}")
         if self.bits < 0 or self.bits >> self.nbits:
             raise ValueError("bits out of range for nbits")
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def on_bits(self) -> list[int]:
-        return [i for i in range(self.nbits) if (self.bits >> i) & 1]
-
-    def as_bit_array(self) -> np.ndarray:
-        raw = np.frombuffer(self.bits.to_bytes(-(-self.nbits // 8), "little"), dtype=np.uint8)
-        return np.unpackbits(raw, count=self.nbits, bitorder="little")
 
     @classmethod
     def from_bit_array(cls, arr: np.ndarray) -> "Fingerprint":
@@ -77,15 +69,22 @@ class Fingerprint:
         raw = self.bits.to_bytes(n_words * 8, "little")
         return np.frombuffer(raw, dtype="<u8").copy()
 
-    def to_hex(self) -> str:
-        return format(self.bits, f"0{self.nbits // 4}x")
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Fingerprint":
-        """Inverse of `to_hex`: the width is four bits per hex digit."""
-        if not set(text) <= _HEX_DIGITS:  # int() also takes "0x", "_", "+" and spaces
-            raise ValueError(f"{text!r} is not a string of hex digits")
-        return cls(int(text, 16), 4 * len(text))
+def to_hex(bits: np.ndarray) -> str:
+    """A bit row as `nbits // 4` hex digits (one below 4 bits), most significant first."""
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return format(int.from_bytes(packed, "little"), f"0{bits.size // 4}x")
+
+
+def from_hex(text: str) -> np.ndarray:
+    """Inverse of `to_hex`: the width is four bits per hex digit."""
+    if not set(text) <= _HEX_DIGITS:  # int() also takes "0x", "_", "+" and spaces
+        raise ValueError(f"{text!r} is not a string of hex digits")
+    value, nbits = int(text, 16), 4 * len(text)
+    if nbits & (nbits - 1):
+        raise ValueError(f"nbits must be a power of two, got {nbits}")
+    raw = np.frombuffer(value.to_bytes(-(-nbits // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=nbits, bitorder="little")
 
 
 def _hash_invariant(atomic_number: int, heavy_degree: int, total_h: int,
@@ -130,8 +129,8 @@ def morgan_fingerprint(
     graph: MolecularGraph,
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
-) -> Fingerprint:
-    """Fold all atom environments up to `radius` into an `nbits` bitset.
+) -> np.ndarray:
+    """Fold all atom environments up to `radius` into an `(nbits,)` uint8 bit row.
 
     Iteration follows the usual circular-fingerprint scheme: round zero
     emits every atom invariant; each later round hashes (round, previous
@@ -157,9 +156,7 @@ def morgan_fingerprint(
     covers = [sum([1 << bond_idx for _, bond_idx in neighbors]) for neighbors in adjacency]
     fold = nbits - 1   # nbits is a power of two, so `& fold` is `% nbits`
 
-    bits = 0
-    for identifier in ids:
-        bits |= 1 << (int.from_bytes(identifier, "big") & fold)
+    on = [int.from_bytes(identifier, "big") & fold for identifier in ids]
     seen_covers = {0}
 
     for r in range(1, radius + 1):
@@ -187,19 +184,20 @@ def morgan_fingerprint(
             prior = round_best.get(cover)
             if prior is None or identifier < prior:
                 round_best[cover] = identifier
-        for cover, identifier in round_best.items():
-            bits |= 1 << (int.from_bytes(identifier, "big") & fold)
-            seen_covers.add(cover)
+        on += [int.from_bytes(identifier, "big") & fold for identifier in round_best.values()]
+        seen_covers.update(round_best)
         ids = new_ids
 
-    return Fingerprint(bits, nbits)
+    bits = np.zeros(nbits, dtype=np.uint8)
+    bits[on] = 1
+    return bits
 
 
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    """|a AND b| / |a OR b|, with the all-zero pair defined as 1.0."""
-    if a.nbits != b.nbits:
-        raise InvariantViolation(f"fingerprint widths differ: {a.nbits} vs {b.nbits}")
-    union = (a.bits | b.bits).bit_count()
+def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
+    """|a AND b| / |a OR b| of two bit rows, with the all-zero pair defined as 1.0."""
+    if a.size != b.size:
+        raise InvariantViolation(f"fingerprint widths differ: {a.size} vs {b.size}")
+    union = np.count_nonzero(a | b)
     if union == 0:
         return 1.0
-    return (a.bits & b.bits).bit_count() / union
+    return np.count_nonzero(a & b) / union

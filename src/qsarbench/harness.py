@@ -310,7 +310,7 @@ class ExperimentReport:
 
 def _morgan_bits(graph, radius: int, nbits: int) -> np.ndarray:
     """One molecule's Morgan fingerprint as uint8 bits; a module-level function, so it pickles."""
-    return morgan_fingerprint(graph, radius, nbits).as_bit_array()
+    return morgan_fingerprint(graph, radius, nbits)
 
 
 def _load_with_features(config: ExperimentConfig, pool: Executor | None) -> Dataset:

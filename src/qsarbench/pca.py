@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import open_input, parse_float
 from .errors import DataError
 
 __all__ = ["PcaModel", "fit_pca", "transform"]
@@ -64,12 +65,13 @@ class PcaModel:
     @classmethod
     def from_csv(cls, path: str) -> "PcaModel":
         rows = []
-        with open(path, newline="", encoding="utf-8") as handle:
-            for line, row in enumerate(csv.reader(handle), 1):
+        with open_input(path) as handle:
+            # blank lines are no rows, as in csv.DictReader
+            for number, row in enumerate(filter(None, csv.reader(handle)), 1):
                 try:
-                    rows.append(np.array([float(v) for v in row]))
+                    rows.append(np.array([parse_float(v) for v in row]))
                 except ValueError as exc:
-                    raise DataError(f"{path}: row {line}: {exc}") from None
+                    raise DataError(f"{path}: row {number}: {exc}") from None
         if len(rows) < 3:
             raise DataError(f"{path}: expected mean, components and eigenvalues")
         mean, components, eigenvalues = rows[0], rows[1:-1], rows[-1]

@@ -2,7 +2,11 @@
 readout over per-qubit Z expectations, zero-threshold decision.
 
 With the default two layers the model has exactly 7n trainable scalars:
-6n rotation angles plus an n-vector of readout weights and no bias.  The
+6n rotation angles plus an n-vector of readout weights and no bias, as the
+paper counts them.  n of them never change a score: the last layer's
+RZ(gamma) angles only rephase basis states, its CNOT ring only permutes
+them, and <Z> reads squared magnitudes, so their gradient is zero up to
+round-off (`test_last_layer_gamma_angles_never_change_a_score`).  The
 public angle-gradient path is the parameter-shift rule; the batched
 trainer computes the same derivatives with the simulator's adjoint sweep
 (`simulator.adjoint_gradient`: one pass forward, one backward with the

@@ -377,12 +377,12 @@ def test_c10_fingerprint_and_clustering_properties():
     permutation_ok = True
     monotonic_ok = True
     for graph in molecules:
-        reference = {r: morgan_fingerprint(graph, r, 512).bits for r in range(3)}
-        monotonic_ok &= all(reference[r] & reference[r + 1] == reference[r] for r in range(2))
+        reference = {r: morgan_fingerprint(graph, r, 512) for r in range(3)}
+        monotonic_ok &= all(np.all(reference[r + 1] >= reference[r]) for r in range(2))
         if len(graph.atoms) > 1:
             perm = rng.permutation(len(graph.atoms)).tolist()
             shuffled = _permute_graph(graph, perm)
-            permutation_ok &= morgan_fingerprint(shuffled, 2, 512).bits == reference[2]
+            permutation_ok &= np.array_equal(morgan_fingerprint(shuffled, 2, 512), reference[2])
 
     tanimoto_ok = True
     for _ in range(100):

@@ -10,7 +10,7 @@ import qsarbench.quantum
 import qsarbench.training
 from qsarbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from qsarbench.errors import QsarBenchError
-from qsarbench.fingerprint import Fingerprint, morgan_fingerprint
+from qsarbench.fingerprint import from_hex, morgan_fingerprint, to_hex
 from qsarbench.smiles import parse_smiles
 
 from conftest import synthetic_molecules, write_dataset_csv
@@ -33,7 +33,7 @@ def test_fingerprint_command(dataset_csv, tmp_path, capsys):
     # spot-check first row against the library call
     first_smiles = list(csv.DictReader(Path(dataset_csv).read_text().splitlines()))[0]["mol"]
     expected = morgan_fingerprint(parse_smiles(first_smiles), 2, 512)
-    assert rows[0]["fingerprint_hex"] == expected.to_hex()
+    assert rows[0]["fingerprint_hex"] == to_hex(expected)
 
 
 def test_cluster_command(dataset_csv, tmp_path):
@@ -108,6 +108,37 @@ def test_pca_names_the_file_and_row_of_a_bad_matrix_row(body, named, tmp_path, c
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"data error: {inp} {named}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_pca_cell_in_another_number_syntax_is_a_data_error(value, tmp_path, capsys):
+    inp = tmp_path / "m.csv"
+    inp.write_text(f"a,b\n1,2\n3,{value}\n4,4\n", encoding="utf-8")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n1\n2\n")
+    out = tmp_path / "scores.csv"
+    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                 "--output", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {inp} row 1 has a non-numeric entry: "
+                                       f"could not convert string to float: {value!r}\n")
+    assert not out.exists()
+
+
+def test_pca_skips_blank_lines(tmp_path, capsys):
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n2\n3\n")
+    outputs = []
+    # the same matrix plain, and with an interior and a trailing blank line
+    for name, body in (("plain", "a,b\n1,2\n3,5\n4,4\n0,1\n"),
+                       ("blank", "a,b\n1,2\n\n3,5\n4,4\n0,1\n\n")):
+        inp, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-scores.csv"
+        inp.write_text(body)
+        assert main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                     "--output", str(out)]) == EXIT_OK
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 5   # the header and the four rows
 
 
 def test_pca_on_a_header_without_rows_names_the_file(tmp_path, capsys):
@@ -336,7 +367,7 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_fingerprint_hex_round_trip_through_cluster_input(tmp_path):
     fp = morgan_fingerprint(parse_smiles("CCO"), 2, 512)
-    assert Fingerprint.from_hex(fp.to_hex()) == fp
+    np.testing.assert_array_equal(from_hex(to_hex(fp)), fp)
 
 
 def test_out_of_range_flags_are_config_errors(dataset_csv, tmp_path, capsys):
@@ -363,6 +394,36 @@ def test_out_of_range_flags_are_config_errors(dataset_csv, tmp_path, capsys):
         assert main(flags + ["--output", str(tmp_path / "o.csv")]) == EXIT_CONFIG, flags
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err, err
+
+
+@pytest.mark.parametrize("bits", ["1", "2"])
+def test_fingerprint_narrower_than_one_hex_digit_is_a_config_error(bits, dataset_csv, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "fps.csv"
+    assert main(["fingerprint", "--input", dataset_csv, "--smiles-col", "mol", "--bits", bits,
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: --bits must be at least 4, got {bits}: "
+                                       "hex holds four bits per digit\n")
+    assert not out.exists()
+
+
+def test_four_bit_fingerprints_round_trip_through_cluster(tmp_path):
+    d = tmp_path / "d.csv"
+    d.write_text("mol,label\nCCO,1\nc1ccccc1,0\nCCN,1\n")
+    fps = tmp_path / "fps.csv"
+    assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol", "--bits", "4",
+                 "--output", str(fps)]) == EXIT_OK
+    cells = [r["fingerprint_hex"] for r in csv.DictReader(fps.read_text().splitlines())]
+    expected = [morgan_fingerprint(parse_smiles(s), 2, 4) for s in ("CCO", "c1ccccc1", "CCN")]
+    assert cells == [to_hex(bits) for bits in expected]
+    assert all(len(cell) == 1 for cell in cells)
+    for cell, bits in zip(cells, expected):
+        np.testing.assert_array_equal(from_hex(cell), bits)
+    out = tmp_path / "clusters.csv"
+    assert main(["cluster", "--fingerprints", str(fps), "--cutoff", "1.0",
+                 "--output", str(out)]) == EXIT_OK
+    clusters = list(csv.DictReader(out.read_text().splitlines()))
+    assert sorted(int(r["index"]) for r in clusters) == [0, 1, 2]
 
 
 def test_fingerprint_skips_atomless_rows(tmp_path, capsys):
@@ -401,7 +462,7 @@ def write_hex_column(path, fps):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "fingerprint_hex"])
-        writer.writerows((i, fp.to_hex()) for i, fp in enumerate(fps))
+        writer.writerows((i, to_hex(fp)) for i, fp in enumerate(fps))
 
 
 def test_cluster_takes_the_width_from_the_file(tmp_path, capsys):

@@ -8,15 +8,21 @@ from qsarbench.errors import ConfigError, DataError
 from qsarbench.fingerprint import Fingerprint, tanimoto
 
 from conftest import fingerprint_families
-from test_fingerprint import fp_from_bits
+from test_fingerprint import bit_row, fp_from_bits
+
+
+def as_fingerprints(rows):
+    """`butina_cluster`'s argument from bit rows."""
+    return [Fingerprint.from_bit_array(row) for row in rows]
 
 
 def random_fps(rng, count, n_on=24, nbits=512):
-    return [fp_from_bits(rng.choice(nbits, size=n_on, replace=False), nbits) for _ in range(count)]
+    return as_fingerprints(fp_from_bits(rng.choice(nbits, size=n_on, replace=False), nbits)
+                           for _ in range(count))
 
 
 def test_identical_fingerprints_form_one_cluster():
-    fps = [fp_from_bits([1, 5, 9])] * 7
+    fps = as_fingerprints([fp_from_bits([1, 5, 9])] * 7)
     clustering = butina_cluster(fps, cutoff=0.8)
     assert len(clustering.clusters) == 1
     assert sorted(clustering.clusters[0]) == list(range(7))
@@ -30,7 +36,7 @@ def test_disjoint_groups_split_cleanly(rng):
     for i in range(10):
         for j in range(10, 18):
             assert tanimoto(fps[i], fps[j]) == 0.0
-    clustering = butina_cluster(fps, cutoff=0.5)
+    clustering = butina_cluster(as_fingerprints(fps), cutoff=0.5)
     assert len(clustering.clusters) == 2
     assert sorted(clustering.clusters[0]) == list(range(10))
     assert sorted(clustering.clusters[1]) == list(range(10, 18))
@@ -69,13 +75,13 @@ def test_members_similar_to_centroid(rng):
         for cluster in clustering.clusters:
             centroid = cluster[0]
             for member in cluster:
-                assert tanimoto(fps[centroid], fps[member]) >= cutoff
+                assert tanimoto(bit_row(fps[centroid]), bit_row(fps[member])) >= cutoff
 
 
 def test_tie_breaks_to_lowest_index():
     # two disjoint pairs: equal neighbor counts, so index 0 must lead
-    fps = [fp_from_bits([1, 2]), fp_from_bits([1, 2]),
-           fp_from_bits([9, 10]), fp_from_bits([9, 10])]
+    fps = as_fingerprints([fp_from_bits([1, 2]), fp_from_bits([1, 2]),
+                           fp_from_bits([9, 10]), fp_from_bits([9, 10])])
     clustering = butina_cluster(fps, cutoff=0.9)
     assert clustering.clusters[0][0] == 0
     assert clustering.clusters[1][0] == 2
@@ -83,7 +89,8 @@ def test_tie_breaks_to_lowest_index():
 
 def greedy_butina(fps, cutoff):
     """Plain greedy reference: recount unassigned neighbors from scratch each step."""
-    near = [[tanimoto(a, b) >= cutoff for b in fps] for a in fps]
+    rows = [bit_row(fp) for fp in fps]
+    near = [[tanimoto(a, b) >= cutoff for b in rows] for a in rows]
     left = set(range(len(fps)))
     clusters = []
     while left:
@@ -119,7 +126,8 @@ def test_neighbor_matrix_matches_bruteforce(rng):
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         for i in range(15):
             near = indices[indptr[i]:indptr[i + 1]].tolist()
-            assert near == [j for j in range(15) if tanimoto(fps[i], fps[j]) >= cutoff]
+            assert near == [j for j in range(15)
+                            if tanimoto(bit_row(fps[i]), bit_row(fps[j])) >= cutoff]
 
 
 def test_butina_memory_grows_with_pairs_not_rows_squared():
@@ -138,7 +146,7 @@ def test_empty_input_rejected():
     with pytest.raises(DataError, match="cannot cluster an empty fingerprint list"):
         butina_cluster([], 0.5)
     with pytest.raises(ConfigError):
-        butina_cluster([fp_from_bits([1])], 0.0)
+        butina_cluster(as_fingerprints([fp_from_bits([1])]), 0.0)
 
 
 def clustered_world():
@@ -149,11 +157,11 @@ def clustered_world():
         + [fp_from_bits([200, 201, 202])] * 5
         + [fp_from_bits([300 + 2 * i]) for i in range(3)]
     )
-    return butina_cluster(fps, cutoff=0.9)
+    return butina_cluster(as_fingerprints(fps), cutoff=0.9)
 
 
 def test_plan_single_large_cluster():
-    fps = [fp_from_bits([0, 1, 2])] * 25
+    fps = as_fingerprints([fp_from_bits([0, 1, 2])] * 25)
     clustering = butina_cluster(fps, cutoff=0.9)
     plan = cluster_training_plan(clustering, k_per_cluster=1, seed=5)
     assert plan.train_indices.size == 1
@@ -177,7 +185,7 @@ def test_plan_deterministic():
 
 
 def test_plan_no_large_clusters():
-    fps = [fp_from_bits([int(7 * i)]) for i in range(10)]
+    fps = as_fingerprints(fp_from_bits([int(7 * i)]) for i in range(10))
     clustering = butina_cluster(fps, cutoff=1.0)
     with pytest.raises(DataError, match="no cluster reaches size"):
         cluster_training_plan(clustering, k_per_cluster=1, seed=0)

@@ -58,11 +58,11 @@ def test_load_dataset_featurize_gives_one_row_per_kept_smiles(tmp_path):
     kept = ["CCO", "c1ccccc1", "CC(=O)O"]
     path = write_dataset_csv(tmp_path / "d.csv", ["CCO", "C1CC", "c1ccccc1", "CC(=O)O"], [1, 0, 1, 0])
     data = load_dataset(str(path), SCHEMA_PRESETS["bace"],
-                        lambda graph: morgan_fingerprint(graph, 2, 64).as_bit_array())
+                        lambda graph: morgan_fingerprint(graph, 2, 64))
     assert data.skipped_ids == ("1",)
     assert data.smiles == kept
     assert data.features.dtype == np.uint8
-    expected = np.array([morgan_fingerprint(parse_smiles(s), 2, 64).as_bit_array() for s in kept])
+    expected = np.array([morgan_fingerprint(parse_smiles(s), 2, 64) for s in kept])
     np.testing.assert_array_equal(data.features, expected)
     assert load_dataset(str(path), SCHEMA_PRESETS["bace"]).features is None
 
@@ -109,6 +109,15 @@ def test_load_dataset_non_binary_label(tmp_path):
         path = write_dataset_csv(tmp_path / "d.csv", ["C", "CC"], ["1", label])
         with pytest.raises(DataError, match=f"^{re.escape(str(path))} row 1: {named}$"):
             load_dataset(str(path), SCHEMA_PRESETS["bace"])
+
+
+@pytest.mark.parametrize("label", ["1_0", "0_0", "\u0663", "\u0660"])
+def test_load_dataset_label_in_another_number_syntax_rejected(tmp_path, label):
+    # float() reads '1_0' as 10, '0_0' as 0 and the Arabic-Indic digits as 3 and 0
+    path = write_dataset_csv(tmp_path / "d.csv", ["C", "CC"], ["1", label])
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} row 1: label "
+                                        f"{re.escape(repr(label))} is not numeric$"):
+        load_dataset(str(path), SCHEMA_PRESETS["bace"])
 
 
 def test_load_dataset_float_labels_coerced(tmp_path):
@@ -184,6 +193,27 @@ def test_load_embeddings_non_numeric_value_rejected(tmp_path, rng):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match="non-numeric embedding for id 'b'"):
         load_embeddings(str(path), ["a", "b"])
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_load_embeddings_value_in_another_number_syntax_rejected(tmp_path, rng, value):
+    path = write_embeddings_csv(tmp_path / "e.csv", ["a", "b"], rng.normal(size=(2, 512)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = "b," + value + lines[2][lines[2].index(",", 2):]  # id b's first value
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-numeric embedding "
+                                        "for id 'b'$"):
+        load_embeddings(str(path), ["a", "b"])
+
+
+def test_load_embeddings_skips_blank_lines(tmp_path, rng):
+    matrix = rng.normal(size=(3, 512))
+    path = write_embeddings_csv(tmp_path / "e.csv", ["a", "b", "c"], matrix)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # an interior blank line after the header and after row a, and a trailing one
+    path.write_text("\n".join([lines[0], "", lines[1], "", lines[2], lines[3], ""]) + "\n",
+                    encoding="utf-8")
+    np.testing.assert_array_equal(load_embeddings(str(path), ["a", "b", "c"]), matrix)
 
 
 def test_undersample_forced_reduction():

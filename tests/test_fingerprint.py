@@ -3,7 +3,7 @@ import pytest
 
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench import fingerprint
-from qsarbench.fingerprint import Fingerprint, morgan_fingerprint, tanimoto
+from qsarbench.fingerprint import Fingerprint, from_hex, morgan_fingerprint, tanimoto, to_hex
 from qsarbench.smiles import MolecularGraph, Bond, parse_smiles
 
 from conftest import REAL_SMILES, perceive_rings, random_smiles
@@ -31,10 +31,15 @@ def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
 
 
 def fp_from_bits(on_bits, nbits=512):
-    bits = 0
-    for b in on_bits:
-        bits |= 1 << int(b)
-    return Fingerprint(bits, nbits)
+    """The uint8 bit row with `on_bits` set."""
+    bits = np.zeros(nbits, dtype=np.uint8)
+    bits[[int(b) for b in on_bits]] = 1
+    return bits
+
+
+def bit_row(fp: Fingerprint) -> np.ndarray:
+    """The bit row of a `butina_cluster` argument, unpacked from its words."""
+    return np.unpackbits(fp.to_words().view(np.uint8), count=fp.nbits, bitorder="little")
 
 
 def test_symmetric_atoms_share_invariants():
@@ -69,7 +74,8 @@ def test_cached_round_zero_ids_equal_atom_invariants(smiles):
 
 def test_methane_radius2_single_bit():
     fp = morgan_fingerprint(parse_smiles("C"), radius=2, nbits=512)
-    assert fp.popcount == 1
+    assert fp.dtype == np.uint8 and fp.shape == (512,)
+    assert np.count_nonzero(fp) == 1
 
 
 def test_ethanol_radius0_three_distinct_bits():
@@ -78,30 +84,30 @@ def test_ethanol_radius0_three_distinct_bits():
     expected_bits = {inv % 512 for inv in invariants}
     fp = morgan_fingerprint(graph, radius=0, nbits=512)
     assert len(set(invariants)) == 3
-    assert fp.popcount == len(expected_bits) == 3
-    assert set(fp.on_bits()) == expected_bits
+    assert np.count_nonzero(fp) == len(expected_bits) == 3
+    assert set(np.flatnonzero(fp).tolist()) == expected_bits
 
 
 def test_radius_monotonicity(rng):
     corpus = REAL_SMILES + [random_smiles(rng) for _ in range(50)]
     for smiles in corpus:
         graph = parse_smiles(smiles)
-        previous = 0
+        previous = np.zeros(512, dtype=np.uint8)
         for radius in range(4):
-            bits = morgan_fingerprint(graph, radius, 512).bits
-            assert bits & previous == previous, smiles
+            bits = morgan_fingerprint(graph, radius, 512)
+            assert np.all(bits >= previous), smiles
             previous = bits
 
 
 def test_determinism_across_reparses():
     a = morgan_fingerprint(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), 2, 512)
     b = morgan_fingerprint(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), 2, 512)
-    assert a == b
+    np.testing.assert_array_equal(a, b)
 
 
 def test_ethanol_radius2_frozen():
     fp = morgan_fingerprint(parse_smiles("CCO"), 2, 512)
-    assert fp.to_hex() == (
+    assert to_hex(fp) == (
         "000000000000000000000000000000001000000000000000000000008000400000"
         "00000000000080000012000000000000000000000000000000000000000000"
     )
@@ -128,7 +134,8 @@ def test_permutation_invariance(rng):
         for _ in range(3):
             perm = rng.permutation(len(graph.atoms)).tolist()
             shuffled = _permute_graph(graph, perm)
-            assert morgan_fingerprint(shuffled, 2, 512) == reference, smiles
+            np.testing.assert_array_equal(morgan_fingerprint(shuffled, 2, 512), reference,
+                                          err_msg=smiles)
 
 
 def test_empty_molecule_rejected():
@@ -158,50 +165,62 @@ def test_tanimoto_half_overlap():
 
 
 def test_tanimoto_zero_convention():
-    zero = Fingerprint(0, 512)
+    zero = np.zeros(512, dtype=np.uint8)
     assert tanimoto(zero, zero) == 1.0
 
 
 def test_tanimoto_symmetry(rng):
     for _ in range(100):
-        a = fp_from_bits(rng.choice(512, size=rng.integers(0, 40), replace=False))
-        b = fp_from_bits(rng.choice(512, size=rng.integers(0, 40), replace=False))
+        on_a = rng.choice(512, size=rng.integers(0, 40), replace=False)
+        on_b = rng.choice(512, size=rng.integers(0, 40), replace=False)
+        a, b = fp_from_bits(on_a), fp_from_bits(on_b)
         assert tanimoto(a, b) == tanimoto(b, a)
         assert 0.0 <= tanimoto(a, b) <= 1.0
+        # against the same quotient on Python ints
+        int_a, int_b = (sum(1 << int(i) for i in on) for on in (on_a, on_b))
+        union = (int_a | int_b).bit_count()
+        assert tanimoto(a, b) == (1.0 if union == 0 else (int_a & int_b).bit_count() / union)
 
 
 def test_tanimoto_width_mismatch():
     with pytest.raises(InvariantViolation, match="fingerprint widths differ: 512 vs 256"):
-        tanimoto(Fingerprint(0, 512), Fingerprint(0, 256))
+        tanimoto(np.zeros(512, dtype=np.uint8), np.zeros(256, dtype=np.uint8))
 
 
 def test_hex_round_trip(rng):
     for _ in range(20):
         fp = fp_from_bits(rng.choice(512, size=17, replace=False))
-        assert Fingerprint.from_hex(fp.to_hex()) == fp
+        back = from_hex(to_hex(fp))
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, fp)
 
 
 def test_hex_width_is_four_bits_per_digit():
     fp = fp_from_bits([0, 255], 256)
-    assert fp.to_hex() == "8" + "0" * 62 + "1"
-    assert Fingerprint.from_hex(fp.to_hex()) == fp
+    assert to_hex(fp) == "8" + "0" * 62 + "1"
+    np.testing.assert_array_equal(from_hex(to_hex(fp)), fp)
+    assert to_hex(fp_from_bits([0, 3], 4)) == "9"
+    np.testing.assert_array_equal(from_hex("9"), fp_from_bits([0, 3], 4))
+    # rows narrower than one digit still take one digit
+    assert [to_hex(fp_from_bits(on, 2)) for on in ([], [0], [1], [0, 1])] == ["0", "1", "2", "3"]
     # prefixes, separators and spaces would count as digits of the width
     for text in ("0xff", " ff ", "f_ff", "+fff", "00g0"):
-        with pytest.raises(ValueError):
-            Fingerprint.from_hex(text)
+        with pytest.raises(ValueError, match="is not a string of hex digits"):
+            from_hex(text)
+    with pytest.raises(ValueError, match="nbits must be a power of two, got 12"):
+        from_hex("fff")
 
 
 def test_bit_array_round_trip(rng):
     for nbits in (8, 32, 64, 512):
         on = rng.choice(nbits, size=nbits // 4 + 1, replace=False)
-        fp = fp_from_bits(on, nbits)
-        arr = fp.as_bit_array()
-        assert arr.shape == (nbits,)
-        assert np.flatnonzero(arr).tolist() == sorted(int(i) for i in on)
+        arr = fp_from_bits(on, nbits)
+        fp = Fingerprint(sum(1 << int(i) for i in on), nbits)
         assert Fingerprint.from_bit_array(arr) == fp
         assert Fingerprint.from_bit_array(arr.astype(np.float64)) == fp
+        np.testing.assert_array_equal(bit_row(fp), arr)
 
 
 def test_words_popcount_agrees():
-    fp = fp_from_bits([0, 63, 64, 511])
-    assert int(np.bitwise_count(fp.to_words()).sum()) == fp.popcount == 4
+    fp = Fingerprint.from_bit_array(fp_from_bits([0, 63, 64, 511]))
+    assert int(np.bitwise_count(fp.to_words()).sum()) == 4

@@ -38,8 +38,6 @@ OUTSIDE_CALLERS = frozenset({
     # .readout, so these stay until ROADMAP item 2a, then item 11 removes them
     "quantum.QuantumModelParams.from_vector",
     "quantum.QuantumModelParams.n_parameters",
-    "fingerprint.Fingerprint.on_bits",        # ROADMAP item 12 removes these
-    "fingerprint.Fingerprint.popcount",
 })
 
 

@@ -172,6 +172,37 @@ def test_csv_malformed_rejected(tmp_path, text, message):
         PcaModel.from_csv(str(path))
 
 
+def test_csv_skips_blank_lines(tmp_path, rng):
+    model = fit_pca(rng.normal(size=(10, 4)), 2)
+    path = tmp_path / "model.csv"
+    model.to_csv(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0], "", *lines[1:], "", ""]) + "\n", encoding="utf-8")
+    loaded = PcaModel.from_csv(str(path))
+    np.testing.assert_array_equal(loaded.mean, model.mean)
+    np.testing.assert_array_equal(loaded.components, model.components)
+    np.testing.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_csv_value_in_another_number_syntax_rejected(tmp_path, value):
+    path = tmp_path / "model.csv"
+    path.write_text(f"0.5,1.0\n1.0,0.0\n{value}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row 3: could not convert "
+                                        f"string to float: {re.escape(repr(value))}$"):
+        PcaModel.from_csv(str(path))
+
+
+def test_csv_that_cannot_be_read_names_its_file(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DataError, match=f"^cannot open {re.escape(str(missing))}: "):
+        PcaModel.from_csv(str(missing))
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"0.5,1.0\n1.0,0.0\n2.0\xff\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(latin))} is not valid UTF-8: "):
+        PcaModel.from_csv(str(latin))
+
+
 def test_truncate():
     x = np.random.default_rng(0).normal(size=(20, 6))
     model = fit_pca(x, 6)

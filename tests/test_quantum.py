@@ -163,6 +163,28 @@ def test_score_bounded_by_l1_norm_of_readout(rng):
         assert abs(q_forward(params, x)) <= np.abs(params.readout).sum() + 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_last_layer_gamma_angles_never_change_a_score(rng, n):
+    # The last layer's RZ(gamma) only rephases basis states, its CNOT ring only
+    # permutes them, and <Z> reads squared magnitudes: n of the 7n parameters
+    # drop out of every score, and their gradient is zero.  A first-layer
+    # gamma still moves the scores.
+    params = init_quantum_params(n, seed=n)
+    x = rng.normal(size=(16, 1 << n))
+    base = q_forward(params, x)
+    for _ in range(5):
+        ansatz = params.ansatz.copy()
+        ansatz[-1, :, 2] += rng.uniform(-3.0, 3.0, size=n)
+        shifted = q_forward(QuantumModelParams(ansatz, params.readout), x)
+        np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
+    gradient = q_gradient(params, x, np.sign(rng.normal(size=16)))
+    np.testing.assert_allclose(gradient[:6 * n].reshape(2, n, 3)[-1, :, 2], 0.0, atol=1e-12)
+    ansatz = params.ansatz.copy()
+    ansatz[0, :, 2] += 0.3
+    shifted = q_forward(QuantumModelParams(ansatz, params.readout), x)
+    assert np.max(np.abs(shifted - base)) > 1e-3
+
+
 def one_hot_toy_split():
     x = np.eye(4)
     y = np.array([1, 1, -1, -1])  # sign of <Z_0> across the four basis states
