@@ -22,8 +22,9 @@ Both trees train the reps as one batch axis: one call of the score
 function, on (R, P) parameters and embedded rows, covers all R reps, and
 `cell` calls the same `_run_cell(task)` in both trees.
 
-`--kinds ingest` times `data.load_dataset` with the Morgan featurizer the
-harness passes (default radius and width), once per `--rows` value, on a
+`--kinds ingest` times `harness._load_with_features`, the ingest of a
+protocol run with the default Morgan radius and width and each tree's own
+featurizer (one graph per call or a list of graphs), once per `--rows` value, on a
 CSV of that many seeded `synthetic_molecules` from `tests/conftest.py` plus
 `REAL_SMILES` (bracket atoms) and a few malformed rows (skipped rows).  The
 two trees must return the same features, ids and skipped ids; the script
@@ -188,13 +189,10 @@ def write_ingest_csv(directory: str, rows: int) -> tuple[str, int]:
 
 
 def _ingest_call(modules: dict, path: str):
-    """One tree's `load_dataset` of `path` with the harness's Morgan featurizer,
-    `harness._morgan_bits`, which gives uint8 bit rows in every tree."""
-    data, fingerprint = modules["data"], modules["fingerprint"]
-    featurize = functools.partial(modules["harness"]._morgan_bits,
-                                  radius=fingerprint.DEFAULT_RADIUS,
-                                  nbits=fingerprint.DEFAULT_NBITS)
-    return lambda: data.load_dataset(path, data.SCHEMA_PRESETS["bace"], featurize)
+    """One tree's ingest of `path` as its protocol runs make it, on no pool."""
+    harness = modules["harness"]
+    config = harness.ExperimentConfig(dataset="bace", dataset_path=path)
+    return lambda: harness._load_with_features(config, None)
 
 
 def check_same_ingest(datasets: dict) -> None:

@@ -19,14 +19,15 @@ import csv
 import logging
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from .clustering import butina_cluster
-from .data import (SCHEMA_PRESETS, DatasetSchema, load_dataset, open_input, parse_float,
-                   undersample)
-from .errors import ConfigError, DataError, QsarBenchError, SmilesParseError
-from .fingerprint import Fingerprint, check_morgan_settings, from_hex, morgan_fingerprint, to_hex
+from .data import (SCHEMA_PRESETS, DatasetSchema, _parse_chunk, load_dataset, open_input,
+                   parse_float, undersample)
+from .errors import ConfigError, DataError, QsarBenchError
+from .fingerprint import Fingerprint, check_morgan_settings, from_hex, morgan_fingerprints, to_hex
 from .harness import (
     ExperimentConfig,
     run_cluster_protocol,
@@ -35,7 +36,6 @@ from .harness import (
     write_report_files,
 )
 from .pca import fit_pca, transform
-from .smiles import parse_smiles
 
 logger = logging.getLogger(__name__)
 
@@ -117,24 +117,19 @@ def _cmd_fingerprint(args) -> int:
     if args.bits < 4:
         raise ConfigError(f"--bits must be at least 4, got {args.bits}: hex holds four bits "
                           "per digit")
-    skipped = 0
-    rows = []
     with open_input(args.input) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or args.smiles_col not in reader.fieldnames:
             raise DataError(f"{args.input} lacks column {args.smiles_col!r}")
-        for index, row in enumerate(reader):
-            text = (row[args.smiles_col] or "").strip()
-            try:
-                fp = morgan_fingerprint(parse_smiles(text), args.radius, args.bits)
-            except SmilesParseError:
-                skipped += 1
-                continue
-            rows.append((index, to_hex(fp)))
+        texts = [(row[args.smiles_col] or "").strip() for row in reader]
+    kept, bits = _parse_chunk(texts, partial(morgan_fingerprints, radius=args.radius,
+                                             nbits=args.bits))
+    rows = np.flatnonzero(kept).tolist()
+    skipped = len(texts) - len(rows)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "fingerprint_hex"])
-        writer.writerows(rows)
+        writer.writerows(zip(rows, [] if bits is None else map(to_hex, bits)))
     if skipped:
         logger.warning("skipped %d unparseable rows", skipped)
     print(f"wrote {len(rows)} fingerprints to {args.output} ({skipped} rows skipped)")

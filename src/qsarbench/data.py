@@ -49,6 +49,9 @@ TRAIN_FRACTION = 0.8
 # ingest slices per executor worker: several, so that a slow slice does not
 # leave the other workers idle at the end
 _CHUNKS_PER_WORKER = 4
+# parsed graphs per featurizer call: enough for a batch to share its work,
+# few enough that the graphs held at once cost little memory
+FEATURIZE_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -162,40 +165,48 @@ def open_input(path: str) -> Iterator[TextIO]:
             raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
-def _parse_chunk(texts: list[str], featurize: Callable[[MolecularGraph], np.ndarray] | None
+def _parse_chunk(texts: list[str], featurize: Callable[[list[MolecularGraph]], np.ndarray] | None
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse, and featurize, a slice of SMILES: a kept-row mask and one (kept, width) matrix.
 
-    Each parsed graph is featurized into the next row of one matrix and then
-    dropped; the matrix keeps the featurizer's dtype (uint8 for mgfp).  The
-    matrix is None without `featurize`, or when no row of the slice parses.
+    The graphs parsed from each `FEATURIZE_BATCH` texts go to `featurize` as
+    one list, whose (graphs, width) result is written into the next rows of
+    one matrix before the graphs are dropped; the matrix keeps the
+    featurizer's dtype (uint8 for mgfp).  The matrix is None without
+    `featurize`, or when no row of the slice parses.
     """
     kept = np.zeros(len(texts), dtype=bool)
     features = None
     count = 0
-    for i, text in enumerate(texts):
-        try:
-            graph = parse_smiles(text)
-        except SmilesParseError:
+    for start in range(0, len(texts), FEATURIZE_BATCH):
+        graphs = []
+        for i, text in enumerate(texts[start:start + FEATURIZE_BATCH], start):
+            try:
+                graph = parse_smiles(text)
+            except SmilesParseError:
+                continue
+            kept[i] = True
+            if featurize is not None:
+                graphs.append(graph)
+        if not graphs:
             continue
-        kept[i] = True
-        if featurize is not None:
-            row = featurize(graph)
-            if features is None:
-                features = np.empty((len(texts),) + row.shape, dtype=row.dtype)
-            features[count] = row
-            count += 1
+        block = featurize(graphs)
+        if features is None:
+            features = np.empty((len(texts),) + block.shape[1:], dtype=block.dtype)
+        features[count:count + len(graphs)] = block
+        count += len(graphs)
     return kept, None if features is None else features[:count]
 
 
 def load_dataset(path: str, schema: DatasetSchema,
-                 featurize: Callable[[MolecularGraph], np.ndarray] | None = None,
+                 featurize: Callable[[list[MolecularGraph]], np.ndarray] | None = None,
                  executor: Executor | None = None) -> Dataset:
     """Read a CSV of molecules, parsing each SMILES once; unparseable rows are skipped.
 
     The CSV's ids, SMILES and labels are read here, so a label error names its
-    row.  Parsing, and with `featurize` one feature row per parsed graph,
-    runs in `_parse_chunk`: once over all rows, or with `executor` over
+    row.  Parsing, and with `featurize` one feature row per parsed graph
+    (`featurize` maps a list of graphs to one row each), runs in
+    `_parse_chunk`: once over all rows, or with `executor` over
     `_CHUNKS_PER_WORKER` slices per worker, whose results come back in row
     order.  Either way each row is parsed, skipped or featurized alike, so
     the dataset is the same.  On an executor `featurize` must pickle: a
@@ -261,8 +272,13 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
             key = row[0]
             if key in rows:
                 raise DataError(f"{path}: duplicate id {key!r}")
+            # `parse_float` of each cell, its ASCII-without-`_` rule checked once per row
+            cells = row[1:]
+            joined = "".join(cells)
             try:
-                rows[key] = np.array([parse_float(v) for v in row[1:]], dtype=np.float64)
+                if not joined.isascii() or "_" in joined:
+                    raise ValueError(f"could not convert string to float: {joined!r}")
+                rows[key] = np.fromiter(map(float, cells), np.float64, EMBEDDING_DIM)
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
             if not np.isfinite(rows[key]).all():

@@ -55,7 +55,7 @@ from .data import (
     undersample,
 )
 from .errors import ConfigError, InvariantViolation, QsarBenchError
-from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprint
+from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprints
 from .pca import fit_pca, transform
 from .quantum import train_quantum
 from .rng import derive_seed
@@ -308,9 +308,9 @@ class ExperimentReport:
 
 # --- data preparation ---------------------------------------------------------
 
-def _morgan_bits(graph, radius: int, nbits: int) -> np.ndarray:
-    """One molecule's Morgan fingerprint as uint8 bits; a module-level function, so it pickles."""
-    return morgan_fingerprint(graph, radius, nbits)
+def _morgan_bits(graphs, radius: int, nbits: int) -> np.ndarray:
+    """The graphs' Morgan fingerprints as uint8 bit rows; a module-level function, so it pickles."""
+    return morgan_fingerprints(graphs, radius, nbits)
 
 
 def _load_with_features(config: ExperimentConfig, pool: Executor | None) -> Dataset:

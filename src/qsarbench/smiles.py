@@ -18,11 +18,11 @@ rule: the smallest default valence that accommodates the atom's bond-order
 sum determines the hydrogen deficit.  Aromatic ring bonds count 1.5 toward
 that sum.
 
-A graph's adjacency is built once: `parse_smiles` fills it while it adds
-bonds, and ring perception and Morgan fingerprints both read that one list
-through `MolecularGraph.adjacency`.  A bond is in a ring exactly when it is
-not a bridge; `parse_smiles` sets both ring flag lists from one bridge
-search over that adjacency.
+`parse_smiles` fills a per-atom list of (neighbor, bond index) pairs while
+it adds bonds, for ring perception only: the graph does not keep it, which
+halves a graph's memory, and ingest holds a batch of graphs at a time.  A
+bond is in a ring exactly when it is not a bridge; `parse_smiles` sets both
+ring flag lists from one bridge search over that adjacency.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ class Bond:
     order: BondOrder
 
 
-def _build_adjacency(n_atoms: int, bonds: list[Bond]) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
-    for bi, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-    return adj
-
-
 @dataclass
 class MolecularGraph:
     """Atoms, bonds and the derived per-atom/per-bond annotations.
@@ -97,17 +89,6 @@ class MolecularGraph:
     implicit_h: list[int] = field(default_factory=list)
     atom_in_ring: list[bool] = field(default_factory=list)
     bond_in_ring: list[bool] = field(default_factory=list)
-    _adjacency: list[list[tuple[int, int]]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-atom list of (neighbor index, bond index), built once per graph.
-
-        Every caller gets the same lists, so none may change them.
-        """
-        if self._adjacency is None:
-            self._adjacency = _build_adjacency(len(self.atoms), self.bonds)
-        return self._adjacency
 
 
 _BOND_SYMBOLS = {
@@ -413,7 +394,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     else:  # without ring closures the bonds form a forest
         bond_in_ring = [False] * len(bonds)
         atom_in_ring = [False] * len(atoms)
-    graph = MolecularGraph(
+    return MolecularGraph(
         atoms=atoms,
         bonds=bonds,
         implicit_h=[0 if bracket else _implicit_hydrogens(atom, units)
@@ -421,5 +402,3 @@ def parse_smiles(text: str) -> MolecularGraph:
         atom_in_ring=atom_in_ring,
         bond_in_ring=bond_in_ring,
     )
-    graph._adjacency = adjacency
-    return graph

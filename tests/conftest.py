@@ -157,10 +157,19 @@ def fingerprint_families(rng: np.random.Generator, count: int, nbits: int = 512)
             for _ in range(count)]
 
 
+def adjacency(graph: MolecularGraph) -> list[list[tuple[int, int]]]:
+    """Per-atom list of (neighbor index, bond index), in bond order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in graph.atoms]
+    for bi, bond in enumerate(graph.bonds):
+        adj[bond.a].append((bond.b, bi))
+        adj[bond.b].append((bond.a, bi))
+    return adj
+
+
 def perceive_rings(graph: MolecularGraph) -> MolecularGraph:
     """A copy of `graph` with its in-ring flags recomputed from cycle membership,
     by the bridge search that `parse_smiles` runs."""
-    atom_in_ring, bond_in_ring = _ring_flags(graph.adjacency(), graph.bonds)
+    atom_in_ring, bond_in_ring = _ring_flags(adjacency(graph), graph.bonds)
     return MolecularGraph(atoms=list(graph.atoms), bonds=list(graph.bonds),
                           implicit_h=list(graph.implicit_h),
                           atom_in_ring=atom_in_ring, bond_in_ring=bond_in_ring)

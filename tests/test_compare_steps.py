@@ -1,5 +1,6 @@
 """A smoke run of `scripts/compare_steps.py` that times this tree against itself."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,47 @@ def test_compare_steps_times_ingest_of_a_tree_against_itself():
     n, rows_read, reps, kind, *times = rows[0].split()
     assert (n, reps, kind) == ("-", "-", "ingest")
     assert int(rows_read) > 5   # REAL_SMILES and the malformed rows ride along
+    assert all(float(v) > 0 for v in times)
+
+
+# Appended to a copy of this tree's package: the ingest of trees whose
+# featurizer took one graph per call.
+PER_GRAPH_DATA = """
+
+def _parse_chunk(texts, featurize):
+    kept = np.zeros(len(texts), dtype=bool)
+    rows = []
+    for i, text in enumerate(texts):
+        try:
+            graph = parse_smiles(text)
+        except SmilesParseError:
+            continue
+        kept[i] = True
+        if featurize is not None:
+            rows.append(featurize(graph))
+    return kept, np.array(rows) if rows else None
+"""
+PER_GRAPH_HARNESS = """
+
+def _morgan_bits(graph, radius, nbits):
+    return morgan_fingerprints([graph], radius, nbits)[0]
+"""
+
+
+def test_compare_steps_times_ingest_of_a_per_graph_tree_against_this_one(tmp_path):
+    package = tmp_path / "src" / "qsarbench"
+    shutil.copytree(ROOT / "src" / "qsarbench", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for name, text in (("data.py", PER_GRAPH_DATA), ("harness.py", PER_GRAPH_HARNESS)):
+        with open(package / name, "a", encoding="utf-8") as handle:
+            handle.write(text)
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(tmp_path), "--change", str(ROOT),
+         "--kinds", "ingest", "--rows", "5", "--repeats", "2", "--number", "1"],
+        capture_output=True, text=True, check=True)
+    _, row = result.stdout.splitlines()
+    n, _, reps, kind, *times = row.split()
+    assert (n, reps, kind) == ("-", "-", "ingest")
     assert all(float(v) > 0 for v in times)
 
 

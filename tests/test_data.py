@@ -19,7 +19,7 @@ from qsarbench.data import (
 )
 from qsarbench.errors import ConfigError, DataError
 
-from qsarbench.fingerprint import morgan_fingerprint
+from qsarbench.fingerprint import morgan_fingerprint, morgan_fingerprints
 from qsarbench.harness import _morgan_bits
 from qsarbench.smiles import parse_smiles
 
@@ -58,7 +58,7 @@ def test_load_dataset_featurize_gives_one_row_per_kept_smiles(tmp_path):
     kept = ["CCO", "c1ccccc1", "CC(=O)O"]
     path = write_dataset_csv(tmp_path / "d.csv", ["CCO", "C1CC", "c1ccccc1", "CC(=O)O"], [1, 0, 1, 0])
     data = load_dataset(str(path), SCHEMA_PRESETS["bace"],
-                        lambda graph: morgan_fingerprint(graph, 2, 64))
+                        lambda graphs: morgan_fingerprints(graphs, 2, 64))
     assert data.skipped_ids == ("1",)
     assert data.smiles == kept
     assert data.features.dtype == np.uint8
@@ -176,7 +176,8 @@ def test_load_embeddings_non_finite_rejected(tmp_path, rng):
         matrix = rng.normal(size=(2, 512))
         matrix[1, 7] = bad
         path = write_embeddings_csv(tmp_path / f"e-{bad}.csv", ["a", "b"], matrix)
-        with pytest.raises(DataError, match="'b'"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite embedding "
+                                            "value for id 'b'$"):
             load_embeddings(str(path), ["a", "b"])
 
 
@@ -191,7 +192,8 @@ def test_load_embeddings_non_numeric_value_rejected(tmp_path, rng):
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = lines[2].replace(",", ",x", 1)  # id b's first value becomes "x<number>"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match="non-numeric embedding for id 'b'"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-numeric embedding "
+                                        "for id 'b'$"):
         load_embeddings(str(path), ["a", "b"])
 
 
@@ -199,11 +201,13 @@ def test_load_embeddings_non_numeric_value_rejected(tmp_path, rng):
 def test_load_embeddings_value_in_another_number_syntax_rejected(tmp_path, rng, value):
     path = write_embeddings_csv(tmp_path / "e.csv", ["a", "b"], rng.normal(size=(2, 512)))
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[2] = "b," + value + lines[2][lines[2].index(",", 2):]  # id b's first value
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-numeric embedding "
-                                        "for id 'b'$"):
-        load_embeddings(str(path), ["a", "b"])
+    first = "b," + value + lines[2][lines[2].index(",", 2):]   # id b's first value
+    last = lines[2][:lines[2].rindex(",") + 1] + value         # and its last
+    for row in (first, last):
+        path.write_text("\n".join(lines[:2] + [row]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-numeric embedding "
+                                            "for id 'b'$"):
+            load_embeddings(str(path), ["a", "b"])
 
 
 def test_load_embeddings_skips_blank_lines(tmp_path, rng):

@@ -1,24 +1,29 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from qsarbench.data import FEATURIZE_BATCH, _parse_chunk
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench import fingerprint
-from qsarbench.fingerprint import Fingerprint, from_hex, morgan_fingerprint, tanimoto, to_hex
+from qsarbench.fingerprint import (Fingerprint, from_hex, morgan_fingerprint, morgan_fingerprints,
+                                   tanimoto, to_hex)
 from qsarbench.smiles import MolecularGraph, Bond, parse_smiles
 
-from conftest import REAL_SMILES, perceive_rings, random_smiles
+from conftest import REAL_SMILES, adjacency, perceive_rings, random_smiles
 
 
 def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
-    """64-bit hash of an atom's immediate chemical environment, without the
-    cache that `morgan_fingerprint` reads: the reference for it.
+    """64-bit hash of an atom's immediate chemical environment, one atom at a
+    time: the reference for a batch's round-0 identifiers.
 
     The hashed tuple is (atomic number, heavy-atom degree, total hydrogen
     count, formal charge, in-ring flag, isotope).
     """
     atoms = graph.atoms
     atom = atoms[atom_index]
-    heavy_degree = sum(atoms[other].atomic_number > 1 for other, _ in graph.adjacency()[atom_index])
+    heavy_degree = sum(atoms[other].atomic_number > 1
+                       for other, _ in adjacency(graph)[atom_index])
     digest = fingerprint._hash_invariant(
         atom.atomic_number,
         heavy_degree,
@@ -28,6 +33,50 @@ def atom_invariant(graph: MolecularGraph, atom_index: int) -> int:
         atom.isotope,
     )
     return int.from_bytes(digest, "big")
+
+
+def reference_morgan(graph: MolecularGraph, radius: int, nbits: int) -> np.ndarray:
+    """One molecule's Morgan bit row, one atom and one environment at a time:
+    the reference `morgan_fingerprints` must match row for row.
+
+    Round zero emits every atom invariant; each later round hashes (b"E",
+    round, previous identifier, the neighbors' (bond code, identifier) pairs
+    in ascending order).  An environment whose covered bond set was emitted
+    in an earlier round is dropped; within a round, the smaller identifier
+    of a bond set is kept.
+    """
+    neighbor_lists = adjacency(graph)
+    ids = [atom_invariant(graph, i).to_bytes(8, "big") for i in range(len(graph.atoms))]
+    codes = [bytes((bond.order.value,)) for bond in graph.bonds]
+    # bit i of a cover is set when bond i lies in the atom's environment
+    covers = [sum(1 << bond_idx for _, bond_idx in neighbors) for neighbors in neighbor_lists]
+    on = [int.from_bytes(identifier, "big") % nbits for identifier in ids]
+    seen_covers = {0}
+    for r in range(1, radius + 1):
+        if r > 1:
+            grown = []
+            for cover, neighbors in zip(covers, neighbor_lists):
+                for other, _ in neighbors:
+                    cover |= covers[other]
+                grown.append(cover)
+            covers = grown
+        new_ids = []
+        for center, neighbors in zip(ids, neighbor_lists):
+            pairs = sorted(codes[bond_idx] + ids[other] for other, bond_idx in neighbors)
+            payload = b"E" + r.to_bytes(4, "big") + center + b"".join(pairs)
+            new_ids.append(hashlib.blake2b(payload, digest_size=8).digest())
+        round_best: dict[int, bytes] = {}
+        for identifier, cover in zip(new_ids, covers):
+            if cover in seen_covers:
+                continue
+            if cover not in round_best or identifier < round_best[cover]:
+                round_best[cover] = identifier
+        on += [int.from_bytes(identifier, "big") % nbits for identifier in round_best.values()]
+        seen_covers.update(round_best)
+        ids = new_ids
+    bits = np.zeros(nbits, dtype=np.uint8)
+    bits[on] = 1
+    return bits
 
 
 def fp_from_bits(on_bits, nbits=512):
@@ -66,10 +115,13 @@ def test_invariant_is_frozen_across_runs():
 
 @pytest.mark.parametrize("smiles", REAL_SMILES)
 def test_cached_round_zero_ids_equal_atom_invariants(smiles):
+    # in a batch with every other molecule, which shares its invariant tuples'
+    # digests across molecules
     graph = parse_smiles(smiles)
-    ids = fingerprint._atom_ids(graph, graph.adjacency())
-    assert [int.from_bytes(identifier, "big") for identifier in ids] == [
-        atom_invariant(graph, i) for i in range(len(graph.atoms))]
+    others = [parse_smiles(s) for s in REAL_SMILES]
+    batch = fingerprint._flatten(others + [graph])
+    ids = batch.ids[batch.molecule == len(others)]
+    assert ids.tolist() == [atom_invariant(graph, i) for i in range(len(graph.atoms))]
 
 
 def test_methane_radius2_single_bit():
@@ -139,8 +191,73 @@ def test_permutation_invariance(rng):
 
 
 def test_empty_molecule_rejected():
+    empty = MolecularGraph(atoms=[], bonds=[], implicit_h=[])
     with pytest.raises(DataError, match="cannot fingerprint an empty molecule"):
-        morgan_fingerprint(MolecularGraph(atoms=[], bonds=[], implicit_h=[]), 2, 512)
+        morgan_fingerprint(empty, 2, 512)
+    graphs = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
+    for at in range(len(graphs) + 1):
+        with pytest.raises(DataError, match="^cannot fingerprint an empty molecule$"):
+            morgan_fingerprints(graphs[:at] + [empty] + graphs[at:], 2, 512)
+
+
+def _corpus(rng) -> list[MolecularGraph]:
+    """REAL_SMILES and random molecules: more than one featurizer batch."""
+    smiles = REAL_SMILES + [random_smiles(rng) for _ in range(FEATURIZE_BATCH)]
+    return [parse_smiles(s) for s in smiles]
+
+
+def test_batches_match_reference(rng):
+    graphs = _corpus(rng)
+    for radius in range(4):
+        for nbits in (4, 64, 512, 1024):
+            expected = np.array([reference_morgan(g, radius, nbits) for g in graphs])
+            got = morgan_fingerprints(graphs, radius, nbits)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, expected, err_msg=f"radius {radius}, {nbits} bits")
+
+
+@pytest.mark.parametrize("size", [1, 2, FEATURIZE_BATCH, FEATURIZE_BATCH + 1])
+def test_rows_do_not_depend_on_the_batch(rng, size):
+    graphs = _corpus(rng)
+    expected = np.array([reference_morgan(g, 2, 512) for g in graphs])
+    batched = np.concatenate([morgan_fingerprints(graphs[start:start + size], 2, 512)
+                              for start in range(0, len(graphs), size)])
+    np.testing.assert_array_equal(batched, expected)
+
+
+def test_fragments_single_atoms_and_many_bonds_match_reference():
+    smiles = [
+        "[Na+].[Cl-]", "C.C", "C", "[NH4+]", "O", "[2H]", "CCO.[K+]",
+        "C" * 66,                   # 65 bonds: two mask words
+        "C1CCC(CC1)" * 12 + "C",    # 84 bonds, rings across the word boundary
+        "C" * 140,                  # 139 bonds: three words
+    ]
+    graphs = [parse_smiles(s) for s in smiles]
+    assert max(len(g.bonds) for g in graphs) > 128
+    for radius in range(4):
+        for nbits in (64, 1024):
+            got = morgan_fingerprints(graphs, radius, nbits)
+            for text, graph, row in zip(smiles, graphs, got):
+                np.testing.assert_array_equal(row, reference_morgan(graph, radius, nbits),
+                                              err_msg=f"{text} r={radius} {nbits}")
+                np.testing.assert_array_equal(morgan_fingerprint(graph, radius, nbits), row)
+    assert morgan_fingerprints([], 2, 512).shape == (0, 512)
+
+
+def test_ingest_featurizes_at_most_one_batch_of_graphs_per_call(rng):
+    texts = REAL_SMILES + [random_smiles(rng) for _ in range(2 * FEATURIZE_BATCH)]
+    texts[::7] = ["C1CC"] * len(texts[::7])   # rows that do not parse
+    sizes = []
+
+    def featurize(graphs):
+        sizes.append(len(graphs))
+        return morgan_fingerprints(graphs, 2, 512)
+
+    kept, features = _parse_chunk(texts, featurize)
+    assert max(sizes) <= FEATURIZE_BATCH and sum(sizes) == kept.sum() == len(features)
+    assert len(sizes) == -(-len(texts) // FEATURIZE_BATCH)
+    expected = [reference_morgan(parse_smiles(texts[i]), 2, 512) for i in np.flatnonzero(kept)]
+    np.testing.assert_array_equal(features, np.array(expected))
 
 
 def test_bad_nbits_rejected():

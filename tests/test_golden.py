@@ -15,8 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from qsarbench import fingerprint
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -67,9 +65,3 @@ def test_ingest_matches_its_golden_file(ingest_entries):
         fields = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
         pytest.fail(f"{len(moved)} ingest entries moved; the first is {old['smiles']!r} "
                     f"in {fields}:\n{old}\n->\n{new}")
-
-
-def test_invariant_cache_stays_within_its_bound(ingest_entries):
-    info = fingerprint._cached_invariant.cache_info()
-    assert info.maxsize == fingerprint._INVARIANT_CACHE_SIZE
-    assert 0 < info.currsize <= info.maxsize

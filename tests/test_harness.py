@@ -298,11 +298,11 @@ def test_parallel_workers_match_serial(synthetic_csv, tmp_path, rng, monkeypatch
 
 
 def test_worker_error_reaches_the_caller(synthetic_csv, monkeypatch):
-    def broken(graph, radius, nbits):
+    def broken(graphs, radius, nbits):
         raise DataError("featurizer broke")
 
     # patched before the pool forks, so its workers run the broken featurizer
-    monkeypatch.setattr(qsarbench.harness, "morgan_fingerprint", broken)
+    monkeypatch.setattr(qsarbench.harness, "morgan_fingerprints", broken)
     with pytest.raises(DataError, match="^featurizer broke$") as err:
         run_protocol(tiny_config(synthetic_csv, workers=2))
     assert type(err.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker

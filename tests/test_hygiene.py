@@ -26,6 +26,7 @@ OUTSIDE_CALLERS = frozenset({
     "classical.mlp_predict",                  # README
     "quantum.q_predict",                      # README
     "fingerprint.tanimoto",                   # demos/01_smiles_and_fingerprints.py
+    "fingerprint.morgan_fingerprint",         # demos/01 and 02, one molecule at a time
     "simulator.apply_single_array",           # demos/03_quantum_circuit.py
     "simulator.parameter_shift_gradient",     # demos/03_quantum_circuit.py, bench/tracer.py
     "quantum.q_gradient",                     # bench/tracer.py

@@ -8,7 +8,7 @@ from qsarbench.elements import DEFAULT_VALENCES
 from qsarbench.errors import SmilesParseError
 from qsarbench.smiles import BondOrder, MolecularGraph, parse_smiles
 
-from conftest import REAL_SMILES, perceive_rings, random_smiles
+from conftest import REAL_SMILES, adjacency, perceive_rings, random_smiles
 
 
 def test_methane():
@@ -57,12 +57,12 @@ def test_cyclobutane_all_in_ring():
 
 def _simple_cycles_oracle(graph: MolecularGraph) -> tuple[set[int], set[int]]:
     """Brute-force enumeration of simple cycles; returns (atoms, bonds) on any."""
-    adjacency = graph.adjacency()
+    neighbors = adjacency(graph)
     ring_atoms: set[int] = set()
     ring_bonds: set[int] = set()
 
     def walk(start: int, node: int, visited: list[int], used_bonds: list[int]):
-        for nxt, bond_idx in adjacency[node]:
+        for nxt, bond_idx in neighbors[node]:
             if bond_idx in used_bonds:
                 continue
             if nxt == start and len(visited) >= 3:
