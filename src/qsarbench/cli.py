@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .clustering import butina_cluster
-from .data import (SCHEMA_PRESETS, DatasetSchema, _parse_chunk, load_dataset, open_input,
+from .data import (SCHEMA_PRESETS, DatasetSchema, _parse_texts, load_dataset, open_input,
                    parse_float, undersample)
 from .errors import ConfigError, DataError, QsarBenchError
 from .fingerprint import Fingerprint, check_morgan_settings, from_hex, morgan_fingerprints, to_hex
@@ -122,14 +122,14 @@ def _cmd_fingerprint(args) -> int:
         if reader.fieldnames is None or args.smiles_col not in reader.fieldnames:
             raise DataError(f"{args.input} lacks column {args.smiles_col!r}")
         texts = [(row[args.smiles_col] or "").strip() for row in reader]
-    kept, bits = _parse_chunk(texts, partial(morgan_fingerprints, radius=args.radius,
+    kept, bits = _parse_texts(texts, partial(morgan_fingerprints, radius=args.radius,
                                              nbits=args.bits))
     rows = np.flatnonzero(kept).tolist()
     skipped = len(texts) - len(rows)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "fingerprint_hex"])
-        writer.writerows(zip(rows, [] if bits is None else map(to_hex, bits)))
+        writer.writerows(zip(rows, map(to_hex, bits)))
     if skipped:
         logger.warning("skipped %d unparseable rows", skipped)
     print(f"wrote {len(rows)} fingerprints to {args.output} ({skipped} rows skipped)")

@@ -46,11 +46,8 @@ logger = logging.getLogger(__name__)
 
 EMBEDDING_DIM = 512
 TRAIN_FRACTION = 0.8
-# ingest slices per executor worker: several, so that a slow slice does not
-# leave the other workers idle at the end
-_CHUNKS_PER_WORKER = 4
-# parsed graphs per featurizer call: enough for a batch to share its work,
-# few enough that the graphs held at once cost little memory
+# SMILES per ingest slice and so graphs per featurizer call: enough for a batch
+# to share its work, few enough that the graphs held at once cost little memory
 FEATURIZE_BATCH = 128
 
 
@@ -85,9 +82,10 @@ class Dataset:
             lengths.add(self.features.shape[0])
         if len(lengths) != 1:
             raise DataError("dataset columns have inconsistent lengths")
-        bad = set(np.unique(self.labels)) - {0, 1}
-        if bad:
-            raise DataError(f"labels outside {{0,1}}: {sorted(bad)}")
+        # plain comparisons: np.unique and np.intersect1d import numpy.ma (about 1.6 MiB)
+        bad = self.labels[(self.labels != 0) & (self.labels != 1)]
+        if bad.size:
+            raise DataError(f"labels outside {{0,1}}: {sorted(set(bad))}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -120,7 +118,10 @@ class SplitPlan:
                 f"split has {self.train_indices.size} train and {self.test_indices.size} "
                 "test rows; both sides need at least one"
             )
-        overlap = np.intersect1d(self.train_indices, self.test_indices)
+        train, test = np.sort(self.train_indices), np.sort(self.test_indices)
+        found = test[np.searchsorted(test, train).clip(max=test.size - 1)] == train
+        found[1:] &= train[1:] != train[:-1]   # a sorted merge; each index once
+        overlap = train[found]
         if overlap.size:
             raise DataError(f"train/test overlap at indices {overlap[:5]}")
         if len(set(self.train_indices.tolist())) != self.train_indices.size:
@@ -167,35 +168,40 @@ def open_input(path: str) -> Iterator[TextIO]:
 
 def _parse_chunk(texts: list[str], featurize: Callable[[list[MolecularGraph]], np.ndarray] | None
                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse, and featurize, a slice of SMILES: a kept-row mask and one (kept, width) matrix.
-
-    The graphs parsed from each `FEATURIZE_BATCH` texts go to `featurize` as
-    one list, whose (graphs, width) result is written into the next rows of
-    one matrix before the graphs are dropped; the matrix keeps the
-    featurizer's dtype (uint8 for mgfp).  The matrix is None without
-    `featurize`, or when no row of the slice parses.
-    """
+    """One slice of at most `FEATURIZE_BATCH` SMILES: its kept-row mask and `featurize`
+    of its parsed graphs, a (kept, width) matrix in the featurizer's dtype (uint8
+    for mgfp); None without `featurize`, or when no row of the slice parses."""
     kept = np.zeros(len(texts), dtype=bool)
-    features = None
-    count = 0
-    for start in range(0, len(texts), FEATURIZE_BATCH):
-        graphs = []
-        for i, text in enumerate(texts[start:start + FEATURIZE_BATCH], start):
-            try:
-                graph = parse_smiles(text)
-            except SmilesParseError:
-                continue
-            kept[i] = True
-            if featurize is not None:
-                graphs.append(graph)
-        if not graphs:
+    graphs = []
+    for i, text in enumerate(texts):
+        try:
+            graphs.append(parse_smiles(text))
+        except SmilesParseError:
             continue
-        block = featurize(graphs)
-        if features is None:
-            features = np.empty((len(texts),) + block.shape[1:], dtype=block.dtype)
-        features[count:count + len(graphs)] = block
-        count += len(graphs)
-    return kept, None if features is None else features[:count]
+        kept[i] = True
+    if featurize is None or not graphs:
+        return kept, None
+    return kept, featurize(graphs)
+
+
+def _parse_texts(texts: list[str], featurize: Callable[[list[MolecularGraph]], np.ndarray] | None,
+                 executor: Executor | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """`_parse_chunk` over `FEATURIZE_BATCH` slices of `texts`, in this process or on
+    `executor`: the kept-row mask and the kept rows' features in row order, copied into
+    one matrix as each slice arrives, so ingest never holds its features twice."""
+    # zero texts still make one (empty) slice, so there is a mask to concatenate
+    slices = [texts[start:start + FEATURIZE_BATCH]
+              for start in range(0, max(len(texts), 1), FEATURIZE_BATCH)]
+    masks, features, count = [], None if featurize is None else np.array([]), 0
+    for mask, matrix in (map if executor is None else executor.map)(
+            _parse_chunk, slices, [featurize] * len(slices)):
+        masks.append(mask)
+        if matrix is not None:
+            if not count:
+                features = np.empty((len(texts),) + matrix.shape[1:], dtype=matrix.dtype)
+            features[count:count + len(matrix)] = matrix
+            count += len(matrix)
+    return np.concatenate(masks), None if features is None else features[:count]
 
 
 def load_dataset(path: str, schema: DatasetSchema,
@@ -206,11 +212,11 @@ def load_dataset(path: str, schema: DatasetSchema,
     The CSV's ids, SMILES and labels are read here, so a label error names its
     row.  Parsing, and with `featurize` one feature row per parsed graph
     (`featurize` maps a list of graphs to one row each), runs in
-    `_parse_chunk`: once over all rows, or with `executor` over
-    `_CHUNKS_PER_WORKER` slices per worker, whose results come back in row
-    order.  Either way each row is parsed, skipped or featurized alike, so
-    the dataset is the same.  On an executor `featurize` must pickle: a
-    module-level function or a `functools.partial` of one.
+    `FEATURIZE_BATCH`-row slices, in this process or, with `executor`, on
+    its workers; the slices' results come back in row order.  Either way each
+    row is parsed, skipped or featurized alike, so the dataset is the same.
+    On an executor `featurize` must pickle: a module-level function or a
+    `functools.partial` of one.
     """
     texts: list[str] = []
     labels: list[int] = []
@@ -226,21 +232,10 @@ def load_dataset(path: str, schema: DatasetSchema,
             texts.append((row[schema.smiles_col] or "").strip())
             labels.append(_coerce_label(path, row[schema.label_col], row_number))
 
-    if executor is None:
-        chunks = [_parse_chunk(texts, featurize)]
-    else:
-        # both standard-library executors keep their worker count in `_max_workers`
-        size = -(-len(texts) // (_CHUNKS_PER_WORKER * executor._max_workers)) or 1
-        slices = [texts[start:start + size] for start in range(0, max(len(texts), 1), size)]
-        chunks = list(executor.map(_parse_chunk, slices, [featurize] * len(slices)))
-    kept = np.concatenate([mask for mask, _ in chunks])
+    kept, features = _parse_texts(texts, featurize, executor)
     skipped = tuple(str(i) for i in np.flatnonzero(~kept).tolist())
     if skipped:
         logger.info("skipped %d unparseable SMILES rows in %s", len(skipped), path)
-    features = None
-    if featurize is not None:
-        matrices = [matrix for _, matrix in chunks if matrix is not None]
-        features = np.concatenate(matrices) if matrices else np.array([])
     rows = np.flatnonzero(kept).tolist()
     return Dataset(ids=[str(i) for i in rows], smiles=[texts[i] for i in rows],
                    labels=np.array(labels, dtype=np.int64)[kept], skipped_ids=skipped,

@@ -10,12 +10,11 @@ validated `SupervisedSplit`, and trains all its reps at once: one
 `train_mlp` and one `train_quantum` call, each on the reps' stacked batch
 schedules, along the trainers' rep axis.
 
-With more than one worker a run opens one process pool and uses it twice:
-first the ingest chunks (SMILES parsing and fingerprints, see
-`data.load_dataset`), then the cells.  Cells are built in the parent
-process between the two, so every data check runs before the first cell
-starts.  With one worker everything runs in this process.  The report is
-built from the cells' trials.
+Only `_run` chooses between one process and a pool (more than one worker).
+Below it one path maps the ingest slices (SMILES parsing and fingerprints,
+see `data.load_dataset`), then the cells, with `map` or the pool's `map`.
+Cells are built in the parent process between the two, so every data check
+runs before the first cell starts.  The report is built from the cells' trials.
 
 A protocol run is a pure function of its configuration and input files.
 Seeds derive hierarchically (master -> per-resplit -> per-rep -> stream),
@@ -309,7 +308,9 @@ class ExperimentReport:
 # --- data preparation ---------------------------------------------------------
 
 def _morgan_bits(graphs, radius: int, nbits: int) -> np.ndarray:
-    """The graphs' Morgan fingerprints as uint8 bit rows; a module-level function, so it pickles."""
+    """The graphs' Morgan fingerprints as uint8 bit rows.  It looks `morgan_fingerprints` up
+    here when called, so a name patched in this module before the pool forks reaches its
+    workers (`test_worker_error_reaches_the_caller`)."""
     return morgan_fingerprints(graphs, radius, nbits)
 
 
@@ -393,13 +394,10 @@ def _run_cell(task: _CellTask) -> list[TrialResult]:
 
 
 def _map_cells(tasks: list[_CellTask], pool: Executor | None) -> list[TrialResult]:
-    if pool is None or len(tasks) <= 1:
-        nested = [_run_cell(task) for task in tasks]
-    else:
-        # widest circuits and largest training sets first, so the longest
-        # cells start at once instead of queueing behind short ones
-        longest_first = sorted(tasks, key=lambda t: (t.n, t.data.train_x.shape[0]), reverse=True)
-        nested = list(pool.map(_run_cell, longest_first))
+    # widest circuits and largest training sets first, so on a pool the longest
+    # cells start at once instead of queueing behind short ones
+    longest_first = sorted(tasks, key=lambda t: (t.n, t.data.train_x.shape[0]), reverse=True)
+    nested = (map if pool is None else pool.map)(_run_cell, longest_first)
     trials = [trial for cell in nested for trial in cell]
     return sorted(trials, key=lambda t: (t.n, t.x, t.split_index, t.rep_index, t.model))
 

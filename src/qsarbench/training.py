@@ -112,8 +112,9 @@ class SupervisedSplit:
             y = getattr(self, f"{name}_y")
             if x.shape[0] != y.shape[0]:
                 raise ValueError(f"{name} features and labels disagree on row count")
-        values = set(np.unique(self.train_y)) | set(np.unique(self.test_y))
-        if not values <= {-1, 1}:
+        # plain comparisons: np.unique imports numpy.ma (about 1.6 MiB)
+        if any(((y != -1) & (y != 1)).any() for y in (self.train_y, self.test_y)):
+            values = set(self.train_y.flat) | set(self.test_y.flat)
             raise ValueError(f"labels must be +/-1, got {sorted(values)}")
 
 

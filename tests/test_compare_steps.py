@@ -40,7 +40,9 @@ def test_compare_steps_times_ingest_of_a_tree_against_itself():
 
 
 # Appended to a copy of this tree's package: the ingest of trees whose
-# featurizer took one graph per call.
+# featurizer took one graph per call.  `data._parse_texts` hands every ingest
+# slice to the `_parse_chunk` it finds in its module when called, so this one
+# replaces it.
 PER_GRAPH_DATA = """
 
 def _parse_chunk(texts, featurize):

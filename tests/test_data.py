@@ -1,12 +1,12 @@
 import re
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
 
 from qsarbench.data import (
-    _CHUNKS_PER_WORKER,
+    FEATURIZE_BATCH,
     SCHEMA_PRESETS,
     Dataset,
     DatasetSchema,
@@ -67,34 +67,59 @@ def test_load_dataset_featurize_gives_one_row_per_kept_smiles(tmp_path):
     assert load_dataset(str(path), SCHEMA_PRESETS["bace"]).features is None
 
 
+def assert_same_dataset(got, expected):
+    assert got.ids == expected.ids
+    assert got.smiles == expected.smiles
+    assert got.skipped_ids == expected.skipped_ids
+    np.testing.assert_array_equal(got.labels, expected.labels)
+    if expected.features is None:
+        assert got.features is None
+    else:
+        assert got.features.dtype == expected.features.dtype
+        assert got.features.shape == expected.features.shape
+        assert got.features.tobytes() == expected.features.tobytes()
+
+
 def test_pooled_load_matches_serial(tmp_path):
-    chunks = _CHUNKS_PER_WORKER * 2
     good = ["CCO", "c1ccccc1", "CC(=O)O", "C#N", "CC(C)C"]
     bad = ["C1CC", "", "not smiles", "[" + "1" * 5000 + "C]"]  # malformed, empty cell, huge
     featurizers = (None, partial(_morgan_bits, radius=2, nbits=512))
     with ProcessPoolExecutor(max_workers=2) as pool:
-        # one row; fewer rows than chunks; a count no multiple of the chunk
-        # count, whose second chunk holds only rows that do not parse
-        for rows in (1, chunks - 3, 3 * chunks + 5):
-            size = -(-rows // chunks)
-            smiles = [bad[i % len(bad)] if size <= i < 2 * size or i % 3 == 2
-                      else good[i % len(good)] for i in range(rows)]
+        # one row; fewer rows than one slice; three slices and 5 rows, whose
+        # second slice holds only rows that do not parse; no row that parses
+        for rows, unparsed in ((1, ()), (FEATURIZE_BATCH - 3, ()),
+                               (3 * FEATURIZE_BATCH + 5, range(FEATURIZE_BATCH, 2 * FEATURIZE_BATCH)),
+                               (7, range(7))):
+            smiles = [bad[i % len(bad)] if i in unparsed or i % 3 == 2 else good[i % len(good)]
+                      for i in range(rows)]
             path = write_dataset_csv(tmp_path / f"d{rows}.csv", smiles, [i % 2 for i in range(rows)])
             for featurize in featurizers:
                 serial = load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize)
                 pooled = load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize, pool)
-                assert pooled.ids == serial.ids
-                assert pooled.smiles == serial.smiles
-                assert pooled.skipped_ids == serial.skipped_ids
-                np.testing.assert_array_equal(pooled.labels, serial.labels)
-                if featurize is None:
-                    assert pooled.features is None and serial.features is None
-                else:
-                    assert pooled.features.dtype == serial.features.dtype == np.uint8
-                    assert pooled.features.shape == serial.features.shape
-                    assert pooled.features.tobytes() == serial.features.tobytes()
+                assert_same_dataset(pooled, serial)
+                if featurize is not None and len(serial):
+                    assert serial.features.dtype == np.uint8
             assert len(serial) + serial.skipped_rows == rows
             assert serial.skipped_rows > 0 or rows == 1
+            assert len(serial) > 0 or len(unparsed) == rows
+
+
+class SubmitOnlyExecutor(Executor):
+    """An executor that implements only `submit`, running each call at once."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def test_load_dataset_on_an_executor_without_a_worker_count(tmp_path):
+    smiles = ["CCO", "C1CC", "c1ccccc1", "CC(=O)O"] * FEATURIZE_BATCH
+    path = write_dataset_csv(tmp_path / "d.csv", smiles, [i % 2 for i in range(len(smiles))])
+    featurize = partial(_morgan_bits, radius=2, nbits=512)
+    assert_same_dataset(load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize,
+                                     SubmitOnlyExecutor()),
+                        load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize))
 
 
 def test_load_dataset_missing_column(tmp_path):
@@ -263,6 +288,24 @@ def test_split_with_an_empty_side_rejected():
         make_split(small_dataset((1, 0)), seed=0)
     with pytest.raises(DataError, match="0 train and 3 test rows"):
         SplitPlan(train_indices=np.array([], dtype=np.int64), test_indices=np.arange(3))
+
+
+def test_bad_labels_and_overlaps_are_named_as_the_set_operations_name_them():
+    # the checks compare plainly (np.unique would import numpy.ma); their
+    # messages stay those of np.unique and np.intersect1d
+    labels = np.array([1, 7, 0, 2, 7, -1])
+    expected = f"labels outside {{0,1}}: {sorted(set(np.unique(labels)) - {0, 1})}"
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        Dataset(ids=list("abcdef"), smiles=["C"] * 6, labels=labels)
+    train = np.array([9, 3, 3, 7, 1, 5, 11, 20])
+    for test in ([11, 3, 5, 1, 7, 9, 0, 9], [20, 4], [4, 21, 2]):
+        common = np.intersect1d(train, test)
+        if not common.size:
+            SplitPlan(train_indices=np.unique(train), test_indices=np.array(test))
+            continue
+        expected = f"train/test overlap at indices {common[:5]}"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            SplitPlan(train_indices=train, test_indices=np.array(test))
 
 
 def test_split_disjoint_and_covering_for_many_seeds():

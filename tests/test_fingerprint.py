@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qsarbench.data import FEATURIZE_BATCH, _parse_chunk
+from qsarbench.data import FEATURIZE_BATCH, _parse_texts
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench import fingerprint
 from qsarbench.fingerprint import (Fingerprint, from_hex, morgan_fingerprint, morgan_fingerprints,
@@ -253,7 +253,7 @@ def test_ingest_featurizes_at_most_one_batch_of_graphs_per_call(rng):
         sizes.append(len(graphs))
         return morgan_fingerprints(graphs, 2, 512)
 
-    kept, features = _parse_chunk(texts, featurize)
+    kept, features = _parse_texts(texts, featurize)
     assert max(sizes) <= FEATURIZE_BATCH and sum(sizes) == kept.sum() == len(features)
     assert len(sizes) == -(-len(texts) // FEATURIZE_BATCH)
     expected = [reference_morgan(parse_smiles(texts[i]), 2, 512) for i in np.flatnonzero(kept)]

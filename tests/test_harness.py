@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -8,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qsarbench.data
 import qsarbench.harness
-from qsarbench.data import SCHEMA_PRESETS, load_dataset
+from qsarbench.data import FEATURIZE_BATCH, SCHEMA_PRESETS, load_dataset
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.harness import (
     ExperimentConfig,
@@ -311,10 +314,11 @@ def test_worker_error_reaches_the_caller(synthetic_csv, monkeypatch):
 
 def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, monkeypatch):
     submitted = []
+    slices = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            self._max_workers = max_workers
+            pass
 
         def __enter__(self):
             return self
@@ -323,15 +327,20 @@ def test_pool_receives_widest_and_largest_cells_first(synthetic_csv, tmp_path, m
             return False
 
         def map(self, fn, *iterables):
-            # the run's pool first takes the ingest chunks, then the cells
+            # the run's pool first takes the ingest slices, then the cells
+            iterables = [list(iterable) for iterable in iterables]
+            if fn is qsarbench.data._parse_chunk:
+                slices.extend(len(texts) for texts in iterables[0])
             if fn is qsarbench.harness._run_cell:
-                iterables = [list(iterables[0])]
                 submitted.extend((task.n, task.data.train_x.shape[0]) for task in iterables[0])
             return map(fn, *iterables)
 
     monkeypatch.setattr(qsarbench.harness, "ProcessPoolExecutor", SerialPool)
     config = tiny_config(synthetic_csv, n_list=(2, 3), fractions=(0.5, 1.0), reps=1)
     pooled = run_fraction_sweep(replace(config, workers=2))
+    csv_rows = len(load_dataset(synthetic_csv, SCHEMA_PRESETS["bace"])) + pooled.skipped_rows
+    assert len(slices) == -(-csv_rows // FEATURIZE_BATCH) and sum(slices) == csv_rows
+    assert max(slices) <= FEATURIZE_BATCH
     assert len(submitted) == 2 * 2 * 2  # resplits * fractions * n
     assert submitted == sorted(submitted, reverse=True)
     assert submitted[0] == (3, max(rows for _, rows in submitted))
@@ -393,6 +402,28 @@ def test_cluster_protocol(synthetic_csv, tmp_path):
     with pytest.raises(ConfigError):
         run_cluster_protocol(tiny_config(path, cluster_k=(1,), embedding="imgmol",
                                          embedding_path="none.csv"))
+
+
+RUN_WITHOUT_NUMPY_MA = """
+import sys
+from qsarbench.harness import (ExperimentConfig, run_cluster_protocol, run_fraction_sweep,
+                               run_protocol)
+config = ExperimentConfig(dataset="bbbp", dataset_path=sys.argv[1], n_list=(2,), reps=1,
+                          resplits=2, epochs=1, batch_size=8, fractions=(0.5,),
+                          cluster_k=(1,), workers=1)
+for run in (run_protocol, run_fraction_sweep, run_cluster_protocol):
+    run(config)
+assert "numpy.ma" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy.ma"))
+"""
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma adds about 1.6 MiB to a run's peak RSS; np.unique and np.intersect1d import it
+    path = clustered_csv(tmp_path, smiles_col="smiles", label_col="p_np")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", RUN_WITHOUT_NUMPY_MA, path], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cluster_protocol_clusters_once_per_distinct_subset(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,17 @@ def test_epoch_order_cut_into_batches_of_the_configured_size():
         np.testing.assert_array_equal(np.concatenate(batches[4 * epoch:4 * epoch + 3], axis=1),
                                       schedules[:, epoch])
         np.testing.assert_array_equal(batches[4 * epoch + 3], np.arange(5))
+
+
+def test_labels_other_than_plus_minus_one_are_named_as_np_unique_names_them():
+    x = np.zeros((4, 2))
+    for train_y, test_y in (([1, -1, 0, 1], [1, 2, 2, -1]), ([1.0, -1.0, 0.5, 1.0], [-1, 1, 1, -1])):
+        train_y, test_y = np.array(train_y), np.array(test_y)
+        values = set(np.unique(train_y)) | set(np.unique(test_y))
+        expected = f"labels must be +/-1, got {sorted(values)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            SupervisedSplit(x, train_y, x, test_y)
+    SupervisedSplit(x, np.array([1, -1, -1, 1]), x, np.array([-1.0, 1.0, 1.0, 1.0]))
 
 
 def test_schedule_is_read_only_epoch_orders_with_a_stable_digest():
