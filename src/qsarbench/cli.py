@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import sys
 from functools import partial
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .clustering import butina_cluster
 from .data import (SCHEMA_PRESETS, DatasetSchema, _parse_texts, load_dataset, open_input,
-                   parse_float, undersample)
+                   parse_floats, undersample)
 from .errors import ConfigError, DataError, QsarBenchError
 from .fingerprint import Fingerprint, check_morgan_settings, from_hex, morgan_fingerprints, to_hex
 from .harness import (
@@ -45,6 +44,7 @@ EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+FINGERPRINT_COLUMN = "fingerprint_hex"   # written by `fingerprint`, read by `cluster`
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -57,16 +57,20 @@ def _build_parser() -> _ArgumentParser:
                              description="QSAR classical-vs-quantum classifier benchmark")
     parser.add_argument("--log-level", default="INFO", type=str.upper, choices=LOG_LEVELS,
                         help="logging threshold (default INFO)")
+    # each subcommand names its handler, which `main` calls with the parsed arguments
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("run", "feature-sweep protocol from a config file"),
-        ("fractions", "training-fraction sweep from a config file"),
-        ("clusters", "cluster-sampled training protocol from a config file"),
+    for name, helptext, runner, stem in (
+        ("run", "feature-sweep protocol from a config file", run_protocol, "features"),
+        ("fractions", "training-fraction sweep from a config file", run_fraction_sweep,
+         "fractions"),
+        ("clusters", "cluster-sampled training protocol from a config file",
+         run_cluster_protocol, "clusters"),
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--output", default="results", help="directory for report files")
+        cmd.set_defaults(handler=partial(_cmd_protocol, runner=runner, protocol_name=stem))
 
     fp = sub.add_parser("fingerprint", help="hex fingerprints for a CSV of SMILES")
     fp.add_argument("--input", required=True)
@@ -74,6 +78,7 @@ def _build_parser() -> _ArgumentParser:
     fp.add_argument("--radius", type=int, default=2)
     fp.add_argument("--bits", type=int, default=512)
     fp.add_argument("--output", required=True)
+    fp.set_defaults(handler=_cmd_fingerprint)
 
     pca_cmd = sub.add_parser("pca", help="fit on selected rows, project all rows")
     pca_cmd.add_argument("--input", required=True, help="CSV of numeric columns with header")
@@ -81,12 +86,13 @@ def _build_parser() -> _ArgumentParser:
     pca_cmd.add_argument("--fit-rows", required=True, help="file of row indices, one per line")
     pca_cmd.add_argument("--output", required=True)
     pca_cmd.add_argument("--model-out", help="optional flat-CSV model dump")
+    pca_cmd.set_defaults(handler=_cmd_pca)
 
     cl = sub.add_parser("cluster", help="Butina-cluster hex fingerprints")
-    cl.add_argument("--fingerprints", required=True, help="CSV with a fingerprint_hex column")
+    cl.add_argument("--fingerprints", required=True, help=f"CSV with a {FINGERPRINT_COLUMN} column")
     cl.add_argument("--cutoff", type=float, default=0.65)
-    cl.add_argument("--column", default="fingerprint_hex")
     cl.add_argument("--output", required=True)
+    cl.set_defaults(handler=_cmd_cluster)
 
     ing = sub.add_parser("ingest", help="load, validate and optionally balance a dataset")
     ing.add_argument("--dataset", required=True, help="CSV path")
@@ -97,6 +103,7 @@ def _build_parser() -> _ArgumentParser:
     ing.add_argument("--undersample", action="store_true")
     ing.add_argument("--seed", type=int, default=0)
     ing.add_argument("--output", help="optional normalized CSV (id,smiles,label)")
+    ing.set_defaults(handler=_cmd_ingest)
     return parser
 
 
@@ -128,7 +135,7 @@ def _cmd_fingerprint(args) -> int:
     skipped = len(texts) - len(rows)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["row", "fingerprint_hex"])
+        writer.writerow(["row", FINGERPRINT_COLUMN])
         writer.writerows(zip(rows, map(to_hex, bits)))
     if skipped:
         logger.warning("skipped %d unparseable rows", skipped)
@@ -145,13 +152,13 @@ def _read_matrix(path: str) -> np.ndarray:
             raise DataError(f"{path} is empty")
         for index, row in enumerate(reader):
             try:
-                values = [parse_float(v) for v in row]
+                values = parse_floats(row)
             except ValueError as exc:
                 raise DataError(f"{path} row {index} has a non-numeric entry: {exc}") from exc
             if len(values) != len(header):
                 raise DataError(f"{path} row {index} has {len(values)} values; "
                                 f"the header names {len(header)} columns")
-            if not all(map(math.isfinite, values)):
+            if not np.isfinite(values).all():
                 raise DataError(f"{path} row {index} holds a value that is not finite")
             rows.append(values)
     if not rows:
@@ -200,10 +207,10 @@ def _cmd_cluster(args) -> int:
     fps = []
     with open_input(args.fingerprints) as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or args.column not in reader.fieldnames:
-            raise DataError(f"{args.fingerprints} lacks column {args.column!r}")
+        if reader.fieldnames is None or FINGERPRINT_COLUMN not in reader.fieldnames:
+            raise DataError(f"{args.fingerprints} lacks column {FINGERPRINT_COLUMN!r}")
         for index, row in enumerate(reader):
-            text = row[args.column] or ""
+            text = row[FINGERPRINT_COLUMN] or ""
             if fps and 4 * len(text) != fps[0].size:
                 raise DataError(f"{args.fingerprints} row {index} holds a {4 * len(text)}-bit "
                                 f"fingerprint; row 0 holds {fps[0].size} bits")
@@ -260,21 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         # set apart from basicConfig, which changes nothing when the root
         # logger already has a handler
         logging.getLogger().setLevel(args.log_level)
-        if args.command == "run":
-            return _cmd_protocol(args, run_protocol, "features")
-        if args.command == "fractions":
-            return _cmd_protocol(args, run_fraction_sweep, "fractions")
-        if args.command == "clusters":
-            return _cmd_protocol(args, run_cluster_protocol, "clusters")
-        if args.command == "fingerprint":
-            return _cmd_fingerprint(args)
-        if args.command == "pca":
-            return _cmd_pca(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "ingest":
-            return _cmd_ingest(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -132,17 +132,23 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def parse_float(text: str) -> float:
-    """The number in an input file's cell: ASCII text without `_`, then `float`,
-    which alone also reads `1_0` as 10 and the Arabic-Indic digit three as 3."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
+def parse_floats(cells: list[str]) -> np.ndarray:
+    """The numbers in an input file's row of cells, as a float64 row: ASCII text
+    without `_`, then `float`, which alone also reads `1_0` as 10 and the
+    Arabic-Indic digit three as 3.  The rule is checked once for the whole row;
+    a ValueError names the first cell that breaks it or `float`."""
+    joined = "".join(cells)
+    if not joined.isascii() or "_" in joined:
+        for cell in cells:
+            if not cell.isascii() or "_" in cell:
+                raise ValueError(f"could not convert string to float: {cell!r}")
+            float(cell)
+    return np.fromiter(map(float, cells), np.float64, len(cells))
 
 
 def _coerce_label(path: str, text: str, row: int) -> int:
     try:
-        value = parse_float(text.strip())
+        value, = parse_floats([text.strip()])
     except (ValueError, AttributeError):
         raise DataError(f"{path} row {row}: label {text!r} is not numeric") from None
     if value == 0.0:
@@ -170,7 +176,7 @@ def _parse_chunk(texts: list[str], featurize: Callable[[list[MolecularGraph]], n
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """One slice of at most `FEATURIZE_BATCH` SMILES: its kept-row mask and `featurize`
     of its parsed graphs, a (kept, width) matrix in the featurizer's dtype (uint8
-    for mgfp); None without `featurize`, or when no row of the slice parses."""
+    for mgfp), (0, width) when no row of the slice parses; None without `featurize`."""
     kept = np.zeros(len(texts), dtype=bool)
     graphs = []
     for i, text in enumerate(texts):
@@ -179,9 +185,7 @@ def _parse_chunk(texts: list[str], featurize: Callable[[list[MolecularGraph]], n
         except SmilesParseError:
             continue
         kept[i] = True
-    if featurize is None or not graphs:
-        return kept, None
-    return kept, featurize(graphs)
+    return kept, None if featurize is None else featurize(graphs)
 
 
 def _parse_texts(texts: list[str], featurize: Callable[[list[MolecularGraph]], np.ndarray] | None,
@@ -190,14 +194,15 @@ def _parse_texts(texts: list[str], featurize: Callable[[list[MolecularGraph]], n
     `executor`: the kept-row mask and the kept rows' features in row order, copied into
     one matrix as each slice arrives, so ingest never holds its features twice."""
     # zero texts still make one (empty) slice, so there is a mask to concatenate
+    # and, with `featurize`, a (0, width) matrix
     slices = [texts[start:start + FEATURIZE_BATCH]
               for start in range(0, max(len(texts), 1), FEATURIZE_BATCH)]
-    masks, features, count = [], None if featurize is None else np.array([]), 0
+    masks, features, count = [], None, 0
     for mask, matrix in (map if executor is None else executor.map)(
             _parse_chunk, slices, [featurize] * len(slices)):
         masks.append(mask)
         if matrix is not None:
-            if not count:
+            if features is None:
                 features = np.empty((len(texts),) + matrix.shape[1:], dtype=matrix.dtype)
             features[count:count + len(matrix)] = matrix
             count += len(matrix)
@@ -267,13 +272,8 @@ def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()
             key = row[0]
             if key in rows:
                 raise DataError(f"{path}: duplicate id {key!r}")
-            # `parse_float` of each cell, its ASCII-without-`_` rule checked once per row
-            cells = row[1:]
-            joined = "".join(cells)
             try:
-                if not joined.isascii() or "_" in joined:
-                    raise ValueError(f"could not convert string to float: {joined!r}")
-                rows[key] = np.fromiter(map(float, cells), np.float64, EMBEDDING_DIM)
+                rows[key] = parse_floats(row[1:])
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
             if not np.isfinite(rows[key]).all():

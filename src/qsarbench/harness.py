@@ -74,8 +74,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-WORKERS_ENV_VAR = "QSARBENCH_WORKERS"
-
 # seed-path namespaces under the master seed
 _NS_UNDERSAMPLE = 0
 _NS_SPLIT = 1
@@ -248,15 +246,6 @@ class ExperimentConfig:
     def resolved_workers(self) -> int:
         if self.workers is not None:
             return self.workers
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"{WORKERS_ENV_VAR}={env!r} is not an integer") from exc
-            if workers < 1:
-                raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-            return workers
         if hasattr(os, "sched_getaffinity"):   # the CPUs this process may run on
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import open_input, parse_float
+from .data import open_input, parse_floats
 from .errors import DataError
 
 __all__ = ["PcaModel", "fit_pca", "transform"]
@@ -69,7 +69,7 @@ class PcaModel:
             # blank lines are no rows, as in csv.DictReader
             for number, row in enumerate(filter(None, csv.reader(handle)), 1):
                 try:
-                    rows.append(np.array([parse_float(v) for v in row]))
+                    rows.append(parse_floats(row))
                 except ValueError as exc:
                     raise DataError(f"{path}: row {number}: {exc}") from None
         if len(rows) < 3:

@@ -7,14 +7,15 @@ paper counts them.  n of them never change a score: the last layer's
 RZ(gamma) angles only rephase basis states, its CNOT ring only permutes
 them, and <Z> reads squared magnitudes, so their gradient is zero up to
 round-off (`test_last_layer_gamma_angles_never_change_a_score`).  The
-public angle-gradient path is the parameter-shift rule; the batched
-trainer computes the same derivatives with the simulator's adjoint sweep
-(`simulator.adjoint_gradient`: one pass forward, one backward with the
-same layer factors, each angle's gradient in closed form) because a shift
-evaluation per angle is two orders of magnitude more circuit work.  This
-module holds only the readout: the model supplies its score function,
-`_scores_and_backward`, and its decisions, in training and in `q_predict`,
-come from `training.decide`.  The parameters are the (layers, n, 3) angle
+angle gradients, in `q_gradient` as in the trainer, come from the
+simulator's adjoint sweep (`simulator.adjoint_gradient`: one pass forward,
+one backward with the same layer factors, each angle's gradient in closed
+form) through `_scores_and_backward`; the parameter-shift rule
+(`simulator.parameter_shift_gradient`) is the reference the tests check it
+against, since a shift evaluation per angle is two orders of magnitude more
+circuit work.  This module holds only the readout: the model supplies its
+score function, `_scores_and_backward`, and its decisions, in training and
+in `q_predict`, come from `training.decide`.  The parameters are the (layers, n, 3) angle
 array and the readout vector; the score function takes (R, P) rows of flat
 vectors, one per rep, and amplitudes rather than features.  `train_quantum`
 embeds the train and test rows once per cell, so a step gathers embedded
@@ -183,9 +184,9 @@ def q_loss(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> float:
 def q_gradient(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of mean((score - y)^2) over all 7n parameters, flat vector.
 
-    The readout part is analytic; the angle part equals averaging the
-    parameter-shift gradient over the batch with upstream weights
-    2*(score - y)*readout / batch.
+    The readout part is analytic; the angle part, from the adjoint sweep,
+    equals averaging the parameter-shift gradient over the batch with
+    upstream weights 2*(score - y)*readout / batch.
     """
     x = _check_features(params, x)
     return mse_loss_and_gradient(_scores_and_backward, params.to_vector()[None],

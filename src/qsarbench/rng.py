@@ -22,8 +22,6 @@ def derive_seed(root: int, *path: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def generator(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for `seed`, optionally descended along `path`."""
-    if path:
-        seed = derive_seed(seed, *path)
+def generator(seed: int) -> np.random.Generator:
+    """Philox generator for `seed`; `generator(derive_seed(root, *path))` descends a path."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))

@@ -26,7 +26,8 @@ block, a mode product in the sense of Kolda & Bader (SIAM Review 2009)
 (`apply_cnot_array`); a layer's CNOT ring is one cached gather
 (`ring_permutation`), composed from the per-gate gathers.  The per-gate
 kernels `apply_single_array` and `apply_cnot_array` serve as references
-and for single gates; the sweeps do not call them.  The circuit's order is
+and for single gates; the sweeps call neither, though `ring_permutation`
+builds its gathers with `apply_cnot_array`.  The circuit's order is
 written here only: the forward sweep `ansatz_sweep` (and `run_ansatz`), the
 adjoint sweep `adjoint_gradient` that walks it backwards a layer at a time
 with the forward sweep's factors, reading the trainer's angle gradients in
@@ -45,6 +46,7 @@ none, and `run_ansatz` is it for one (layers, n, 3) ansatz.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -144,9 +146,6 @@ def entangler_offset(layer: int, n_qubits: int) -> int:
     return (layer % max(n_qubits - 1, 1)) + 1
 
 
-_RINGS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def ring_permutation(layer: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices of a layer's CNOT ring and of its inverse.
 
@@ -154,17 +153,18 @@ def ring_permutation(layer: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]
     Built once per (offset, n) by running the ring's CNOTs on the basis
     indices themselves, then cached read-only.
     """
-    offset = entangler_offset(layer, n_qubits)
-    ring = _RINGS.get((offset, n_qubits))
-    if ring is None:
-        forward = np.arange(1 << n_qubits)
-        for q in range(n_qubits):
-            forward = apply_cnot_array(forward, n_qubits, q, (q + offset) % n_qubits)
-        inverse = np.argsort(forward)
-        forward.setflags(write=False)
-        inverse.setflags(write=False)
-        ring = _RINGS[offset, n_qubits] = (forward, inverse)
-    return ring
+    return _ring(entangler_offset(layer, n_qubits), n_qubits)
+
+
+@functools.cache
+def _ring(offset: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    forward = np.arange(1 << n_qubits)
+    for q in range(n_qubits):
+        forward = apply_cnot_array(forward, n_qubits, q, (q + offset) % n_qubits)
+    inverse = np.argsort(forward)
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
 
 
 def _ansatz_angles(angles: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -302,20 +302,16 @@ def run_ansatz_reps(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return _sweep(x, _rep_factors(angles))
 
 
-_Z_SIGNS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def z_sign_matrix(n_qubits: int) -> np.ndarray:
-    """(2^n, n) matrix of +/-1: the Z eigenvalue of each basis state per qubit."""
-    signs = _Z_SIGNS.get(n_qubits)
-    if signs is None:
-        basis = np.arange(1 << n_qubits)
-        signs = np.empty((1 << n_qubits, n_qubits))
-        for q in range(n_qubits):
-            bit = (basis >> (n_qubits - 1 - q)) & 1
-            signs[:, q] = 1.0 - 2.0 * bit
-        signs.setflags(write=False)
-        _Z_SIGNS[n_qubits] = signs
+    """(2^n, n) matrix of +/-1: the Z eigenvalue of each basis state per qubit,
+    cached read-only."""
+    basis = np.arange(1 << n_qubits)
+    signs = np.empty((1 << n_qubits, n_qubits))
+    for q in range(n_qubits):
+        bit = (basis >> (n_qubits - 1 - q)) & 1
+        signs[:, q] = 1.0 - 2.0 * bit
+    signs.setflags(write=False)
     return signs
 
 

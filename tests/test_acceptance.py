@@ -30,7 +30,7 @@ from qsarbench.harness import (
 )
 from qsarbench.pca import fit_pca
 from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_gradient, q_loss
-from qsarbench.rng import generator
+from qsarbench.rng import derive_seed, generator
 from qsarbench.simulator import (
     amplitude_embed,
     apply_cnot_array,
@@ -91,7 +91,7 @@ def _fd_gradient(loss, vec, h):
 
 
 def test_c02_gradient_correctness():
-    rng = generator(MASTER_SEED, 2)
+    rng = generator(derive_seed(MASTER_SEED, 2))
     worst = {"backprop": 0.0, "shift": 0.0, "quantum": 0.0}
 
     for trial in range(100):
@@ -136,7 +136,7 @@ def test_c02_gradient_correctness():
 # --- criterion 3: simulator soundness --------------------------------------------------
 
 def test_c03_simulator_soundness():
-    rng = generator(MASTER_SEED, 3)
+    rng = generator(derive_seed(MASTER_SEED, 3))
     n = 4
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
@@ -277,7 +277,7 @@ def test_c06_cluster_protocol_quantum_wins_every_k():
 # --- criterion 7: report well-formedness for arbitrary embeddings -------------------------
 
 def test_c07_embedding_file_report_wellformed(tmp_path):
-    rng = generator(MASTER_SEED, 7)
+    rng = generator(derive_seed(MASTER_SEED, 7))
     smiles, labels = synthetic_molecules(rng, rows=48)
     data_path = write_dataset_csv(tmp_path / "mols.csv", smiles, labels)
     matrix = rng.normal(size=(48, 512))
@@ -336,7 +336,7 @@ def test_c08_reruns_are_byte_identical(tmp_path):
 # --- criterion 9: PCA correctness --------------------------------------------------------------
 
 def test_c09_pca_correctness():
-    rng = generator(MASTER_SEED, 9)
+    rng = generator(derive_seed(MASTER_SEED, 9))
     worst_orth = 0.0
     worst_trace = 0.0
     ordered = True
@@ -371,7 +371,7 @@ def test_c09_pca_correctness():
 # --- criterion 10: fingerprint and clustering properties ------------------------------------------
 
 def test_c10_fingerprint_and_clustering_properties():
-    rng = generator(MASTER_SEED, 10)
+    rng = generator(derive_seed(MASTER_SEED, 10))
 
     molecules = [parse_smiles(random_smiles(rng, max_atoms=9)) for _ in range(100)]
     permutation_ok = True

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import logging
@@ -8,9 +9,12 @@ import pytest
 
 import qsarbench.quantum
 import qsarbench.training
-from qsarbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
+from qsarbench.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, _build_parser,
+                           _cmd_cluster, _cmd_fingerprint, _cmd_ingest, _cmd_pca, _cmd_protocol,
+                           main)
 from qsarbench.errors import QsarBenchError
 from qsarbench.fingerprint import from_hex, morgan_fingerprint, to_hex
+from qsarbench.harness import run_cluster_protocol, run_fraction_sweep, run_protocol
 from qsarbench.smiles import parse_smiles
 
 from conftest import synthetic_molecules, write_dataset_csv
@@ -21,6 +25,20 @@ def dataset_csv(tmp_path):
     rng = np.random.Generator(np.random.Philox(99))
     smiles, labels = synthetic_molecules(rng, rows=50)
     return str(write_dataset_csv(tmp_path / "mols.csv", smiles, labels))
+
+
+def test_every_subcommand_names_its_handler():
+    sub, = [action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    handlers = {name: parser.get_default("handler") for name, parser in sub.choices.items()}
+    for name, runner, stem in (("run", run_protocol, "features"),
+                               ("fractions", run_fraction_sweep, "fractions"),
+                               ("clusters", run_cluster_protocol, "clusters")):
+        handler = handlers.pop(name)
+        assert handler.func is _cmd_protocol
+        assert handler.keywords == {"runner": runner, "protocol_name": stem}
+    assert handlers == {"fingerprint": _cmd_fingerprint, "pca": _cmd_pca,
+                        "cluster": _cmd_cluster, "ingest": _cmd_ingest}
 
 
 def test_fingerprint_command(dataset_csv, tmp_path, capsys):
@@ -290,13 +308,10 @@ def test_split_without_test_rows_is_a_data_error(tmp_path, capsys):
     assert run("bace", "mol,Class\nCCO,1\nCCN,0\nCCC,1\n") == EXIT_OK
 
 
-def test_workers_below_one_rejected_before_ingest(tmp_path, monkeypatch):
+def test_workers_below_one_rejected_before_ingest(tmp_path):
     cfg = tmp_path / "cfg.json"
     missing = str(tmp_path / "none.csv")
     cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": missing, "workers": 0}))
-    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
-    cfg.write_text(json.dumps({"dataset": "bace", "dataset_path": missing}))
-    monkeypatch.setenv("QSARBENCH_WORKERS", "0")
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
 

@@ -97,7 +97,8 @@ def test_pooled_load_matches_serial(tmp_path):
                 serial = load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize)
                 pooled = load_dataset(str(path), SCHEMA_PRESETS["bace"], featurize, pool)
                 assert_same_dataset(pooled, serial)
-                if featurize is not None and len(serial):
+                if featurize is not None:   # a (rows, bits) uint8 matrix, even with no rows
+                    assert serial.features.shape == (len(serial), 512)
                     assert serial.features.dtype == np.uint8
             assert len(serial) + serial.skipped_rows == rows
             assert serial.skipped_rows > 0 or rows == 1

@@ -144,24 +144,12 @@ def test_config_undersample_defaults():
     assert ExperimentConfig(dataset="hiv", undersample=False, **base).should_undersample is False
 
 
-def test_config_workers_env_override(monkeypatch):
-    config = ExperimentConfig(dataset="bace", dataset_path="x.csv")
-    monkeypatch.setenv("QSARBENCH_WORKERS", "3")
-    assert config.resolved_workers() == 3
-    for bad in ("zebra", "0", "-2"):
-        monkeypatch.setenv("QSARBENCH_WORKERS", bad)
-        with pytest.raises(ConfigError):
-            config.resolved_workers()
-    monkeypatch.delenv("QSARBENCH_WORKERS")
-    assert ExperimentConfig(dataset="bace", dataset_path="x.csv", workers=2).resolved_workers() == 2
-
-
 def test_config_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.delenv("QSARBENCH_WORKERS", raising=False)
     config = ExperimentConfig(dataset="bace", dataset_path="x.csv")
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert config.resolved_workers() == 2
+    assert replace(config, workers=3).resolved_workers() == 3   # a set field wins
     monkeypatch.delattr(os, "sched_getaffinity")
     assert config.resolved_workers() == 16
     monkeypatch.setattr(os, "cpu_count", lambda: None)

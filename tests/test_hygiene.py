@@ -9,7 +9,9 @@ of the package.  Every function, method and class defined in the package
 definition that only the tests call, or that is only re-exported, does not
 stay; `OUTSIDE_CALLERS` lists the few that stay for a caller outside the
 package.  Every exception type in `errors.py` must be raised or caught by name
-in another module, so a type that no code tells apart does not stay.
+in another module, so a type that no code tells apart does not stay.  No module
+reads the process environment (`os.environ`, `os.getenv`), so a run's
+settings come from its config and command line only.
 """
 
 import ast
@@ -148,6 +150,22 @@ def _raised_or_caught(tree: ast.Module) -> set[str]:
     return named
 
 
+ENVIRONMENT_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that read the process environment: an `os` environment name taken
+    as an attribute or imported from `os`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                any(alias.name in ENVIRONMENT_NAMES for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_package_modules_found():
     assert {"data.py", "harness.py", "__init__.py"} <= {path.name for path in MODULES}
 
@@ -223,3 +241,20 @@ def test_check_finds_raised_and_caught_names():
         "except Single as exc:\n    raise Wrapped(str(exc)) from exc\nUnused = 1\n"
     )
     assert _raised_or_caught(tree) == {"Bad", "Worse", "Other", "Plain", "Single", "Wrapped"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    lines = _environment_reads(_parse(path))
+    assert not lines, f"{path.name} reads the process environment on lines {lines}; " \
+        "a run setting belongs in ExperimentConfig or on the command line"
+
+
+def test_check_catches_environment_reads():
+    tree = ast.parse(
+        "import os\nimport os as system\nfrom os import getenv, path\n"
+        "workers = os.environ.get('WORKERS')\nthreads = system.getenv('THREADS')\n"
+        "home = os.environ['HOME']\nroot = path.join('a', 'b')\n"
+        "def f():\n    from os import environ\n    return os.sep\n"
+    )
+    assert _environment_reads(tree) == [3, 4, 5, 6, 9]

@@ -331,6 +331,17 @@ def test_cached_z_signs_are_read_only():
     np.testing.assert_array_equal(z_expectations(ground), [1.0, 1.0])
 
 
+def test_cached_ring_gathers_are_read_only_and_shared_by_layers_of_one_offset():
+    for n in (2, 3, 4):   # offsets cycle 1, ..., n-1, so layer n-1 repeats layer 0's
+        assert entangler_offset(n - 1, n) == entangler_offset(0, n)
+        first, again = ring_permutation(0, n), ring_permutation(n - 1, n)
+        assert first[0] is again[0] and first[1] is again[1]
+        for gather in first:
+            with pytest.raises(ValueError):
+                gather[0] = 1
+    assert ring_permutation(0, 3)[0] is not ring_permutation(1, 3)[0]
+
+
 def test_z_expectations_against_explicit_sum(rng):
     for n in (1, 2, 3):
         state = random_state(rng, n)
