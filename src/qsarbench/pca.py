@@ -1,13 +1,33 @@
 """Principal component analysis fit on training rows only.
 
-The covariance uses the L-1 divisor and a symmetric eigendecomposition.
-The eigensolver runs with numpy's bundled OpenBLAS held at one thread,
-because a threaded `eigh` returns different bits for each thread count.
-Eigenvector sign is fixed by convention: the entry of largest absolute
-value in each component is made positive, so fits are deterministic.
-Requesting more components than the sample count supports is allowed (the
-trailing components have zero variance) and logged, because the clustered
-training protocol fits on very small sets.
+The covariance uses the L-1 divisor.  `fit_pca` picks its symmetric
+eigenproblem from the shape of the m x d sample matrix alone, never from k:
+with fewer rows than columns it solves the m x m Gram matrix Xc Xc^T/(m-1)
+of the centered rows, which has the covariance's nonzero spectrum (the
+snapshot method), maps each eigenvector u to the axis Xc^T u and
+re-orthonormalizes those axes in eigenvalue order by two classical Gram-Schmidt passes;
+otherwise it solves the d x d covariance Xc^T Xc/(m-1).  The whole fit runs
+with numpy's bundled OpenBLAS held at one thread, because a threaded `eigh`
+returns different bits for each thread count.
+
+An axis is ranked when its eigenvalue exceeds the largest eigenvalue times
+d times machine epsilon (numpy's `matrix_rank` rule on the covariance);
+at most m-1 axes are ranked, since centering removes one dimension.  Each
+ranked axis has its sign fixed: its entry of largest absolute value (the
+first such, on a tie) is made positive.
+
+Requesting more components than the rank r is allowed and logged, because
+the clustered training protocol fits on very small sets.  The axes past r
+are not left to the eigensolver, which may return any basis of the null
+space: they complete the basis by a fixed rule.  The standard basis vectors
+e_0, e_1, ... are taken in index order; each is projected off every axis
+kept so far with two classical Gram-Schmidt passes and kept, normalized, if
+its residual norm is at least 1/(2 sqrt(d)).  That threshold always
+completes the basis (the residuals' squares sum to at least 1 over the d
+candidates while an axis is missing).  A completed axis built from e_j has
+a positive j-th entry and eigenvalue 0.  The completion depends on the
+ranked axes only, so another BLAS kernel moves it by rounding, and a fit of
+k axes is the first k axes of any wider fit.
 """
 
 from __future__ import annotations
@@ -25,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import open_input, parse_floats
-from .errors import DataError
+from .errors import DataError, InvariantViolation
 
 __all__ = ["PcaModel", "fit_pca", "transform"]
 
@@ -93,13 +113,10 @@ class PcaModel:
         return cls(mean=mean, components=components, eigenvalues=eigenvalues)
 
 
-def _fix_signs(components: np.ndarray) -> np.ndarray:
-    out = components.copy()
-    for i, row in enumerate(out):
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            out[i] = -row
-    return out
+def _fix_signs(components: np.ndarray) -> None:
+    """Flip, in place, each row whose entry of largest absolute value is negative."""
+    pivots = np.abs(components).argmax(axis=1)
+    components[components[np.arange(len(components)), pivots] < 0] *= -1.0
 
 
 @functools.cache
@@ -137,8 +154,36 @@ def _one_blas_thread() -> Iterator[None]:
         set_threads(previous)
 
 
+def _project_off(axes: np.ndarray, vector: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """The vector less its projection on the orthonormal rows of axes, in two
+    classical Gram-Schmidt passes; overlaps is axes @ vector."""
+    vector = vector - axes.T @ overlaps
+    return vector - axes.T @ (axes @ vector)
+
+
+def _complete(basis: np.ndarray, kept: int) -> None:
+    """Fill basis[kept:] with the standard basis vectors, in index order, whose
+    residual off every row above them is at least 1/(2 sqrt(d)), normalized."""
+    width = basis.shape[1]
+    threshold = 0.5 / np.sqrt(width)
+    unit = np.zeros(width)
+    for j in range(width):
+        if kept == len(basis):
+            return
+        unit[j] = 1.0
+        residual = _project_off(basis[:kept], unit, basis[:kept, j])
+        unit[j] = 0.0
+        norm = np.linalg.norm(residual)
+        if norm >= threshold:
+            basis[kept] = residual / norm
+            kept += 1
+    if kept < len(basis):
+        raise InvariantViolation(f"completed only {kept} of {len(basis)} PCA axes")
+
+
 def fit_pca(x: np.ndarray, k: int) -> PcaModel:
-    """Fit the top-k principal axes of the rows of x."""
+    """Fit the top-k principal axes of the rows of x.  Axes past the rank of
+    the centered rows complete the basis with zero eigenvalues."""
     x = np.asarray(x)  # uint8 bits stay uint8: mean and x - mean promote to float64
     if x.ndim != 2:
         raise DataError("expected a 2-D sample matrix")
@@ -147,20 +192,34 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
         raise DataError(f"need at least 2 rows to fit a covariance, got {n_rows}")
     if k < 1 or k > n_cols:
         raise DataError(f"k={k} outside [1, {n_cols}]")
-    if k > n_rows - 1:
-        logger.warning(
-            "k=%d exceeds the covariance rank bound %d; trailing components have zero variance",
-            k, n_rows - 1,
-        )
 
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n_rows - 1)
+    gram = n_rows < n_cols
     with _one_blas_thread():
-        eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1][:k]
-    values = np.clip(eigenvalues[order], 0.0, None)
-    components = _fix_signs(eigenvectors[:, order].T)
+        mean = x.mean(axis=0)
+        centered = x - mean
+        square = centered @ centered.T if gram else centered.T @ centered
+        square /= n_rows - 1
+        eigenvalues, eigenvectors = np.linalg.eigh(square)
+        order = np.argsort(eigenvalues)[::-1]
+        tolerance = max(eigenvalues[order[0]], 0.0) * n_cols * np.finfo(np.float64).eps
+        rank = min(int(np.count_nonzero(eigenvalues > tolerance)), n_rows - 1)
+        ranked = min(k, rank)
+        components = np.empty((k, n_cols))
+        for i, column in enumerate(order[:ranked]):
+            if gram:
+                # a snapshot axis, made orthogonal to the larger ones
+                snapshot = centered.T @ eigenvectors[:, column]
+                axis = _project_off(components[:i], snapshot, components[:i] @ snapshot)
+                components[i] = axis / np.linalg.norm(axis)
+            else:
+                components[i] = eigenvectors[:, column]
+        _fix_signs(components[:ranked])
+        _complete(components, ranked)
+    if k > rank:
+        logger.warning("k=%d exceeds the rank %d of the centered training rows; completed "
+                       "%d zero-variance axes from the standard basis", k, rank, k - rank)
+    values = np.zeros(k)
+    values[:ranked] = eigenvalues[order[:ranked]]
     return PcaModel(mean=mean, components=components, eigenvalues=values)
 
 

@@ -94,6 +94,28 @@ def test_pca_command(tmp_path, rng):
     np.testing.assert_array_equal(loaded.components, model.components)
 
 
+def test_pca_command_past_the_rank(tmp_path, rng, caplog):
+    # 10 fit rows of 64 bits span 9 axes; --k 48 completes the other 39
+    matrix = rng.integers(0, 2, size=(14, 64)).astype(np.float64)
+    inp = tmp_path / "m.csv"
+    inp.write_text("\n".join([",".join(f"f{i}" for i in range(64)),
+                              *(",".join(repr(float(v)) for v in row) for row in matrix)]),
+                   encoding="utf-8")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("\n".join(str(i) for i in range(10)))
+    model_out = tmp_path / "model.csv"
+    code = main(["pca", "--input", str(inp), "--k", "48", "--fit-rows", str(fit_rows),
+                 "--output", str(tmp_path / "scores.csv"), "--model-out", str(model_out)])
+    assert code == EXIT_OK
+    assert "k=48 exceeds the rank 9 of the centered training rows; completed 39" in caplog.text
+    from qsarbench.pca import PcaModel, fit_pca
+    loaded, model = PcaModel.from_csv(str(model_out)), fit_pca(matrix[:10], 48)
+    assert np.max(np.abs(loaded.components @ loaded.components.T - np.eye(48))) <= 1e-12
+    np.testing.assert_array_equal(loaded.components, model.components)
+    np.testing.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
+    assert np.count_nonzero(loaded.eigenvalues) == 9
+
+
 @pytest.mark.parametrize("index", ["9", "-1", "4"])
 def test_pca_fit_row_outside_the_matrix_is_a_data_error(index, tmp_path, capsys):
     inp = tmp_path / "m.csv"

@@ -114,6 +114,19 @@ def test_sign_convention_deterministic(rng):
         assert row[np.argmax(np.abs(row))] > 0
 
 
+def test_fix_signs_matches_a_row_loop(rng):
+    rows = rng.normal(size=(40, 9))
+    rows[3] = [0.5, -0.5, 0.0, 0.5, -0.5, 0.0, 0.0, 0.0, 0.0]  # a tie: the first pivot decides
+    rows[4] = -rows[3]
+    expected = rows.copy()
+    for i, row in enumerate(expected):
+        if row[np.argmax(np.abs(row))] < 0:
+            expected[i] = -row
+    pca._fix_signs(rows)
+    assert rows.tobytes() == expected.tobytes()
+    assert rows[3, 0] == rows[4, 0] == 0.5
+
+
 def test_eigenvalues_match_char_poly_oracle(rng):
     for m in (2, 3, 4):
         for _ in range(5):
@@ -127,9 +140,77 @@ def test_eigenvalues_match_char_poly_oracle(rng):
 
 def test_rank_deficient_fit_allowed(caplog):
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    model = fit_pca(x, 3)  # rank is 1; trailing eigenvalues are zero
-    assert model.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
-    assert model.eigenvalues[2] == pytest.approx(0.0, abs=1e-12)
+    model = fit_pca(x, 3)  # rank 1; e_0, then e_2, complete it (e_1 lies in the span by then)
+    root = np.sqrt(0.5)
+    np.testing.assert_allclose(model.components, [[root, -root, 0.0], [root, root, 0.0],
+                                                  [0.0, 0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(model.eigenvalues[0], 1.0, rtol=1e-15)
+    assert model.eigenvalues[1] == model.eigenvalues[2] == 0.0
+    assert "k=3 exceeds the rank 1 of the centered training rows; completed 2 " \
+           "zero-variance axes" in caplog.text
+
+
+def _orthonormality_gap(components: np.ndarray) -> float:
+    return float(np.max(np.abs(components @ components.T - np.eye(len(components)))))
+
+
+def test_snapshot_axes_stay_orthonormal_past_the_rank(tmp_path):
+    # rows spanning nine decades: the small snapshot axes Xc^T u lean on the
+    # large ones until they are orthogonalized, and the rank tolerance cuts
+    # the spectrum below the last row
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(64, 512)) * np.logspace(0, -9, 64)[:, None]
+    model = fit_pca(x, 256)
+    rank = np.count_nonzero(model.eigenvalues)
+    assert 32 < rank < 63
+    assert _orthonormality_gap(model.components) <= 1e-12
+    path = tmp_path / "model.csv"
+    model.to_csv(str(path))
+    loaded = PcaModel.from_csv(str(path))
+    np.testing.assert_array_equal(loaded.components, model.components)
+    np.testing.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
+
+
+def _dense_completion(ranked: np.ndarray, k: int) -> tuple[np.ndarray, list[int]]:
+    """Modified Gram-Schmidt, axis by axis, of e_0, e_1, ... against the
+    ranked axes and the axes kept before them: the completed axes and the
+    index of the standard basis vector each came from."""
+    width = ranked.shape[1]
+    kept, sources = list(ranked), []
+    for j in range(width):
+        if len(kept) == k:
+            break
+        vector = np.eye(width)[j]
+        for _ in range(2):
+            for axis in kept:
+                vector = vector - (axis @ vector) * axis
+        if np.linalg.norm(vector) >= 0.5 / np.sqrt(width):
+            kept.append(vector / np.linalg.norm(vector))
+            sources.append(j)
+    return np.array(kept[len(ranked):]), sources
+
+
+# 70 rows of 24 columns span all but (e_10 - e_11)/sqrt(2), which e_10 completes
+@pytest.mark.parametrize("rows, cols, k, first_sources", [
+    (9, 64, 40, [0, 1, 2, 4, 5, 6, 8]), (16, 96, 96, [0, 1, 2, 4, 5, 6, 8]), (70, 24, 24, [10]),
+])
+def test_completion_matches_a_dense_gram_schmidt_reference(rows, cols, k, first_sources):
+    rng = np.random.default_rng(rows)
+    x = rng.integers(0, 2, size=(rows, cols)).astype(np.float64)
+    # rows differing from row 0 in one column only put e_3 and e_7 in the
+    # span of the centered rows, so the completion must skip them
+    x[1], x[2] = x[0], x[0]
+    x[1, 3], x[2, 7] = 1 - x[0, 3], 1 - x[0, 7]
+    x[:, 10] = x[:, 11]   # one rank short in the 70-row fit
+    model = fit_pca(x, k)
+    rank = np.count_nonzero(model.eigenvalues)
+    assert rank < k and np.all(model.eigenvalues[:rank] > 0)
+    reference, sources = _dense_completion(model.components[:rank], k)
+    np.testing.assert_allclose(model.components[rank:], reference, rtol=0, atol=1e-12)
+    assert _orthonormality_gap(model.components) <= 1e-12
+    assert sources[:len(first_sources)] == first_sources
+    # a completed axis from e_j needs no sign fix: its j-th entry is positive
+    assert all(model.components[rank + i, j] > 0 for i, j in enumerate(sources))
 
 
 def test_errors():
@@ -210,9 +291,10 @@ def test_truncate():
     np.testing.assert_array_equal(small.components, model.components[:2])
     with pytest.raises(DataError, match="cannot truncate to 7 of 6 components"):
         model.truncate(7)
-    # truncating one wide fit must be exactly a narrower fit; 9 rows give a
-    # rank-8 covariance, so k=16 and k=32 reach into its zero-variance
-    # subspace, as the cluster sweep's small training sets do
+    # truncating one wide fit must be exactly a narrower fit; 9 and 40 rows
+    # of 64 columns take the Gram path, and 9 rows give a rank-8 covariance,
+    # so k=16 and k=32 reach into its completed axes, as the cluster sweep's
+    # small training sets do
     for rows in (40, 9):
         x = np.random.default_rng(rows).integers(0, 2, size=(rows, 64)).astype(np.float64)
         widest = fit_pca(x, 32)
@@ -236,8 +318,8 @@ import hashlib
 import numpy as np
 from qsarbench.pca import fit_pca
 x = (np.random.Generator(np.random.Philox(11)).random((1200, 512)) < 0.1).astype(np.uint8)
-model = fit_pca(x, 512)
-print(hashlib.sha256(model.components.tobytes() + model.eigenvalues.tobytes()).hexdigest())
+for model in (fit_pca(x, 512), fit_pca(x[:40], 256)):  # covariance, then Gram past the rank
+    print(hashlib.sha256(model.components.tobytes() + model.eigenvalues.tobytes()).hexdigest())
 """
 
 CLUSTER_REPORT = """
@@ -263,9 +345,50 @@ def test_fits_and_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         pytest.skip("numpy's bundled OpenBLAS is not available to pin")
     # a threaded eigh of this covariance returns other bits than a one-thread eigh
     assert _under_blas_threads(1, FIT_PCA_DIGEST) == _under_blas_threads(2, FIT_PCA_DIGEST)
-    # k=1 fits 16 axes on 2 rows: the trailing axes span a degenerate null space
+    # k=1 fits 16 axes on 2 rows: all but one are completed past the rank
     smiles = ["CC(=O)Oc1ccccc1C(=O)O"] * 25 + ["CCCCCCCCCC"] * 25 + ["C", "CCO", "CCN"]
     labels = [int(i % 3 == 0) for i in range(len(smiles))]
     data = str(write_dataset_csv(tmp_path / "d.csv", smiles, labels))
     reports = [_under_blas_threads(t, CLUSTER_REPORT, data, str(tmp_path / str(t))) for t in (1, 2)]
     assert reports[0] == reports[1]
+
+
+KERNEL_FIT = """
+import sys
+import numpy as np
+from qsarbench.pca import fit_pca
+x = np.random.Generator(np.random.Philox(3)).integers(0, 2, size=(16, 512), dtype=np.uint8)
+np.save(sys.argv[1], fit_pca(x, 256).components)
+"""
+
+# each OpenBLAS kernel and the instruction set /proc/cpuinfo must list for it
+KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+def test_axes_past_the_rank_do_not_depend_on_the_blas_kernel(tmp_path):
+    # 16 rows span 15 axes: the other 241 of 256 are completed, not left to
+    # the eigensolver, so another kernel moves every axis by rounding only
+    flags = _cpu_flags()
+    kernels = [kernel for kernel, flag in KERNELS.items() if flag in flags]
+    if len(kernels) < 2:
+        pytest.skip(f"fewer than two of the OpenBLAS kernels {sorted(KERNELS)} run on this CPU")
+    axes = {}
+    for kernel in kernels:
+        path = tmp_path / f"{kernel}.npy"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_CORETYPE=kernel)
+        result = subprocess.run([sys.executable, "-c", KERNEL_FIT, str(path)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        axes[kernel] = np.load(path)
+    first = axes[kernels[0]]
+    for kernel in kernels[1:]:
+        np.testing.assert_allclose(axes[kernel], first, rtol=0, atol=1e-12, err_msg=kernel)
