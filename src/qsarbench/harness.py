@@ -399,7 +399,8 @@ def _make_cells(
     split_index: int,
     split_seed: int,
 ) -> list[_CellTask]:
-    """One cell per n on one training plan, all from a single PCA fit.
+    """One cell per n on one training plan, all from a single PCA fit; the
+    training and the test rows are each centered once for every n.
 
     x=None marks the feature sweep, whose sweep value is n itself.
     """
@@ -412,19 +413,20 @@ def _make_cells(
         derive_seed(config.master_seed, _NS_REP, split_index, rep) for rep in range(config.reps)
     )
     optimizer = config.optimizer_config()
-    cells = []
-    for n in config.n_list:
-        pca = widest.truncate(1 << n)
-        cells.append(_CellTask(
+    widths = [1 << n for n in config.n_list]
+    return [
+        _CellTask(
             n=n,
             x=float(n) if x is None else x,
             split_index=split_index,
             split_seed=split_seed,
             rep_seeds=rep_seeds,
-            data=SupervisedSplit(transform(pca, train), train_y, transform(pca, test), test_y),
+            data=SupervisedSplit(train_x, train_y, test_x, test_y),
             optimizer=optimizer,
-        ))
-    return cells
+        )
+        for n, train_x, test_x in zip(config.n_list, transform(widest, train, widths),
+                                      transform(widest, test, widths))
+    ]
 
 
 def _abort_context(config: ExperimentConfig, exc: Exception) -> None:

@@ -38,7 +38,7 @@ import functools
 import glob
 import logging
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -223,8 +223,14 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, eigenvalues=values)
 
 
-def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project rows onto the principal axes: (x - mean) @ components.T."""
+def transform(model: PcaModel, x: np.ndarray,
+              widths: Sequence[int] | None = None) -> np.ndarray | list[np.ndarray]:
+    """Project rows onto the principal axes: (x - mean) @ components.T.
+
+    With `widths`, a list of projections, one per k in `widths`, onto the
+    first k axes, all from one centered copy of the rows; each is the same
+    product as `transform(model.truncate(k), x)`, so it has the same bits.
+    """
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
@@ -232,4 +238,7 @@ def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
         raise DataError(
             f"expected {model.n_features} columns, got {x.shape[1]}"
         )
-    return (x - model.mean) @ model.components.T
+    centered = x - model.mean
+    models = [model] if widths is None else [model.truncate(k) for k in widths]
+    projections = [centered @ m.components.T for m in models]
+    return projections[0] if widths is None else projections

@@ -22,16 +22,22 @@ embeds the train and test rows once per cell, so a step gathers embedded
 rows; embedding works row by row, so that equals embedding the batch.  On
 each rep's rows the score function runs the simulator's `ansatz_sweep` and
 `z_expectations` for every rep at once, keeping each layer's input state and
-factors for the backward pass.  Rows shared by every rep, the test rows of
-each epoch, go forward-only through `run_ansatz_reps` in chunks of at most
-`SCORE_CHUNK_BYTES` of state, so scoring a large test set holds no layer
-inputs and a bounded state.  A chunk is 1 MiB: its states stay near the
-caches, and the allocator serves them from the heap it keeps.  16 MiB
-chunks took fresh pages from the OS on each call in a fresh process (about
-3,000 minor page faults per call on 1,400 rows at n = 8, one rep) and
-scored those rows in 24 ms, against 13 ms.  The circuit's structure lives
-in `simulator`, the MSE loss and its chain rule in `training`.  The
-equality of the two gradient paths is part of the test suite.
+factors for the backward pass.  For n <= 4 a layer is one product with a
+factor that holds its CNOT ring, and the backward pass takes every qubit's
+overlap of every layer from one partial-trace product (see `simulator`).
+Rows shared by every rep, the test rows of each epoch, go forward-only
+through `run_factors` in chunks of at most `SCORE_CHUNK_BYTES` of state, all
+on one build of the layer factors (`rep_factors`), so scoring a large test
+set holds no layer inputs and a bounded state.  A row's score is the same
+alone, in any chunk and in `q_forward` of a batch, since the simulator
+multiplies a lone row as inside a batch.  A chunk is 1 MiB: its states
+stay near the caches, and the allocator serves them from the heap it
+keeps.  16 MiB chunks took fresh pages from the OS on each call in a fresh
+process (about 3,000 minor page faults per call on 1,400 rows at n = 8, one
+rep) and scored those rows in 24 ms, against 13 ms.  The circuit's
+structure lives in `simulator`, the MSE loss and its chain rule in
+`training`.  The equality of the two gradient paths is part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import numpy as np
 from .errors import DataError
 from .rng import generator
 from .simulator import (DEFAULT_LAYERS, adjoint_gradient, amplitude_embed, ansatz_sweep,
-                        run_ansatz_reps, z_expectations)
+                        rep_factors, run_factors, z_expectations)
 from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
                        mse_loss_and_gradient, run_training)
 
@@ -138,19 +144,18 @@ def _scores_and_backward(params: np.ndarray, amps: np.ndarray):
 
 def _shared_scores(amps: np.ndarray, angles: np.ndarray, readout: np.ndarray) -> np.ndarray:
     """Every rep's (R, T) scores on the same (T, 2^n) rows, forward-only, in
-    chunks of rows whose R x rows x 2^n state fits in SCORE_CHUNK_BYTES.
+    chunks of rows whose R x rows x 2^n state fits in SCORE_CHUNK_BYTES,
+    all on one build of the layer factors.
 
     A row's score does not depend on the chunking.  The readout is an
     `einsum`, which sums each row's n terms on their own, where a
     matrix-vector product sums a row in an order that depends on its place
-    in the chunk.  And no chunk of T > 1 rows is a single row, which
-    `z_expectations` would take through BLAS's matrix-vector path: a one-row
-    tail joins the chunk before it.
+    in the chunk; and the simulator multiplies a one-row chunk as a batch.
     """
-    rows = max(2, SCORE_CHUNK_BYTES // (len(angles) * amps.shape[-1] * amps.itemsize))
-    starts = list(range(0, len(amps) - 1, rows)) or [0]   # the last chunk has >= 2 rows
-    chunks = [np.einsum("rtq,rq->rt", z_expectations(run_ansatz_reps(amps[start:stop], angles)),
-                        readout) for start, stop in zip(starts, starts[1:] + [len(amps)])]
+    rows = max(1, SCORE_CHUNK_BYTES // (len(angles) * amps.shape[-1] * amps.itemsize))
+    factors = rep_factors(angles)
+    chunks = [np.einsum("rtq,rq->rt", z_expectations(run_factors(amps[start:start + rows], factors)),
+                        readout) for start in range(0, max(len(amps), 1), rows)]
     return np.concatenate(chunks, axis=1)
 
 

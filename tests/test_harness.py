@@ -456,6 +456,24 @@ def test_run_parses_each_smiles_once(synthetic_csv, monkeypatch):
     assert len(calls) == rows
 
 
+def test_cells_project_each_n_as_its_own_transform(synthetic_csv):
+    # one centered copy of the rows per plan gives each n's features bit for bit
+    from qsarbench.data import make_split
+    from qsarbench.harness import _load_with_features, _make_cells
+    from qsarbench.pca import fit_pca, transform
+
+    config = tiny_config(synthetic_csv, n_list=(2, 3, 4))
+    data = _load_with_features(config, None)
+    plan = make_split(data, seed=11)
+    cells = _make_cells(config, data, plan, None, 0, 11)
+    widest = fit_pca(data.features[plan.train_indices], 16)
+    assert [cell.n for cell in cells] == [2, 3, 4]
+    for cell in cells:
+        pca = widest.truncate(1 << cell.n)
+        assert np.array_equal(cell.data.train_x, transform(pca, data.features[plan.train_indices]))
+        assert np.array_equal(cell.data.test_x, transform(pca, data.features[plan.test_indices]))
+
+
 def test_imgmol_run_ignores_embeddings_of_skipped_rows(tmp_path, rng):
     smiles = ["CCO", "c1ccccc1", "C1CC", "CCN", "CC(=O)O", "C1CCCCC1"]
     path = write_dataset_csv(tmp_path / "six.csv", smiles, [1, 0, 1, 0, 1, 0])

@@ -253,3 +253,22 @@ def test_training_step_builds_rotations_once(monkeypatch, n):
     mse_loss_and_gradient(quantum._scores_and_backward, params.to_vector()[None],
                           amplitude_embed(x)[None], y[None])
     assert calls == {"rot_matrix": 1, "layer_factors": 1}
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_shared_scoring_builds_factors_once(monkeypatch, n):
+    # every chunk of the shared rows runs on one build of the layer factors
+    calls = []
+    layer_factors = simulator.layer_factors
+
+    def counted(u):
+        calls.append(None)
+        return layer_factors(u)
+
+    monkeypatch.setattr(simulator, "layer_factors", counted)
+    monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 12 * 3 * (1 << n) * 16)
+    angles, readout = quantum._split_vector(
+        np.stack([init_quantum_params(n, seed).to_vector() for seed in range(3)]), n)
+    amps = amplitude_embed(np.random.default_rng(n).normal(size=(50, 1 << n)))
+    scores = quantum._shared_scores(amps, angles, readout)
+    assert scores.shape == (3, 50) and len(calls) == 1

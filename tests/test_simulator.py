@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsarbench.errors import DataError, InvariantViolation
-from qsarbench.quantum import QuantumModelParams
+from qsarbench.quantum import QuantumModelParams, q_forward
 from qsarbench.simulator import (
     BLOCK_WIDTH,
     adjoint_gradient,
@@ -18,6 +18,8 @@ from qsarbench.simulator import (
     entangler_offset,
     layer_factors,
     parameter_shift_gradient,
+    partial_trace_matrix,
+    qubit_overlaps,
     ring_permutation,
     rot_matrix,
     run_ansatz,
@@ -267,10 +269,11 @@ def test_ansatz_matches_dense_oracle(rng):
 def test_fused_layer_matches_dense_rotations(n, rng):
     """One fused layer, and its un-apply with the conjugate-transposed
     factors, equal the product of the dense single-qubit rotations, for the
-    block split chosen at every width."""
+    block split chosen at every width; a one-block layer from n = 2 on also
+    holds its CNOT ring."""
     widths = block_widths(n)
     assert sum(widths) == n and max(widths) <= BLOCK_WIDTH
-    assert len(widths) >= min(n, 2) and max(widths) - min(widths) <= 1
+    assert len(widths) == -(-n // BLOCK_WIDTH) and max(widths) - min(widths) <= 1
     angles = rng.uniform(-math.pi, math.pi, size=(2, n, 3))
     u = rot_matrix(*angles.transpose(2, 0, 1))
     factors = layer_factors(u)
@@ -280,10 +283,37 @@ def test_fused_layer_matches_dense_rotations(n, rng):
         dense = np.eye(1 << n, dtype=np.complex128)
         for q in range(n):
             dense = dense_single(u[layer, q], n, q) @ dense
+        if len(widths) == 1 and n > 1:
+            for q in range(n):
+                dense = dense_cnot(n, q, (q + entangler_offset(layer, n)) % n) @ dense
         fused = apply_layer(states.T, [f[layer] for f in factors])
         undone = apply_layer(states.T, [f[layer].conj().T for f in factors])
         np.testing.assert_allclose(fused, states @ dense.T, rtol=0, atol=1e-13)
         np.testing.assert_allclose(undone, states @ dense.conj(), rtol=0, atol=1e-13)
+
+
+def einsum_qubit_overlap(block_overlap: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Qubit q's (reps, 2, 2) overlap from its block's (reps, 2^w, 2^w) one:
+    the partial trace over the block's other qubits, written as an einsum."""
+    shape = (len(block_overlap),) + (1 << q, 2, 1 << (width - 1 - q)) * 2
+    return np.einsum("raibajb->rij", block_overlap.reshape(shape))
+
+
+@pytest.mark.parametrize("reps", (1, 3))
+@pytest.mark.parametrize("widths", [(1,), (2,), (3,), (4,), (4, 4), (3, 2, 2)])
+def test_partial_trace_product_matches_the_einsum(widths, reps, rng):
+    """One product with the cached 0/1 matrix gives every qubit's 2x2 overlap
+    of every block, as the per-qubit einsum does, up to summation order."""
+    overlaps = [rng.normal(size=(reps, 1 << w, 1 << w)) + 1j * rng.normal(size=(reps, 1 << w, 1 << w))
+                for w in widths]
+    traced = qubit_overlaps(np.concatenate([o.reshape(reps, -1) for o in overlaps], axis=1), widths)
+    assert traced.shape == (reps, sum(widths), 2, 2)
+    expected = [einsum_qubit_overlap(o, w, q) for o, w in zip(overlaps, widths) for q in range(w)]
+    np.testing.assert_allclose(traced, np.stack(expected, axis=1), rtol=0, atol=1e-13)
+    matrix = partial_trace_matrix(widths)
+    assert matrix is partial_trace_matrix(widths) and set(np.unique(matrix)) == {0.0, 1.0}
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
 
 
 def test_norm_preserved_after_1000_random_gates(rng):
@@ -353,29 +383,33 @@ def test_z_expectations_against_explicit_sum(rng):
         np.testing.assert_allclose(z_expectations(state), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 8))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
 def test_batch_and_single_states_share_one_api(n, rng):
     """A (B, 2^n) batch gives the row-by-row results, zero row included, at
-    every batch size.
+    every batch size, bit for bit.
 
-    Embedding is elementwise, and every matrix product of the ansatz has two
-    or more rows even for one state, so both agree bit for bit; <Z> is one
-    BLAS product, whose matrix-vector (one row) and matrix-matrix (batch)
-    code sum in different orders, so it agrees to rounding.
+    Embedding is elementwise, and every matrix product of the ansatz and of
+    <Z> has two or more rows even for one state: a lone row is multiplied
+    as a two-row product, since BLAS's matrix-vector code (one row) and
+    matrix-matrix code (a batch) sum in different orders.  So the model's
+    score of one row is its score inside the batch.
     """
     angles = rng.uniform(0.0, 2 * math.pi, size=(2, n, 3))
+    params = QuantumModelParams(angles, rng.uniform(-1.0, 1.0, size=n))
     for rows in (5, 2, 32, 300):
         x = rng.normal(size=(rows, 1 << n))
         x[rows // 2] = 0.0
         amps = amplitude_embed(x)
         final = run_ansatz(amps, angles)
         z = z_expectations(final)
+        scores = q_forward(params, x)
         assert amps.shape == final.shape == x.shape and z.shape == (rows, n)
         np.testing.assert_array_equal(amps[rows // 2], np.full(1 << n, 1 / math.sqrt(1 << n)))
-        for row, a, f, zz in zip(x, amps, final, z):
+        for row, a, f, zz, score in zip(x, amps, final, z, scores):
             assert np.array_equal(amplitude_embed(row), a)
             assert np.array_equal(run_ansatz(a, angles), f)
-            np.testing.assert_allclose(z_expectations(f), zz, rtol=0, atol=1e-14)
+            assert np.array_equal(z_expectations(f), zz)
+            assert q_forward(params, row) == score
 
 
 # --- parameter shift ---------------------------------------------------------------------
@@ -458,9 +492,10 @@ def dense_ansatz_on(n: int, angles: np.ndarray, states: np.ndarray) -> np.ndarra
     return out.T
 
 
-@pytest.mark.parametrize("n", (5, 8))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 8))
 def test_ansatz_matches_dense_oracle_with_n_layers(n, rng):
-    """Every ring offset and the three- and four-qubit blocks, against dense gates."""
+    """Every ring offset, folded into a one-block layer's factor (n <= 4) or
+    gathered after two blocks of two to four qubits, against dense gates."""
     states = np.stack([random_state(rng, n) for _ in range(3)])
     angles = rng.uniform(-math.pi, math.pi, size=(n, n, 3))
     np.testing.assert_allclose(run_ansatz(states, angles), dense_ansatz_on(n, angles, states),

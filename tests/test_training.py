@@ -184,13 +184,13 @@ def test_test_rows_scored_in_chunks_match_one_chunk(monkeypatch):
     trained = train_quantum(data, config, [1, 2], schedules)
 
     chunks = []
-    run_ansatz_reps = quantum.run_ansatz_reps
+    run_factors = quantum.run_factors
 
-    def counted(rows, angles):
+    def counted(rows, factors):
         chunks.append(len(rows))
-        return run_ansatz_reps(rows, angles)
+        return run_factors(rows, factors)
 
-    monkeypatch.setattr(quantum, "run_ansatz_reps", counted)
+    monkeypatch.setattr(quantum, "run_factors", counted)
     monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 7 * reps * amps.shape[-1] * amps.itemsize)
     chunked = quantum._scores_and_backward(params, amps)[0]
     assert chunks == [7, 7, 7, 7, 7, 5]
@@ -203,27 +203,29 @@ def test_test_rows_scored_in_chunks_match_one_chunk(monkeypatch):
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
 def test_shared_scores_bit_equal_to_one_chunk(monkeypatch, reps, extra):
-    # T = one chunk's rows + extra; a one-row tail would take BLAS's
-    # matrix-vector path and change the last bits, so it joins the chunk before
-    n = 8
-    per_chunk = quantum.SCORE_CHUNK_BYTES // (reps * (1 << n) * 16)
-    amps = amplitude_embed(np.random.default_rng([reps, extra + 1]).normal(
-        size=(per_chunk + extra, 1 << n)))
-    angles, readout = quantum._split_vector(
-        np.stack([init_quantum_params(n, seed).to_vector() for seed in range(reps)]), n)
+    # T = one chunk's rows + extra; a one-row tail is multiplied as a batch
+    # (a lone row would take BLAS's matrix-vector path and change the last
+    # bits), at a one-block (n = 3) and a two-block (n = 8) layer
+    for n in (3, 8):
+        per_chunk = quantum.SCORE_CHUNK_BYTES // (reps * (1 << n) * 16)
+        amps = amplitude_embed(np.random.default_rng([reps, extra + 1, n]).normal(
+            size=(per_chunk + extra, 1 << n)))
+        angles, readout = quantum._split_vector(
+            np.stack([init_quantum_params(n, seed).to_vector() for seed in range(reps)]), n)
 
-    chunks = []
-    run_ansatz_reps = quantum.run_ansatz_reps
+        chunks = []
+        run_factors = quantum.run_factors
 
-    def counted(rows, angles):
-        chunks.append(len(rows))
-        return run_ansatz_reps(rows, angles)
+        def counted(rows, factors):
+            chunks.append(len(rows))
+            return run_factors(rows, factors)
 
-    monkeypatch.setattr(quantum, "run_ansatz_reps", counted)
-    chunked = quantum._shared_scores(amps, angles, readout)
-    assert chunks == ([per_chunk, 2] if extra == 2 else [per_chunk + extra])
-    monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 1 << 40)
-    np.testing.assert_array_equal(chunked, quantum._shared_scores(amps, angles, readout))
+        monkeypatch.setattr(quantum, "run_factors", counted)
+        chunked = quantum._shared_scores(amps, angles, readout)
+        assert chunks == ([per_chunk, extra] if extra > 0 else [per_chunk + extra])
+        monkeypatch.setattr(quantum, "SCORE_CHUNK_BYTES", 1 << 40)
+        np.testing.assert_array_equal(chunked, quantum._shared_scores(amps, angles, readout))
+        monkeypatch.undo()
 
 
 def test_non_finite_rep_names_its_rep_seed(monkeypatch):
