@@ -30,11 +30,12 @@ through `run_factors` in chunks of at most `SCORE_CHUNK_BYTES` of state, all
 on one build of the layer factors (`rep_factors`), so scoring a large test
 set holds no layer inputs and a bounded state.  A row's score is the same
 alone, in any chunk and in `q_forward` of a batch, since the simulator
-multiplies a lone row as inside a batch.  A chunk is 1 MiB: its states
-stay near the caches, and the allocator serves them from the heap it
-keeps.  16 MiB chunks took fresh pages from the OS on each call in a fresh
-process (about 3,000 minor page faults per call on 1,400 rows at n = 8, one
-rep) and scored those rows in 24 ms, against 13 ms.  The circuit's
+multiplies a lone row as inside a batch (on a BLAS kernel that sums a row
+alike wherever it sits; see `simulator._rows_times`).  A chunk is 1 MiB:
+its states stay near the caches, and the allocator serves them from the
+heap it keeps.  16 MiB chunks took fresh pages from the OS on each call in
+a fresh process (about 3,000 minor page faults per call on 1,400 rows at
+n = 8, one rep) and scored those rows in 24 ms, against 13 ms.  The circuit's
 structure lives in `simulator`, the MSE loss and its chain rule in
 `training`.  The equality of the two gradient paths is part of the test
 suite.
@@ -154,8 +155,9 @@ def _shared_scores(amps: np.ndarray, angles: np.ndarray, readout: np.ndarray) ->
     """
     rows = max(1, SCORE_CHUNK_BYTES // (len(angles) * amps.shape[-1] * amps.itemsize))
     factors = rep_factors(angles)
-    chunks = [np.einsum("rtq,rq->rt", z_expectations(run_factors(amps[start:start + rows], factors)),
-                        readout) for start in range(0, max(len(amps), 1), rows)]
+    chunks = [np.einsum("rtq,rq->rt",
+                        z_expectations(run_factors(amps[start:start + rows], factors)), readout)
+              for start in range(0, max(len(amps), 1), rows)]
     return np.concatenate(chunks, axis=1)
 
 

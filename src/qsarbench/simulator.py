@@ -30,7 +30,7 @@ Review 2009) (`apply_layer`), and then its CNOT ring, one cached index
 gather of the basis states (`ring_permutation`) composed from the per-gate
 gathers (`apply_cnot_array`).  A lone row is multiplied as one of two equal
 rows (`_rows_times`), in a layer's product and in `z_expectations`, so one
-state gives the same bits alone as inside a batch.  The per-gate kernels
+state takes the same BLAS path alone as inside a batch.  The per-gate kernels
 `apply_single_array` and `apply_cnot_array` serve as references and for
 single gates; the sweeps call neither, though `ring_permutation` builds
 its gathers with `apply_cnot_array`.  The circuit's order is written here
@@ -237,7 +237,10 @@ def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy sends a one-row product down BLAS's matrix-vector path, which sums
     in another order than the matrix-matrix path a batch takes, so a state
     alone would differ in its last bits from the same state in a batch.  As
-    one of two equal rows it takes the batch's path.
+    one of two equal rows it takes the batch's path.  That path sums a row
+    alike wherever it sits in the batch under OpenBLAS's SkylakeX kernel;
+    other kernels (Haswell, Sandybridge) may sum a row in a one-row tail
+    differently.
     """
     if a.ndim > 1 and a.shape[-2] != 1:
         return a @ b

@@ -304,8 +304,8 @@ def einsum_qubit_overlap(block_overlap: np.ndarray, width: int, q: int) -> np.nd
 def test_partial_trace_product_matches_the_einsum(widths, reps, rng):
     """One product with the cached 0/1 matrix gives every qubit's 2x2 overlap
     of every block, as the per-qubit einsum does, up to summation order."""
-    overlaps = [rng.normal(size=(reps, 1 << w, 1 << w)) + 1j * rng.normal(size=(reps, 1 << w, 1 << w))
-                for w in widths]
+    shapes = [(reps, 1 << w, 1 << w) for w in widths]
+    overlaps = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
     traced = qubit_overlaps(np.concatenate([o.reshape(reps, -1) for o in overlaps], axis=1), widths)
     assert traced.shape == (reps, sum(widths), 2, 2)
     expected = [einsum_qubit_overlap(o, w, q) for o, w in zip(overlaps, widths) for q in range(w)]
@@ -392,7 +392,8 @@ def test_batch_and_single_states_share_one_api(n, rng):
     <Z> has two or more rows even for one state: a lone row is multiplied
     as a two-row product, since BLAS's matrix-vector code (one row) and
     matrix-matrix code (a batch) sum in different orders.  So the model's
-    score of one row is its score inside the batch.
+    score of one row is its score inside the batch, on a BLAS kernel that
+    sums a row alike wherever it sits in a batch (OpenBLAS's SkylakeX).
     """
     angles = rng.uniform(0.0, 2 * math.pi, size=(2, n, 3))
     params = QuantumModelParams(angles, rng.uniform(-1.0, 1.0, size=n))
