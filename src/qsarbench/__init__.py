@@ -31,7 +31,6 @@ from .harness import (
     run_protocol,
     write_report_files,
 )
-from .metrics import accuracy, recall
 from .pca import PcaModel, fit_pca, transform
 from .quantum import (
     QuantumModelParams,
@@ -59,6 +58,6 @@ __all__ = [
     "q_gradient", "train_quantum",
     "Clustering", "butina_cluster", "cluster_training_plan",
     "ExperimentConfig", "TrialResult", "CellSummary", "ExperimentReport",
-    "accuracy", "recall", "run_protocol", "run_fraction_sweep", "run_cluster_protocol",
+    "run_protocol", "run_fraction_sweep", "run_cluster_protocol",
     "write_report_files", "load_report",
 ]

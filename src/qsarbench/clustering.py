@@ -116,7 +116,7 @@ def butina_cluster(fps: list[Fingerprint], cutoff: float) -> Clustering:
     return Clustering(clusters=tuple(clusters))
 
 
-def cluster_training_plan(clustering: Clustering, k_per_cluster: int = 1, seed: int = 0) -> SplitPlan:
+def cluster_training_plan(clustering: Clustering, k_per_cluster: int, seed: int) -> SplitPlan:
     """Draw k members from every cluster of size >= LARGE_CLUSTER_MIN_SIZE as training data.
 
     Everything else, small-cluster members included, becomes the test set.

@@ -84,10 +84,6 @@ class QuantumModelParams:
     def n_qubits(self) -> int:
         return self.ansatz.shape[1]
 
-    @property
-    def n_parameters(self) -> int:
-        return self.ansatz.size + self.readout.size
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.ansatz.ravel(), self.readout])
 
@@ -107,10 +103,11 @@ def _split_vector(vec: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarra
     return vec[..., :n_angles].reshape(vec.shape[:-1] + (-1, n_qubits, 3)), vec[..., n_angles:]
 
 
-def init_quantum_params(n_qubits: int, seed: int, layers: int = DEFAULT_LAYERS) -> QuantumModelParams:
-    """Angles uniform in [0, 2pi); readout uniform(-1/sqrt(n), +1/sqrt(n))."""
+def init_quantum_params(n_qubits: int, seed: int) -> QuantumModelParams:
+    """DEFAULT_LAYERS layers of angles uniform in [0, 2pi); readout
+    uniform(-1/sqrt(n), +1/sqrt(n))."""
     rng = generator(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(layers, n_qubits, 3))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(DEFAULT_LAYERS, n_qubits, 3))
     bound = 1.0 / math.sqrt(n_qubits)
     readout = rng.uniform(-bound, bound, size=n_qubits)
     return QuantumModelParams(angles, readout)

@@ -48,10 +48,10 @@ angles build per-rep (reps, layers, 2^w, 2^w) factors (`rep_factors`), and
 every layer product, CNOT gather, block overlap and partial trace is one
 stacked call over the reps, each rep's arithmetic that of its own sweep;
 one model is one rep.  `ansatz_sweep` keeps its angles, each layer's input
-and the layer factors for the adjoint sweep; `run_ansatz_reps` (every rep's
-angles on the same rows, as the trainer scores its test rows) runs forward
-only and keeps none, `run_factors` is it on factors built once for many
-chunks of rows, and `run_ansatz` is it for one (layers, n, 3) ansatz.
+and the layer factors for the adjoint sweep; `run_factors` runs every rep's
+factors, built once, on the same rows (as the trainer scores its test rows
+in chunks), forward only, keeping none, and `run_ansatz` is it for one
+(layers, n, 3) ansatz.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ __all__ = [
     "apply_single_array",
     "apply_cnot_array",
     "run_ansatz",
-    "run_ansatz_reps",
     "z_expectations",
     "parameter_shift_gradient",
     "adjoint_gradient",
@@ -341,22 +340,17 @@ def ansatz_sweep(amps: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, tupl
 
 def run_ansatz(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """The ansatz's output amplitudes, for states of any leading shape;
-    `angles` is (layers, n, 3) in radians.  `run_ansatz_reps` with one rep."""
+    `angles` is (layers, n, 3) in radians.  `run_factors` with one rep."""
     angles = _ansatz_angles(angles, _n_qubits(amps.shape[-1]))
-    return run_ansatz_reps(amps.reshape(-1, amps.shape[-1]), angles[None])[0].reshape(amps.shape)
-
-
-def run_ansatz_reps(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Every rep's ansatz on the same rows: (rows, 2^n) amplitudes and
-    (reps, layers, n, 3) angles give the (reps, rows, 2^n) outputs.  Forward
-    only: no layer's input is kept."""
-    angles = _rep_angles(angles, _n_qubits(amps.shape[-1]))
-    return run_factors(amps, rep_factors(angles))
+    rows = amps.reshape(-1, amps.shape[-1])
+    return run_factors(rows, rep_factors(angles[None]))[0].reshape(amps.shape)
 
 
 def run_factors(amps: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """`run_ansatz_reps` on the `rep_factors` of its angles, so that one
-    build of the factors serves any number of row chunks."""
+    """Every rep's ansatz on the same rows: (rows, 2^n) amplitudes and the
+    (reps, layers, ...) `rep_factors` give the (reps, rows, 2^n) outputs, so
+    that one build of the factors serves any number of row chunks.  Forward
+    only: no layer's input is kept."""
     return _sweep(np.broadcast_to(amps, (len(factors[0]),) + amps.shape), factors)
 
 

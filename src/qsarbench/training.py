@@ -11,7 +11,9 @@ rows x (R, B, F) it returns the (R, B) scores and `backward`, which maps
 d(loss)/d(scores) to the (R, P) gradient; given rows that every rep shares,
 x (T, F), it returns the (R, T) scores forward-only, with no backward.
 Every decision, per epoch here and in the models' predict functions, is
-`decide(scores)`.  A batch schedule is a read-only (epochs, train rows)
+`decide(scores)`; an epoch's (R, T) test decisions are counted for all reps
+at once, one array reduction over the rows for each rep's hits and caught
+positives.  A batch schedule is a read-only (epochs, train rows)
 array holding one shuffled row order per epoch, a pure function of its
 seed; `run_training` takes the R reps' schedules stacked, (R, epochs, rows),
 and cuts each order into batches of `OptimizerConfig.batch_size` rows, the
@@ -33,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantViolation
-from .metrics import accuracy, recall
 from .rng import generator
 
 __all__ = [
@@ -203,9 +204,12 @@ def run_training(
     `params0` holds one initial parameter row per rep, (R, P), and
     `schedules` one batch schedule per rep, (R, epochs, train rows).
     Raises DataError before the first step unless the schedules have that
-    shape, and InvariantViolation at the end of the first epoch in which a
-    rep's mean loss or parameter vector is not finite; the error's `rep`
-    attribute is that rep's index.
+    shape, InvariantViolation before it if there are no test rows, and
+    InvariantViolation at the end of the first epoch in which a rep's mean
+    loss or parameter vector is not finite; the error's `rep` attribute is
+    that rep's index.  An epoch's accuracy is each rep's matching decisions
+    over the test rows; the recall at the best epoch is its caught positives
+    over the positives, None if the test rows hold none.
     """
     params = np.array(params0, dtype=np.float64)
     schedules = np.asarray(schedules)
@@ -214,13 +218,17 @@ def run_training(
     if params.ndim != 2 or schedules.shape != expected:
         raise DataError(f"schedules {schedules.shape} are not (reps, epochs, train rows) "
                         f"{expected} for parameters {params.shape}")
+    if not len(data.test_y):
+        raise InvariantViolation("accuracy over zero test rows is undefined")
 
     adam = AdamState.zeros(params.shape)
     starts = range(0, expected[2], config.batch_size)
     step_losses = np.empty((reps, len(starts)))
     losses = np.empty((reps, config.epochs))
-    accuracies = np.empty((reps, config.epochs))
-    recalls: list[list[float | None]] = [[] for _ in range(reps)]
+    hits = np.empty((reps, config.epochs), dtype=np.int64)
+    caught = np.empty((reps, config.epochs), dtype=np.int64)
+    positive = data.test_y == 1
+    positives = np.count_nonzero(positive)
 
     for epoch in range(config.epochs):
         for step, start in enumerate(starts):
@@ -228,8 +236,8 @@ def run_training(
             step_losses[:, step], grad = mse_loss_and_gradient(
                 scores_and_backward, params, data.train_x[batch], data.train_y[batch])
             params = adam_step(adam, params, grad, config)
-        # each rep's step losses averaged as one 1-D array, as when the rep trains alone
-        losses[:, epoch] = [np.mean(rep_losses) for rep_losses in step_losses]
+        # each row sums pairwise, as the rep's 1-D step losses do when it trains alone
+        losses[:, epoch] = step_losses.mean(axis=1)
         finite = np.isfinite(losses[:, epoch]) & np.isfinite(params).all(axis=1)
         if not finite.all():
             rep = int(np.argmin(finite))
@@ -241,10 +249,11 @@ def run_training(
             error.rep = rep
             raise error
 
-        for rep, pred in enumerate(decide(scores_and_backward(params, data.test_x)[0])):
-            accuracies[rep, epoch] = accuracy(pred, data.test_y)
-            recalls[rep].append(recall(pred, data.test_y))
+        correct = decide(scores_and_backward(params, data.test_x)[0]) == data.test_y
+        hits[:, epoch] = np.count_nonzero(correct, axis=1)
+        caught[:, epoch] = np.count_nonzero(correct & positive, axis=1)
 
+    accuracies = hits / len(data.test_y)
     results = []
     for rep in range(reps):
         best_epoch = int(np.argmax(accuracies[rep]))
@@ -254,7 +263,7 @@ def run_training(
             test_accuracy=accuracies[rep],
             best_test_accuracy=float(accuracies[rep, best_epoch]),
             best_epoch=best_epoch,
-            test_recall_at_best=recalls[rep][best_epoch],
+            test_recall_at_best=float(caught[rep, best_epoch] / positives) if positives else None,
             final_train_loss=float(losses[rep, -1]),
             schedule_digest=schedule_digest(schedules[rep]),
         ))

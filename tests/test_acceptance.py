@@ -70,9 +70,9 @@ def test_c01_parameter_counts():
         classical = init_mlp_params(1 << n, seed=0)
         quantum = init_quantum_params(n, seed=0)
         ok &= len(classical) == 2 * ((1 << n) + 1)
-        ok &= quantum.n_parameters == 7 * n
-    four_ratio = init_quantum_params(4, 0).n_parameters / len(init_mlp_params(16, 0))
-    ok &= init_quantum_params(4, 0).n_parameters == 28
+        ok &= quantum.to_vector().size == 7 * n
+    four_ratio = init_quantum_params(4, 0).to_vector().size / len(init_mlp_params(16, 0))
+    ok &= init_quantum_params(4, 0).to_vector().size == 28
     ok &= len(init_mlp_params(16, 0)) == 34
     report_line(1, ok, f"2(N+1) and 7n exact for n in 2,3,4,8; n=4 ratio 28/34 = {four_ratio:.3f}")
     assert ok

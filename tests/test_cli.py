@@ -341,7 +341,7 @@ def test_any_library_error_exits_without_traceback(dataset_csv, tmp_path, capsys
     def fail(*args):
         raise QsarBenchError("no predictions")
 
-    monkeypatch.setattr(qsarbench.training, "accuracy", fail)
+    monkeypatch.setattr(qsarbench.training, "decide", fail)
     assert main(run_config(dataset_csv, tmp_path)) == EXIT_INVARIANT
     assert capsys.readouterr().err == "internal error: no predictions\n"
 

@@ -23,34 +23,8 @@ from qsarbench.harness import (
     run_protocol,
     write_report_files,
 )
-from qsarbench.metrics import accuracy, recall
 
 from conftest import synthetic_molecules, write_dataset_csv, write_embeddings_csv
-
-
-# --- metrics ---------------------------------------------------------------
-
-def test_accuracy_examples():
-    assert accuracy([1, -1, 1], [1, -1, 1]) == 1.0
-    assert accuracy([1, 1], [-1, -1]) == 0.0
-    assert accuracy([1, 1, -1, -1], [1, 1, -1, 1]) == 0.75
-
-
-def test_accuracy_errors():
-    with pytest.raises(InvariantViolation, match=r"length mismatch: \(1,\) vs \(2,\)"):
-        accuracy([1], [1, -1])
-    with pytest.raises(InvariantViolation, match="accuracy of an empty sequence"):
-        accuracy([], [])
-
-
-def test_recall_examples():
-    assert recall([1, 1, -1], [1, 1, -1]) == 1.0
-    assert recall([-1, -1], [1, 1]) == 0.0
-    assert recall([1, -1, -1], [1, 1, -1]) == 0.5
-
-
-def test_recall_requires_positives():
-    assert recall([1, 1], [-1, -1]) is None
 
 
 # --- config ------------------------------------------------------------------

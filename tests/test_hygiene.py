@@ -37,10 +37,7 @@ OUTSIDE_CALLERS = frozenset({
     "classical.mlp_gradient",                 # wrappers that ROADMAP item 11 keeps
     "classical.mlp_loss",
     "quantum.q_loss",
-    # bench/tracer.py::_check_gradient reads init_quantum_params(...).ansatz and
-    # .readout, so these stay until ROADMAP item 2a, then item 11 removes them
-    "quantum.QuantumModelParams.from_vector",
-    "quantum.QuantumModelParams.n_parameters",
+    "quantum.QuantumModelParams.from_vector",  # demos/04_train_toy_classifiers.py:71
 })
 
 

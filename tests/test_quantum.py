@@ -23,14 +23,15 @@ from test_simulator import dense_ansatz
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
-def test_parameter_count_is_7n(n):
+def test_parameter_count_is_7n(n, rng):
     params = init_quantum_params(n, seed=0)
-    assert params.n_parameters == 7 * n
+    assert params.to_vector().size == 7 * n
     roundtrip = QuantumModelParams.from_vector(n, params.to_vector())
     np.testing.assert_array_equal(roundtrip.ansatz, params.ansatz)
     np.testing.assert_array_equal(roundtrip.readout, params.readout)
     for layers in (3, n):  # the layer count follows from the vector length
-        deep = init_quantum_params(n, seed=0, layers=layers)
+        deep = QuantumModelParams(rng.uniform(0.0, 2 * math.pi, size=(layers, n, 3)),
+                                  params.readout)
         roundtrip = QuantumModelParams.from_vector(n, deep.to_vector())
         assert roundtrip.ansatz.shape[0] == layers
         np.testing.assert_array_equal(roundtrip.ansatz, deep.ansatz)
@@ -113,7 +114,8 @@ def test_gradient_equals_per_sample_parameter_shift(rng):
     composition stated by the contract: upstream = 2(score - y) w / batch."""
     # the widths the trainer runs; layers = n differentiates every ring offset
     for n, layers in [(n, 2) for n in (1, 2, 3, 4, 8)] + [(n, n) for n in (3, 4, 8)]:
-        params = init_quantum_params(n, seed=n, layers=layers)
+        params = QuantumModelParams(rng.uniform(0.0, 2 * math.pi, size=(layers, n, 3)),
+                                    rng.uniform(-1.0, 1.0, size=n))
         batch = 5
         x = rng.normal(size=(batch, 1 << n))
         y = rng.choice([-1.0, 1.0], size=batch)

@@ -20,10 +20,11 @@ from qsarbench.simulator import (
     parameter_shift_gradient,
     partial_trace_matrix,
     qubit_overlaps,
+    rep_factors,
     ring_permutation,
     rot_matrix,
     run_ansatz,
-    run_ansatz_reps,
+    run_factors,
     z_expectations,
     z_sign_matrix,
 )
@@ -520,7 +521,7 @@ def test_rep_axis_sweeps_equal_the_per_rep_calls(n, rng):
     upstream = rng.normal(size=(reps, 6, n))
     final, kept = ansatz_sweep(amps, angles)
     grad = adjoint_gradient(final, kept, upstream)
-    shared = run_ansatz_reps(amps[0], angles)
+    shared = run_factors(amps[0], rep_factors(angles))
     assert final.shape == amps.shape and grad.shape == angles.shape
     assert shared.shape == (reps,) + amps.shape[1:]
     for rep in range(reps):

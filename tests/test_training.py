@@ -8,7 +8,6 @@ from qsarbench import quantum
 from qsarbench.classical import mlp_predict, train_mlp
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench.harness import _CellTask, _run_cell
-from qsarbench.metrics import accuracy
 from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_predict, train_quantum
 from qsarbench.simulator import amplitude_embed
 from qsarbench.training import (OptimizerConfig, SupervisedSplit, batch_schedule,
@@ -107,6 +106,56 @@ def test_epoch_order_cut_into_batches_of_the_configured_size():
         np.testing.assert_array_equal(batches[4 * epoch + 3], np.arange(5))
 
 
+def test_epoch_accuracy_and_best_recall_count_each_reps_decisions():
+    """Rep r decides test row i at epoch e as `decisions[r, e, i]`: an epoch's
+    accuracy is its matches over the rows, and the recall at the first best
+    epoch is its caught positives over the positives."""
+    test_y = np.array([1, 1, 1, -1, -1])
+    decisions = np.array([
+        [[1, -1, -1, -1, 1], [1, 1, -1, -1, -1], [1, 1, 1, 1, 1]],
+        [[1, -1, -1, 1, -1], [1, -1, 1, -1, -1], [1, 1, 1, 1, -1]],
+    ])
+    decided = []
+
+    def scores_and_backward(params, xb):
+        if xb.ndim == 2:
+            decided.append(len(decided))
+            return 0.5 * decisions[:, decided[-1]], None
+        return np.zeros(xb.shape[:2]), lambda d_scores: np.zeros_like(params)
+
+    train = toy_split()
+    data = SupervisedSplit(train.train_x, train.train_y, np.zeros((5, 2)), test_y)
+    results = run_training(scores_and_backward, np.zeros((2, 2)), data,
+                           OptimizerConfig(epochs=3, batch_size=2),
+                           [batch_schedule(4, 3, seed=0), batch_schedule(4, 3, seed=1)])
+    for result, accuracies, best_epoch, recall in zip(
+            results, ([2 / 5, 4 / 5, 3 / 5], [2 / 5, 4 / 5, 4 / 5]), (1, 1), (2 / 3, 2 / 3)):
+        assert result.test_accuracy.tolist() == accuracies
+        assert result.best_epoch == best_epoch
+        assert result.best_test_accuracy == 4 / 5
+        assert type(result.test_recall_at_best) is float and result.test_recall_at_best == recall
+
+
+def test_recall_is_none_for_every_rep_without_positive_test_rows():
+    x = np.arange(6, dtype=np.float64)[:, None]
+    data = SupervisedSplit(x, np.where(np.arange(6) % 2 == 0, 1, -1), x.copy(), -np.ones(6))
+    results = run_training(recording_model([]), np.zeros((3, 1)), data,
+                           OptimizerConfig(epochs=2, batch_size=4),
+                           [batch_schedule(6, 2, seed=rep) for rep in range(3)])
+    assert [result.test_recall_at_best for result in results] == [None] * 3
+    assert all(result.test_accuracy.tolist() == [0.0, 0.0] for result in results)
+
+
+def test_zero_test_rows_rejected_before_the_first_step():
+    data = index_split(4)
+    batches = []
+    with pytest.raises(InvariantViolation, match="accuracy over zero test rows"):
+        run_training(recording_model(batches), np.zeros((1, 1)),
+                     SupervisedSplit(data.train_x, data.train_y, data.test_x[:0], data.test_y[:0]),
+                     OptimizerConfig(epochs=1), [batch_schedule(4, 1, seed=0)])
+    assert not batches
+
+
 def test_labels_other_than_plus_minus_one_are_named_as_np_unique_names_them():
     x = np.zeros((4, 2))
     for train_y, test_y in (([1, -1, 0, 1], [1, 2, 2, -1]), ([1.0, -1.0, 0.5, 1.0], [-1, 1, 1, -1])):
@@ -141,7 +190,7 @@ def test_epoch_decisions_are_the_public_predict(train, params_type, predict, wid
     [result] = train(data, OptimizerConfig(epochs=3, batch_size=4), [0],
                      [batch_schedule(16, 3, seed=0)])
     params = result.params if params_type is None else params_type.from_vector(width, result.params)
-    assert result.test_accuracy[-1] == accuracy(predict(params, data.test_x), data.test_y)
+    assert result.test_accuracy[-1] == np.mean(predict(params, data.test_x) == data.test_y)
 
 
 def random_split(n, rows=60, test_rows=15, seed=16):
