@@ -22,11 +22,12 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import butina_cluster
+from .clustering import DEFAULT_CUTOFF, butina_cluster
 from .data import (SCHEMA_PRESETS, DatasetSchema, _parse_texts, load_dataset, open_input,
                    parse_floats, undersample)
 from .errors import ConfigError, DataError, QsarBenchError
-from .fingerprint import Fingerprint, check_morgan_settings, from_hex, morgan_fingerprints, to_hex
+from .fingerprint import (DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, check_morgan_settings,
+                          from_hex, morgan_fingerprints, to_hex)
 from .harness import (
     ExperimentConfig,
     run_cluster_protocol,
@@ -75,8 +76,8 @@ def _build_parser() -> _ArgumentParser:
     fp = sub.add_parser("fingerprint", help="hex fingerprints for a CSV of SMILES")
     fp.add_argument("--input", required=True)
     fp.add_argument("--smiles-col", required=True)
-    fp.add_argument("--radius", type=int, default=2)
-    fp.add_argument("--bits", type=int, default=512)
+    fp.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
+    fp.add_argument("--bits", type=int, default=DEFAULT_NBITS)
     fp.add_argument("--output", required=True)
     fp.set_defaults(handler=_cmd_fingerprint)
 
@@ -90,7 +91,7 @@ def _build_parser() -> _ArgumentParser:
 
     cl = sub.add_parser("cluster", help="Butina-cluster hex fingerprints")
     cl.add_argument("--fingerprints", required=True, help=f"CSV with a {FINGERPRINT_COLUMN} column")
-    cl.add_argument("--cutoff", type=float, default=0.65)
+    cl.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     cl.add_argument("--output", required=True)
     cl.set_defaults(handler=_cmd_cluster)
 

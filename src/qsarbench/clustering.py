@@ -15,9 +15,10 @@ unassigned item with the most unassigned neighbors to centroid, ties going
 to the lowest index.  Because neighbor counts only shrink as items are
 assigned, clusters emerge in non-increasing size order.
 
-The protocol's sampling constants are fixed here: training sets draw k <=
-`MAX_PER_CLUSTER` members from each cluster of at least
-`LARGE_CLUSTER_MIN_SIZE` members, and everything else is the test set.
+The protocol's constants are fixed here: it clusters at Tanimoto
+`DEFAULT_CUTOFF`, and training sets draw k <= `MAX_PER_CLUSTER` members from
+each cluster of at least `LARGE_CLUSTER_MIN_SIZE` members, and everything
+else is the test set.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .rng import generator
 
 __all__ = ["Clustering", "butina_cluster", "cluster_training_plan", "neighbor_matrix"]
 
+DEFAULT_CUTOFF = 0.65
 LARGE_CLUSTER_MIN_SIZE = 21
 MAX_PER_CLUSTER = 7
 NEIGHBOR_CHUNK = 256  # rows per block of the neighbor search

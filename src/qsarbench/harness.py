@@ -40,7 +40,7 @@ import numpy as np
 
 from ._version import __version__
 from .classical import train_mlp
-from .clustering import MAX_PER_CLUSTER, butina_cluster, cluster_training_plan
+from .clustering import DEFAULT_CUTOFF, MAX_PER_CLUSTER, butina_cluster, cluster_training_plan
 from .data import (
     EMBEDDING_DIM,
     SCHEMA_PRESETS,
@@ -54,7 +54,8 @@ from .data import (
     undersample,
 )
 from .errors import ConfigError, InvariantViolation, QsarBenchError
-from .fingerprint import Fingerprint, check_morgan_settings, morgan_fingerprints
+from .fingerprint import (DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, check_morgan_settings,
+                          morgan_fingerprints)
 from .pca import fit_pca, transform
 from .quantum import train_quantum
 from .rng import derive_seed
@@ -103,8 +104,10 @@ def _path(name: str, value) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(OptimizerConfig):
+    """A protocol run's settings; it extends `OptimizerConfig` with the data, sweep and seeds."""
+
     dataset: str
     dataset_path: str
     embedding: str = "mgfp"
@@ -112,17 +115,11 @@ class ExperimentConfig:
     n_list: tuple[int, ...] = (2, 3, 4, 8)
     reps: int = 20
     resplits: int = 5
-    epochs: int = OptimizerConfig.epochs
-    learning_rate: float = OptimizerConfig.learning_rate
-    beta1: float = OptimizerConfig.beta1
-    beta2: float = OptimizerConfig.beta2
-    epsilon: float = OptimizerConfig.epsilon
-    batch_size: int = OptimizerConfig.batch_size
     fractions: tuple[float, ...] | None = None
     cluster_k: tuple[int, ...] | None = None
-    cluster_cutoff: float = 0.65
-    fingerprint_radius: int = 2
-    fingerprint_bits: int = 512
+    cluster_cutoff: float = DEFAULT_CUTOFF
+    fingerprint_radius: int = DEFAULT_RADIUS
+    fingerprint_bits: int = DEFAULT_NBITS
     master_seed: int = 0
     undersample: bool | None = None
     workers: int | None = None
@@ -138,10 +135,7 @@ class ExperimentConfig:
         if self.workers is not None:
             object.__setattr__(self, "workers", _integer("workers", self.workers))
         object.__setattr__(self, "n_list", tuple(_integer("n_list", n) for n in self.n_list))
-        # the training settings obey OptimizerConfig's rules, written once there
-        optimizer = self.optimizer_config()
-        object.__setattr__(self, "epochs", optimizer.epochs)
-        object.__setattr__(self, "batch_size", optimizer.batch_size)
+        super().__post_init__()
         _real("cluster_cutoff", self.cluster_cutoff)
         if self.fractions is not None:
             object.__setattr__(self, "fractions",
@@ -232,16 +226,6 @@ class ExperimentConfig:
         if self.undersample is not None:
             return self.undersample
         return UNDERSAMPLE_BY_DATASET[self.dataset]
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-        )
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
@@ -412,7 +396,6 @@ def _make_cells(
     rep_seeds = tuple(
         derive_seed(config.master_seed, _NS_REP, split_index, rep) for rep in range(config.reps)
     )
-    optimizer = config.optimizer_config()
     widths = [1 << n for n in config.n_list]
     return [
         _CellTask(
@@ -422,7 +405,7 @@ def _make_cells(
             split_seed=split_seed,
             rep_seeds=rep_seeds,
             data=SupervisedSplit(train_x, train_y, test_x, test_y),
-            optimizer=optimizer,
+            optimizer=config,
         )
         for n, train_x, test_x in zip(config.n_list, transform(widest, train, widths),
                                       transform(widest, test, widths))

@@ -41,7 +41,6 @@ __all__ = [
     "OptimizerConfig",
     "SupervisedSplit",
     "TrainingResult",
-    "AdamState",
     "adam_step",
     "batch_schedule",
     "schedule_digest",
@@ -71,7 +70,7 @@ def _real(name: str, value):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OptimizerConfig:
     """Adam and batching settings; every bad value raises ConfigError at construction."""
 
@@ -119,26 +118,16 @@ class SupervisedSplit:
             raise ValueError(f"labels must be +/-1, got {sorted(values)}")
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape))
-
-
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
-              config: OptimizerConfig) -> np.ndarray:
-    """One Adam update, elementwise, so (R, P) parameters update every rep at once."""
-    state.t += 1
-    state.m = config.beta1 * state.m + (1.0 - config.beta1) * grad
-    state.v = config.beta2 * state.v + (1.0 - config.beta2) * grad * grad
-    m_hat = state.m / (1.0 - config.beta1 ** state.t)
-    v_hat = state.v / (1.0 - config.beta2 ** state.t)
-    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+def adam_step(params: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam's t-th update (t counts from 1) of params with first and second
+    moments m and v: the new parameters and moments.  Elementwise, so (R, P)
+    parameters update every rep at once."""
+    m = config.beta1 * m + (1.0 - config.beta1) * grad
+    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+    m_hat = m / (1.0 - config.beta1 ** t)
+    v_hat = v / (1.0 - config.beta2 ** t)
+    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon), m, v
 
 
 def batch_schedule(n_rows: int, epochs: int, seed: int) -> np.ndarray:
@@ -221,7 +210,7 @@ def run_training(
     if not len(data.test_y):
         raise InvariantViolation("accuracy over zero test rows is undefined")
 
-    adam = AdamState.zeros(params.shape)
+    m, v, t = np.zeros(params.shape), np.zeros(params.shape), 0
     starts = range(0, expected[2], config.batch_size)
     step_losses = np.empty((reps, len(starts)))
     losses = np.empty((reps, config.epochs))
@@ -235,7 +224,8 @@ def run_training(
             batch = schedules[:, epoch, start:start + config.batch_size]
             step_losses[:, step], grad = mse_loss_and_gradient(
                 scores_and_backward, params, data.train_x[batch], data.train_y[batch])
-            params = adam_step(adam, params, grad, config)
+            t += 1
+            params, m, v = adam_step(params, grad, m, v, t, config)
         # each row sums pairwise, as the rep's 1-D step losses do when it trains alone
         losses[:, epoch] = step_losses.mean(axis=1)
         finite = np.isfinite(losses[:, epoch]) & np.isfinite(params).all(axis=1)

@@ -194,6 +194,19 @@ def test_pca_on_a_header_without_rows_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pca_on_an_empty_input_names_the_file(tmp_path, capsys):
+    inp = tmp_path / "m.csv"
+    inp.write_text("")
+    fit_rows = tmp_path / "rows.txt"
+    fit_rows.write_text("0\n")
+    out = tmp_path / "scores.csv"
+    code = main(["pca", "--input", str(inp), "--k", "1", "--fit-rows", str(fit_rows),
+                 "--output", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {inp} is empty\n"
+    assert not out.exists()
+
+
 def test_pca_names_the_file_and_line_of_a_bad_fit_row(tmp_path, capsys):
     inp = tmp_path / "m.csv"
     inp.write_text("a,b\n1,2\n3,5\n4,4\n")
@@ -253,6 +266,11 @@ def test_ingest_custom_schema(tmp_path):
                  "--smiles-col", "structure", "--label-col", "hit"])
     assert code == EXIT_OK
     assert main(["ingest", "--dataset", str(path), "--schema", "custom"]) == EXIT_CONFIG
+
+
+def test_ingest_unknown_schema_is_a_config_error(dataset_csv, capsys):
+    assert main(["ingest", "--dataset", dataset_csv, "--schema", "nope"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown schema 'nope'\n"
 
 
 def test_run_command(dataset_csv, tmp_path, capsys):
@@ -533,6 +551,15 @@ def test_cluster_of_a_file_without_rows_names_the_file(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert main(["cluster", "--fingerprints", str(empty), "--output", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {empty} holds no fingerprints to cluster\n"
+    assert not out.exists()
+
+
+def test_cluster_input_without_the_fingerprint_column_is_a_data_error(tmp_path, capsys):
+    fps = tmp_path / "fps.csv"
+    fps.write_text("row,hex\n0,ff\n")
+    out = tmp_path / "o.csv"
+    assert main(["cluster", "--fingerprints", str(fps), "--output", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {fps} lacks column 'fingerprint_hex'\n"
     assert not out.exists()
 
 

@@ -129,6 +129,16 @@ def test_load_dataset_missing_column(tmp_path):
         load_dataset(str(path), SCHEMA_PRESETS["bace"])
 
 
+def test_empty_files_have_no_header_row(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    message = f"^{re.escape(str(path))} has no header row$"
+    with pytest.raises(DataError, match=message):
+        load_dataset(str(path), SCHEMA_PRESETS["bace"])
+    with pytest.raises(DataError, match=message):
+        load_embeddings(str(path), ["a"])
+
+
 def test_load_dataset_non_binary_label(tmp_path):
     # the message starts with the file and the row
     for label, named in (("2", "label '2' is not 0 or 1"), ("yes", "label 'yes' is not numeric")):
@@ -177,6 +187,12 @@ def test_load_embeddings_alignment(tmp_path, rng):
 
 def test_load_embeddings_dimension_mismatch(tmp_path, rng):
     path = write_embeddings_csv(tmp_path / "e.csv", ["a"], rng.normal(size=(1, 511)))
+    with pytest.raises(DataError, match="expected 512 embedding columns, got 511"):
+        load_embeddings(str(path), ["a"])
+    # a data row one value short under a good header
+    header, row = write_embeddings_csv(tmp_path / "e.csv", ["a"],
+                                       rng.normal(size=(1, 512))).read_text().splitlines()
+    path.write_text(f"{header}\n{row.rsplit(',', 1)[0]}\n")
     with pytest.raises(DataError, match="expected 512 embedding columns, got 511"):
         load_embeddings(str(path), ["a"])
 

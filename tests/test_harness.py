@@ -23,6 +23,7 @@ from qsarbench.harness import (
     run_protocol,
     write_report_files,
 )
+from qsarbench.training import OptimizerConfig
 
 from conftest import synthetic_molecules, write_dataset_csv, write_embeddings_csv
 
@@ -95,6 +96,18 @@ def test_config_validation():
         ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x", "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": "bace"})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("batch_size", 2.5), ("learning_rate", "0.01"), ("beta1", 1.0),
+    ("beta2", -0.5), ("epsilon", 0.0),
+])
+def test_config_checks_training_settings_as_optimizer_config_does(field, value):
+    with pytest.raises(ConfigError) as expected:
+        OptimizerConfig(**{field: value})
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig.from_dict({"dataset": "bace", "dataset_path": "x.csv", field: value})
+    assert str(raised.value) == str(expected.value)
 
 
 def test_config_path_fields_must_be_paths():
@@ -428,6 +441,21 @@ def test_run_parses_each_smiles_once(synthetic_csv, monkeypatch):
     with open(synthetic_csv, newline="", encoding="utf-8") as handle:
         rows = sum(1 for _ in csv.DictReader(handle))
     assert len(calls) == rows
+
+
+def test_every_cell_trains_with_the_run_config(synthetic_csv, monkeypatch):
+    tasks = []
+    map_cells = qsarbench.harness._map_cells
+
+    def recording(cells, pool):
+        tasks.extend(cells)
+        return map_cells(cells, pool)
+
+    monkeypatch.setattr(qsarbench.harness, "_map_cells", recording)
+    config = tiny_config(synthetic_csv, n_list=(2, 3), fractions=(0.5, 1.0), reps=1, epochs=1)
+    run_fraction_sweep(config)
+    assert len(tasks) == 2 * 2 * 2     # resplits x fractions x n
+    assert all(task.optimizer is config for task in tasks)
 
 
 def test_cells_project_each_n_as_its_own_transform(synthetic_csv):

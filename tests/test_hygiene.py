@@ -8,37 +8,41 @@ of the package.  Every function, method and class defined in the package
 (dunders aside) must be read by some module other than `__init__.py`, so a
 definition that only the tests call, or that is only re-exported, does not
 stay; `OUTSIDE_CALLERS` lists the few that stay for a caller outside the
-package.  Every exception type in `errors.py` must be raised or caught by name
-in another module, so a type that no code tells apart does not stay.  No module
+package, each with the file that must name it.  Every exception type in
+`errors.py` must be raised or caught by name in another module, so a type
+that no code tells apart does not stay.  No module
 reads the process environment (`os.environ`, `os.getenv`), so a run's
 settings come from its config and command line only.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsarbench"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "qsarbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-# Definitions that no module of the package reads, as module.qualname: each
-# stays for the caller outside the package, or until the ROADMAP item, named.
-OUTSIDE_CALLERS = frozenset({
-    "classical.mlp_predict",                  # README
-    "quantum.q_predict",                      # README
-    "fingerprint.tanimoto",                   # demos/01_smiles_and_fingerprints.py
-    "fingerprint.morgan_fingerprint",         # demos/01 and 02, one molecule at a time
-    "simulator.apply_single_array",           # demos/03_quantum_circuit.py
-    "simulator.parameter_shift_gradient",     # demos/03_quantum_circuit.py, bench/tracer.py
-    "quantum.q_gradient",                     # bench/tracer.py
-    "pca.PcaModel.from_csv",                  # reads back `qsarbench pca --model-out`
-    "harness.load_report",                    # reads back `write_report_files`
-    "classical.mlp_gradient",                 # wrappers that ROADMAP item 11 keeps
-    "classical.mlp_loss",
-    "quantum.q_loss",
-    "quantum.QuantumModelParams.from_vector",  # demos/04_train_toy_classifiers.py:71
-})
+# Definitions that no module of the package reads, as module.qualname, each
+# mapped to the file of the repository that calls it: an entry stays only
+# while that file exists and names the definition.
+OUTSIDE_CALLERS = {
+    "classical.mlp_predict": "README.md",
+    "quantum.q_predict": "README.md",
+    "fingerprint.tanimoto": "demos/01_smiles_and_fingerprints.py",
+    "fingerprint.morgan_fingerprint": "demos/01_smiles_and_fingerprints.py",  # one at a time
+    "simulator.apply_single_array": "demos/03_quantum_circuit.py",
+    "simulator.parameter_shift_gradient": "demos/03_quantum_circuit.py",
+    "quantum.q_gradient": "bench/tracer.py",
+    "pca.PcaModel.from_csv": "README.md",       # reads back `qsarbench pca --model-out`
+    "harness.load_report": "README.md",         # reads back `write_report_files`
+    "classical.mlp_gradient": "tests/test_acceptance.py",   # acceptance c02 checks them
+    "classical.mlp_loss": "tests/test_acceptance.py",
+    "quantum.q_loss": "tests/test_acceptance.py",
+    "quantum.QuantumModelParams.from_vector": "demos/04_train_toy_classifiers.py",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -202,12 +206,38 @@ def test_check_catches_an_unread_private_name():
     assert _unread_private_names(trees) == {"a.py": {"_OLD", "_Gone"}, "b.py": {"_unused"}}
 
 
+def _callers_not_naming(callers: dict[str, str], root: Path) -> dict[str, str]:
+    """Each entry of `callers` whose file under `root` is missing or does not
+    name the definition's last component as a word."""
+    stale = {}
+    for definition, caller in callers.items():
+        path = root / caller
+        name = definition.rsplit(".", 1)[-1]
+        if not path.is_file() or not re.search(rf"\b{name}\b", path.read_text(encoding="utf-8")):
+            stale[definition] = caller
+    return stale
+
+
 def test_every_definition_is_read():
     unread = _unread_definitions({path.name: _parse(path) for path in MODULES}, frozenset())
-    assert unread <= OUTSIDE_CALLERS, \
-        f"definitions that no module of the package reads: {sorted(unread - OUTSIDE_CALLERS)}"
+    outside = OUTSIDE_CALLERS.keys()
+    assert unread <= outside, \
+        f"definitions that no module of the package reads: {sorted(unread - outside)}"
     # an entry whose definition gained a reader in the package, or went, leaves the list
-    assert OUTSIDE_CALLERS <= unread, f"stale OUTSIDE_CALLERS: {sorted(OUTSIDE_CALLERS - unread)}"
+    assert outside <= unread, f"stale OUTSIDE_CALLERS: {sorted(outside - unread)}"
+
+
+def test_every_outside_caller_names_its_definition():
+    # so an entry cannot outlive the caller it stays for
+    stale = _callers_not_naming(OUTSIDE_CALLERS, REPO)
+    assert not stale, f"OUTSIDE_CALLERS entries whose file is gone or does not name them: {stale}"
+
+
+def test_check_catches_a_caller_that_does_not_name_its_definition(tmp_path):
+    (tmp_path / "demo.py").write_text("from pkg import fit_model\nfit_model_v2()\n")
+    callers = {"a.fit_model": "demo.py", "a.Model.predict": "demo.py", "a.load": "gone.md"}
+    assert _callers_not_naming(callers, tmp_path) == {"a.Model.predict": "demo.py",
+                                                       "a.load": "gone.md"}
 
 
 def test_check_catches_an_unread_definition():

@@ -214,6 +214,8 @@ def test_completion_matches_a_dense_gram_schmidt_reference(rows, cols, k, first_
 
 
 def test_errors():
+    with pytest.raises(DataError, match="expected a 2-D sample matrix"):
+        fit_pca(np.ones(3), 1)
     with pytest.raises(DataError, match="need at least 2 rows"):
         fit_pca(np.ones((1, 3)), 1)
     with pytest.raises(DataError, match=r"k=4 outside \[1, 3\]"):
@@ -235,6 +237,7 @@ def test_csv_round_trip(tmp_path, rng):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("0.5,1.0\n1.0,0.0\n", "expected mean, components and eigenvalues"),
     ("0.5,1.0\n1.0,0.0\nx,2.0\n", r"row 3: could not convert string to float: 'x'"),
     ("0.5,1.0\n1.0,0.0,0.0\n2.0\n", "a component row is not as wide as the 2-column mean row"),
     ("0.5,1.0\n1.0,0.0\n0.0,1.0\n2.0\n", "1 eigenvalues for 2 components"),

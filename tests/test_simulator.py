@@ -422,6 +422,11 @@ def test_parameter_shift_zero_upstream():
     np.testing.assert_array_equal(grad, 0.0)
 
 
+def test_parameter_shift_takes_one_input_vector():
+    with pytest.raises(DataError, match=r"one input vector .* shapes \(3, 4\) and \(2,\)"):
+        parameter_shift_gradient(np.ones((3, 4)), np.ones((2, 2, 3)), np.zeros(2))
+
+
 def test_parameter_shift_single_ry_closed_form():
     # one layer on one qubit: beta acts as RY(theta) on |0>, so <Z> = cos(theta)
     for theta in (0.3, math.pi / 2, 2.1):
