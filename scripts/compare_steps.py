@@ -1,9 +1,11 @@
-"""Time the quantum model's training work, ingest or Butina in two source trees, interleaved.
+"""Time the quantum model's training work, ingest, embedding reads or Butina in two source
+trees, interleaved.
 
 Run from the repository root:
 
     python3 scripts/compare_steps.py --parent DIR --change DIR [--reps 1 20] [--repeats 41]
     python3 scripts/compare_steps.py --parent DIR --change DIR --kinds ingest [--rows 2000]
+    python3 scripts/compare_steps.py --parent DIR --change DIR --kinds embeddings [--rows 1500 41000]
     python3 scripts/compare_steps.py --parent DIR --change DIR --kinds butina [--rows 1440 8000]
 
 Both trees' `qsarbench` packages are imported into this one process, under
@@ -29,6 +31,14 @@ CSV of that many seeded `synthetic_molecules` from `tests/conftest.py` plus
 `REAL_SMILES` (bracket atoms) and a few malformed rows (skipped rows).  The
 two trees must return the same features, ids and skipped ids; the script
 exits non-zero naming what differs.  Its times are per CSV row.
+
+`--kinds embeddings` times `data.load_embeddings`, once per `--rows` value,
+on a seeded `id,e0,...,e511` CSV of that many rows with six-decimal values
+(as `bench/gen.py` writes them), in shuffled id order, aligned to every id
+but one, which is passed as skipped.  The two trees must return the same
+bits; the script exits non-zero naming the row count where they differ.  Its
+times are per CSV row, and after the table it prints the `tracemalloc` peak
+of one call in each tree.
 
 `--kinds butina` times `clustering.butina_cluster` at the protocol's default
 cutoff, once per `--rows` value, on that many seeded 512-bit fingerprints
@@ -60,17 +70,20 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREES = ("parent", "change")
 TRAINING_KINDS = ("step", "forward", "cell")
-KINDS = TRAINING_KINDS + ("ingest", "butina")
+KINDS = TRAINING_KINDS + ("ingest", "embeddings", "butina")
 CELL_TRAIN_ROWS = 1200
 CELL_TEST_ROWS = 300
 INGEST_SEED = 1717
 MALFORMED_SMILES = ("C1CC", "C(C", "[C", "C%1", "CC)C", "Qx")
+EMBEDDINGS_SEED = 3131
+EMBEDDING_DIM = 512    # data.EMBEDDING_DIM
 BUTINA_SEED = 2020
 BUTINA_CUTOFF = 0.65   # ExperimentConfig.cluster_cutoff's default
 BUTINA_BITS = 512
@@ -217,6 +230,51 @@ def compare_ingest(modules: dict, rows_list, repeats: int, number: int) -> list[
     return results
 
 
+def write_embeddings(directory: str, rows: int) -> tuple[str, list[str], tuple[str, ...]]:
+    """A seeded embedding CSV of `rows` rows in shuffled id order, the dataset
+    ids it is read against (every id but one) and that one skipped id."""
+    rng = np.random.default_rng([EMBEDDINGS_SEED, rows])
+    path = os.path.join(directory, f"embeddings-{rows}.csv")
+    row_format = "%d" + ",%.6f" * EMBEDDING_DIM + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("id," + ",".join(f"e{j}" for j in range(EMBEDDING_DIM)) + "\n")
+        for key in rng.permutation(rows):
+            handle.write(row_format % (key, *rng.normal(size=EMBEDDING_DIM)))
+    skipped = rows // 2
+    return path, [str(i) for i in range(rows) if i != skipped], (str(skipped),)
+
+
+def _tracemalloc_peak(call) -> int:
+    """The peak of `tracemalloc`'s traced bytes during one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def compare_embeddings(modules: dict, rows_list, repeats: int, number: int) -> list[dict]:
+    """Median seconds per CSV row of each tree's `load_embeddings`, timed
+    interleaved, and each tree's `tracemalloc` peak of one call."""
+    results = []
+    with tempfile.TemporaryDirectory(prefix="embeddings-") as work:
+        for rows in rows_list:
+            path, ids, skipped = write_embeddings(work, rows)
+            calls = {tree: functools.partial(modules[tree]["data"].load_embeddings, path, ids,
+                                             skipped) for tree in TREES}
+            parent, change = (calls[tree]() for tree in TREES)
+            if not (parent.dtype == change.dtype == np.float64
+                    and np.array_equal(parent.view(np.uint64), change.view(np.uint64))):
+                sys.exit(f"embeddings of {rows} rows differ between the parent and the change")
+            del parent, change
+            peaks = {tree: _tracemalloc_peak(calls[tree]) for tree in TREES}
+            medians = _interleaved(calls, repeats, number)
+            results.append(dict(n=None, rows=rows, reps=None, kind="embeddings", peaks=peaks,
+                                **{tree: medians[tree] / rows for tree in TREES}))
+    return results
+
+
 def compare_butina(modules: dict, rows_list, repeats: int, number: int) -> list[dict]:
     """Median seconds per `butina_cluster` call of each tree, timed interleaved."""
     results = []
@@ -243,7 +301,7 @@ def main(argv=None) -> int:
     parser.add_argument("--qubits", type=int, nargs="+", default=[2, 3, 4, 8])
     parser.add_argument("--rows", type=int, nargs="+", default=[32, 300],
                         help="batch rows of step and forward; synthetic molecules of ingest; "
-                             "fingerprints of butina")
+                             "CSV rows of embeddings; fingerprints of butina")
     parser.add_argument("--reps", type=int, nargs="+", default=[1])
     parser.add_argument("--kinds", nargs="+", choices=KINDS, default=list(TRAINING_KINDS))
     parser.add_argument("--epochs", type=int, default=2, help="epochs of each timed cell")
@@ -259,6 +317,8 @@ def main(argv=None) -> int:
                    args.number, args.epochs)
     if "ingest" in args.kinds:
         rows += compare_ingest(modules, args.rows, args.repeats, args.number)
+    if "embeddings" in args.kinds:
+        rows += compare_embeddings(modules, args.rows, args.repeats, args.number)
     if "butina" in args.kinds:
         rows += compare_butina(modules, args.rows, args.repeats, args.number)
     for row in rows:
@@ -266,6 +326,10 @@ def main(argv=None) -> int:
         print(f"{n:>3} {row['rows']:>5} {reps:>4} {row['kind']:>8} "
               f"{row['parent'] * 1e6:>10.1f} {row['change'] * 1e6:>10.1f} "
               f"{row['change'] / row['parent']:>6.2f}")
+    for row in rows:
+        if "peaks" in row:
+            print(f"tracemalloc peak of one {row['kind']} call on {row['rows']} rows: "
+                  + ", ".join(f"{tree} {row['peaks'][tree] / 2**20:.2f} MiB" for tree in TREES))
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import DEFAULT_CUTOFF, butina_cluster
 from .data import (SCHEMA_PRESETS, DatasetSchema, _parse_texts, load_dataset, open_input,
-                   parse_floats, undersample)
+                   read_table, undersample)
 from .errors import ConfigError, DataError, QsarBenchError
 from .fingerprint import (DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, check_morgan_settings,
                           from_hex, morgan_fingerprints, to_hex)
@@ -144,27 +144,19 @@ def _cmd_fingerprint(args) -> int:
     return EXIT_OK
 
 
+_MATRIX_MESSAGES = {
+    "empty": "{path} is empty",
+    "width": "{path} row {index} has {count} values; the header names {width} columns",
+    "number": "{path} row {index} has a non-numeric entry: {error}",
+    "finite": "{path} row {index} holds a value that is not finite",
+}
+
+
 def _read_matrix(path: str) -> np.ndarray:
-    rows = []
-    with open_input(path) as handle:
-        reader = filter(None, csv.reader(handle))  # blank lines are no rows, as in csv.DictReader
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} is empty")
-        for index, row in enumerate(reader):
-            try:
-                values = parse_floats(row)
-            except ValueError as exc:
-                raise DataError(f"{path} row {index} has a non-numeric entry: {exc}") from exc
-            if len(values) != len(header):
-                raise DataError(f"{path} row {index} has {len(values)} values; "
-                                f"the header names {len(header)} columns")
-            if not np.isfinite(values).all():
-                raise DataError(f"{path} row {index} holds a value that is not finite")
-            rows.append(values)
-    if not rows:
+    _, matrix = read_table(path, _MATRIX_MESSAGES)
+    if not len(matrix):
         raise DataError(f"{path} holds no data rows")
-    return np.array(rows, dtype=np.float64)
+    return matrix
 
 
 def _read_fit_rows(path: str) -> list[int]:

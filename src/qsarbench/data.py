@@ -10,11 +10,20 @@ A split plan is just its two sorted index arrays.  Every plan builder
 returns one, and its checks reject overlapping, duplicated or empty sides
 before any PCA fit or training starts.  The random split always trains on
 `TRAIN_FRACTION` of the rows, the published 80/20 protocol.
+
+Tables of numbers, the imgmol embeddings and the `pca` command's matrix, are
+read by `read_table`.  Numpy's C text reader parses them a line at a time,
+straight into one float64 matrix.  It converts a cell as `float` does, but it
+strips more white space, so `parse_floats`' rule is checked on each line's
+text as a whole before numpy sees it, which costs far less than a check per
+cell.  A table that check, the csv quoting or a rule turns away is read again
+row by row, and that reader names the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from collections.abc import Callable, Iterator
@@ -247,47 +256,162 @@ def load_dataset(path: str, schema: DatasetSchema,
                    features=features)
 
 
+# the lines csv.reader reads as an empty row, which is no row
+_LINE_ENDS = ("\n", "\r\n", "\r")
+# The commas and the characters of the numbers `float` reads, less `_` and
+# every white space but " ": numpy's reader strips more white space than `float`.
+_NUMBER_CHARS = b"0123456789+-.eE aAfFiInNtTyY,"
+
+
+class _Irregular(ValueError):
+    """A table that `np.loadtxt` might read otherwise than the row-wise reader."""
+
+
+def _plain_cells(lines: Iterator[str], keys: list[str] | None) -> Iterator[str]:
+    """The number text of each non-blank line: the line without its end and,
+    when `keys` is a list, without its first cell, which is appended to `keys`.
+    Cut at its commas, a line gives `csv.reader`'s cells only when it holds no
+    quote and no field past csv's size limit.
+
+    `parse_floats`' rule is checked on this text, a line at a time, rather
+    than on each cell.  Where the text holds only `_NUMBER_CHARS`,
+    `np.loadtxt` converts each cell with the `PyOS_string_to_double` that
+    `float` uses, and so reads exactly the cells `float` reads, to the same
+    bits.  Without the check it would read `1.5` after an em space, which the
+    rule rejects, or after a `\\x1c`, which `float` rejects too.  Raises
+    _Irregular at the first line it cannot vouch for."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if line in _LINE_ENDS:
+            continue
+        text = line.rstrip("\r\n")
+        comma = -1 if keys is None else text.find(",")
+        cells = text[comma + 1:]
+        # loadtxt skips an empty line, which csv.reader reads as a row of one cell
+        if ((keys is not None and comma < 0) or not cells or '"' in text or len(text) > limit
+                or cells.encode().translate(None, _NUMBER_CHARS)):
+            raise _Irregular
+        if keys is not None:
+            keys.append(text[:comma])
+        yield cells
+
+
+def _read_plain(lines: Iterator[str], width: int, keyed: bool) -> tuple[list[str], np.ndarray]:
+    """The keys and float64 matrix of a table's data lines, parsed by numpy's C
+    text reader one line at a time.  Raises a ValueError for any table the
+    row-wise reader might read otherwise or reject."""
+    keys: list[str] = []
+    cells = _plain_cells(lines, keys if keyed else None)
+    first = next(cells, None)
+    if first is None:   # loadtxt would warn of an empty input
+        return keys, np.empty((0, width), dtype=np.float64)
+    matrix = np.loadtxt(itertools.chain((first,), cells), dtype=np.float64, delimiter=",",
+                        comments=None, ndmin=2)
+    if (matrix.shape[1] != width or not np.isfinite(matrix).all()
+            or len(set(keys)) != len(keys)):
+        raise _Irregular
+    return keys, matrix
+
+
+def _read_rows(path: str, rows: Iterator[list[str]], messages: dict[str, str], width: int,
+               keyed: bool) -> tuple[list[str], np.ndarray]:
+    """The keys and float64 matrix of a table's csv rows, read and checked row by
+    row; a DataError with `messages`' text names the first bad row."""
+    keys: list[str] = []
+    seen: set[str] = set()
+    values = []
+    for index, row in enumerate(rows):
+        key, cells = (row[0], row[1:]) if keyed else (None, row)
+        fields = dict(path=path, index=index, key=key, count=len(cells), width=width)
+        if len(cells) != width:
+            raise DataError(messages["width"].format(**fields))
+        if keyed:
+            if key in seen:
+                raise DataError(messages["duplicate"].format(**fields))
+            seen.add(key)
+            keys.append(key)
+        try:
+            values.append(parse_floats(cells))
+        except ValueError as exc:
+            raise DataError(messages["number"].format(**fields, error=exc)) from exc
+        if not np.isfinite(values[-1]).all():
+            raise DataError(messages["finite"].format(**fields))
+    return keys, np.array(values, dtype=np.float64).reshape(len(values), width)
+
+
+@contextmanager
+def _open_table(path: str, messages: dict[str, str], width: int | None,
+                keyed: bool) -> Iterator[tuple[TextIO, Iterator[list[str]], int]]:
+    """A table opened past its header row: the handle, its non-blank csv rows and
+    the number of values a row holds."""
+    with open_input(path) as handle:
+        rows = filter(None, csv.reader(handle))  # blank lines are no rows, as in csv.DictReader
+        header = next(rows, None)
+        if header is None:
+            raise DataError(messages["empty"].format(path=path))
+        if width is not None and len(header) - keyed != width:
+            raise DataError(messages["width"].format(path=path, count=len(header) - keyed,
+                                                     width=width))
+        yield handle, rows, len(header) - keyed
+
+
+def read_table(path: str, messages: dict[str, str], width: int | None = None,
+               keyed: bool = False) -> tuple[list[str], np.ndarray]:
+    """The keys (with `keyed`, each data row's first cell) and the float64 matrix
+    of a CSV of numbers under a header row.  Blank lines are no rows.
+
+    `width`, when given, is the number of values the header and each row must
+    hold (less the key column); by default rows are as wide as the header.
+    `messages` holds the DataError texts as format strings over `path`,
+    `index` (of the data row), `key`, `count` (of the row's values), `width`
+    and `error` (`float`'s ValueError): `empty` for a file with no header row,
+    `width` for a header or row of another width, and `number`, `finite` and,
+    with `keyed`, `duplicate` for the first row whose cells are not all
+    `parse_floats` numbers, are not all finite or repeat a key.
+
+    The table is read by numpy's C text reader a line at a time, so its text,
+    its lines and its matrix are never all held at once.  A table that reader
+    cannot vouch for, or that breaks a rule, is read again by `csv.reader` and
+    `parse_floats` row by row, which gives the same bits for a valid table and
+    the message of its first bad row for an invalid one.
+    """
+    with _open_table(path, messages, width, keyed) as (handle, _, width):
+        try:
+            return _read_plain(handle, width, keyed)
+        except ValueError:   # _Irregular, loadtxt's errors and UnicodeDecodeError
+            pass
+    with _open_table(path, messages, width, keyed) as (_, rows, width):
+        return _read_rows(path, rows, messages, width, keyed)
+
+
+_EMBEDDING_MESSAGES = {
+    "empty": "{path} has no header row",
+    "width": "{path}: expected {width} embedding columns, got {count}",
+    "duplicate": "{path}: duplicate id {key!r}",
+    "number": "{path}: non-numeric embedding for id {key!r}",
+    "finite": "{path}: non-finite embedding value for id {key!r}",
+}
+
+
 def load_embeddings(path: str, ids: list[str], skipped_ids: tuple[str, ...] = ()) -> np.ndarray:
-    """Read an `id,e0,...,e511` CSV and align rows to the given id order.
+    """Read an `id,e0,...,e511` CSV (with `read_table`) and align rows to the given id order.
 
     Every id must have a row.  Rows of `skipped_ids` (rows the dataset loader
     could not parse) are ignored; any other extra id raises DataError rather
-    than silently reordering or dropping rows.
+    than silently reordering or dropping rows.  A file already in `ids` order
+    is returned as read; any other is gathered into that order once.
     """
-    rows: dict[str, np.ndarray] = {}
-    with open_input(path) as handle:
-        reader = filter(None, csv.reader(handle))  # blank lines are no rows, as in csv.DictReader
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} has no header row")
-        if len(header) - 1 != EMBEDDING_DIM:
-            raise DataError(
-                f"{path}: expected {EMBEDDING_DIM} embedding columns, got {len(header) - 1}"
-            )
-        for row in reader:
-            if len(row) - 1 != EMBEDDING_DIM:
-                raise DataError(
-                    f"{path}: expected {EMBEDDING_DIM} embedding columns, got {len(row) - 1}"
-                )
-            key = row[0]
-            if key in rows:
-                raise DataError(f"{path}: duplicate id {key!r}")
-            try:
-                rows[key] = parse_floats(row[1:])
-            except ValueError as exc:
-                raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
-            if not np.isfinite(rows[key]).all():
-                raise DataError(f"{path}: non-finite embedding value for id {key!r}")
-
-    extra = set(rows) - set(ids) - set(skipped_ids)
+    keys, matrix = read_table(path, _EMBEDDING_MESSAGES, EMBEDDING_DIM, keyed=True)
+    if keys == list(ids):
+        return matrix
+    position = dict(zip(keys, range(len(keys))))
+    extra = position.keys() - set(ids) - set(skipped_ids)
     if extra:
         raise DataError(f"{path}: ids not present in dataset: {sorted(extra)[:5]}")
-    out = np.empty((len(ids), EMBEDDING_DIM), dtype=np.float64)
-    for i, key in enumerate(ids):
-        if key not in rows:
+    for key in ids:
+        if key not in position:
             raise DataError(f"{path}: dataset id {key!r} missing from embeddings")
-        out[i] = rows[key]
-    return out
+    return matrix[[position[key] for key in ids]]
 
 
 def undersample(data: Dataset, seed: int) -> Dataset:

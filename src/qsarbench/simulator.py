@@ -89,15 +89,18 @@ def _n_qubits(width: int) -> int:
 def amplitude_embed(x: np.ndarray) -> np.ndarray:
     """Normalize rows of width 2^n into (complex) amplitude vectors.
 
-    A row with norm below 1e-12 embeds as the uniform state.
+    A row with norm below 1e-12 embeds as the uniform state.  The quotients
+    are written straight into the real parts of the one complex result.
     """
     x = np.asarray(x, dtype=np.float64)
     size = x.shape[-1]
     _n_qubits(size)
     norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
     zero = norms < ZERO_NORM_THRESHOLD
-    amps = np.where(zero, 1.0 / math.sqrt(size), x / np.where(zero, 1.0, norms))
-    return amps.astype(np.complex128)
+    amps = np.zeros(x.shape, dtype=np.complex128)
+    np.divide(x, np.where(zero, 1.0, norms), out=amps.real)
+    np.copyto(amps.real, 1.0 / math.sqrt(size), where=zero)
+    return amps
 
 
 def rot_matrix(alpha, beta, gamma) -> np.ndarray:

@@ -93,3 +93,41 @@ def test_compare_steps_times_butina_of_a_tree_against_itself():
     n, rows_read, reps, kind, *times = rows[0].split()
     assert (n, rows_read, reps, kind) == ("-", "50", "-", "butina")
     assert all(float(v) > 0 for v in times)
+
+
+def test_compare_steps_times_embedding_reads_of_a_tree_against_itself():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(ROOT),
+         "--kinds", "embeddings", "--rows", "7", "--repeats", "2", "--number", "1"],
+        capture_output=True, text=True, check=True)
+    header, row, peak = result.stdout.splitlines()
+    assert header.split() == ["n", "rows", "reps", "kind", "parent", "us", "change", "us", "ratio"]
+    n, rows_read, reps, kind, *times = row.split()
+    assert (n, rows_read, reps, kind) == ("-", "7", "-", "embeddings")
+    assert all(float(v) > 0 for v in times)
+    assert peak.startswith("tracemalloc peak of one embeddings call on 7 rows: parent ")
+
+
+# Appended to a copy of this tree's `data.py`: a reader one ulp off.
+ULP_OFF_DATA = """
+
+_read_exactly = load_embeddings
+
+
+def load_embeddings(path, ids, skipped_ids=()):
+    return np.nextafter(_read_exactly(path, ids, skipped_ids), np.inf)
+"""
+
+
+def test_compare_steps_exits_when_embedding_bits_differ(tmp_path):
+    package = tmp_path / "src" / "qsarbench"
+    shutil.copytree(ROOT / "src" / "qsarbench", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "data.py", "a", encoding="utf-8") as handle:
+        handle.write(ULP_OFF_DATA)
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(tmp_path),
+         "--kinds", "embeddings", "--rows", "7", "--repeats", "2", "--number", "1"],
+        capture_output=True, text=True)
+    assert result.returncode != 0
+    assert "embeddings of 7 rows differ between the parent and the change" in result.stderr

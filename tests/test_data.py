@@ -1,4 +1,6 @@
+import csv
 import re
+import warnings
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from functools import partial
 
@@ -14,6 +16,8 @@ from qsarbench.data import (
     load_dataset,
     load_embeddings,
     make_split,
+    open_input,
+    parse_floats,
     subsample_fraction,
     undersample,
 )
@@ -260,6 +264,154 @@ def test_load_embeddings_skips_blank_lines(tmp_path, rng):
     path.write_text("\n".join([lines[0], "", lines[1], "", lines[2], lines[3], ""]) + "\n",
                     encoding="utf-8")
     np.testing.assert_array_equal(load_embeddings(str(path), ["a", "b", "c"]), matrix)
+
+
+def rowwise_embeddings(path, ids, skipped_ids=()):
+    """The row-wise `load_embeddings` that read every file before numpy's text
+    reader took over valid ones: the reference for its bits and messages."""
+    rows = {}
+    with open_input(path) as handle:
+        reader = filter(None, csv.reader(handle))
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path} has no header row")
+        if len(header) - 1 != 512:
+            raise DataError(f"{path}: expected 512 embedding columns, got {len(header) - 1}")
+        for row in reader:
+            if len(row) - 1 != 512:
+                raise DataError(f"{path}: expected 512 embedding columns, got {len(row) - 1}")
+            key = row[0]
+            if key in rows:
+                raise DataError(f"{path}: duplicate id {key!r}")
+            try:
+                rows[key] = parse_floats(row[1:])
+            except ValueError as exc:
+                raise DataError(f"{path}: non-numeric embedding for id {key!r}") from exc
+            if not np.isfinite(rows[key]).all():
+                raise DataError(f"{path}: non-finite embedding value for id {key!r}")
+    extra = set(rows) - set(ids) - set(skipped_ids)
+    if extra:
+        raise DataError(f"{path}: ids not present in dataset: {sorted(extra)[:5]}")
+    out = np.empty((len(ids), 512), dtype=np.float64)
+    for i, key in enumerate(ids):
+        if key not in rows:
+            raise DataError(f"{path}: dataset id {key!r} missing from embeddings")
+        out[i] = rows[key]
+    return out
+
+
+def _set_cell(line, column, text):
+    """`line` with its value cell `column` (0 is e0) replaced by `text`."""
+    cells = line.split(",")
+    cells[column + 1] = text
+    return ",".join(cells)
+
+
+ABC = ["a", "b", "c"]
+QUOTED = '"1.5"'
+EM_SPACED = "\u20031.5"   # float reads it as 1.5; the rule rejects it
+# (name, the file's text from its header and rows a, b and c, the dataset ids,
+# the skipped ids)
+EMBEDDING_EDGE_CASES = [
+    ("in-order", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{c}\n", ABC, ()),
+    ("out-of-order", lambda h, a, b, c: f"{h}\n{c}\n{a}\n{b}\n", ABC, ()),
+    ("one-row", lambda h, a, b, c: f"{h}\n{b}\n", ["b"], ()),
+    ("crlf", lambda h, a, b, c: f"{h}\r\n{a}\r\n{b}\r\n{c}\r\n", ABC, ()),
+    ("cr", lambda h, a, b, c: f"{h}\r{a}\r{b}\r{c}\r", ABC, ()),
+    ("no-final-line-end", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{c}", ABC, ()),
+    ("quoted-id", lambda h, a, b, c: f'{h}\n"a"{a[1:]}\n{b}\n{c}\n', ABC, ()),
+    ("quoted-id-with-comma", lambda h, a, b, c: f'{h}\n{a}\n"b,x"{b[1:]}\n{c}\n',
+     ["a", "b,x", "c"], ()),
+    ("quoted-value", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 3, QUOTED)}\n{c}\n", ABC, ()),
+    ("blank-lines", lambda h, a, b, c: f"\n{h}\n\n{a}\r\n\r\n{b}\n{c}\n\n", ABC, ()),
+    ("whitespace-line", lambda h, a, b, c: f"{h}\n{a}\n  \n{b}\n{c}\n", ABC, ()),
+    ("tab-line", lambda h, a, b, c: f"{h}\n{a}\n{b}\n\t\n{c}\n", ABC, ()),
+    ("trailing-comma", lambda h, a, b, c: f"{h}\n{a}\n{b},\n{c}\n", ABC, ()),
+    ("trailing-comma-everywhere", lambda h, a, b, c: f"{h},\n{a},\n{b},\n{c},\n", ABC, ()),
+    ("id-without-values", lambda h, a, b, c: f"{h}\n{a}\nb,\n{c}\n", ABC, ()),
+    ("short-header", lambda h, a, b, c: f"{h.rsplit(',', 1)[0]}\n{a}\n{b}\n{c}\n", ABC, ()),
+    ("underscore", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 0, '1_0')}\n{c}\n", ABC, ()),
+    ("underscore-in-ids", lambda h, a, b, c: f"{h}\nid_a{a[1:]}\n{b}\n{c}\n",
+     ["id_a", "b", "c"], ()),
+    ("non-ascii-digit", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{_set_cell(c, 511, chr(0x663))}\n",
+     ABC, ()),
+    ("non-ascii-space", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 7, EM_SPACED)}\n{c}\n",
+     ABC, ()),
+    ("control-space", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 7, chr(0x1C) + '1.5')}\n{c}\n",
+     ABC, ()),
+    ("tab-before-value", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 7, chr(9) + '1.5')}\n{c}\n",
+     ABC, ()),
+    ("spaces-around-value", lambda h, a, b, c: f"{h}\n{_set_cell(a, 2, ' -1.5e3 ')}\n{b}\n{c}\n",
+     ABC, ()),
+    ("number-syntaxes", lambda h, a, b, c: "\n".join(
+        [h, a, b, ",".join(["c", "+1.5", "-.5", "5.", "1E+05", "4.9e-324",
+                            "2.2250738585072011e-308",
+                            "0.1000000000000000055511151231257827021181583404541015625",
+                            "123456789012345678901234567890", "-0", "1e-400"]
+                           + c.split(",")[11:])]) + "\n", ABC, ()),
+    ("non-ascii-id", lambda h, a, b, c: f"{h}\né{a[1:]}\n{b}\n{c}\n", ["é", "b", "c"], ()),
+    ("nul", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 4, '1' + chr(0))}\n{c}\n", ABC, ()),
+    ("nan", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 4, 'nan')}\n{c}\n", ABC, ()),
+    ("inf", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{_set_cell(c, 0, '-Infinity')}\n", ABC, ()),
+    ("overflow", lambda h, a, b, c: f"{h}\n{_set_cell(a, 9, '1e999')}\n{b}\n{c}\n", ABC, ()),
+    ("empty-cell", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 100, '')}\n{c}\n", ABC, ()),
+    ("hex", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 1, '0x10')}\n{c}\n", ABC, ()),
+    ("duplicate", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{a}\n{c}\n", ABC, ()),
+    ("duplicate-before-bad-cell", lambda h, a, b, c:
+     f"{h}\n{a}\n{a}\n{_set_cell(b, 0, 'x')}\n{c}\n", ABC, ()),
+    ("bad-cell-before-duplicate", lambda h, a, b, c:
+     f"{h}\n{a}\n{_set_cell(b, 0, 'x')}\n{a}\n{c}\n", ABC, ()),
+    ("non-finite-before-missing", lambda h, a, b, c: f"{h}\n{a}\n{_set_cell(b, 0, 'inf')}\n",
+     ABC, ()),
+    ("extra", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{c}\n", ["a", "b"], ()),
+    ("missing", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{c}\n", ABC + ["d"], ()),
+    ("skipped", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{c}\n", ["a", "c"], ("b",)),
+    ("skipped-out-of-order", lambda h, a, b, c: f"{h}\n{c}\n{b}\n{a}\n", ["a", "c"], ("b", "z")),
+    ("skipped-and-extra", lambda h, a, b, c: f"{h}\n{a}\n{b}\n{c}\n", ["a", "c"], ("z",)),
+    ("skipped-and-missing", lambda h, a, b, c: f"{h}\n{a}\n{b}\n", ["a", "c"], ("b",)),
+    ("header-only", lambda h, a, b, c: f"{h}\n", [], ()),
+    ("header-only-with-ids", lambda h, a, b, c: f"{h}\n\n", ["a"], ()),
+    ("empty-file", lambda h, a, b, c: "", ABC, ()),
+    ("blank-file", lambda h, a, b, c: "\n\r\n", ABC, ()),
+]
+
+
+@pytest.mark.parametrize("build, ids, skipped", [case[1:] for case in EMBEDDING_EDGE_CASES],
+                         ids=[case[0] for case in EMBEDDING_EDGE_CASES])
+def test_load_embeddings_edge_cases_match_the_rowwise_reader(tmp_path, build, ids, skipped):
+    matrix = np.random.default_rng(8).normal(size=(3, 512))
+    lines = write_embeddings_csv(tmp_path / "rows.csv", ABC, matrix).read_text().splitlines()
+    path = tmp_path / "e.csv"
+    path.write_bytes(build(*lines).encode("utf-8"))
+    outcomes = []
+    for read in (rowwise_embeddings, load_embeddings):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy warning reaches the caller
+            try:
+                out = read(str(path), list(ids), skipped)
+            except DataError as exc:
+                outcomes.append(("error", str(exc)))
+            else:
+                outcomes.append((out.dtype, out.shape, out.tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("bad_row, named", [(None, "is not valid UTF-8"),
+                                             (1, "non-finite embedding value for id 'a'")])
+def test_load_embeddings_invalid_utf8_matches_the_rowwise_reader(tmp_path, rng, bad_row, named):
+    path = write_embeddings_csv(tmp_path / "e.csv", ABC, rng.normal(size=(3, 512)))
+    lines = path.read_text().splitlines()
+    if bad_row is not None:
+        lines[bad_row] = _set_cell(lines[bad_row], 0, "nan")
+    text = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(text[:-20] + b"\xff" + text[-19:])   # a bad byte in the last row
+    messages = []
+    for read in (rowwise_embeddings, load_embeddings):
+        with pytest.raises(DataError) as caught:
+            read(str(path), ABC)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert named in messages[0]
 
 
 def test_undersample_forced_reduction():

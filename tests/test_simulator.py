@@ -104,6 +104,22 @@ def test_embed_zero_vector_falls_back_to_uniform():
     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
 
+def test_embed_batch_bits_match_each_row_alone_and_the_quotient_expression():
+    x = np.random.default_rng(5).normal(size=(2, 3, 8))
+    x[0, 1] = 0.0            # zero norm: the uniform state
+    x[1, 0] = 1e-14          # norm below the 1e-12 threshold: uniform too
+    x[1, 2] *= 1e-9          # small, but above the threshold
+    x[0, 2, 3] = -0.0        # a signed zero in a row that is divided
+    batch = amplitude_embed(x)
+    norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    zero = norms < 1e-12
+    quotient = np.where(zero, 1 / math.sqrt(8), x / np.where(zero, 1.0, norms))
+    assert batch.dtype == np.complex128 and batch.shape == x.shape
+    assert batch.tobytes() == quotient.astype(np.complex128).tobytes()
+    for index in np.ndindex(2, 3):
+        assert amplitude_embed(x[index]).tobytes() == batch[index].tobytes()
+
+
 def test_embed_rejects_non_power_of_two():
     with pytest.raises(InvariantViolation, match="input length 3 is not a power of two"):
         amplitude_embed(np.ones(3))
