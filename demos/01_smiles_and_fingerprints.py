@@ -3,7 +3,7 @@
 Run:  python demos/01_smiles_and_fingerprints.py
 """
 
-from qsarbench import morgan_fingerprint, parse_smiles, tanimoto
+from qsarbench import morgan_fingerprints, parse_smiles, tanimoto
 
 MOLECULES = {
     "ethanol": "CCO",
@@ -27,8 +27,8 @@ def main():
               f"{rings:2d} ring atoms, {hydrogens:2d} hydrogens")
 
     print("\n=== 512-bit circular fingerprints (radius 2) ===")
-    fps = {name: morgan_fingerprint(parse_smiles(s), radius=2, nbits=512)
-           for name, s in MOLECULES.items()}
+    graphs = [parse_smiles(s) for s in MOLECULES.values()]
+    fps = dict(zip(MOLECULES, morgan_fingerprints(graphs, radius=2, nbits=512)))
     for name, fp in fps.items():
         print(f"{name:>12}: {int(fp.sum()):3d} bits set")
 

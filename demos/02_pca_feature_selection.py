@@ -3,9 +3,7 @@
 Run:  python demos/02_pca_feature_selection.py
 """
 
-import numpy as np
-
-from qsarbench import fit_pca, morgan_fingerprint, parse_smiles, transform
+from qsarbench import fit_pca, morgan_fingerprints, parse_smiles, transform
 
 # a small mixed set: aromatics, aliphatics, ethers, amines
 SMILES = [
@@ -17,10 +15,7 @@ SMILES = [
 
 
 def main():
-    features = np.array(
-        [morgan_fingerprint(parse_smiles(s), 2, 512) for s in SMILES],
-        dtype=float,
-    )
+    features = morgan_fingerprints([parse_smiles(s) for s in SMILES], 2, 512).astype(float)
     print(f"{features.shape[0]} molecules x {features.shape[1]} fingerprint bits")
     print(f"bits that ever fire: {int((features.sum(axis=0) > 0).sum())}")
 

@@ -19,7 +19,7 @@ from .data import (
     subsample_fraction,
     undersample,
 )
-from .fingerprint import Fingerprint, from_hex, morgan_fingerprint, tanimoto, to_hex
+from .fingerprint import Fingerprint, from_hex, morgan_fingerprints, tanimoto, to_hex
 from .harness import (
     CellSummary,
     ExperimentConfig,
@@ -40,20 +40,20 @@ from .quantum import (
     q_predict,
     train_quantum,
 )
-from .simulator import amplitude_embed, parameter_shift_gradient, run_ansatz, z_expectations
+from .simulator import amplitude_embed, run_ansatz, z_expectations
 from .smiles import Atom, Bond, BondOrder, MolecularGraph, parse_smiles
 from .training import OptimizerConfig, SupervisedSplit, TrainingResult, batch_schedule
 
 __all__ = [
     "__version__",
     "Atom", "Bond", "BondOrder", "MolecularGraph", "parse_smiles",
-    "Fingerprint", "morgan_fingerprint", "tanimoto", "to_hex", "from_hex",
+    "Fingerprint", "morgan_fingerprints", "tanimoto", "to_hex", "from_hex",
     "Dataset", "DatasetSchema", "SplitPlan", "load_dataset", "load_embeddings",
     "undersample", "make_split", "subsample_fraction",
     "PcaModel", "fit_pca", "transform",
     "OptimizerConfig", "SupervisedSplit", "TrainingResult", "batch_schedule",
     "init_mlp_params", "mlp_forward", "mlp_predict", "mlp_gradient", "train_mlp",
-    "amplitude_embed", "run_ansatz", "z_expectations", "parameter_shift_gradient",
+    "amplitude_embed", "run_ansatz", "z_expectations",
     "QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
     "q_gradient", "train_quantum",
     "Clustering", "butina_cluster", "cluster_training_plan",

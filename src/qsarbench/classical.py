@@ -23,8 +23,7 @@ from .rng import generator
 from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
                        mse_loss_and_gradient, run_training)
 
-__all__ = ["init_mlp_params", "mlp_forward", "mlp_predict", "mlp_loss", "mlp_gradient",
-           "train_mlp"]
+__all__ = ["init_mlp_params", "mlp_forward", "mlp_predict", "mlp_gradient", "train_mlp"]
 
 HIDDEN_UNITS = 2
 
@@ -92,11 +91,6 @@ def mlp_forward(params: np.ndarray, x: np.ndarray) -> float | np.ndarray:
 def mlp_predict(params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Sign of the score with ties at zero mapped to +1."""
     return decide(np.atleast_1d(mlp_forward(params, x)))
-
-
-def mlp_loss(params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    scores = mlp_forward(params, x)
-    return float(np.mean((scores - y) ** 2))
 
 
 def mlp_gradient(params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

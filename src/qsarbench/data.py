@@ -94,7 +94,7 @@ class Dataset:
         # plain comparisons: np.unique and np.intersect1d import numpy.ma (about 1.6 MiB)
         bad = self.labels[(self.labels != 0) & (self.labels != 1)]
         if bad.size:
-            raise DataError(f"labels outside {{0,1}}: {sorted(set(bad))}")
+            raise DataError(f"labels outside {{0,1}}: {sorted(set(bad.tolist()))}")
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -34,8 +34,8 @@ import numpy as np
 from .errors import ConfigError, DataError, InvariantViolation
 from .smiles import BondOrder, MolecularGraph
 
-__all__ = ["Fingerprint", "check_morgan_settings", "from_hex", "morgan_fingerprint",
-           "morgan_fingerprints", "tanimoto", "to_hex"]
+__all__ = ["Fingerprint", "check_morgan_settings", "from_hex", "morgan_fingerprints",
+           "tanimoto", "to_hex"]
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 512
@@ -274,15 +274,6 @@ def morgan_fingerprints(
     emitted = kept[first]
     bits[molecule[emitted], round_ids[emitted] & fold] = 1
     return bits
-
-
-def morgan_fingerprint(
-    graph: MolecularGraph,
-    radius: int = DEFAULT_RADIUS,
-    nbits: int = DEFAULT_NBITS,
-) -> np.ndarray:
-    """One molecule's `(nbits,)` uint8 bit row: its row of `morgan_fingerprints`."""
-    return morgan_fingerprints([graph], radius, nbits)[0]
 
 
 def tanimoto(a: np.ndarray, b: np.ndarray) -> float:

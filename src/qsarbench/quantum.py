@@ -57,7 +57,7 @@ from .training import (OptimizerConfig, SupervisedSplit, TrainingResult, decide,
                        mse_loss_and_gradient, run_training)
 
 __all__ = ["QuantumModelParams", "init_quantum_params", "q_forward", "q_predict",
-           "q_loss", "q_gradient", "train_quantum"]
+           "q_gradient", "train_quantum"]
 
 # the most state, reps x rows x 2^n amplitudes, that one chunk of shared rows holds
 SCORE_CHUNK_BYTES = 1 << 20
@@ -178,11 +178,6 @@ def q_forward(params: QuantumModelParams, x: np.ndarray) -> float | np.ndarray:
 def q_predict(params: QuantumModelParams, x: np.ndarray) -> np.ndarray:
     """Sign of the readout score with ties at zero mapped to +1."""
     return decide(np.atleast_1d(q_forward(params, x)))
-
-
-def q_loss(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    scores = q_forward(params, x)
-    return float(np.mean((scores - y) ** 2))
 
 
 def q_gradient(params: QuantumModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -27,16 +27,15 @@ one product with its conjugate undoes the layer.  A wider circuit applies a
 layer as one matrix product per block on the state viewed as a tensor with
 one mode per block, a mode product in the sense of Kolda & Bader (SIAM
 Review 2009) (`apply_layer`), and then its CNOT ring, one cached index
-gather of the basis states (`ring_permutation`) composed from the per-gate
-gathers (`apply_cnot_array`).  A lone row is multiplied as one of two equal
-rows (`_rows_times`), in a layer's product and in `z_expectations`, so one
-state takes the same BLAS path alone as inside a batch.  The per-gate kernels
-`apply_single_array` and `apply_cnot_array` serve as references and for
-single gates; the sweeps call neither, though `ring_permutation` builds
-its gathers with `apply_cnot_array`.  The circuit's order is written here
-only: the forward sweep `ansatz_sweep` (and `run_ansatz`), the adjoint
-sweep `adjoint_gradient` that walks it backwards a layer at a time with the
-forward sweep's factors, and the parameter-shift reference
+gather of the basis states (`ring_permutation`) composed from the ring's
+per-gate bit flips.  A lone row is multiplied as one of two equal rows
+(`_rows_times`), in a layer's product and in `z_expectations`, so one state
+takes the same BLAS path alone as inside a batch.  No gate is applied on
+its own: the per-gate kernels and the dense-matrix oracle that the tests
+check the sweeps against live in `tests/oracles.py`.  The circuit's order
+is written here only: the forward sweep `ansatz_sweep` (and `run_ansatz`),
+the adjoint sweep `adjoint_gradient` that walks it backwards a layer at a
+time with the forward sweep's factors, and the parameter-shift reference
 `parameter_shift_gradient`.  The adjoint sweep keeps one overlap per qubit
 block and layer, takes every qubit's 2x2 share of them with one product by
 a cached 0/1 partial-trace matrix (`partial_trace_matrix`,
@@ -65,8 +64,6 @@ from .errors import DataError, InvariantViolation
 
 __all__ = [
     "amplitude_embed",
-    "apply_single_array",
-    "apply_cnot_array",
     "run_ansatz",
     "z_expectations",
     "parameter_shift_gradient",
@@ -117,42 +114,6 @@ def rot_matrix(alpha, beta, gamma) -> np.ndarray:
     return u
 
 
-def _check_qubit(qubit: int, n_qubits: int) -> None:
-    if not 0 <= qubit < n_qubits:
-        raise InvariantViolation(f"qubit {qubit} outside [0, {n_qubits})")
-
-
-def apply_single_array(amps: np.ndarray, n_qubits: int, qubit: int, u: np.ndarray) -> np.ndarray:
-    _check_qubit(qubit, n_qubits)
-    pre = 1 << qubit
-    post = 1 << (n_qubits - 1 - qubit)
-    shape = amps.shape
-    s = amps.reshape(shape[:-1] + (pre, 2, post))
-    zero = s[..., 0, :]
-    one = s[..., 1, :]
-    out = np.empty_like(s)
-    lo = out[..., 0, :]
-    hi = out[..., 1, :]
-    np.multiply(zero, u[0, 0], out=lo)
-    lo += u[0, 1] * one
-    np.multiply(zero, u[1, 0], out=hi)
-    hi += u[1, 1] * one
-    return out.reshape(shape)
-
-
-def apply_cnot_array(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
-    _check_qubit(control, n_qubits)
-    _check_qubit(target, n_qubits)
-    if control == target:
-        raise InvariantViolation("control and target must differ")
-    if amps.shape[-1] != 1 << n_qubits:   # a gather would silently drop the rest
-        raise DataError(f"{amps.shape[-1]} amplitudes for {n_qubits} qubits")
-    basis = np.arange(1 << n_qubits)
-    # the basis state with the target bit flipped wherever the control bit is set
-    flip = ((basis >> (n_qubits - 1 - control)) & 1) << (n_qubits - 1 - target)
-    return amps[..., basis ^ flip]
-
-
 def entangler_offset(layer: int, n_qubits: int) -> int:
     """Ring CNOT target offset for a layer: cycles 1, 2, ..., n-1."""
     return (layer % max(n_qubits - 1, 1)) + 1
@@ -162,17 +123,23 @@ def ring_permutation(layer: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]
     """Gather indices of a layer's CNOT ring and of its inverse.
 
     `amps[..., forward]` applies the ring and `amps[..., inverse]` undoes it.
-    Built once per (offset, n) by running the ring's CNOTs on the basis
-    indices themselves, then cached read-only.
+    Built once per (offset, n), then cached read-only (`_ring`).
     """
     return _ring(entangler_offset(layer, n_qubits), n_qubits)
 
 
 @functools.cache
 def _ring(offset: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    forward = np.arange(1 << n_qubits)
+    """The ring's forward and inverse gathers, composed from its CNOTs, on
+    control q and target q + offset (mod n), one gather of the basis
+    indices per gate."""
+    basis = np.arange(1 << n_qubits)
+    forward = basis
     for q in range(n_qubits):
-        forward = apply_cnot_array(forward, n_qubits, q, (q + offset) % n_qubits)
+        target = (q + offset) % n_qubits
+        # the basis state with the target bit flipped wherever the control bit is set
+        flip = ((basis >> (n_qubits - 1 - q)) & 1) << (n_qubits - 1 - target)
+        forward = forward[basis ^ flip]
     inverse = np.argsort(forward)
     forward.setflags(write=False)
     inverse.setflags(write=False)

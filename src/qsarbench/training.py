@@ -114,7 +114,7 @@ class SupervisedSplit:
                 raise ValueError(f"{name} features and labels disagree on row count")
         # plain comparisons: np.unique imports numpy.ma (about 1.6 MiB)
         if any(((y != -1) & (y != 1)).any() for y in (self.train_y, self.test_y)):
-            values = set(self.train_y.flat) | set(self.test_y.flat)
+            values = set(self.train_y.tolist()) | set(self.test_y.tolist())
             raise ValueError(f"labels must be +/-1, got {sorted(values)}")
 
 

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsarbench.classical import init_mlp_params, mlp_gradient, mlp_loss
+from qsarbench.classical import init_mlp_params, mlp_forward, mlp_gradient
 from qsarbench.clustering import butina_cluster
-from qsarbench.fingerprint import morgan_fingerprint, tanimoto
+from qsarbench.fingerprint import morgan_fingerprints, tanimoto
 from qsarbench.harness import (
     CellSummary,
     ExperimentConfig,
@@ -29,23 +29,20 @@ from qsarbench.harness import (
     write_report_files,
 )
 from qsarbench.pca import fit_pca
-from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_gradient, q_loss
+from qsarbench.quantum import QuantumModelParams, init_quantum_params, q_forward, q_gradient
 from qsarbench.rng import derive_seed, generator
 from qsarbench.simulator import (
     amplitude_embed,
-    apply_cnot_array,
-    apply_single_array,
     parameter_shift_gradient,
-    rot_matrix,
     run_ansatz,
     z_expectations,
 )
 from qsarbench.smiles import parse_smiles
 
 from conftest import random_smiles, require_bace, synthetic_molecules, write_dataset_csv, write_embeddings_csv
+from oracles import dense_ansatz
 from test_fingerprint import _permute_graph, fp_from_bits
 from test_pca import eigenvalues_by_bisection
-from test_simulator import dense_cnot, dense_single
 from test_clustering import random_fps
 
 MASTER_SEED = 20240901
@@ -100,7 +97,7 @@ def test_c02_gradient_correctness():
         x = rng.normal(size=(int(rng.integers(1, 9)), n_features))
         y = rng.choice([-1.0, 1.0], size=x.shape[0])
         grad = mlp_gradient(params, x, y)
-        fd = _fd_gradient(lambda v: mlp_loss(v, x, y), params, 1e-5)
+        fd = _fd_gradient(lambda v: np.mean((mlp_forward(v, x) - y) ** 2), params, 1e-5)
         worst["backprop"] = max(worst["backprop"], norm_rel_err(grad, fd))
 
     for trial in range(100):
@@ -123,8 +120,11 @@ def test_c02_gradient_correctness():
         x = rng.normal(size=(int(rng.integers(1, 7)), 1 << n))
         y = rng.choice([-1.0, 1.0], size=x.shape[0])
         grad = q_gradient(params, x, y)
-        fd = _fd_gradient(lambda v: q_loss(QuantumModelParams.from_vector(n, v), x, y),
-                          params.to_vector(), 1e-6)
+
+        def loss(vec):
+            return np.mean((q_forward(QuantumModelParams.from_vector(n, vec), x) - y) ** 2)
+
+        fd = _fd_gradient(loss, params.to_vector(), 1e-6)
         worst["quantum"] = max(worst["quantum"], norm_rel_err(grad, fd))
 
     ok = all(v <= 1e-6 for v in worst.values())
@@ -140,34 +140,23 @@ def test_c03_simulator_soundness():
     n = 4
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    for _ in range(1000):
-        if rng.random() < 0.5:
-            amps = apply_single_array(amps, n, int(rng.integers(0, n)),
-                                      rot_matrix(*rng.uniform(-math.pi, math.pi, 3)))
-        else:
-            c, t = (int(v) for v in rng.choice(n, size=2, replace=False))
-            amps = apply_cnot_array(amps, n, c, t)
+    for _ in range(500):
+        amps = run_ansatz(amps, rng.uniform(-math.pi, math.pi, size=(2, n, 3)))
     drift = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
 
-    worst_gate = 0.0
-    for qubits in range(1, 5):
+    worst_ansatz = 0.0
+    for qubits in (1, 2, 3, 4, 5, 8):
         for _ in range(25):
-            state = rng.normal(size=1 << qubits) + 1j * rng.normal(size=1 << qubits)
-            state /= np.linalg.norm(state)
-            u = rot_matrix(*rng.uniform(-math.pi, math.pi, 3))
-            q = int(rng.integers(0, qubits))
-            fast = apply_single_array(state, qubits, q, u)
-            dense = dense_single(u, qubits, q) @ state
-            worst_gate = max(worst_gate, float(np.max(np.abs(fast - dense))))
-            if qubits > 1:
-                c, t = (int(v) for v in rng.choice(qubits, size=2, replace=False))
-                fast = apply_cnot_array(state, qubits, c, t)
-                dense = dense_cnot(qubits, c, t) @ state
-                worst_gate = max(worst_gate, float(np.max(np.abs(fast - dense))))
+            states = rng.normal(size=(3, 1 << qubits)) + 1j * rng.normal(size=(3, 1 << qubits))
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            angles = rng.uniform(-math.pi, math.pi, size=(2, qubits, 3))
+            fast = run_ansatz(states, angles)
+            dense = states @ dense_ansatz(qubits, angles).T
+            worst_ansatz = max(worst_ansatz, float(np.max(np.abs(fast - dense))))
 
-    ok = drift <= 1e-12 and worst_gate <= 1e-12
-    report_line(3, ok, f"norm drift after 1000 gates = {drift:.2e}; "
-                       f"worst gate-vs-dense-oracle deviation = {worst_gate:.2e}")
+    ok = drift <= 1e-12 and worst_ansatz <= 1e-12
+    report_line(3, ok, f"norm drift after 500 two-layer ansatz runs = {drift:.2e}; "
+                       f"worst ansatz-vs-dense-oracle deviation = {worst_ansatz:.2e}")
     assert ok
 
 
@@ -377,12 +366,13 @@ def test_c10_fingerprint_and_clustering_properties():
     permutation_ok = True
     monotonic_ok = True
     for graph in molecules:
-        reference = {r: morgan_fingerprint(graph, r, 512) for r in range(3)}
+        reference = {r: morgan_fingerprints([graph], r, 512)[0] for r in range(3)}
         monotonic_ok &= all(np.all(reference[r + 1] >= reference[r]) for r in range(2))
         if len(graph.atoms) > 1:
             perm = rng.permutation(len(graph.atoms)).tolist()
             shuffled = _permute_graph(graph, perm)
-            permutation_ok &= np.array_equal(morgan_fingerprint(shuffled, 2, 512), reference[2])
+            permutation_ok &= np.array_equal(morgan_fingerprints([shuffled], 2, 512)[0],
+                                             reference[2])
 
     tanimoto_ok = True
     for _ in range(100):

@@ -13,7 +13,7 @@ from qsarbench.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, _bui
                            _cmd_cluster, _cmd_fingerprint, _cmd_ingest, _cmd_pca, _cmd_protocol,
                            main)
 from qsarbench.errors import QsarBenchError
-from qsarbench.fingerprint import from_hex, morgan_fingerprint, to_hex
+from qsarbench.fingerprint import from_hex, morgan_fingerprints, to_hex
 from qsarbench.harness import run_cluster_protocol, run_fraction_sweep, run_protocol
 from qsarbench.smiles import parse_smiles
 
@@ -50,7 +50,7 @@ def test_fingerprint_command(dataset_csv, tmp_path, capsys):
     assert len(rows) == 50
     # spot-check first row against the library call
     first_smiles = list(csv.DictReader(Path(dataset_csv).read_text().splitlines()))[0]["mol"]
-    expected = morgan_fingerprint(parse_smiles(first_smiles), 2, 512)
+    expected = morgan_fingerprints([parse_smiles(first_smiles)], 2, 512)[0]
     assert rows[0]["fingerprint_hex"] == to_hex(expected)
 
 
@@ -421,7 +421,7 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_fingerprint_hex_round_trip_through_cluster_input(tmp_path):
-    fp = morgan_fingerprint(parse_smiles("CCO"), 2, 512)
+    fp = morgan_fingerprints([parse_smiles("CCO")], 2, 512)[0]
     np.testing.assert_array_equal(from_hex(to_hex(fp)), fp)
 
 
@@ -469,7 +469,7 @@ def test_four_bit_fingerprints_round_trip_through_cluster(tmp_path):
     assert main(["fingerprint", "--input", str(d), "--smiles-col", "mol", "--bits", "4",
                  "--output", str(fps)]) == EXIT_OK
     cells = [r["fingerprint_hex"] for r in csv.DictReader(fps.read_text().splitlines())]
-    expected = [morgan_fingerprint(parse_smiles(s), 2, 4) for s in ("CCO", "c1ccccc1", "CCN")]
+    expected = morgan_fingerprints([parse_smiles(s) for s in ("CCO", "c1ccccc1", "CCN")], 2, 4)
     assert cells == [to_hex(bits) for bits in expected]
     assert all(len(cell) == 1 for cell in cells)
     for cell, bits in zip(cells, expected):
@@ -523,14 +523,13 @@ def write_hex_column(path, fps):
 def test_cluster_takes_the_width_from_the_file(tmp_path, capsys):
     graphs = [parse_smiles(s) for s in ("CCO", "CCCO", "c1ccccc1", "CCN")]
     narrow = tmp_path / "narrow.csv"
-    write_hex_column(narrow, [morgan_fingerprint(g, 2, 256) for g in graphs])
+    write_hex_column(narrow, morgan_fingerprints(graphs, 2, 256))
     out = tmp_path / "clusters.csv"
     assert main(["cluster", "--fingerprints", str(narrow), "--output", str(out)]) == EXIT_OK
     assert len(list(csv.DictReader(out.read_text().splitlines()))) == len(graphs)
     mixed = tmp_path / "mixed.csv"
-    write_hex_column(mixed, [morgan_fingerprint(graphs[0], 2, 256),
-                             morgan_fingerprint(graphs[1], 2, 256),
-                             morgan_fingerprint(graphs[2], 2, 512)])
+    write_hex_column(mixed, [*morgan_fingerprints(graphs[:2], 2, 256),
+                             morgan_fingerprints(graphs[2:3], 2, 512)[0]])
     capsys.readouterr()
     assert main(["cluster", "--fingerprints", str(mixed), "--output", str(out)]) == EXIT_DATA
     assert "row 2 holds a 512-bit fingerprint; row 0 holds 256 bits" in capsys.readouterr().err

@@ -6,8 +6,7 @@ import pytest
 from qsarbench.data import FEATURIZE_BATCH, _parse_texts
 from qsarbench.errors import ConfigError, DataError, InvariantViolation
 from qsarbench import fingerprint
-from qsarbench.fingerprint import (Fingerprint, from_hex, morgan_fingerprint, morgan_fingerprints,
-                                   tanimoto, to_hex)
+from qsarbench.fingerprint import Fingerprint, from_hex, morgan_fingerprints, tanimoto, to_hex
 from qsarbench.smiles import MolecularGraph, Bond, parse_smiles
 
 from conftest import REAL_SMILES, adjacency, perceive_rings, random_smiles
@@ -125,7 +124,7 @@ def test_cached_round_zero_ids_equal_atom_invariants(smiles):
 
 
 def test_methane_radius2_single_bit():
-    fp = morgan_fingerprint(parse_smiles("C"), radius=2, nbits=512)
+    fp = morgan_fingerprints([parse_smiles("C")], radius=2, nbits=512)[0]
     assert fp.dtype == np.uint8 and fp.shape == (512,)
     assert np.count_nonzero(fp) == 1
 
@@ -134,7 +133,7 @@ def test_ethanol_radius0_three_distinct_bits():
     graph = parse_smiles("CCO")
     invariants = [atom_invariant(graph, i) for i in range(3)]
     expected_bits = {inv % 512 for inv in invariants}
-    fp = morgan_fingerprint(graph, radius=0, nbits=512)
+    fp = morgan_fingerprints([graph], radius=0, nbits=512)[0]
     assert len(set(invariants)) == 3
     assert np.count_nonzero(fp) == len(expected_bits) == 3
     assert set(np.flatnonzero(fp).tolist()) == expected_bits
@@ -146,19 +145,19 @@ def test_radius_monotonicity(rng):
         graph = parse_smiles(smiles)
         previous = np.zeros(512, dtype=np.uint8)
         for radius in range(4):
-            bits = morgan_fingerprint(graph, radius, 512)
+            bits = morgan_fingerprints([graph], radius, 512)[0]
             assert np.all(bits >= previous), smiles
             previous = bits
 
 
 def test_determinism_across_reparses():
-    a = morgan_fingerprint(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), 2, 512)
-    b = morgan_fingerprint(parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), 2, 512)
+    a = morgan_fingerprints([parse_smiles("CC(=O)Oc1ccccc1C(=O)O")], 2, 512)[0]
+    b = morgan_fingerprints([parse_smiles("CC(=O)Oc1ccccc1C(=O)O")], 2, 512)[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_ethanol_radius2_frozen():
-    fp = morgan_fingerprint(parse_smiles("CCO"), 2, 512)
+    fp = morgan_fingerprints([parse_smiles("CCO")], 2, 512)[0]
     assert to_hex(fp) == (
         "000000000000000000000000000000001000000000000000000000008000400000"
         "00000000000080000012000000000000000000000000000000000000000000"
@@ -182,18 +181,18 @@ def test_permutation_invariance(rng):
         graph = parse_smiles(smiles)
         if len(graph.atoms) < 2:
             continue
-        reference = morgan_fingerprint(graph, 2, 512)
+        reference = morgan_fingerprints([graph], 2, 512)[0]
         for _ in range(3):
             perm = rng.permutation(len(graph.atoms)).tolist()
             shuffled = _permute_graph(graph, perm)
-            np.testing.assert_array_equal(morgan_fingerprint(shuffled, 2, 512), reference,
+            np.testing.assert_array_equal(morgan_fingerprints([shuffled], 2, 512)[0], reference,
                                           err_msg=smiles)
 
 
 def test_empty_molecule_rejected():
     empty = MolecularGraph(atoms=[], bonds=[], implicit_h=[])
     with pytest.raises(DataError, match="cannot fingerprint an empty molecule"):
-        morgan_fingerprint(empty, 2, 512)
+        morgan_fingerprints([empty], 2, 512)
     graphs = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
     for at in range(len(graphs) + 1):
         with pytest.raises(DataError, match="^cannot fingerprint an empty molecule$"):
@@ -240,7 +239,7 @@ def test_fragments_single_atoms_and_many_bonds_match_reference():
             for text, graph, row in zip(smiles, graphs, got):
                 np.testing.assert_array_equal(row, reference_morgan(graph, radius, nbits),
                                               err_msg=f"{text} r={radius} {nbits}")
-                np.testing.assert_array_equal(morgan_fingerprint(graph, radius, nbits), row)
+                np.testing.assert_array_equal(morgan_fingerprints([graph], radius, nbits)[0], row)
     assert morgan_fingerprints([], 2, 512).shape == (0, 512)
 
 
@@ -263,9 +262,9 @@ def test_ingest_featurizes_at_most_one_batch_of_graphs_per_call(rng):
 def test_bad_nbits_rejected():
     graph = parse_smiles("C")
     with pytest.raises(ConfigError):
-        morgan_fingerprint(graph, 2, 500)
+        morgan_fingerprints([graph], 2, 500)
     with pytest.raises(ConfigError):
-        morgan_fingerprint(graph, -1, 512)
+        morgan_fingerprints([graph], -1, 512)
 
 
 def test_tanimoto_identity_and_disjoint():

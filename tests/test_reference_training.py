@@ -24,7 +24,7 @@ from qsarbench.rng import derive_seed
 from qsarbench.training import OptimizerConfig, SupervisedSplit, batch_schedule, schedule_digest
 
 from test_classical import finite_difference, naive_forward
-from test_simulator import dense_ansatz
+from oracles import dense_ansatz
 
 REP_SEEDS = (11, 12, 13)
 OPTIMIZER = OptimizerConfig(learning_rate=0.05, batch_size=8, epochs=6)

@@ -11,9 +11,7 @@ from qsarbench.simulator import (
     adjoint_gradient,
     amplitude_embed,
     ansatz_sweep,
-    apply_cnot_array,
     apply_layer,
-    apply_single_array,
     block_widths,
     entangler_offset,
     layer_factors,
@@ -29,49 +27,8 @@ from qsarbench.simulator import (
     z_sign_matrix,
 )
 
-
-# --- dense-matrix oracle -------------------------------------------------------
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=np.complex128
-    )
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def dense_single(u: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for q in range(n):
-        out = np.kron(out, u if q == qubit else np.eye(2))
-    return out
-
-
-def dense_cnot(n: int, control: int, target: int) -> np.ndarray:
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for basis in range(dim):
-        control_bit = (basis >> (n - 1 - control)) & 1
-        image = basis ^ (1 << (n - 1 - target)) if control_bit else basis
-        out[image, basis] = 1.0
-    return out
-
-
-def dense_ansatz(n: int, angles: np.ndarray) -> np.ndarray:
-    dim = 1 << n
-    out = np.eye(dim, dtype=np.complex128)
-    for layer in range(angles.shape[0]):
-        for q in range(n):
-            out = dense_single(rot_matrix(*angles[layer, q]), n, q) @ out
-        if n > 1:
-            offset = entangler_offset(layer, n)
-            for q in range(n):
-                out = dense_cnot(n, q, (q + offset) % n) @ out
-    return out
+from oracles import (apply_cnot_array, apply_single_array, dense_ansatz, dense_cnot, dense_single,
+                     ry_matrix, rz_matrix)
 
 
 def random_state(rng, n: int) -> np.ndarray:
